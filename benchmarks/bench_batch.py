@@ -5,11 +5,11 @@ Construct_BASE sparse hypercube, *all* 1024 sources, generate the
 Broadcast_2 schedule from each and validate it.  The per-source loop
 (``broadcast_schedule`` + a shared ``FastValidator``) is measured against
 the batch engine (:mod:`repro.engine.batch`: one generation per coset of
-the translation group, XOR-translated stacked arrays, vectorized
-validation).  Verdicts are asserted identical before any timing; the ≥3×
-acceptance floor is asserted at full size (the measured speedup is
-recorded in ``benchmarks/RESULTS_schedulers.md`` and emitted into
-``BENCH_results.json`` by the shared conftest).
+the translation group, XOR-translated stacked arrays, each row checked
+by the same fast validator).  Verdicts are asserted identical before any
+timing; the ≥3× acceptance floor is asserted at full size (the measured
+speedup is recorded in ``benchmarks/RESULTS_schedulers.md`` and emitted
+into ``BENCH_results.json`` by the shared conftest).
 """
 
 import os
@@ -19,7 +19,7 @@ from repro.core.broadcast import broadcast_schedule
 from repro.core.construct import construct_base
 from repro.core.params import theorem5_m_star
 from repro.engine.batch import all_sources_schedules, validate_all_sources
-from repro.engine.cache import batch_validator_for, fast_validator_for
+from repro.engine.cache import fast_validator_for
 
 # Hypercube dimension: 10 at full size (1024 sources), 7 under the CI
 # smoke sizes (REPRO_BENCH_N=10 shrinks every bench suite).
@@ -77,7 +77,7 @@ def test_bench_all_sources_loop(benchmark):
 
 def test_bench_all_sources_batch(benchmark):
     sh = _instance()
-    batch_validator_for(sh.graph)
+    fast_validator_for(sh.graph)
     ok, _ = benchmark.pedantic(lambda: _batch_all_sources(sh), rounds=1, iterations=1)
     assert all(ok)
 
@@ -96,7 +96,6 @@ def test_batch_speedup_floor(print_once, bench_json):
     the all-sources generate+validate workload (asserted at full size)."""
     sh = _instance()
     fast_validator_for(sh.graph)
-    batch_validator_for(sh.graph)
 
     def best_of(fn, repeats=3):
         times = []

@@ -18,17 +18,17 @@ the frame side shares one frozen frame by reference (how stacks,
 registry results, and io actually hand schedules around), whose cached
 layout and per-graph screen state make re-validation pure array reuse.
 Verdicts are asserted identical before timing — through ``api.validate``
-engine ``batch`` as well, whose stacked corpus path the two benchmark
-fixtures record for comparison; the ≥3× acceptance floor is asserted at
-full size and the measured row lands in ``BENCH_results.json`` via the
-shared conftest.
+on the whole corpus as well, whose list path the two benchmark fixtures
+record for comparison; the ≥3× acceptance floor is asserted at full size
+and the measured row lands in ``BENCH_results.json`` via the shared
+conftest.
 """
 
 import os
 import time
 
 from repro import api
-from repro.engine.cache import batch_validator_for, fast_validator_for
+from repro.engine.cache import fast_validator_for
 from repro.frame import ScheduleBuilder
 from repro.graphs.trees import path_graph
 from repro.types import Schedule
@@ -95,7 +95,7 @@ def test_frame_object_verdicts_identical():
 
 def test_bench_validate_object_corpus(benchmark):
     graph, objects, _frames = _instance()
-    batch_validator_for(graph)  # warm the per-graph cache for both sides
+    fast_validator_for(graph)  # warm the per-graph cache for both sides
     k = graph.n_vertices - 1
     reports = benchmark(
         lambda: api.validate(graph, objects, k, require_minimum_time=False)
@@ -105,7 +105,7 @@ def test_bench_validate_object_corpus(benchmark):
 
 def test_bench_validate_frame_corpus(benchmark):
     graph, _objects, frames = _instance()
-    batch_validator_for(graph)
+    fast_validator_for(graph)
     k = graph.n_vertices - 1
     reports = benchmark(
         lambda: api.validate(graph, frames, k, require_minimum_time=False)

@@ -1,27 +1,18 @@
-"""Zero-copy parallel validation benchmarks: worker scaling + SHM/native.
+"""Parallel-execution benchmarks: worker scaling + zero-copy SHM frames.
 
-Three headline measurements, all merged into ``BENCH_results.json``:
+Two headline measurements, both merged into ``BENCH_results.json``:
 
 * **Cold campaign worker scaling** — the ``fault-robustness`` built-in
   executed end to end with cold caches at 1/2/4 workers.  The floor
   (2 workers ≥ 1.6× 1 worker) is asserted only at full size on a
   multi-core box: worker scaling cannot be measured on one core, so the
   row records ``cpu_count`` and the assertion gates on it.
-* **Frames at n = 1025** — the combined SHM + native path (one frozen
-  halving-line-broadcast frame exported to shared planes, reattached,
-  revalidated 64×) against the PR-5 baseline of 64 defensive object
-  copies, each re-flattened per validation.  ≥ 3× asserted at full size.
-* **Batch at n = 1024 sources** — the all-sources workload
-  (``bench_batch``'s headline) with the batch engine running entirely
-  over the SHM-attached CSR graph: stacked generation + vectorized
-  validation of all 1024 sources of ``Construct_BASE(10)`` vs the
-  per-source generate-and-validate loop.  ≥ 3× asserted at full size —
-  zero-copy attach must not eat the batch engine's win.
+* **Frames at n = 1025** — one frozen halving-line-broadcast frame
+  exported to shared planes, reattached, and revalidated 64× by the fast
+  validator, against the PR-5 baseline of 64 defensive object copies,
+  each re-flattened per validation.  ≥ 3× asserted at full size.
 
-Rows record whether the numba kernels compiled (``native_available``)
-and both the facade-off (pure NumPy) and facade-default timings, so the
-with/without-native trajectory is diffable wherever numba exists;
-verdicts are asserted identical before any timing.
+Verdicts are asserted identical before any timing.
 """
 
 import os
@@ -31,12 +22,7 @@ from bench_frames import _halving_line_broadcast
 
 from repro.analysis.campaigns import BUILTIN_CAMPAIGNS, CampaignRunner
 from repro.analysis.scenarios import clear_scenario_caches
-from repro.core.broadcast import broadcast_schedule
-from repro.core.construct import construct_base
-from repro.core.params import theorem5_m_star
-from repro.engine import native
-from repro.engine.batch import all_sources_schedules
-from repro.engine.cache import batch_validator_for, clear_cache, fast_validator_for
+from repro.engine.cache import clear_cache, fast_validator_for
 from repro.engine.shm import PlaneRegistry, detach_all
 from repro.graphs.trees import path_graph
 from repro.types import Schedule
@@ -44,11 +30,10 @@ from repro.types import Schedule
 FULL = int(os.environ.get("REPRO_BENCH_N", "12")) >= 12
 FRAME_N = 1025 if FULL else 65
 CORPUS = 64
-BATCH_N_DIM = 10 if FULL else 7  # 1024 sources at full size
 CPUS = os.cpu_count() or 1
 WORKERS = (1, 2, 4) if FULL else (1, 2)
 WORKER_FLOOR = 1.6
-SHM_NATIVE_FLOOR = 3.0
+SHM_FRAMES_FLOOR = 3.0
 SPEC = BUILTIN_CAMPAIGNS["fault-robustness"]
 
 
@@ -61,7 +46,7 @@ def best_of(fn, repeats=3):
     return min(times)
 
 
-# -- frames / batch at n = 1025 ---------------------------------------------
+# -- frames at n = 1025 -----------------------------------------------------
 
 
 def _instance():
@@ -79,8 +64,8 @@ def _report_tuple(rep):
     return (rep.ok, rep.errors, rep.rounds, rep.informed_per_round, rep.max_call_length)
 
 
-def test_shm_native_verdicts_identical():
-    """SHM-attached + facade paths must agree exactly before timing."""
+def test_shm_frames_verdicts_identical():
+    """SHM-attached and local validation must agree exactly before timing."""
     graph, objects, frame = _instance()
     k = graph.n_vertices - 1
     try:
@@ -97,44 +82,18 @@ def test_shm_native_verdicts_identical():
                 )
                 for _ in range(CORPUS)
             ]
-            stacked = batch_validator_for(shared_graph).validate_many(
-                [shared_frame] * CORPUS, k, require_minimum_time=False
-            )
-            for a, b, c in zip(local, shared, stacked):
-                assert a.ok and b.ok and c.ok
-                assert _report_tuple(a) == _report_tuple(b) == _report_tuple(c)
+            for a, b in zip(local, shared):
+                assert a.ok and b.ok
+                assert _report_tuple(a) == _report_tuple(b)
             del shared_graph, shared_frame
             clear_cache()  # the engine cache pins attached graphs
     finally:
         detach_all()
 
 
-def test_shm_batch_all_sources_verdicts_identical():
-    """The all-sources batch path over the attached graph must agree
-    with the per-source loop before timing."""
-    sh = construct_base(BATCH_N_DIM, theorem5_m_star(BATCH_N_DIM))
-    try:
-        with PlaneRegistry() as reg:
-            shared_graph = reg.export_graph(sh.graph).attach()
-            validator = fast_validator_for(sh.graph)
-            batch = batch_validator_for(shared_graph)
-            for stack in all_sources_schedules(sh, sources=[0, 1, sh.n_vertices - 1]):
-                report = batch.validate_stacked(stack, sh.k)
-                for i, rep in enumerate(report.reports):
-                    src = int(stack.sources[i])
-                    ref = validator.validate(broadcast_schedule(sh, src), sh.k)
-                    assert _report_tuple(rep) == _report_tuple(ref)
-            del shared_graph, batch
-            clear_cache()
-    finally:
-        detach_all()
-
-
-def test_shm_native_frames_floor(print_once, bench_json):
-    """Acceptance: ≥3× for the SHM + native frame path over the PR-5
-    per-object baseline at n = 1025 (asserted at full size).  Facade-off
-    timings are recorded alongside so with/without native is diffable
-    wherever numba compiled."""
+def test_shm_frames_floor(print_once, bench_json):
+    """Acceptance: ≥3× for the SHM frame path over the PR-5 per-object
+    baseline at n = 1025 (asserted at full size)."""
     graph, objects, frame = _instance()
     k = graph.n_vertices - 1
     try:
@@ -156,12 +115,6 @@ def test_shm_native_frames_floor(print_once, bench_json):
 
             t_object = best_of(sweep_objects)
             t_frames = best_of(sweep_shm_frames)
-            # facade forced off: the pure-NumPy screens over the same planes
-            native._set_enabled_for_testing(False)
-            try:
-                t_frames_numpy = best_of(sweep_shm_frames)
-            finally:
-                native._set_enabled_for_testing(None)
 
             del shared_graph, shared_frame, shared_validator
             clear_cache()
@@ -173,97 +126,25 @@ def test_shm_native_frames_floor(print_once, bench_json):
         "workload": f"validate {CORPUS}x path:{FRAME_N} halving broadcast",
         "object_s": f"{t_object:.4f}",
         "shm_s": f"{t_frames:.4f}",
-        "numpy_s": f"{t_frames_numpy:.4f}",
         "speedup": f"{speedup:.1f}x",
     }
-    print_once(
-        "shm-native-frames", [row], title="SHM + native frames vs object baseline"
-    )
+    print_once("shm-frames", [row], title="SHM frames vs object baseline")
     bench_json(
         "bench_parallel",
-        "shm_native_frames",
+        "shm_frames",
         workload=row["workload"],
         n_vertices=FRAME_N,
         corpus=CORPUS,
-        native_available=native.NATIVE_COMPILED,
         baseline_seconds=round(t_object, 6),
         shm_seconds=round(t_frames, 6),
-        numpy_seconds=round(t_frames_numpy, 6),
         speedup=round(speedup, 2),
-        floor=SHM_NATIVE_FLOOR,
+        floor=SHM_FRAMES_FLOOR,
         full_size=FULL,
     )
     if FULL:
-        assert speedup >= SHM_NATIVE_FLOOR, (
+        assert speedup >= SHM_FRAMES_FLOOR, (
             f"SHM frame path only {speedup:.1f}x over the object baseline "
-            f"(n={FRAME_N}, floor {SHM_NATIVE_FLOOR}x)"
-        )
-
-
-def test_shm_native_batch_floor(print_once, bench_json):
-    """Acceptance: ≥3× for the batch engine over the SHM-attached graph
-    vs the per-source loop on the all-sources workload (asserted at full
-    size).  The attach must be free: the batch engine's own ≥3× floor
-    (``bench_batch``) has to survive its kernels reading CSR planes out
-    of shared memory."""
-    sh = construct_base(BATCH_N_DIM, theorem5_m_star(BATCH_N_DIM))
-    n_sources = sh.n_vertices
-    try:
-        with PlaneRegistry() as reg:
-            shared_graph = reg.export_graph(sh.graph).attach()
-            validator = fast_validator_for(sh.graph)
-            batch = batch_validator_for(shared_graph)
-
-            def sweep_loop():
-                for s in range(n_sources):
-                    assert validator.validate(broadcast_schedule(sh, s), sh.k).ok
-
-            def sweep_shm_batch():
-                for stack in all_sources_schedules(sh):
-                    report = batch.validate_stacked(stack, sh.k)
-                    assert all(r.ok for r in report.reports)
-
-            t_loop = best_of(sweep_loop)
-            t_batch = best_of(sweep_shm_batch)
-            native._set_enabled_for_testing(False)
-            try:
-                t_batch_numpy = best_of(sweep_shm_batch)
-            finally:
-                native._set_enabled_for_testing(None)
-
-            del shared_graph, batch
-            clear_cache()
-    finally:
-        detach_all()
-
-    speedup = t_loop / t_batch
-    row = {
-        "workload": f"all-sources Construct_BASE({BATCH_N_DIM}), {n_sources} sources",
-        "loop_s": f"{t_loop:.4f}",
-        "shm_s": f"{t_batch:.4f}",
-        "numpy_s": f"{t_batch_numpy:.4f}",
-        "speedup": f"{speedup:.1f}x",
-    }
-    print_once(
-        "shm-native-batch", [row], title="SHM + native batch vs per-source loop"
-    )
-    bench_json(
-        "bench_parallel",
-        "shm_native_batch",
-        workload=row["workload"],
-        sources=n_sources,
-        native_available=native.NATIVE_COMPILED,
-        baseline_seconds=round(t_loop, 6),
-        shm_seconds=round(t_batch, 6),
-        numpy_seconds=round(t_batch_numpy, 6),
-        speedup=round(speedup, 2),
-        floor=SHM_NATIVE_FLOOR,
-        full_size=FULL,
-    )
-    if FULL:
-        assert speedup >= SHM_NATIVE_FLOOR, (
-            f"SHM batch path only {speedup:.1f}x over the per-source loop "
-            f"({n_sources} sources, floor {SHM_NATIVE_FLOOR}x)"
+            f"(n={FRAME_N}, floor {SHM_FRAMES_FLOOR}x)"
         )
 
 

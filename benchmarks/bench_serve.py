@@ -10,14 +10,10 @@ the daemon exists for):
   the spec-keyed graph cache and the per-graph engine caches.  The
   warm/cold per-request gap is the daemon's reason to exist; the floor
   (warm >= 3x cold) is asserted at full size.
-* **coalesced vs serial**: the same validate requests issued
-  concurrently (the coalescer stacks them into single batch passes)
-  versus strictly one at a time (one pass each).
 
 Every response in the harness is byte-compared against serial
-``api.validate`` verdicts re-encoded through the same wire codec — the
-coalescer must never change a verdict, only its throughput.  Rows land
-in ``BENCH_results.json`` via the shared conftest.
+``api.validate`` verdicts re-encoded through the same wire codec.  Rows
+land in ``BENCH_results.json`` via the shared conftest.
 """
 
 import asyncio
@@ -66,12 +62,6 @@ async def _dispatch_serial(service, bodies):
     ]
 
 
-async def _dispatch_concurrent(service, bodies):
-    return await asyncio.gather(
-        *(service.dispatch("POST", "/v1/validate", body) for body in bodies)
-    )
-
-
 def _assert_serial_identical(frames, responses):
     """Every served verdict == serial api.validate, byte for byte."""
     graph = api.build_graph(GRAPH_SPEC)
@@ -101,8 +91,8 @@ def _cold_request(body):
         service.close()
 
 
-def test_serve_throughput_cold_warm_coalesced(print_once, bench_json):
-    """Headline numbers: requests/sec across the four service regimes."""
+def test_serve_throughput_cold_warm(print_once, bench_json):
+    """Headline numbers: requests/sec for cold and warm validates."""
     frames, bodies = _validate_bodies(N_REQUESTS)
 
     # cold: fresh service + cleared engine caches per request
@@ -118,25 +108,12 @@ def test_serve_throughput_cold_warm_coalesced(print_once, bench_json):
         t0 = time.perf_counter()
         warm_responses = asyncio.run(_dispatch_serial(service, bodies))
         t_warm = (time.perf_counter() - t0) / N_REQUESTS
-
-        # serial vs coalesced on the warm service
-        t0 = time.perf_counter()
-        serial_responses = asyncio.run(_dispatch_serial(service, bodies))
-        t_serial = (time.perf_counter() - t0) / N_REQUESTS
-        passes_before = service._coalescer.passes
-        t0 = time.perf_counter()
-        coalesced_responses = asyncio.run(_dispatch_concurrent(service, bodies))
-        t_coalesced = (time.perf_counter() - t0) / N_REQUESTS
-        passes = service._coalescer.passes - passes_before
     finally:
         service.close()
 
     # the acceptance bar: every response byte-identical to serial verdicts
     _assert_serial_identical(frames[:cold_n], cold_responses)
     _assert_serial_identical(frames, warm_responses)
-    _assert_serial_identical(frames, serial_responses)
-    _assert_serial_identical(frames, coalesced_responses)
-    assert passes < N_REQUESTS, "concurrent requests never shared a batch pass"
 
     warm_speedup = t_cold / t_warm
     row = {
@@ -145,9 +122,6 @@ def test_serve_throughput_cold_warm_coalesced(print_once, bench_json):
         "cold (req/s)": f"{1 / t_cold:.1f}",
         "warm (req/s)": f"{1 / t_warm:.1f}",
         "warm speedup": f"{warm_speedup:.1f}x",
-        "serial (req/s)": f"{1 / t_serial:.1f}",
-        "coalesced (req/s)": f"{1 / t_coalesced:.1f}",
-        "batch passes": f"{passes}/{N_REQUESTS}",
     }
     print_once("serve-throughput", [row], title="service request throughput")
     bench_json(
@@ -158,10 +132,6 @@ def test_serve_throughput_cold_warm_coalesced(print_once, bench_json):
         cold_rps=round(1 / t_cold, 2),
         warm_rps=round(1 / t_warm, 2),
         warm_speedup=round(warm_speedup, 2),
-        serial_rps=round(1 / t_serial, 2),
-        coalesced_rps=round(1 / t_coalesced, 2),
-        coalesce_speedup=round(t_serial / t_coalesced, 2),
-        batch_passes=passes,
         floor=WARM_SPEEDUP_FLOOR,
         full_size=FULL,
     )

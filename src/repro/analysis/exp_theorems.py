@@ -4,8 +4,8 @@ Theorems 4–7 and the k = 1 baseline (E09, E10, E12, E13, E16).
 These are the validation-bound hot paths, so the source sweeps (E09,
 E12) run the batch all-sources engine (:mod:`repro.engine.batch`):
 schedules are generated once per coset of the construction's translation
-group and XOR-translated to the sampled sources, then validated as
-stacked arrays — per-source verdicts are identical to the per-source
+group and XOR-translated to the sampled sources, then checked by the
+fast validator — per-source verdicts are identical to the per-source
 ``broadcast_schedule`` + fast-validator loop by construction (and pinned
 by the property tests); the reference validator stays the oracle in the
 test suite.  Single-schedule checks (E16) share per-graph validators

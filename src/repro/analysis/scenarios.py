@@ -24,7 +24,7 @@ source-sampling policy, and an injected *condition*:
 no wall-clock, no environment — which is what lets sharded campaign runs
 merge byte-identically (timing lives in the campaign manifest instead).
 Every found schedule is reference-validated: registry schedulers via
-``run_scheduler(validate=True)``, scheme scenarios via the batch
+``run_scheduler(validate=True)``, scheme scenarios via the fast
 validator (reference-equal by construction) or
 :func:`validate_broadcast` directly on the survivor graph.
 """
@@ -283,15 +283,11 @@ def warm_scenario_caches(pairs: tuple[tuple[str, bool], ...]) -> None:
     its task.  Runs in-process for ``jobs == 1``, keeping serial and
     parallel campaign executions on the same warm path.
     """
-    from repro.engine.cache import batch_validator_for, fast_validator_for
+    from repro.engine.cache import fast_validator_for
 
     for spec, is_scheme in pairs:
-        if is_scheme:
-            sh = cached_construct(spec)
-            batch_validator_for(sh.graph)
-        else:
-            graph = cached_graph(spec)
-            fast_validator_for(graph)
+        graph = cached_construct(spec).graph if is_scheme else cached_graph(spec)
+        fast_validator_for(graph)
 
 
 # -- execution ---------------------------------------------------------------
@@ -359,7 +355,7 @@ def _scheme_rows(sc: Scenario, cond_kind: str, cond_arg: int) -> dict:
     for ok, rounds, max_len in zipped:
         agg.record(rounds, None, max_len, ok)
     row = agg.row(sc, graph, srcs)
-    row["calls"] = -1  # stacked validation does not materialize call counts
+    row["calls"] = -1  # the all-sources pipeline does not count calls
     row["n_cosets"] = outcome.n_cosets
     return row
 

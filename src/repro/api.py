@@ -33,21 +33,20 @@ Engine selection (``api.validate(..., engine=...)``)
     call with sets and per-edge lookups.  Legible, slow, and the
     repository's source of truth.
 ``"fast"``
-    the bitset/NumPy validator (:mod:`repro.model.validator_fast`).
-    Verdicts, error strings, and statistics are identical to the
-    reference by construction (failing rounds re-scan through the
-    reference; pinned by the property tests), at vectorized speed.
+    the bitset/NumPy validator (:mod:`repro.model.validator_fast`), the
+    one validation engine.  Verdicts, error strings, and statistics are
+    identical to the reference by construction (failing rounds re-scan
+    through the reference; pinned by the property tests), at vectorized
+    speed.
 ``"batch"``
-    the stacked-array validator (:mod:`repro.engine.batch`): groups the
-    input by layout and checks whole ``(n_schedules, n_items)`` stacks
-    per pass.  The right choice for lists; a single schedule degrades
-    to a 1-row stack.
+    an alias of ``"fast"``, kept so CLI flags and v1 wire requests that
+    name it keep working.
 ``"auto"`` (default)
-    picks for you: a list input routes to ``batch``; a single schedule
-    or frame routes to ``fast`` when the graph is frozen (so the
-    per-graph edge-key arrays are shared through the process-wide
-    engine cache) and to ``reference`` otherwise.  Because all engines
-    agree exactly, ``auto`` never changes a verdict — only its speed.
+    ``fast`` when the graph is frozen (so the per-graph edge-key arrays
+    are shared through the process-wide engine cache) and ``reference``
+    otherwise — for a single schedule and for a list alike.  Because
+    the engines agree exactly, ``auto`` never changes a verdict — only
+    its speed.
 
 All functions raise :class:`repro.types.ReproError` subtypes on invalid
 input, matching the rest of the library.
@@ -55,7 +54,7 @@ input, matching the rest of the library.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, cast
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, cast
 
 from repro.frame import ScheduleFrame, as_frame, as_schedule
 from repro.graphs.base import Graph
@@ -173,44 +172,20 @@ def schedule(
     return run_scheduler(scheduler, request, validate=validate_result)
 
 
-def _validate_one(
-    graph: Graph,
-    sched: "Schedule | ScheduleFrame",
-    k: int,
-    engine: str,
-    *,
-    require_minimum_time: bool,
-    vertex_disjoint: bool,
-) -> ValidationReport:
-    if engine == "auto":
-        engine = "fast" if graph.frozen else "reference"
-    if engine == "reference":
+def _validator(graph: Graph, engine: str) -> Callable[..., ValidationReport]:
+    """The ``(schedule, k, **flags) -> report`` callable ``engine`` names."""
+    if engine == "reference" or (engine == "auto" and not graph.frozen):
         from repro.model.validator import validate_broadcast
 
-        return validate_broadcast(
-            graph,
-            as_schedule(sched),
-            k,
-            require_minimum_time=require_minimum_time,
-            vertex_disjoint=vertex_disjoint,
-        )
-    if engine == "fast":
-        from repro.engine.cache import fast_validator_for
+        def reference(
+            sched: "Schedule | ScheduleFrame", k: int, **flags: bool
+        ) -> ValidationReport:
+            return validate_broadcast(graph, as_schedule(sched), k, **flags)
 
-        return fast_validator_for(graph).validate(
-            sched,
-            k,
-            require_minimum_time=require_minimum_time,
-            vertex_disjoint=vertex_disjoint,
-        )
-    from repro.engine.cache import batch_validator_for
+        return reference
+    from repro.engine.cache import fast_validator_for
 
-    return batch_validator_for(graph).validate_many(
-        [sched],
-        k,
-        require_minimum_time=require_minimum_time,
-        vertex_disjoint=vertex_disjoint,
-    )[0]
+    return fast_validator_for(graph).validate
 
 
 def validate(
@@ -226,7 +201,7 @@ def validate(
 
     ``graph`` is a textual spec or a :class:`Graph` (the
     :func:`build_graph` convention — specs build frozen graphs, so spec
-    callers always hit the cached ``fast``/``batch`` engines).
+    callers always hit the cached fast engine).
     ``schedules`` may be a single :class:`~repro.types.Schedule` or
     :class:`~repro.frame.ScheduleFrame` (returns one
     :class:`~repro.model.validator.ValidationReport`) or a list of
@@ -239,36 +214,16 @@ def validate(
             f"unknown engine {engine!r}; known: {', '.join(ENGINES)}"
         )
     graph = build_graph(graph)
-    single = isinstance(schedules, ScheduleFrame) or hasattr(schedules, "rounds")
-    if single:
-        return _validate_one(
-            graph,
-            cast("Schedule | ScheduleFrame", schedules),
-            k,
-            engine,
-            require_minimum_time=require_minimum_time,
-            vertex_disjoint=vertex_disjoint,
-        )
-    items = list(cast("Iterable[Schedule | ScheduleFrame]", schedules))
-    if engine in ("auto", "batch") and graph.frozen:
-        from repro.engine.cache import batch_validator_for
-
-        return batch_validator_for(graph).validate_many(
-            items,
-            k,
-            require_minimum_time=require_minimum_time,
-            vertex_disjoint=vertex_disjoint,
-        )
+    check = _validator(graph, engine)
+    flags = {
+        "require_minimum_time": require_minimum_time,
+        "vertex_disjoint": vertex_disjoint,
+    }
+    if isinstance(schedules, ScheduleFrame) or hasattr(schedules, "rounds"):
+        return check(cast("Schedule | ScheduleFrame", schedules), k, **flags)
     return [
-        _validate_one(
-            graph,
-            item,
-            k,
-            engine,
-            require_minimum_time=require_minimum_time,
-            vertex_disjoint=vertex_disjoint,
-        )
-        for item in items
+        check(item, k, **flags)
+        for item in cast("Iterable[Schedule | ScheduleFrame]", schedules)
     ]
 
 

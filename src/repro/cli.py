@@ -31,12 +31,13 @@ runner — see :mod:`repro.analysis.registry` / :mod:`repro.analysis.runner`):
     Machine-check a construction's broadcast scheme over many sources:
     ``repro validate --n 10 --m 3 --all-sources`` sweeps all ``2^n``
     sources through the batch engine (:mod:`repro.engine.batch`) —
-    coset-translated generation plus stacked-array validation.
-    ``--engine loop`` forces the per-source reference path for
-    comparison; the default samples 16 sources.  Alternatively
+    coset-translated generation, each row checked by the fast validator.
+    ``--engine loop`` forces per-source generation for comparison; the
+    default samples 16 sources.  Alternatively
     ``repro validate --schedule FILE`` re-checks a schedule file written
     by ``repro schedule --out`` via :func:`repro.api.validate`
-    (``--engine auto|reference|fast|batch``).
+    (``--engine auto|reference|fast|batch``; ``batch`` is an alias of
+    ``fast``).
 
 ``campaign``
     Declarative scenario sweeps (:mod:`repro.analysis.campaigns`):
@@ -59,8 +60,8 @@ runner — see :mod:`repro.analysis.registry` / :mod:`repro.analysis.runner`):
     ``repro serve --port 8571`` answers ``POST /v1/schedule``,
     ``POST /v1/validate``, ``POST /v1/certificate``, ``GET /v1/healthz``
     and ``GET /v1/stats`` over HTTP, amortizing the process-wide
-    engine caches across requests and coalescing concurrent validates
-    into single batch passes.  ``--port 0`` picks an ephemeral port
+    engine caches across requests; each validate request is one fast
+    validator call on the worker pool.  ``--port 0`` picks an ephemeral port
     (printed on startup); SIGTERM/SIGINT drain in-flight requests and
     exit 0.  ``--corpus FILE`` consults a packed corpus before
     scheduling (byte-identical answers, O(1) instead of a scheduler
@@ -251,10 +252,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("batch", "loop", "auto", "reference", "fast"),
         default=None,
-        help="sweep mode: batch (default) = coset-translated generation + "
-        "stacked validation, loop = per-source generation + fast validator; "
-        "--schedule mode: auto (default) | reference | fast | batch, the "
-        "repro.api.validate engines (identical verdicts)",
+        help="sweep mode: batch (default) = coset-translated generation, "
+        "loop = per-source generation, both checked by the fast validator; "
+        "--schedule mode: auto (default) | reference | fast | batch (an "
+        "alias of fast), the repro.api.validate engines (identical verdicts)",
     )
 
     p_camp = sub.add_parser(

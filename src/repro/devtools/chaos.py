@@ -1,7 +1,7 @@
 """Deterministic fault injection: ``REPRO_CHAOS`` and :class:`ChaosPolicy`.
 
 The fault-tolerant execution layer (crash-safe :class:`~repro.util.pool.
-WorkerPool`, shm transport degradation, campaign crash-checkpointing)
+WorkerPool`, shm plane export/attach, campaign crash-checkpointing)
 is only trustworthy if its failure paths run in CI on every push.  This
 module injects the failures *deterministically*: a spec string names
 exactly which chunk dies, which worker cannot attach shared memory,
@@ -25,10 +25,10 @@ Supported events:
 ``attach-fail:worker=W`` / ``attach-fail:all``
     :meth:`repro.engine.shm.PlaneHandle.attach` raises
     :class:`~repro.errors.ShmAttachError` in worker slot ``W`` (or in
-    every process) — drives the pickled-copy/serial degradation tiers.
+    every process) — drives a plane consumer's attach-failure path.
 ``export-fail:nth=N`` / ``export-fail:all``
     The ``N``-th ``PlaneRegistry.export`` call in this process raises
-    (0-indexed) — drives the parent-side export fallback.
+    (0-indexed) — drives a plane producer's export-failure path.
 ``corrupt-cache:nth=N``
     The ``N``-th campaign cache-entry read in this process first has
     its file overwritten with garbage — drives the corrupt-entry

@@ -7,28 +7,23 @@ boundary counts, and the doubling/capacity prunes — all on integer-bitmask
 state shared with :mod:`repro.model.validator_fast`.
 
 :mod:`repro.engine.batch` is the batch all-sources layer: coset-translated
-schedule generation over the construction's XOR-translation group, and
-stacked-array Definition-1 validation (:class:`BatchValidator`) for whole
-schedule batches at once.
+schedule generation over the construction's XOR-translation group, with
+every translated row checked by the fast validator.
 
 :mod:`repro.engine.cache` is the process-wide kernel cache: one
-``GraphKernels`` / ``FastValidator`` / ``BatchValidator`` per frozen
-graph, shared by the schedulers, the simulator, and the experiments.
+``GraphKernels`` / ``FastValidator`` per frozen graph, shared by the
+schedulers, the simulator, and the experiments.
 """
 
 from repro.engine.batch import (
     AllSourcesOutcome,
-    BatchReport,
-    BatchValidator,
     ScheduleLayout,
     StackedSchedules,
     all_sources_schedules,
-    stack_schedules,
     translation_group,
     validate_all_sources,
 )
 from repro.engine.cache import (
-    batch_validator_for,
     cache_info,
     clear_cache,
     fast_validator_for,
@@ -40,26 +35,20 @@ from repro.engine.kernels import (
     GraphKernels,
     PenaltyState,
 )
-from repro.engine.native import native_enabled
 
 __all__ = [
-    "native_enabled",
     "GraphKernels",
     "ComponentSummary",
     "PenaltyState",
     "OVERFLOW_PENALTY",
     "ScheduleLayout",
     "StackedSchedules",
-    "BatchReport",
-    "BatchValidator",
     "AllSourcesOutcome",
     "translation_group",
     "all_sources_schedules",
-    "stack_schedules",
     "validate_all_sources",
     "kernels_for",
     "fast_validator_for",
-    "batch_validator_for",
     "cache_info",
     "clear_cache",
 ]

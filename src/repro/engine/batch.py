@@ -1,42 +1,34 @@
-"""Batch all-sources engine: vectorized schedule generation and validation.
+"""Batch all-sources engine: coset-translated schedule generation.
 
-The theorem sweeps (E09, E12, E20, …) and the certificate exporter all ask
-the same *many-scenarios* question: "run ``Broadcast_k`` from every source
-and check the result".  Doing that one source at a time repeats work twice
-over — each schedule is rebuilt call-by-call in Python, and each is then
-validated alone.  This module batches both axes:
+The theorem sweeps (E09, E12, E20, …), the certificate exporter and the
+corpus writer all ask the same *many-scenarios* question: "run
+``Broadcast_k`` from every source and check the result".  Rebuilding
+each schedule call-by-call in Python is the expensive half of that, and
+this module removes it by exploiting the construction's translation
+symmetry.
 
-**Generation** exploits the construction's translation symmetry.  XOR
-translation by ``t`` is an automorphism of a sparse hypercube iff it
+XOR translation by ``t`` is an automorphism of a sparse hypercube iff it
 preserves every level's label function (the label blocks tile bits
 ``1..n_{k-1}``, so any ``t`` supported only on the free high dimensions
 qualifies, as do in-block translations fixed by the labeling).  Those
 ``t`` form a subgroup ``T`` — :func:`translation_group` computes it from
-the level metadata in one vectorized table lookup per level — and schedule
-generation *commutes* with it: ``broadcast_schedule(sh, s ^ t)`` equals
-``broadcast_schedule(sh, s)`` with every vertex XOR-translated by ``t``
-(rounds re-sorted by caller).  So the engine generates **one schedule per
-coset of T**, flattens it once into a call array, and derives the whole
-coset as a single NumPy XOR broadcast over the stacked arrays.  On graphs
-with little symmetry the cosets degenerate towards singletons and the
-engine transparently falls back to per-source generation — correctness
-never depends on the symmetry, and :func:`validate_all_sources`
-additionally re-generates any source whose translated schedule fails
-validation directly (the belt-and-braces fallback; the property tests pin
-translated ≡ direct, so this path is never taken on healthy inputs).
+the level metadata in one vectorized table lookup per level — and
+schedule generation *commutes* with it: ``broadcast_schedule(sh, s ^ t)``
+equals ``broadcast_schedule(sh, s)`` with every vertex XOR-translated by
+``t`` (rounds re-sorted by caller).  So the engine generates **one
+schedule per coset of T**, flattens it once into a call array, and
+derives the whole coset as a single NumPy XOR broadcast over the stacked
+arrays (:class:`StackedSchedules`).  On graphs with little symmetry the
+cosets degenerate towards singletons, and generation transparently
+becomes one call-by-call generation per source.
 
-**Validation** stacks layout-compatible schedules into
-``(n_schedules, n_items)`` integer arrays — all schedules of one coset
-share a layout, since translation preserves call lengths — and
-:class:`BatchValidator` checks conditions V1–V8 for the whole stack in
-vectorized passes: edge existence is one ``searchsorted`` over the
-``(S, E)`` key matrix, per-round caller/receiver/edge disjointness are
-axis-1 sorts with adjacent-equality sweeps, and the informed sets evolve
-as one boolean ``(S, N)`` matrix.  Rows that fail any aggregate check
-drop to the bitset fast validator (:mod:`repro.model.validator_fast`),
-which reproduces the reference validator's exact error strings — so
-per-schedule reports are identical to the reference by construction, at
-stacked-array speed on the (overwhelmingly common) valid schedules.
+:func:`validate_all_sources` feeds every translated row to the fast
+validator (:mod:`repro.model.validator_fast`, whose error strings are
+the reference validator's), sharing the stack's layout across rows.
+Correctness never depends on the symmetry: a source whose translated
+row fails is re-generated directly and re-validated (the belt-and-braces
+fallback; the property tests pin translated ≡ direct, so this path is
+never taken on healthy inputs).
 """
 
 from __future__ import annotations
@@ -45,27 +37,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine import native
 from repro.frame import ScheduleBuilder, ScheduleFrame
-from repro.graphs.base import Graph
-from repro.model.validator import ValidationReport, minimum_broadcast_rounds
-from repro.model.validator_fast import (
-    FastValidator,
-    ScheduleLayout,
-    flatten_schedule,
-)
+from repro.model.validator_fast import ScheduleLayout, flatten_schedule
 from repro.types import InvalidParameterError, Schedule
 
 __all__ = [
     "ScheduleLayout",
     "StackedSchedules",
-    "BatchReport",
-    "BatchValidator",
     "AllSourcesOutcome",
     "translation_group",
     "coset_representatives",
     "flatten_schedule",
-    "stack_schedules",
     "all_sources_schedules",
     "validate_all_sources",
 ]
@@ -111,22 +93,27 @@ class StackedSchedules:
         By default calls keep their stored order — the exact inverse of
         :func:`flatten_schedule`, which validation fallbacks rely on to
         reproduce reference error ordering; the frame then shares the
-        stack's arrays with zero per-call work.  ``sort_calls=True``
-        orders each round's calls by ascending caller instead, which is
-        :func:`repro.core.broadcast.broadcast_schedule`'s order — XOR
-        translation permutes callers, so translated rows need the re-sort
-        to match direct generation (pinned by the property tests).
+        stack's layout, so validating many rows never rebuilds it.
+        ``sort_calls=True`` orders each round's calls by ascending caller
+        instead, which is :func:`repro.core.broadcast.broadcast_schedule`'s
+        order — XOR translation permutes callers, so translated rows need
+        the re-sort to match direct generation (pinned by the property
+        tests).
         """
         lay = self.layout
         row = self.flat[i]
         source = int(self.sources[i])
         if not sort_calls:
-            return ScheduleFrame(
+            frame = ScheduleFrame(
                 source=source,
                 path_verts=row.copy(),
                 call_offsets=np.concatenate(([0], lay.path_ends)),
                 round_offsets=lay.call_bounds.copy(),
             )
+            # the cached-layout idiom of flatten_frame: a derived value on
+            # the frozen frame, not a change to its schedule content
+            object.__setattr__(frame, "_layout", lay)  # repro-lint: disable=RL003
+            return frame
         builder = ScheduleBuilder(source)
         for r in range(lay.n_rounds):
             c0, c1 = int(lay.call_bounds[r]), int(lay.call_bounds[r + 1])
@@ -146,50 +133,6 @@ class StackedSchedules:
         object-per-call cost.
         """
         return Schedule.from_frame(self.to_frame(i, sort_calls=sort_calls))
-
-
-def _group_by_layout(
-    schedules: list[Schedule | ScheduleFrame],
-) -> list[tuple[ScheduleLayout, list[int], np.ndarray]]:
-    """Flatten and group schedules/frames by layout key, in first-seen order.
-
-    Returns ``(layout, input_indices, stacked_flat_rows)`` per distinct
-    layout; rows keep input order within their group.
-    """
-    groups: dict[bytes, tuple[ScheduleLayout, list[int], list[np.ndarray]]] = {}
-    for idx, sched in enumerate(schedules):
-        layout, flat = flatten_schedule(sched)
-        entry = groups.get(layout.key())
-        if entry is None:
-            groups[layout.key()] = (layout, [idx], [flat])
-        else:
-            entry[1].append(idx)
-            entry[2].append(flat)
-    return [
-        (layout, indices, np.vstack(flats))
-        for layout, indices, flats in groups.values()
-    ]
-
-
-def stack_schedules(
-    schedules: list[Schedule | ScheduleFrame],
-) -> list[StackedSchedules]:
-    """Group arbitrary schedules (or frames) by layout and stack each group.
-
-    Returns one stack per distinct layout, in first-seen order; every
-    input schedule appears in exactly one stack (rows keep input order
-    within their group).
-    """
-    return [
-        StackedSchedules(
-            layout=layout,
-            sources=np.array(
-                [schedules[idx].source for idx in indices], dtype=np.int64
-            ),
-            flat=rows,
-        )
-        for layout, indices, rows in _group_by_layout(schedules)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -303,265 +246,6 @@ def _coset_stacks(sh, sources) -> tuple[list[StackedSchedules], int]:
 
 
 # ---------------------------------------------------------------------------
-# Batch validation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BatchReport:
-    """Verdicts for one stack: per-row ok flags plus exact reports.
-
-    ``reports[i]`` is identical (errors, statistics, verdict) to what the
-    reference validator returns for row ``i``'s schedule — rows passing
-    the aggregate checks get their report synthesized from the batch
-    arrays, failing rows are re-validated by the fast validator.
-    """
-
-    ok: np.ndarray
-    reports: list[ValidationReport]
-    max_call_length: int
-
-    @property
-    def all_ok(self) -> bool:
-        return bool(self.ok.all())
-
-
-class BatchValidator:
-    """Definition-1 validation over stacked schedule arrays.
-
-    Bound to one graph; reuses (or builds) a :class:`FastValidator` both
-    for its sorted edge-key array and as the exact fallback on failing
-    rows.  For validating many schedules on one graph, construct through
-    :func:`repro.engine.cache.batch_validator_for` so the edge keys are
-    shared process-wide.
-    """
-
-    def __init__(self, graph: Graph, fast: FastValidator | None = None) -> None:
-        self.graph = graph
-        self.fast = fast if fast is not None else FastValidator(graph)
-
-    # -- single stack -------------------------------------------------------
-
-    def validate_stacked(
-        self,
-        stack: StackedSchedules,
-        k: int,
-        *,
-        require_minimum_time: bool = True,
-        vertex_disjoint: bool = False,
-    ) -> BatchReport:
-        """Validate every row of ``stack``; reports match the reference."""
-        lay = stack.layout
-        n = self.graph.n_vertices
-        S = stack.n_schedules
-        if S == 0:
-            return BatchReport(
-                ok=np.zeros(0, dtype=bool), reports=[], max_call_length=0
-            )
-        R = lay.n_rounds
-        rows = np.arange(S)[:, None]
-        # Rows needing the exact fallback (any aggregate check failed).
-        bad = (stack.sources < 0) | (stack.sources >= n)
-        # Rows with out-of-range path vertices go to the exact fallback
-        # (which raises the reference's InvalidParameterError); clip a
-        # copy so the fancy indexing below stays in bounds for the rest.
-        flat = stack.flat
-        if flat.size:
-            oob = ((flat < 0) | (flat >= n)).any(axis=1)
-            if oob.any():
-                bad |= oob
-                flat = np.clip(flat, 0, n - 1)
-        # V2: call lengths are layout-level — one check covers every row.
-        if lay.n_calls and int(lay.lengths.max()) > k:
-            bad |= True
-        # V1: one batched searchsorted over the (S, E) edge-key matrix.
-        if lay.n_edges:
-            us = flat[:, lay.us_idx]
-            vs = flat[:, lay.vs_idx]
-            keys = np.minimum(us, vs) * n + np.maximum(us, vs)
-            edge_keys = self.fast.edge_keys
-            if edge_keys.size:
-                pos = np.searchsorted(edge_keys, keys)
-                pos_c = np.minimum(pos, edge_keys.size - 1)
-                missing = (pos != pos_c) | (edge_keys[pos_c] != keys)
-            else:
-                missing = np.ones_like(keys, dtype=bool)
-            bad |= missing.any(axis=1)
-        else:
-            keys = np.empty((S, 0), dtype=np.int64)
-
-        informed = np.zeros((S, n), dtype=bool)
-        valid_src = ~((stack.sources < 0) | (stack.sources >= n))
-        informed[valid_src, np.clip(stack.sources, 0, n - 1)[valid_src]] = True
-        informed_counts = np.empty((S, R), dtype=np.int64)
-        if native.native_enabled():
-            # Compiled twin of the round loop below (numba,
-            # REPRO_NATIVE-gated); predicate-for-predicate identical, and
-            # failing rows still drop to the exact fallback either way.
-            round_bad, informed_counts = native.batch_rounds(
-                lay.call_bounds,
-                lay.edge_bounds,
-                lay.path_starts,
-                lay.path_ends,
-                flat,
-                keys,
-                informed,
-                vertex_disjoint,
-            )
-            bad |= round_bad
-            return self._stack_reports(
-                stack,
-                k,
-                bad,
-                informed,
-                informed_counts,
-                require_minimum_time=require_minimum_time,
-                vertex_disjoint=vertex_disjoint,
-            )
-        for r in range(R):
-            c0, c1 = int(lay.call_bounds[r]), int(lay.call_bounds[r + 1])
-            if c1 > c0:
-                e0, e1 = int(lay.edge_bounds[r]), int(lay.edge_bounds[r + 1])
-                srcs_r = flat[:, lay.path_starts[c0:c1]]
-                recv_r = flat[:, lay.path_ends[c0:c1] - 1]
-                # V3 + V4: callers informed, at most one call per caller.
-                round_bad = ~informed[rows, srcs_r].all(axis=1)
-                ss = np.sort(srcs_r, axis=1)
-                round_bad |= (ss[:, 1:] == ss[:, :-1]).any(axis=1)
-                # V6: receivers pairwise distinct and not yet informed.
-                rs = np.sort(recv_r, axis=1)
-                round_bad |= (rs[:, 1:] == rs[:, :-1]).any(axis=1)
-                round_bad |= informed[rows, recv_r].any(axis=1)
-                # V5: per-round edge-disjointness.
-                ks = np.sort(keys[:, e0:e1], axis=1)
-                round_bad |= (ks[:, 1:] == ks[:, :-1]).any(axis=1)
-                if vertex_disjoint:
-                    p0 = int(lay.path_starts[c0])
-                    p1 = int(lay.path_ends[c1 - 1])
-                    vv = np.sort(flat[:, p0:p1], axis=1)
-                    round_bad |= (vv[:, 1:] == vv[:, :-1]).any(axis=1)
-                bad |= round_bad
-                # Mirror the reference: receivers become informed even in
-                # an invalid round.
-                informed[rows, recv_r] = True
-            informed_counts[:, r] = informed.sum(axis=1)
-
-        return self._stack_reports(
-            stack,
-            k,
-            bad,
-            informed,
-            informed_counts,
-            require_minimum_time=require_minimum_time,
-            vertex_disjoint=vertex_disjoint,
-        )
-
-    def _stack_reports(
-        self,
-        stack: StackedSchedules,
-        k: int,
-        bad: np.ndarray,
-        informed: np.ndarray,
-        informed_counts: np.ndarray,
-        *,
-        require_minimum_time: bool,
-        vertex_disjoint: bool,
-    ) -> BatchReport:
-        """Turn the stacked sweep's aggregates into per-row reports.
-
-        Shared tail of :meth:`validate_stacked` (NumPy and native round
-        loops): rows flagged ``bad`` drop to the exact fast-validator
-        fallback for reference error strings; clean rows get the
-        screened report straight from the aggregates.
-        """
-        lay = stack.layout
-        n = self.graph.n_vertices
-        S = stack.n_schedules
-        R = lay.n_rounds
-        complete = informed.all(axis=1)
-        need = minimum_broadcast_rounds(n)
-        max_len = lay.max_call_length
-        ok = np.empty(S, dtype=bool)
-        reports: list[ValidationReport] = []
-        for i in range(S):
-            if bad[i]:
-                report = self.fast.validate(
-                    stack.to_schedule(i),
-                    k,
-                    require_minimum_time=require_minimum_time,
-                    vertex_disjoint=vertex_disjoint,
-                )
-            else:
-                report = ValidationReport(
-                    ok=True,
-                    rounds=R,
-                    informed_per_round=informed_counts[i].tolist(),
-                    max_call_length=max_len,
-                )
-                if not complete[i]:
-                    got = int(informed_counts[i, -1]) if R else 1
-                    report.errors.append(f"broadcast incomplete: {got} of {n} informed")
-                if require_minimum_time and R != need:
-                    report.errors.append(
-                        f"schedule uses {R} rounds, minimum time is {need}"
-                    )
-                report.ok = not report.errors
-            ok[i] = report.ok
-            reports.append(report)
-        return BatchReport(ok=ok, reports=reports, max_call_length=max_len)
-
-    # -- arbitrary schedule lists -------------------------------------------
-
-    def validate_many(
-        self,
-        schedules: list[Schedule | ScheduleFrame],
-        k: int,
-        *,
-        require_minimum_time: bool = True,
-        vertex_disjoint: bool = False,
-        jobs: int = 1,
-    ) -> list[ValidationReport]:
-        """Reference-identical reports for a heterogeneous schedule list.
-
-        Accepts ``Schedule`` objects and columnar frames interchangeably;
-        schedules are grouped by layout, each group validated as one
-        stack, and results come back in input order.  ``jobs > 1``
-        routes through the zero-copy shared-memory path
-        (:func:`repro.engine.parallel.validate_many_parallel`) — same
-        reports, same order.
-        """
-        if jobs > 1:
-            from repro.engine.parallel import validate_many_parallel
-
-            return validate_many_parallel(
-                self.graph,
-                schedules,
-                k,
-                jobs=jobs,
-                require_minimum_time=require_minimum_time,
-                vertex_disjoint=vertex_disjoint,
-            )
-        results: list[ValidationReport | None] = [None] * len(schedules)
-        for layout, indices, rows in _group_by_layout(schedules):
-            stack = StackedSchedules(
-                layout=layout,
-                sources=np.array(
-                    [schedules[idx].source for idx in indices], dtype=np.int64
-                ),
-                flat=rows,
-            )
-            report = self.validate_stacked(
-                stack,
-                k,
-                require_minimum_time=require_minimum_time,
-                vertex_disjoint=vertex_disjoint,
-            )
-            for row, idx in enumerate(indices):
-                results[idx] = report.reports[row]
-        return results  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
 # The all-sources pipeline (generation + validation + fallback)
 # ---------------------------------------------------------------------------
 
@@ -597,44 +281,45 @@ def validate_all_sources(
 ) -> AllSourcesOutcome:
     """Generate and validate the scheme's schedule for many sources.
 
-    The batch path end-to-end: coset-translated generation, stacked-array
-    validation, and — should a translated schedule ever fail — direct
-    per-source regeneration, so verdicts always equal the per-source loop
-    (``broadcast_schedule`` + fast validator) exactly.
+    The batch path end-to-end: coset-translated generation, the fast
+    validator on every translated row, and — should a translated
+    schedule ever fail — direct per-source regeneration, so verdicts
+    always equal the per-source loop (``broadcast_schedule`` + fast
+    validator) exactly.
     """
     from repro.core.broadcast import broadcast_schedule
-    from repro.engine.cache import batch_validator_for
+    from repro.engine.cache import fast_validator_for
 
     if sources is not None:
         sources = [int(s) for s in sources]  # materialize: iterated twice
     k_eff = sh.k if k is None else k
-    validator = batch_validator_for(sh.graph)
+    validator = fast_validator_for(sh.graph)
     stacks, n_cosets = _coset_stacks(sh, sources)
     per_source: dict[int, tuple[bool, int, int]] = {}
     n_fallback = 0
     for stack in stacks:
-        batch = validator.validate_stacked(
-            stack,
-            k_eff,
-            require_minimum_time=require_minimum_time,
-            vertex_disjoint=vertex_disjoint,
-        )
         for i in range(stack.n_schedules):
             src = int(stack.sources[i])
-            if batch.ok[i]:
-                per_source[src] = (True, stack.layout.n_rounds, batch.max_call_length)
-            else:
-                # Correctness fallback: distrust the translation entirely
-                # and re-derive this source's verdict from scratch.
-                n_fallback += 1
-                sched = broadcast_schedule(sh, src)
-                report = validator.fast.validate(
-                    sched,
-                    k_eff,
-                    require_minimum_time=require_minimum_time,
-                    vertex_disjoint=vertex_disjoint,
-                )
-                per_source[src] = (report.ok, len(sched.rounds), report.max_call_length)
+            report = validator.validate(
+                stack.to_frame(i),
+                k_eff,
+                require_minimum_time=require_minimum_time,
+                vertex_disjoint=vertex_disjoint,
+            )
+            if report.ok:
+                per_source[src] = (True, report.rounds, report.max_call_length)
+                continue
+            # Correctness fallback: distrust the translation entirely and
+            # re-derive this source's verdict from scratch.
+            n_fallback += 1
+            sched = broadcast_schedule(sh, src)
+            report = validator.validate(
+                sched,
+                k_eff,
+                require_minimum_time=require_minimum_time,
+                vertex_disjoint=vertex_disjoint,
+            )
+            per_source[src] = (report.ok, len(sched.rounds), report.max_call_length)
     ordered = sorted(per_source) if sources is None else sources
     return AllSourcesOutcome(
         sources=ordered,

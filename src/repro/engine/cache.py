@@ -8,7 +8,6 @@ caller builds, everyone else shares:
 
     kern = kernels_for(graph)          # GraphKernels, built once per graph
     fv = fast_validator_for(graph)     # FastValidator, likewise
-    bv = batch_validator_for(graph)    # BatchValidator sharing fv's keys
 
 Keying: the cache slot is attached to the frozen graph object itself
 (``graph._repro_engine_cache``), so entries are keyed on **identity** and
@@ -31,21 +30,17 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, TypeVar, cast
+from typing import Callable, TypeVar, cast
 
 from repro.engine.kernels import GraphKernels
 from repro.graphs.base import Graph
 from repro.model.validator_fast import FastValidator
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache ↔ batch)
-    from repro.engine.batch import BatchValidator
 
 _T = TypeVar("_T")
 
 __all__ = [
     "kernels_for",
     "fast_validator_for",
-    "batch_validator_for",
     "cache_info",
     "clear_cache",
 ]
@@ -118,16 +113,6 @@ def kernels_for(graph: Graph) -> GraphKernels:
 def fast_validator_for(graph: Graph) -> FastValidator:
     """The process-wide :class:`FastValidator` for a frozen graph."""
     return _get(graph, "fast", lambda: FastValidator(graph))
-
-
-def batch_validator_for(graph: Graph) -> "BatchValidator":
-    """The process-wide batch validator, sharing the fast validator's
-    edge-key array."""
-    from repro.engine.batch import BatchValidator
-
-    return _get(
-        graph, "batch", lambda: BatchValidator(graph, fast=fast_validator_for(graph))
-    )
 
 
 def cache_info() -> dict[str, int]:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine import native
 from repro.graphs.base import Graph
 from repro.types import InvalidParameterError, canonical_edge
 
@@ -112,9 +111,6 @@ class GraphKernels:
         self.edge_keys = np.unique(keys)
         self.n_edges = int(self.edge_keys.size)
         slot_edge = np.searchsorted(self.edge_keys, keys)
-        # CSR-aligned edge ids, kept as a flat array for the compiled
-        # reachability kernel (repro.engine.native).
-        self._eids_flat = slot_edge
         # Flat Python adjacency: per-vertex neighbour and edge-id tuples in
         # ascending neighbour order.  Int tuples iterate far faster than
         # NumPy scalars or re-sorted sets in the DFS/BFS inner loops.
@@ -161,19 +157,6 @@ class GraphKernels:
         match the legacy FIFO BFS exactly.
         """
         n = self.n
-        if native.native_enabled():
-            # Compiled CSR BFS (numba, REPRO_NATIVE-gated): same level
-            # order, same ascending-neighbour expansion, same sentinels.
-            p_arr, d_arr, o_arr = native.reachable(
-                self.indptr,
-                self.indices,
-                self._eids_flat,
-                caller,
-                k,
-                used_mask,
-                self.n_edges,
-            )
-            return p_arr.tolist(), d_arr.tolist(), o_arr.tolist()
         parent = [UNREACHED] * n
         depth = [0] * n
         parent[caller] = _ROOT

@@ -1,8 +1,7 @@
 """Zero-copy plane store: frame/CSR arrays in shared memory.
 
-The parallel validation path (:mod:`repro.engine.parallel`) and any
-future multi-process consumer move NumPy planes between processes
-without pickling array payloads:
+A multi-process consumer moves NumPy planes between processes without
+pickling array payloads:
 
 * the **parent** exports arrays once into named
   ``multiprocessing.shared_memory`` segments through a
@@ -26,15 +25,9 @@ handles, same zero-copy reads through the page cache.  ``REPRO_SHM=shm``
 or ``REPRO_SHM=mmap`` forces a backend; the default probes once per
 process.
 
-Failures at this layer are never fatal to a run: every export/attach
-fault (including ones injected by :mod:`repro.devtools.chaos`) surfaces
-as :class:`~repro.errors.ShmAttachError`, and
-:class:`InlinePlaneHandle` provides the degraded transport tier — the
-same handle protocol, but the array rides inside the pickle (a copy per
-worker instead of a shared mapping).  :mod:`repro.engine.parallel`
-falls back plane-by-plane on export failures and process-wide on attach
-failures; verdicts are byte-identical on every tier because attached
-arrays are read-only and value-equal regardless of how they traveled.
+Every export/attach fault (including ones injected by
+:mod:`repro.devtools.chaos`) surfaces as
+:class:`~repro.errors.ShmAttachError`, never as a raw ``OSError``.
 
 CPython ≤ 3.12 registers *attached* segments with the resource tracker
 as if they were owned (python/cpython#82300); :func:`_attach_segment`
@@ -62,16 +55,13 @@ from repro.frame import ScheduleFrame
 from repro.graphs.base import Graph
 
 __all__ = [
-    "AnyPlaneHandle",
     "Backend",
-    "InlinePlaneHandle",
     "PlaneHandle",
     "FrameHandle",
     "GraphHandle",
     "PlaneRegistry",
     "default_backend",
     "detach_all",
-    "inline_plane",
 ]
 
 Backend = Literal["shm", "mmap"]
@@ -162,8 +152,7 @@ class PlaneHandle:
 
         Raises :class:`~repro.errors.ShmAttachError` when the segment or
         backing file cannot be mapped (gone, truncated, permission, or a
-        chaos-injected failure) — the signal the parallel engine uses to
-        degrade to pickled-copy transport.
+        chaos-injected failure).
         """
         key = (self.backend, self.name)
         cached = _ATTACHED.get(key)
@@ -206,42 +195,13 @@ class PlaneHandle:
 
 
 @dataclass(frozen=True)
-class InlinePlaneHandle:
-    """Degraded transport tier: the plane rides inside the pickle.
-
-    Same ``attach()`` protocol as :class:`PlaneHandle`, but the array is
-    carried by value — each worker receives a private copy instead of a
-    shared mapping.  Used when shared-memory export or attach fails
-    (:class:`~repro.errors.ShmAttachError`): slower, never wrong, and
-    value-equal to the shared tier so verdicts stay byte-identical.
-    """
-
-    data: np.ndarray
-
-    def attach(self) -> np.ndarray:
-        arr = self.data
-        arr.setflags(write=False)
-        return arr
-
-
-AnyPlaneHandle = PlaneHandle | InlinePlaneHandle
-
-
-def inline_plane(arr: np.ndarray) -> InlinePlaneHandle:
-    """Wrap ``arr`` for pickled-copy transport (read-only, contiguous)."""
-    contig = np.ascontiguousarray(arr)
-    contig.setflags(write=False)
-    return InlinePlaneHandle(contig)
-
-
-@dataclass(frozen=True)
 class FrameHandle:
     """A :class:`ScheduleFrame` as three plane handles plus its source."""
 
     source: int
-    path_verts: AnyPlaneHandle
-    call_offsets: AnyPlaneHandle
-    round_offsets: AnyPlaneHandle
+    path_verts: PlaneHandle
+    call_offsets: PlaneHandle
+    round_offsets: PlaneHandle
 
     def attach(self) -> ScheduleFrame:
         """Rebuild the frame over shared planes (zero-copy: the frame
@@ -258,8 +218,8 @@ class FrameHandle:
 class GraphHandle:
     """A frozen graph's CSR adjacency as two plane handles."""
 
-    indptr: AnyPlaneHandle
-    indices: AnyPlaneHandle
+    indptr: PlaneHandle
+    indices: PlaneHandle
 
     def attach(self) -> Graph:
         """Rebuild the frozen graph; the shared CSR views become the
@@ -271,8 +231,8 @@ class PlaneRegistry:
     """Owner of exported planes; guarantees unlink on exit or error.
 
     Use as a context manager around the full parallel region — workers
-    must have joined (detached) before ``close`` runs, exactly like the
-    pool-then-registry nesting in :mod:`repro.engine.parallel`:
+    must have joined (detached) before ``close`` runs, so the pool nests
+    inside the registry:
 
     >>> with PlaneRegistry() as reg:
     ...     handle = reg.export_frame(frame)
@@ -335,9 +295,7 @@ class PlaneRegistry:
         """Copy ``arr`` into a shared plane once; returns its handle.
 
         Re-exporting the same array object returns the existing handle
-        (identity-keyed), so stacked frames sharing planes — e.g.
-        ``StackedSchedules`` rows over one ``flat`` buffer — are stored
-        once.
+        (identity-keyed), so frames sharing planes are stored once.
         """
         if self._closed:
             raise RuntimeError("PlaneRegistry is closed")

@@ -105,9 +105,7 @@ class ShmAttachError(ExecutionError):
     """A shared-memory plane could not be exported or attached.
 
     Raised by :mod:`repro.engine.shm` wherever the OS layer fails (or
-    the chaos harness injects a failure); the parallel engine responds
-    by degrading to pickled-copy transport and ultimately to the serial
-    path (:mod:`repro.engine.parallel`), never by aborting.
+    the chaos harness injects a failure), carrying the segment name.
     """
 
     code = "shm-attach-error"

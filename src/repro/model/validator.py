@@ -133,7 +133,7 @@ def validate_broadcast(
     :class:`~repro.frame.ScheduleFrame` as well — the reference path
     materializes the object view and walks it call by call (that
     legibility is the point of the oracle; array-speed lives in
-    :mod:`repro.model.validator_fast` and :mod:`repro.engine.batch`).
+    :mod:`repro.model.validator_fast`).
     """
     if not hasattr(schedule, "rounds"):  # a ScheduleFrame
         from repro.frame import as_schedule
@@ -190,7 +190,7 @@ def verify_k_mlbg_via_scheme(sh, sources: list[int] | None = None) -> bool:
     executable content of Theorems 4 and 6.
 
     The sweep runs on the batch all-sources engine (coset-translated
-    generation + stacked validation).  Per-source verdicts equal the
+    generation + the fast validator).  Per-source verdicts equal the
     reference's by construction (pinned by the property tests), but the
     oracle stays in the loop in both directions: a *positive* answer is
     spot-checked by running a handful of the swept sources through this

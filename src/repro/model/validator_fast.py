@@ -27,6 +27,10 @@ reproduce the oracle's exact error strings and ordering.  Verdicts,
 error lists, and first-error classes are therefore identical by
 construction, at vectorized speed on the (overwhelmingly common) valid
 schedules.
+
+This is the repository's one validation engine: :func:`repro.api.validate`
+resolves ``auto`` (on frozen graphs), ``fast`` and ``batch`` to it, and
+the all-sources pipeline (:mod:`repro.engine.batch`) runs it per row.
 """
 
 from __future__ import annotations
@@ -260,12 +264,6 @@ class FastValidator:
         # (position == size lands on the -1 sentinel, never a match).
         self._edge_keys_sentinel = np.append(self._edge_keys, np.int64(-1))
 
-    @property
-    def edge_keys(self) -> np.ndarray:
-        """Sorted canonical edge keys ``min·N + max`` (shared with the
-        batch validator; callers must not mutate)."""
-        return self._edge_keys
-
     # -- bitmask helpers ----------------------------------------------------
 
     def _mask(self, vertices: np.ndarray) -> int:
@@ -350,23 +348,6 @@ class FastValidator:
         string, or a statistic.  ``k`` plays no part in V3–V6 (V1/V2 are
         screened by the caller), so a cached result holds for every k.
         """
-        # Compiled twin of this screen (numba, REPRO_NATIVE-gated);
-        # check-for-check identical, so accept/reject cannot diverge.
-        # Imported lazily: repro.engine.batch imports this module.
-        from repro.engine import native
-
-        if native.native_enabled():
-            return native.screen_counts(
-                source,
-                self._n,
-                layout.counts,
-                layout.lengths,
-                flat,
-                sources,
-                receivers,
-                keys,
-                vertex_disjoint,
-            )
         n = self._n
         n_rounds = layout.n_rounds
         round_of_call = np.repeat(np.arange(n_rounds, dtype=np.int64), layout.counts)

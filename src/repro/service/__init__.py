@@ -10,16 +10,12 @@ Layering, bottom up:
 :mod:`repro.service.http`
     a minimal HTTP/1.1 reader/writer over asyncio streams — just
     enough protocol for JSON-over-POST with keep-alive.
-:mod:`repro.service.coalesce`
-    the validate coalescer: concurrent ``POST /v1/validate`` calls for
-    the same frozen graph are funnelled into single
-    :mod:`repro.engine.batch` stacked passes (verdicts byte-identical
-    to serial ``api.validate``; pinned by test).
 :mod:`repro.service.app`
     the endpoint handlers, per-spec graph/construction caches,
     per-endpoint latency/hit counters, and the graceful-shutdown
-    choreography (drain in-flight, shut the pool down,
-    ``detach_all()`` the shm planes).
+    choreography (drain in-flight, shut the pool down, close the
+    corpus).  Every ``POST /v1/validate`` is one ``api.validate`` call
+    on the thread pool — the fast engine on the cached frozen graph.
 
 The point of the daemon is cache amortization: every request with the
 same graph spec reuses one frozen :class:`~repro.graphs.base.Graph`

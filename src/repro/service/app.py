@@ -17,7 +17,9 @@ levels keyed on the *spec string*:
   forever after.
 
 All blocking work (construction, scheduling, validation) runs on a
-bounded thread pool; the event loop only parses, routes, and coalesces.
+bounded thread pool; the event loop only parses and routes.  Each
+``/v1/validate`` request is one :func:`repro.api.validate` call on that
+pool, with no collection window in front of it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from typing import Any, Awaitable, Callable, TypeVar
 
 from repro.errors import captured_call, error_code
 from repro.service import protocol
-from repro.service.coalesce import BatchKey, ValidateCoalescer
 from repro.service.http import read_request, render_response
 from repro.types import InvalidParameterError, ReproError
 
@@ -73,7 +74,6 @@ class ReproService:
         self,
         *,
         workers: int = 2,
-        coalesce_window: float = 0.002,
         corpus: Any = None,
         max_connections: int | None = None,
         max_keepalive: int = 1000,
@@ -95,9 +95,9 @@ class ReproService:
         )
         self._graphs: dict[str, Any] = {}
         self._constructions: dict[str, Any] = {}
-        self._coalescer = ValidateCoalescer(
-            self._run_batch, self._executor, window=coalesce_window
-        )
+        # validate requests and the schedules they carried (/v1/stats)
+        self._validates = 0
+        self._validated_schedules = 0
         self._stats = {name: _EndpointStats() for name in ENDPOINTS}
         self._inflight = 0
         self._idle = asyncio.Event()
@@ -146,20 +146,6 @@ class ReproService:
         if tag == "raise":
             raise value  # type: ignore[misc]
         return value  # type: ignore[return-value]
-
-    def _run_batch(self, key: BatchKey, frames: list) -> list:
-        """The coalescer's engine pass: one stacked batch validation."""
-        from repro import api
-
-        reports = api.validate(
-            self._graph_for(key.graph_spec),
-            frames,
-            key.k,
-            engine="batch",
-            require_minimum_time=key.require_minimum_time,
-            vertex_disjoint=key.vertex_disjoint,
-        )
-        return list(reports) if isinstance(reports, list) else [reports]
 
     def _corpus_response(
         self, request: protocol.ScheduleRequestV1
@@ -243,45 +229,32 @@ class ReproService:
 
     async def _do_validate(self, body: bytes) -> tuple[int, bytes]:
         request = protocol.decode_validate_request(_parse_json(body))
-        from repro.api import ENGINES
+        from repro import api
         from repro.io import frame_from_dict
 
-        if request.engine not in ENGINES:
+        if request.engine not in api.ENGINES:
             raise InvalidParameterError(
-                f"unknown engine {request.engine!r}; known: {', '.join(ENGINES)}"
+                f"unknown engine {request.engine!r}; known: {', '.join(api.ENGINES)}"
             )
         graph = self._graph_for(request.graph)
         frames = [frame_from_dict(dict(p)) for p in request.schedules]
-        if request.engine in ("auto", "batch"):
-            key = BatchKey(
-                graph_spec=request.graph,
-                k=request.k,
+        self._validates += 1
+        self._validated_schedules += len(frames)
+        result = await self._offload(
+            functools.partial(
+                api.validate,
+                graph,
+                frames,
+                request.k,
+                engine=request.engine,
                 require_minimum_time=request.require_minimum_time,
                 vertex_disjoint=request.vertex_disjoint,
             )
-            reports, coalesced = await self._coalescer.validate(key, frames)
-        else:
-            # Explicit reference/fast engine: the caller asked for a
-            # specific implementation, so no cross-request stacking.
-            from repro import api
-
-            result = await self._offload(
-                functools.partial(
-                    api.validate,
-                    graph,
-                    frames,
-                    request.k,
-                    engine=request.engine,
-                    require_minimum_time=request.require_minimum_time,
-                    vertex_disjoint=request.vertex_disjoint,
-                )
-            )
-            reports = result if isinstance(result, list) else [result]
-            coalesced = False
+        )
+        reports = result if isinstance(result, list) else [result]
         response = protocol.ValidateResponseV1(
             graph=request.graph,
             k=request.k,
-            coalesced=coalesced,
             reports=tuple(
                 protocol.ReportV1(
                     ok=r.ok,
@@ -312,7 +285,6 @@ class ReproService:
 
     def _do_stats(self) -> tuple[int, bytes]:
         from repro.engine.cache import cache_info
-        from repro.engine.parallel import transport_stats
 
         payload = {
             "format": protocol.SERVICE_FORMAT,
@@ -320,11 +292,13 @@ class ReproService:
                 name: stats.to_wire() for name, stats in self._stats.items()
             },
             "engine_cache": dict(cache_info()),
+            # kept for wire compatibility: every validate request is
+            # now exactly one engine pass, and none is shared
             "coalescer": {
-                "passes": self._coalescer.passes,
-                "requests": self._coalescer.requests,
-                "schedules": self._coalescer.schedules,
-                "coalesced_passes": self._coalescer.coalesced_passes,
+                "passes": self._validates,
+                "requests": self._validates,
+                "schedules": self._validated_schedules,
+                "coalesced_passes": 0,
             },
             "graphs_cached": len(self._graphs),
             "constructions_cached": len(self._constructions),
@@ -339,7 +313,6 @@ class ReproService:
                 "hits": self._corpus_hits,
                 "misses": self._corpus_misses,
             },
-            "transport": transport_stats(),
             "connections": {
                 "active": self._connections,
                 "rejected": self._rejected,
@@ -488,14 +461,11 @@ class ReproService:
         await self._idle.wait()
 
     def close(self) -> None:
-        """Release the pool, the corpus, and the shm attach cache."""
+        """Release the pool and the corpus."""
         self._executor.shutdown(wait=True)
         if self._corpus is not None:
             self._corpus.close()
             self._corpus = None
-        from repro.engine.shm import detach_all
-
-        detach_all()
 
 
 def _parse_json(body: bytes) -> Any:

@@ -138,9 +138,8 @@ class ValidateRequestV1:
     """``POST /v1/validate``: check schedules against Definition 1.
 
     ``schedules`` holds io v2 columnar payloads.  ``engine`` is one of
-    :data:`repro.api.ENGINES`; under the coalescer it only selects the
-    *serial fallback* — coalesced buckets always run the batch engine,
-    which produces byte-identical verdicts by construction.
+    :data:`repro.api.ENGINES` (``batch`` is an alias of ``fast``); every
+    engine produces byte-identical verdicts by construction.
     """
 
     graph: str
@@ -171,7 +170,12 @@ class ReportV1:
 
 @dataclass(frozen=True)
 class ValidateResponseV1:
-    """Reports in request order, plus how the batch was executed."""
+    """Reports in request order.
+
+    ``coalesced`` is always ``False``: the service validates each request
+    on its own.  The field stays on the v1 wire so existing clients and
+    the golden wire pins keep their shape.
+    """
 
     graph: str
     k: int

@@ -200,7 +200,7 @@ class Schedule:
 
     * ``Schedule.from_frame(frame)`` wraps a frame without materializing
       any ``Call`` objects — rounds are built lazily on first access, so
-      array-native consumers (the fast/batch validators) never pay
+      array-native consumers (the fast validator) never pay
       object-per-call cost;
     * ``schedule.to_frame()`` is the lossless inverse (property-pinned);
     * schedulers and engines return **frozen** schedules (builder mutates,

@@ -1,9 +1,8 @@
 """Crash-safe multiprocessing pool: chunked fan-out that survives faults.
 
 Every parallel surface in the repo (``ExperimentRunner``,
-``CampaignRunner``, :func:`repro.engine.parallel.validate_many_parallel`)
-routes through :class:`WorkerPool` / :func:`fan_out` so the pool policy
-is written down once:
+``CampaignRunner``) routes through :class:`WorkerPool` / :func:`fan_out`
+so the pool policy is written down once:
 
 * **In-process when parallelism cannot pay.**  ``jobs == 1`` or at most
   one task never spins up a pool; the optional ``initializer`` still runs
@@ -11,9 +10,8 @@ is written down once:
   Corollary: an attach-style initializer (one that populates
   process-local caches, e.g. shared-memory mappings) then populates the
   *parent's* caches — such callers must clean up parent-side state when
-  the serial path was taken (see the ``finally`` in
-  ``repro.engine.parallel.validate_many_parallel``), or that state goes
-  stale once its backing resource is released.
+  the serial path was taken, or that state goes stale once its backing
+  resource is released.
 * **Explicit chunking.**  :func:`default_chunksize`
   (``ceil(n_tasks / (jobs * CHUNKS_PER_WORKER))``) amortizes IPC
   round-trips while keeping ~4 chunks per worker for load balancing.
@@ -700,8 +698,8 @@ def fan_out(
 ) -> list[_R]:
     """Map ``fn`` over ``tasks`` across ``jobs`` worker processes.
 
-    The shared pool policy of the experiment runner, the campaign
-    runner, and the parallel validation engine: in-process when
+    The shared pool policy of the experiment runner and the campaign
+    runner: in-process when
     ``jobs == 1`` or there is at most one task (no pool spin-up cost; a
     provided ``initializer`` still runs, in-process, so caches are warm
     on either path), a chunked crash-safe :class:`WorkerPool` otherwise.

@@ -5,17 +5,16 @@ import pytest
 
 from repro.core.broadcast import broadcast_schedule
 from repro.core.construct import construct, construct_base
+from repro.engine import batch
 from repro.engine.batch import (
-    BatchValidator,
     all_sources_schedules,
     coset_representatives,
     flatten_schedule,
-    stack_schedules,
     translation_group,
     validate_all_sources,
 )
 from repro.model.validator import validate_broadcast
-from repro.types import Call, InvalidParameterError, Round, Schedule
+from repro.types import InvalidParameterError, Schedule
 
 
 def _instances():
@@ -94,6 +93,10 @@ class TestAllSourcesSchedules:
             with pytest.raises(InvalidParameterError, match="out of range"):
                 validate_all_sources(sh, sources=bad)
 
+    def test_empty_source_list_gives_no_stacks(self):
+        sh = construct_base(4, 2)
+        assert all_sources_schedules(sh, sources=[]) == []
+
     def test_generator_sources_accepted(self):
         sh = construct_base(4, 2)
         outcome = validate_all_sources(sh, sources=iter([2, 7]))
@@ -102,18 +105,13 @@ class TestAllSourcesSchedules:
 
 
 class TestStackSchedules:
-    def test_groups_by_layout_and_roundtrips(self):
+    def test_row_frames_share_the_stack_layout(self):
         sh = construct_base(4, 2)
-        scheds = [broadcast_schedule(sh, s) for s in range(sh.n_vertices)]
-        stacks = stack_schedules(scheds)
-        assert sum(s.n_schedules for s in stacks) == len(scheds)
-        by_source = {
-            int(stack.sources[i]): stack.to_schedule(i)
-            for stack in stacks
-            for i in range(stack.n_schedules)
-        }
-        for sched in scheds:
-            assert by_source[sched.source] == sched
+        (stack, *_rest) = all_sources_schedules(sh)
+        for i in (0, stack.n_schedules - 1):
+            layout, flat = flatten_schedule(stack.to_frame(i))
+            assert layout is stack.layout
+            assert np.array_equal(flat, stack.flat[i])
 
     def test_flatten_layout_key_discriminates(self):
         sh = construct_base(4, 2)
@@ -122,89 +120,6 @@ class TestStackSchedules:
         la, _ = flatten_schedule(a)
         lb, _ = flatten_schedule(b)
         assert la.key() != lb.key()
-
-
-class TestBatchValidator:
-    def test_valid_schedules_match_reference(self):
-        sh = construct_base(5, 2)
-        g = sh.graph
-        scheds = [broadcast_schedule(sh, s) for s in range(g.n_vertices)]
-        reports = BatchValidator(g).validate_many(scheds, 2)
-        for sched, rep in zip(scheds, reports):
-            ref = validate_broadcast(g, sched, 2)
-            assert rep.ok and ref.ok
-            assert rep.errors == ref.errors == []
-            assert rep.rounds == ref.rounds
-            assert rep.informed_per_round == ref.informed_per_round
-            assert rep.max_call_length == ref.max_call_length
-
-    def test_corruptions_match_reference(self):
-        sh = construct_base(4, 2)
-        g = sh.graph
-        base = broadcast_schedule(sh, 0)
-
-        def with_round(idx, calls):
-            out = Schedule(source=0, rounds=list(base.rounds))
-            out.rounds[idx] = Round(tuple(calls))
-            return out
-
-        first = base.rounds[0].calls
-        corrupted = [
-            base,
-            with_round(0, first + (first[0],)),  # duplicate call
-            with_round(0, ()),  # dropped round → incomplete
-            with_round(0, first + (Call.via((0, 15)),)),  # non-edge
-            Schedule(source=99, rounds=list(base.rounds)),  # bad source
-            Schedule(source=0, rounds=list(base.rounds) + [base.rounds[-1]]),
-        ]
-        for vertex_disjoint in (False, True):
-            reports = BatchValidator(g).validate_many(
-                corrupted, 2, vertex_disjoint=vertex_disjoint
-            )
-            for sched, rep in zip(corrupted, reports):
-                ref = validate_broadcast(g, sched, 2, vertex_disjoint=vertex_disjoint)
-                assert rep.ok == ref.ok
-                assert rep.errors == ref.errors
-                assert rep.rounds == ref.rounds
-                assert rep.informed_per_round == ref.informed_per_round
-                assert rep.max_call_length == ref.max_call_length
-
-    def test_require_minimum_time_off(self):
-        sh = construct_base(4, 2)
-        g = sh.graph
-        padded = broadcast_schedule(sh, 0)
-        padded.rounds.append(Round(()))
-        [rep] = BatchValidator(g).validate_many([padded], 2, require_minimum_time=False)
-        ref = validate_broadcast(g, padded, 2, require_minimum_time=False)
-        assert rep.ok == ref.ok is True
-        assert rep.informed_per_round == ref.informed_per_round
-
-    def test_validate_stacked_empty(self):
-        sh = construct_base(4, 2)
-        stacks = all_sources_schedules(sh, sources=[])
-        assert stacks == []
-
-    def test_out_of_range_path_vertex_raises_like_reference(self):
-        """A path vertex ≥ N (or < 0) raises the reference's
-        InvalidParameterError from all three validators — never a raw
-        numpy IndexError from the fancy-indexed batch arrays."""
-        from repro.model.validator_fast import FastValidator
-
-        sh = construct_base(3, 1)
-        g = sh.graph
-        for v in (g.n_vertices, -1):
-            sched = Schedule(source=0)
-            sched.append_round([Call.via((0, v))])
-            messages = set()
-            for fn in (
-                lambda: validate_broadcast(g, sched, 2),
-                lambda: FastValidator(g).validate(sched, 2),
-                lambda: BatchValidator(g).validate_many([sched], 2),
-            ):
-                with pytest.raises(InvalidParameterError) as exc:
-                    fn()
-                messages.add(str(exc.value))
-            assert len(messages) == 1
 
 
 class TestValidateAllSources:
@@ -226,6 +141,33 @@ class TestValidateAllSources:
         outcome = validate_all_sources(sh, sources=[9, 0, 4])
         assert outcome.sources == [9, 0, 4]
         assert outcome.all_ok
+
+    @pytest.mark.parametrize(
+        "sh", [construct_base(5, 3), construct(3, 7, (2, 4))], ids=["n5k2", "n7k3"]
+    )
+    def test_failing_translations_fall_back_to_direct_generation(self, sh, monkeypatch):
+        """Pretend every XOR translation is an automorphism: the rows it
+        derives outside the real group fail, and each must be regenerated
+        directly so verdicts still equal the per-source reference loop."""
+        assert translation_group(sh).size < sh.n_vertices
+        monkeypatch.setattr(
+            batch,
+            "translation_group",
+            lambda s: np.arange(s.n_vertices, dtype=np.int64),
+        )
+        outcome = validate_all_sources(sh)
+        assert outcome.n_cosets == 1
+        assert outcome.n_fallback > 0
+        for s, ok, rounds, max_len in zip(
+            outcome.sources, outcome.ok, outcome.rounds, outcome.max_call_lengths
+        ):
+            sched = broadcast_schedule(sh, s)
+            ref = validate_broadcast(sh.graph, sched, sh.k)
+            assert (ok, rounds, max_len) == (
+                ref.ok,
+                len(sched.rounds),
+                ref.max_call_length,
+            )
 
     def test_coset_stats(self):
         sh = construct_base(5, 2)

@@ -2,9 +2,7 @@
 
 import gc
 
-from repro.engine.batch import BatchValidator
 from repro.engine.cache import (
-    batch_validator_for,
     cache_info,
     clear_cache,
     fast_validator_for,
@@ -21,7 +19,6 @@ class TestKernelCache:
         g = hypercube(3)
         assert kernels_for(g) is kernels_for(g)
         assert fast_validator_for(g) is fast_validator_for(g)
-        assert batch_validator_for(g) is batch_validator_for(g)
 
     def test_distinct_graphs_get_distinct_entries(self):
         g1, g2 = hypercube(3), hypercube(3)
@@ -31,11 +28,6 @@ class TestKernelCache:
         g = hypercube(2)
         assert isinstance(kernels_for(g), GraphKernels)
         assert isinstance(fast_validator_for(g), FastValidator)
-        assert isinstance(batch_validator_for(g), BatchValidator)
-
-    def test_batch_validator_shares_fast_validator(self):
-        g = hypercube(3)
-        assert batch_validator_for(g).fast is fast_validator_for(g)
 
     def test_unfrozen_graphs_are_never_cached(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])

@@ -83,9 +83,8 @@ class TestPlaneHandle:
     def test_exported_arrays_are_pinned_against_address_reuse(self, backend):
         # Regression: dedup is keyed on id(arr), and CPython reuses a
         # dead array's address for later allocations.  The registry must
-        # pin every exported array, or rebinding a loop variable (as
-        # validate_many_parallel does per layout group) makes export
-        # return a stale handle for a *different* array.
+        # pin every exported array, or rebinding a loop variable makes
+        # export return a stale handle for a *different* array.
         with PlaneRegistry(backend) as reg:
             handles, expected = [], []
             for i in range(50):

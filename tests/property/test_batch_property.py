@@ -8,11 +8,12 @@ Two pinned equivalences:
    (caller-sorted) to exactly the schedule ``broadcast_schedule``
    generates for that source directly.
 
-2. **Batch validator ≡ reference**: on schedules drawn from the real
-   schemes and optionally corrupted by a structural mutation, the batch
-   validator returns the same verdict, the same error-string list, and
-   the same statistics as the reference validator, for every schedule of
-   the batch.
+2. **List validation ≡ reference**: on schedules drawn from the real
+   schemes and optionally corrupted by a structural mutation,
+   ``api.validate`` on the whole list — the path every caller takes —
+   returns the same verdict, the same error-string list, and the same
+   statistics as the reference validator, for every schedule, with and
+   without the vertex-disjoint variant.
 """
 
 import random
@@ -20,10 +21,10 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.core.broadcast import broadcast_schedule
 from repro.core.construct import construct, construct_base
 from repro.engine.batch import (
-    BatchValidator,
     all_sources_schedules,
     translation_group,
     validate_all_sources,
@@ -97,7 +98,7 @@ def test_validate_all_sources_equals_per_source_loop(sh):
         assert max_len == ref.max_call_length
 
 
-# -- 2. batch validator ≡ reference under corruption -------------------------
+# -- 2. list validation ≡ reference under corruption --------------------------
 
 
 def _mutate(g, sched, rng):
@@ -140,14 +141,12 @@ def _mutate(g, sched, rng):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     vertex_disjoint=st.booleans(),
 )
-def test_batch_validator_equals_reference_under_corruption(sh, seed, vertex_disjoint):
+def test_list_validation_equals_reference_under_corruption(sh, seed, vertex_disjoint):
     g = sh.graph
     rng = random.Random(seed)
     sources = [rng.randrange(g.n_vertices) for _ in range(4)]
     schedules = [_mutate(g, broadcast_schedule(sh, s), rng) for s in sources]
-    reports = BatchValidator(g).validate_many(
-        schedules, sh.k, vertex_disjoint=vertex_disjoint
-    )
+    reports = api.validate(g, schedules, sh.k, vertex_disjoint=vertex_disjoint)
     for sched, rep in zip(schedules, reports):
         ref = validate_broadcast(g, sched, sh.k, vertex_disjoint=vertex_disjoint)
         assert rep.ok == ref.ok

@@ -1,4 +1,4 @@
-"""In-process service tests: routing, verdicts, coalescing, errors."""
+"""In-process service tests: routing, verdicts, concurrency, errors."""
 
 import asyncio
 import json
@@ -21,7 +21,7 @@ K = 2
 
 @pytest.fixture()
 def service():
-    svc = ReproService(workers=2, coalesce_window=0.002)
+    svc = ReproService(workers=2)
     yield svc
     svc.close()
 
@@ -137,17 +137,14 @@ class TestValidate:
         assert status == 400
         assert json.loads(payload)["error"]["code"] == "invalid-parameter"
 
-    def test_explicit_engine_skips_coalescer(self, service):
-        frame = broadcast_frames(1)[0]
-        status, payload = dispatch(
-            service,
-            "POST",
-            "/v1/validate",
-            validate_body([frame], engine="fast"),
-        )
-        assert status == 200
-        assert json.loads(payload)["coalesced"] is False
-        assert service._coalescer.requests == 0
+    def test_batch_engine_answers_like_fast(self, service):
+        frames = broadcast_frames(3)
+        answers = [
+            dispatch(service, "POST", "/v1/validate", validate_body(frames, engine=e))
+            for e in ("fast", "batch")
+        ]
+        assert answers[0][0] == 200
+        assert answers[0] == answers[1]
 
     def test_invalid_frame_payload_is_400(self, service):
         status, payload = dispatch(
@@ -162,54 +159,42 @@ class TestValidate:
         assert json.loads(payload)["error"]["code"] == "invalid-parameter"
 
 
-class TestCoalescing:
-    def test_concurrent_requests_share_one_pass(self, service):
+class TestConcurrentValidates:
+    """Each validate is its own api.validate call: no collection window."""
+
+    def burst(self, service, bodies):
+        async def go():
+            return await asyncio.gather(
+                *(service.dispatch("POST", "/v1/validate", b) for b in bodies)
+            )
+
+        return asyncio.run(go())
+
+    def test_burst_byte_identical_to_serial(self, service):
+        """Reports come back per request, in order, never coalesced."""
         frames = broadcast_frames(6)
-
-        async def burst():
-            return await asyncio.gather(
-                *(
-                    service.dispatch("POST", "/v1/validate", validate_body([f]))
-                    for f in frames
-                )
-            )
-
-        responses = asyncio.run(burst())
-        assert service._coalescer.passes == 1
-        assert service._coalescer.coalesced_passes == 1
-        assert service._coalescer.requests == 6
+        responses = self.burst(service, [validate_body([f, frames[0]]) for f in frames])
         for frame, (status, payload) in zip(frames, responses):
             assert status == 200
             data = json.loads(payload)
-            assert data["coalesced"] is True
-            served = protocol.encode_canonical(data["reports"][0])
-            assert served == protocol.encode_canonical(expected_report_wire(frame))
+            assert data["coalesced"] is False
+            served = [protocol.encode_canonical(r) for r in data["reports"]]
+            assert served == [
+                protocol.encode_canonical(expected_report_wire(f))
+                for f in (frame, frames[0])
+            ]
 
-    def test_coalesced_verdicts_byte_identical_to_serial(self, service):
-        """Reports come back in arrival order with per-request slicing."""
-        frames = broadcast_frames(4)
-
-        async def burst():
-            return await asyncio.gather(
-                *(
-                    service.dispatch(
-                        "POST", "/v1/validate", validate_body([f, frames[0]])
-                    )
-                    for f in frames
-                )
-            )
-
-        responses = asyncio.run(burst())
-        for frame, (status, payload) in zip(frames, responses):
-            data = json.loads(payload)
-            assert status == 200
-            assert len(data["reports"]) == 2
-            assert protocol.encode_canonical(
-                data["reports"][0]
-            ) == protocol.encode_canonical(expected_report_wire(frame))
-            assert protocol.encode_canonical(
-                data["reports"][1]
-            ) == protocol.encode_canonical(expected_report_wire(frames[0]))
+    def test_stats_count_one_pass_per_request(self, service):
+        frames = broadcast_frames(5)
+        self.burst(service, [validate_body([f]) for f in frames])
+        dispatch(service, "POST", "/v1/validate", validate_body(frames[:2]))
+        _status, payload = dispatch(service, "GET", "/v1/stats")
+        assert json.loads(payload)["coalescer"] == {
+            "passes": 6,
+            "requests": 6,
+            "schedules": 7,
+            "coalesced_passes": 0,
+        }
 
 
 class TestCertificate:

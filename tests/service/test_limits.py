@@ -1,12 +1,11 @@
 """Backpressure and stats surfacing: --max-connections, keep-alive caps,
-transport counters in /v1/stats."""
+the section layout of /v1/stats."""
 
 import asyncio
 import json
 
 import pytest
 
-from repro.engine.parallel import reset_transport_stats
 from repro.service.app import ReproService
 from repro.types import InvalidParameterError
 
@@ -25,16 +24,25 @@ def dispatch(service, method, path, body=b""):
 
 
 class TestStatsSurfacing:
-    def test_transport_stats_shape_pinned(self, service):
-        reset_transport_stats()
+    def test_stats_sections_pinned(self, service):
         status, body = dispatch(service, "GET", "/v1/stats")
         assert status == 200
         stats = json.loads(body)
-        assert stats["transport"] == {
-            "inline_planes": 0,
-            "pickle": 0,
-            "serial_fallback": 0,
-            "shared": 0,
+        assert sorted(stats) == [
+            "coalescer",
+            "connections",
+            "constructions_cached",
+            "corpus",
+            "endpoints",
+            "engine_cache",
+            "format",
+            "graphs_cached",
+        ]
+        assert stats["coalescer"] == {
+            "passes": 0,
+            "requests": 0,
+            "schedules": 0,
+            "coalesced_passes": 0,
         }
 
     def test_connections_stats_shape(self):

@@ -94,6 +94,32 @@ class TestValidate:
         with pytest.raises(InvalidParameterError):
             api.validate(graph, sched, k, engine="warp")
 
+    def test_out_of_range_path_vertex_raises_like_reference(self):
+        """A path vertex ≥ N (or < 0) raises the reference's
+        InvalidParameterError from every engine, for a single schedule
+        and a list — never a raw numpy IndexError."""
+        g = construct_base(3, 1).graph
+        for v in (g.n_vertices, -1):
+            sched = Schedule(source=0)
+            sched.append_round([Call.via((0, v))])
+            messages = set()
+            for engine in api.ENGINES:
+                for schedules in (sched, [sched]):
+                    with pytest.raises(InvalidParameterError) as exc:
+                        api.validate(g, schedules, 2, engine=engine)
+                    messages.add(str(exc.value))
+            assert len(messages) == 1
+
+    def test_batch_is_an_alias_of_fast(self):
+        sh = construct_base(4, 2)
+        schedules = [broadcast_schedule(sh, s) for s in (0, 3)]
+        schedules[1] = _corrupt(schedules[1])
+        fast = api.validate(sh.graph, schedules, 2, engine="fast")
+        batch = api.validate(sh.graph, schedules, 2, engine="batch")
+        assert [(r.ok, r.errors, r.informed_per_round) for r in fast] == [
+            (r.ok, r.errors, r.informed_per_round) for r in batch
+        ]
+
 
 class TestCertificate:
     def test_roundtrip(self):
