@@ -1,39 +1,25 @@
-"""Parallel-execution benchmarks: worker scaling + zero-copy SHM frames.
+"""Parallel-execution benchmark: cold campaign worker scaling.
 
-Two headline measurements, both merged into ``BENCH_results.json``:
-
-* **Cold campaign worker scaling** — the ``fault-robustness`` built-in
-  executed end to end with cold caches at 1/2/4 workers.  The floor
-  (2 workers ≥ 1.6× 1 worker) is asserted only at full size on a
-  multi-core box: worker scaling cannot be measured on one core, so the
-  row records ``cpu_count`` and the assertion gates on it.
-* **Frames at n = 1025** — one frozen halving-line-broadcast frame
-  exported to shared planes, reattached, and revalidated 64× by the fast
-  validator, against the PR-5 baseline of 64 defensive object copies,
-  each re-flattened per validation.  ≥ 3× asserted at full size.
-
-Verdicts are asserted identical before any timing.
+The ``fault-robustness`` built-in campaign is executed end to end with
+cold caches at 1/2/4 workers (1/2 at smoke size), and the row is merged
+into ``BENCH_results.json``.  The floor (2 workers ≥ 1.6× 1 worker) is
+asserted only at full size on a multi-core box: worker scaling cannot
+be measured on one core, so the row records ``cpu_count`` and the
+assertion gates on it.  Every run's scenario count is checked before
+its time is used.
 """
 
 import os
 import time
 
-from bench_frames import _halving_line_broadcast
-
 from repro.analysis.campaigns import BUILTIN_CAMPAIGNS, CampaignRunner
 from repro.analysis.scenarios import clear_scenario_caches
-from repro.engine.cache import clear_cache, fast_validator_for
-from repro.engine.shm import PlaneRegistry, detach_all
-from repro.graphs.trees import path_graph
-from repro.types import Schedule
+from repro.engine.cache import clear_cache
 
 FULL = int(os.environ.get("REPRO_BENCH_N", "12")) >= 12
-FRAME_N = 1025 if FULL else 65
-CORPUS = 64
 CPUS = os.cpu_count() or 1
 WORKERS = (1, 2, 4) if FULL else (1, 2)
 WORKER_FLOOR = 1.6
-SHM_FRAMES_FLOOR = 3.0
 SPEC = BUILTIN_CAMPAIGNS["fault-robustness"]
 
 
@@ -44,108 +30,6 @@ def best_of(fn, repeats=3):
         fn()
         times.append(time.perf_counter() - t0)
     return min(times)
-
-
-# -- frames at n = 1025 -----------------------------------------------------
-
-
-def _instance():
-    """(graph, object copies, frame): the PR-5 baseline vs the frame."""
-    graph = path_graph(FRAME_N)
-    frame = _halving_line_broadcast(FRAME_N).build()
-    rounds = list(Schedule.from_frame(frame).rounds)
-    objects = [
-        Schedule(source=frame.source, rounds=list(rounds)) for _ in range(CORPUS)
-    ]
-    return graph, objects, frame
-
-
-def _report_tuple(rep):
-    return (rep.ok, rep.errors, rep.rounds, rep.informed_per_round, rep.max_call_length)
-
-
-def test_shm_frames_verdicts_identical():
-    """SHM-attached and local validation must agree exactly before timing."""
-    graph, objects, frame = _instance()
-    k = graph.n_vertices - 1
-    try:
-        with PlaneRegistry() as reg:
-            shared_graph = reg.export_graph(graph).attach()
-            shared_frame = reg.export_frame(frame).attach()
-            local = [
-                fast_validator_for(graph).validate(o, k, require_minimum_time=False)
-                for o in objects
-            ]
-            shared = [
-                fast_validator_for(shared_graph).validate(
-                    shared_frame, k, require_minimum_time=False
-                )
-                for _ in range(CORPUS)
-            ]
-            for a, b in zip(local, shared):
-                assert a.ok and b.ok
-                assert _report_tuple(a) == _report_tuple(b)
-            del shared_graph, shared_frame
-            clear_cache()  # the engine cache pins attached graphs
-    finally:
-        detach_all()
-
-
-def test_shm_frames_floor(print_once, bench_json):
-    """Acceptance: ≥3× for the SHM frame path over the PR-5 per-object
-    baseline at n = 1025 (asserted at full size)."""
-    graph, objects, frame = _instance()
-    k = graph.n_vertices - 1
-    try:
-        with PlaneRegistry() as reg:
-            shared_graph = reg.export_graph(graph).attach()
-            shared_frame = reg.export_frame(frame).attach()
-            validator = fast_validator_for(graph)
-            shared_validator = fast_validator_for(shared_graph)
-
-            def sweep_objects():
-                for o in objects:
-                    assert validator.validate(o, k, require_minimum_time=False).ok
-
-            def sweep_shm_frames():
-                for _ in range(CORPUS):
-                    assert shared_validator.validate(
-                        shared_frame, k, require_minimum_time=False
-                    ).ok
-
-            t_object = best_of(sweep_objects)
-            t_frames = best_of(sweep_shm_frames)
-
-            del shared_graph, shared_frame, shared_validator
-            clear_cache()
-    finally:
-        detach_all()
-
-    speedup = t_object / t_frames
-    row = {
-        "workload": f"validate {CORPUS}x path:{FRAME_N} halving broadcast",
-        "object_s": f"{t_object:.4f}",
-        "shm_s": f"{t_frames:.4f}",
-        "speedup": f"{speedup:.1f}x",
-    }
-    print_once("shm-frames", [row], title="SHM frames vs object baseline")
-    bench_json(
-        "bench_parallel",
-        "shm_frames",
-        workload=row["workload"],
-        n_vertices=FRAME_N,
-        corpus=CORPUS,
-        baseline_seconds=round(t_object, 6),
-        shm_seconds=round(t_frames, 6),
-        speedup=round(speedup, 2),
-        floor=SHM_FRAMES_FLOOR,
-        full_size=FULL,
-    )
-    if FULL:
-        assert speedup >= SHM_FRAMES_FLOOR, (
-            f"SHM frame path only {speedup:.1f}x over the object baseline "
-            f"(n={FRAME_N}, floor {SHM_FRAMES_FLOOR}x)"
-        )
 
 
 # -- cold campaign worker scaling -------------------------------------------

@@ -6,7 +6,7 @@ conditions (:mod:`repro.analysis.scenarios`) — expanded into an indexed
 scenario list with per-scenario seeds derived deterministically from the
 campaign name and scenario identity.  Execution follows the experiment
 runner's architecture (:mod:`repro.analysis.runner`): scenarios fan out
-over the same ``multiprocessing`` pool policy (:func:`fan_out`) and each
+over the same crash-safe pool (:class:`~repro.util.pool.WorkerPool`) and each
 scenario is a resumable JSON cache entry whose key folds in the scenario
 definition **and** a code digest of the scenarios module, so editing
 scenario semantics invalidates stale entries.

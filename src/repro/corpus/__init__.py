@@ -18,7 +18,7 @@ Layering, bottom up:
 :mod:`repro.corpus.reader`
     mmap loading and zero-copy frame slicing into read-only
     :class:`~repro.frame.ScheduleFrame` views that feed the engine
-    caches and shm planes unchanged.
+    caches unchanged.
 :mod:`repro.corpus.verify`
     digest checks plus re-validation of a seeded sample slice against
     the reference validator.

@@ -8,9 +8,8 @@ in a read-only :class:`~repro.frame.ScheduleFrame`; the slices are
 contiguous ``int64``, so the frame constructor's
 ``ascontiguousarray``/freeze pass keeps the mmap-backed buffers as-is.
 That makes corpus frames full citizens of the rest of the engine: the
-per-graph validator caches key on the frame like any other, and
-:class:`repro.engine.shm.PlaneRegistry` can export the planes to
-workers (both pinned by ``tests/corpus``).
+per-graph validator caches key on the frame like any other, and every
+``api.validate`` engine accepts them (pinned by ``tests/corpus``).
 
 Lookup is the footer's group index: ``(graph spec, scheduler, k,
 seed)`` → frame range, then a binary search over that range's

@@ -1,12 +1,12 @@
 """Deterministic fault injection: ``REPRO_CHAOS`` and :class:`ChaosPolicy`.
 
 The fault-tolerant execution layer (crash-safe :class:`~repro.util.pool.
-WorkerPool`, shm plane export/attach, campaign crash-checkpointing)
-is only trustworthy if its failure paths run in CI on every push.  This
-module injects the failures *deterministically*: a spec string names
-exactly which chunk dies, which worker cannot attach shared memory,
-which cache entry is corrupted — so a chaos test replays byte-for-byte
-and an assertion failure is a regression, never flake.
+WorkerPool`, campaign crash-checkpointing) is only trustworthy if its
+failure paths run in CI on every push.  This module injects the
+failures *deterministically*: a spec string names exactly which chunk
+dies, which chunk stalls, which cache entry is corrupted — so a chaos
+test replays byte-for-byte and an assertion failure is a regression,
+never flake.
 
 Spec grammar (``REPRO_CHAOS`` environment variable)::
 
@@ -22,13 +22,6 @@ Supported events:
 ``delay:chunk=K:ms=M[:attempt=A]``
     Sleep ``M`` milliseconds before executing chunk ``K`` (any attempt
     when ``attempt`` is omitted) — drives task-timeout detection.
-``attach-fail:worker=W`` / ``attach-fail:all``
-    :meth:`repro.engine.shm.PlaneHandle.attach` raises
-    :class:`~repro.errors.ShmAttachError` in worker slot ``W`` (or in
-    every process) — drives a plane consumer's attach-failure path.
-``export-fail:nth=N`` / ``export-fail:all``
-    The ``N``-th ``PlaneRegistry.export`` call in this process raises
-    (0-indexed) — drives a plane producer's export-failure path.
 ``corrupt-cache:nth=N``
     The ``N``-th campaign cache-entry read in this process first has
     its file overwritten with garbage — drives the corrupt-entry
@@ -56,15 +49,12 @@ __all__ = [
     "ChaosEvent",
     "ChaosPolicy",
     "active_policy",
-    "set_worker_slot",
     "reset",
     "on_chunk",
-    "should_fail_attach",
-    "should_fail_export",
     "corrupt_cache_entry",
 ]
 
-_KINDS = ("kill", "delay", "attach-fail", "export-fail", "corrupt-cache", "seed")
+_KINDS = ("kill", "delay", "corrupt-cache", "seed")
 
 _CORRUPT_BYTES = b'{"chaos": "corrupted entry"'  # deliberately torn JSON
 
@@ -88,13 +78,13 @@ class ChaosEvent:
             ) from None
 
 
-_INT_PARAMS = ("chunk", "ms", "attempt", "nth", "worker")
+_INT_PARAMS = ("chunk", "ms", "attempt", "nth")
 
 
 def _validate_event(event: ChaosEvent) -> None:
     """Reject malformed values at parse time, not mid-injection."""
     for key in _INT_PARAMS:
-        if key in event.params and event.params[key] != "all":
+        if key in event.params:
             event.int_param(key)  # raises InvalidParameterError if bad
     p = event.params.get("p")
     if p is not None:
@@ -141,9 +131,6 @@ class ChaosPolicy:
             for part in rest:
                 key, sep, value = part.partition("=")
                 if not sep or not key:
-                    if part == "all":  # bare flag: attach-fail:all etc.
-                        params["all"] = ""
-                        continue
                     raise InvalidParameterError(
                         f"REPRO_CHAOS: malformed parameter {part!r} in {raw!r} "
                         "(expected key=value)"
@@ -194,27 +181,6 @@ class ChaosPolicy:
                         delay += ms / 1000.0
         return kill, delay
 
-    def fails_attach(self, worker_slot: int | None) -> bool:
-        for event in self.events:
-            if event.kind != "attach-fail":
-                continue
-            if "all" in event.params or event.params.get("worker") == "all":
-                return True
-            want = event.int_param("worker")
-            if want is not None and worker_slot == want:
-                return True
-        return False
-
-    def fails_export(self, nth: int) -> bool:
-        for event in self.events:
-            if event.kind != "export-fail":
-                continue
-            if "all" in event.params:
-                return True
-            if event.int_param("nth") == nth:
-                return True
-        return False
-
     def corrupts_cache(self, nth: int) -> bool:
         return any(
             event.kind == "corrupt-cache" and event.int_param("nth") == nth
@@ -227,8 +193,6 @@ class ChaosPolicy:
 # (spec, policy) cache: re-parsed only when the env value changes, so
 # monkeypatched tests see their spec and production pays one dict read.
 _CACHED: tuple[str, ChaosPolicy | None] | None = None
-_WORKER_SLOT: int | None = None
-_EXPORT_COUNT = 0
 _CACHE_LOAD_COUNT = 0
 
 
@@ -243,18 +207,10 @@ def active_policy() -> ChaosPolicy | None:
     return policy
 
 
-def set_worker_slot(slot: int | None) -> None:
-    """Record this process's pool worker slot (parent = ``None``)."""
-    global _WORKER_SLOT
-    _WORKER_SLOT = slot
-
-
 def reset() -> None:
     """Clear cached policy and counters (test isolation)."""
-    global _CACHED, _WORKER_SLOT, _EXPORT_COUNT, _CACHE_LOAD_COUNT
+    global _CACHED, _CACHE_LOAD_COUNT
     _CACHED = None
-    _WORKER_SLOT = None
-    _EXPORT_COUNT = 0
     _CACHE_LOAD_COUNT = 0
 
 
@@ -271,23 +227,6 @@ def on_chunk(chunk_id: int, attempt: int) -> None:
         time.sleep(delay)
     if kill:
         os.kill(os.getpid(), signal.SIGKILL)
-
-
-def should_fail_attach() -> bool:
-    """Shm-attach hook: inject an attach failure in this process?"""
-    policy = active_policy()
-    return policy is not None and policy.fails_attach(_WORKER_SLOT)
-
-
-def should_fail_export() -> bool:
-    """Shm-export hook: inject an export failure for this call?"""
-    global _EXPORT_COUNT
-    policy = active_policy()
-    if policy is None:
-        return False
-    nth = _EXPORT_COUNT
-    _EXPORT_COUNT += 1
-    return policy.fails_export(nth)
 
 
 def corrupt_cache_entry(path: str | os.PathLike[str]) -> None:

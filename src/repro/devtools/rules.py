@@ -1,4 +1,4 @@
-"""The project lint rules (RL001..RL011).
+"""The project lint rules (RL001..RL011; RL009 is retired).
 
 Each rule machine-checks one invariant the engine's correctness story
 depends on.  Most are grounded in a real past bug (noted per rule); the
@@ -591,43 +591,8 @@ def rl008_no_unordered_set_iteration(ctx: FileContext) -> Iterable[Finding]:
                 )
 
 
-# -- RL009: shared-memory segments only via the managed registry ------------
-
-
-@rule(
-    "RL009",
-    "shm-managed-registry",
-    "SharedMemory segments are created only inside engine/shm.py's "
-    "managed registry (unlink-leak hazard)",
-)
-def rl009_shm_managed_registry(ctx: FileContext) -> Iterable[Finding]:
-    """A ``SharedMemory(create=True, ...)`` outside the registry leaks.
-
-    POSIX shared-memory segments outlive the creating process unless
-    explicitly unlinked; ``repro.engine.shm.PlaneRegistry`` is the one
-    owner whose context manager guarantees that on every exit path
-    (including errors).  Ad-hoc creation elsewhere has no such
-    guarantee — a crash between create and unlink strands the segment
-    in ``/dev/shm`` until reboot.  Attach-side use goes through
-    ``PlaneHandle.attach()``, which never creates.
-    """
-    if ctx.is_test_file or ctx.in_module("repro/engine/shm.py"):
-        return
-    targets = (
-        "multiprocessing.shared_memory.SharedMemory",
-        "multiprocessing.shared_memory.ShareableList",
-    )
-    for call in _calls(ctx):
-        resolved = ctx.resolve(call.func)
-        if resolved in targets:
-            short = resolved.rsplit(".", maxsplit=1)[1]
-            yield (
-                call.lineno,
-                call.col_offset,
-                f"{short} created outside repro.engine.shm's managed "
-                "PlaneRegistry; export planes through a registry so the "
-                "segment is guaranteed to unlink",
-            )
+# RL009 (shm-managed-registry) is retired with the shared-memory plane
+# store it guarded; the ID is not reused.
 
 
 # -- RL010: fault handling through the sanctioned boundaries -----------------
@@ -704,17 +669,13 @@ def rl010_fault_handling_boundaries(ctx: FileContext) -> Iterable[Finding]:
 # -- RL011: corpus binary access only inside repro/corpus/ -------------------
 
 # The one package allowed to speak the repro-corpus/1 binary dialect.
-# engine/shm.py keeps its np.memmap planes (a different file format
-# with its own RL009-governed lifecycle).
 _RL011_OWNER = "repro/corpus/"
-_RL011_SHM = "repro/engine/shm.py"
 
 
 @rule(
     "RL011",
     "corpus-format-containment",
-    "raw struct/mmap/np.memmap corpus-file access only inside "
-    "repro/corpus/ (mirrors RL009's shm containment)",
+    "raw struct/mmap/np.memmap corpus-file access only inside repro/corpus/",
 )
 def rl011_corpus_format_containment(ctx: FileContext) -> Iterable[Finding]:
     """The packed corpus layout has exactly one reader and one writer.
@@ -727,16 +688,12 @@ def rl011_corpus_format_containment(ctx: FileContext) -> Iterable[Finding]:
     the mapping) — everyone else goes through
     :class:`~repro.corpus.reader.CorpusReader` and
     :class:`~repro.corpus.writer.CorpusWriter`.
-    ``repro/engine/shm.py`` keeps its ``np.memmap``-backed planes: that
-    is the shm transport layer (RL009), not corpus access.
     """
     if ctx.is_test_file or ctx.in_package(_RL011_OWNER):
         return
     for call in _calls(ctx):
         resolved = ctx.resolve(call.func)
         if resolved is None:
-            continue
-        if resolved == "numpy.memmap" and ctx.in_module(_RL011_SHM):
             continue
         if (
             resolved.startswith(("struct.", "mmap."))

@@ -6,10 +6,10 @@ schedules, construction invariants) is classified here, because the
 retry machinery needs to tell the two kinds apart:
 
 * :class:`ExecutionError` subclasses are **infrastructure faults** — a
-  worker process died, a task blew its deadline, a shared-memory
-  segment could not be attached.  They are transient by nature and the
-  sanctioned response is the retry/quarantine discipline of
-  :mod:`repro.util.retry` and :class:`repro.util.pool.WorkerPool`.
+  worker process died or a task blew its deadline.  They are transient
+  by nature and the sanctioned response is the retry/quarantine
+  discipline of :mod:`repro.util.retry` and
+  :class:`repro.util.pool.WorkerPool`.
 * :class:`ScenarioError` wraps a **task-level failure**: the scenario's
   own code raised.  Deterministic code errors are never retried — the
   same inputs would fail the same way — so they are captured once,
@@ -34,7 +34,6 @@ __all__ = [
     "ExecutionError",
     "WorkerCrash",
     "TaskTimeout",
-    "ShmAttachError",
     "ScenarioError",
     "CorpusError",
     "CorpusFormatError",
@@ -53,9 +52,8 @@ class ExecutionError(ReproError):
     """An infrastructure fault in the parallel execution stack.
 
     Subclasses are the *retryable* family: the failure is a property of
-    the process/OS environment (a killed worker, a missed deadline, a
-    vanished shared-memory segment), not of the task's inputs, so
-    re-running the task is meaningful.
+    the process/OS environment (a killed worker, a missed deadline), not
+    of the task's inputs, so re-running the task is meaningful.
     """
 
     code = "execution-error"
@@ -99,20 +97,6 @@ class TaskTimeout(ExecutionError):
         super().__init__(message)
         self.seconds = seconds
         self.attempts = attempts
-
-
-class ShmAttachError(ExecutionError):
-    """A shared-memory plane could not be exported or attached.
-
-    Raised by :mod:`repro.engine.shm` wherever the OS layer fails (or
-    the chaos harness injects a failure), carrying the segment name.
-    """
-
-    code = "shm-attach-error"
-
-    def __init__(self, message: str, *, name: str | None = None) -> None:
-        super().__init__(message)
-        self.name = name
 
 
 class ScenarioError(ReproError):

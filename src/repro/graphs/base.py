@@ -180,34 +180,6 @@ class Graph:
         """
         return self._ensure_csr()
 
-    @staticmethod
-    def from_csr(indptr: np.ndarray, indices: np.ndarray) -> "Graph":
-        """Rebuild a frozen graph from ``csr_arrays()`` output.
-
-        The inverse of :meth:`csr_arrays` for frozen graphs: the adjacency
-        sets are reconstructed and — when the passed arrays are already
-        read-only ``int64`` (e.g. shared-memory views attached by
-        :mod:`repro.engine.shm`) — they are installed directly as the CSR
-        cache, so later vectorized sweeps in workers reuse the shared
-        planes with zero copies.
-        """
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        if indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0:
-            raise InvalidParameterError("indptr must be 1-D with indptr[0] == 0")
-        if indices.ndim != 1 or int(indptr[-1]) != indices.size:
-            raise InvalidParameterError("indices length must equal indptr[-1]")
-        n = indptr.size - 1
-        g = Graph(n)
-        for u in range(n):
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if u < int(v):
-                    g.add_edge(u, int(v))
-        g.freeze()
-        if not indptr.flags.writeable and not indices.flags.writeable:
-            g._csr_indptr, g._csr_indices = indptr, indices
-        return g
-
     # -- traversal ----------------------------------------------------------
 
     def bfs_distances(self, source: int) -> np.ndarray:

@@ -67,7 +67,7 @@ HTTP_STATUS_BY_CODE: dict[str, int] = {
     "execution-error": 503,
     "worker-crash": 503,
     "task-timeout": 503,
-    "shm-attach-error": 503,
+    "shm-attach-error": 503,  # nothing raises it; drop at the next wire bump
     "scenario-error": 500,
     "construction-error": 500,
     "overloaded": 503,

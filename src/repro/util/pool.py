@@ -7,11 +7,6 @@ so the pool policy is written down once:
 * **In-process when parallelism cannot pay.**  ``jobs == 1`` or at most
   one task never spins up a pool; the optional ``initializer`` still runs
   (in-process) so serial and parallel executions warm the same caches.
-  Corollary: an attach-style initializer (one that populates
-  process-local caches, e.g. shared-memory mappings) then populates the
-  *parent's* caches — such callers must clean up parent-side state when
-  the serial path was taken, or that state goes stale once its backing
-  resource is released.
 * **Explicit chunking.**  :func:`default_chunksize`
   (``ceil(n_tasks / (jobs * CHUNKS_PER_WORKER))``) amortizes IPC
   round-trips while keeping ~4 chunks per worker for load balancing.
@@ -147,7 +142,6 @@ def _send_safe(conn: Connection, msg: tuple[Any, ...]) -> None:
 
 def _worker_main(
     conn: Connection,
-    slot: int,
     initializer: Callable[..., object] | None,
     initargs: tuple[Any, ...],
     maxtasksperchild: int | None,
@@ -161,7 +155,6 @@ def _worker_main(
     *between* chunks (retirement / stop), so a sentinel firing while a
     chunk is in flight always means a crash.
     """
-    chaos.set_worker_slot(slot)
     if initializer is not None:
         status, payload = captured_call(initializer, *initargs)
         if status == "raise":
@@ -316,7 +309,6 @@ class WorkerPool:
             target=_worker_main,
             args=(
                 child_conn,
-                slot,
                 self._initializer,
                 self._initargs,
                 self._maxtasksperchild,
@@ -689,46 +681,15 @@ def fan_out(
     tasks: list[_T],
     jobs: int,
     *,
-    initializer: Callable[..., object] | None = None,
-    initargs: tuple[Any, ...] = (),
-    chunksize: int | None = None,
-    maxtasksperchild: int | None = None,
     retry: RetryPolicy | None = None,
-    pool: WorkerPool | None = None,
 ) -> list[_R]:
-    """Map ``fn`` over ``tasks`` across ``jobs`` worker processes.
+    """Map ``fn`` over ``tasks`` on a one-shot :class:`WorkerPool`.
 
-    The shared pool policy of the experiment runner and the campaign
-    runner: in-process when
-    ``jobs == 1`` or there is at most one task (no pool spin-up cost; a
-    provided ``initializer`` still runs, in-process, so caches are warm
-    on either path), a chunked crash-safe :class:`WorkerPool` otherwise.
-    ``fn``, the tasks, ``initializer``, and ``initargs`` must be
-    picklable top-level objects (spawn-safe); results come back in task
-    order regardless of chunking, worker scheduling, or fault recovery.
-
-    Pass a :class:`WorkerPool` as ``pool=`` to reuse a persistent pool
-    across calls — ``jobs``/``initializer``/``maxtasksperchild``/
-    ``retry`` are then properties of the pool and must not be
-    re-specified here.
+    At most ``jobs`` workers, never more than there are tasks; the pool's
+    own in-process path covers ``jobs == 1`` and single tasks.  ``fn``
+    and the tasks must be picklable top-level objects (spawn-safe);
+    results come back in task order regardless of chunking, worker
+    scheduling, or fault recovery.
     """
-    if pool is not None:
-        if initializer is not None or maxtasksperchild is not None or retry is not None:
-            raise ValueError(
-                "initializer/maxtasksperchild/retry are WorkerPool properties; "
-                "do not pass them alongside pool="
-            )
-        return pool.map(fn, tasks, chunksize=chunksize)
-    if jobs > 1 and len(tasks) > 1:
-        with WorkerPool(
-            min(jobs, len(tasks)),
-            initializer=initializer,
-            initargs=initargs,
-            maxtasksperchild=maxtasksperchild,
-            retry=retry,
-        ) as scratch:
-            return scratch.map(fn, tasks, chunksize=chunksize)
-    chaos.active_policy()  # serial path: a malformed spec still fails loudly
-    if initializer is not None:
-        initializer(*initargs)
-    return [fn(task) for task in tasks]
+    with WorkerPool(max(1, min(jobs, len(tasks))), retry=retry) as pool:
+        return pool.map(fn, tasks)

@@ -6,7 +6,7 @@ surface, so the fault discipline is written down once:
 
 * **Bounded attempts.**  A task gets ``max_attempts`` tries; the pool
   retries only :class:`~repro.errors.ExecutionError`-family faults
-  (worker crash, deadline, shm attach) — a task whose *own code*
+  (worker crash, deadline) — a task whose *own code*
   raises fails immediately, because deterministic errors cannot be
   retried away.  When the budget is exhausted the task is quarantined
   (poison-task report) instead of aborting its whole run.

@@ -2,9 +2,9 @@
 
 The flagship contract (ISSUE 8 / S3): a campaign run killed mid-flight
 resumes from its fsync'd checkpoint and the final artifacts — shard
-chunk, merged JSONL — are byte-identical to an uninterrupted run, on
-both plane-store backends; manifests are identical once wall-clock and
-cache-provenance fields are normalized out.
+chunk, merged JSONL — are byte-identical to an uninterrupted run;
+manifests are identical once wall-clock and cache-provenance fields are
+normalized out.
 """
 
 import json
@@ -215,7 +215,6 @@ def _normalized_manifest(path: Path) -> str:
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("backend", ["shm", "mmap"])
 class TestSigkillResumeByteIdentity:
     """Kill shard 0 of a 2-shard campaign mid-flight; resume; the merged
     artifact must equal an uninterrupted run byte for byte."""
@@ -237,10 +236,9 @@ class TestSigkillResumeByteIdentity:
         )
         return spec
 
-    def _run_cli(self, spec, out_dir, backend, *, chaos_spec=None, wait=True):
+    def _run_cli(self, spec, out_dir, *, chaos_spec=None, wait=True):
         env = dict(os.environ)
         env["PYTHONPATH"] = _SRC
-        env["REPRO_SHM"] = backend
         env.pop("REPRO_CHAOS", None)
         if chaos_spec is not None:
             env["REPRO_CHAOS"] = chaos_spec
@@ -269,7 +267,7 @@ class TestSigkillResumeByteIdentity:
             assert proc.wait(timeout=120) == 0
         return proc
 
-    def test_sigkill_resume_merged_bytes_identical(self, tmp_path, backend):
+    def test_sigkill_resume_merged_bytes_identical(self, tmp_path):
         spec_file = self._spec_file(tmp_path)
         spec = campaigns.load_campaign(str(spec_file))
         out = tmp_path / "interrupted"
@@ -282,7 +280,6 @@ class TestSigkillResumeByteIdentity:
         proc = self._run_cli(
             spec_file,
             out,
-            backend,
             chaos_spec="delay:chunk=3:ms=600000",
             wait=False,
         )
@@ -303,7 +300,7 @@ class TestSigkillResumeByteIdentity:
         assert cursor.exists()  # the crash left a durable checkpoint
 
         # resume shard 0 without chaos, run shard 1 normally, merge
-        self._run_cli(spec_file, out, backend)
+        self._run_cli(spec_file, out)
         run_campaign_shard(spec, shard=(1, 2), out_dir=out)
         merged, rows = merge_chunks(spec, out)
         assert len(rows) == spec.n_scenarios

@@ -90,15 +90,6 @@ class TestEngineIntegration:
                 report = report[0] if isinstance(report, list) else report
                 assert report.ok, (engine, report.errors)
 
-    def test_mmap_frames_export_to_shm_planes(self, greedy_corpus):
-        from repro.engine.shm import PlaneRegistry
-
-        with CorpusReader(greedy_corpus) as reader:
-            frame = reader.frame_at(0)
-            with PlaneRegistry() as registry:
-                handle = registry.export_frame(frame)
-                assert handle is not None
-
 
 class TestSchemeMode:
     def test_scheme_corpus_all_sources_validate(self, tmp_path):

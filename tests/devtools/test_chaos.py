@@ -40,24 +40,6 @@ class TestParse:
         policy = ChaosPolicy.parse("kill:chunk=2; delay:chunk=2:ms=100")
         assert policy.chunk_actions(2, 0) == (True, 0.1)
 
-    def test_attach_fail_by_worker_and_all(self):
-        by_slot = ChaosPolicy.parse("attach-fail:worker=1")
-        assert by_slot.fails_attach(1)
-        assert not by_slot.fails_attach(0)
-        assert not by_slot.fails_attach(None)
-        everywhere = ChaosPolicy.parse("attach-fail:all")
-        assert everywhere.fails_attach(0) and everywhere.fails_attach(None)
-
-    def test_export_fail_nth_and_all(self):
-        policy = ChaosPolicy.parse("export-fail:nth=2")
-        assert [policy.fails_export(n) for n in range(4)] == [
-            False,
-            False,
-            True,
-            False,
-        ]
-        assert ChaosPolicy.parse("export-fail:all").fails_export(17)
-
     def test_corrupt_cache_nth(self):
         policy = ChaosPolicy.parse("corrupt-cache:nth=1")
         assert not policy.corrupts_cache(0)
@@ -68,8 +50,10 @@ class TestParse:
         assert ChaosPolicy.parse("kill:chunk=0;seed=4").seed == 4
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidParameterError, match="unknown event kind"):
-            ChaosPolicy.parse("explode:chunk=1")
+        # the last two are retired kinds: rejected, never silently ignored
+        for spec in ("explode:chunk=1", "attach-fail:all", "export-fail:nth=1"):
+            with pytest.raises(InvalidParameterError, match="unknown event kind"):
+                ChaosPolicy.parse(spec)
 
     def test_malformed_param_rejected(self):
         with pytest.raises(InvalidParameterError, match="malformed"):
@@ -83,8 +67,6 @@ class TestParse:
 class TestProcessHooks:
     def test_inactive_without_env(self):
         assert chaos.active_policy() is None
-        assert not chaos.should_fail_attach()
-        assert not chaos.should_fail_export()
 
     def test_policy_cached_until_spec_changes(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "kill:chunk=0")
@@ -93,20 +75,6 @@ class TestProcessHooks:
         monkeypatch.setenv("REPRO_CHAOS", "kill:chunk=1")
         second = chaos.active_policy()
         assert second is not first
-
-    def test_worker_slot_gates_attach_failures(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "attach-fail:worker=0")
-        assert not chaos.should_fail_attach()  # parent: slot is None
-        chaos.set_worker_slot(0)
-        assert chaos.should_fail_attach()
-        chaos.set_worker_slot(1)
-        assert not chaos.should_fail_attach()
-
-    def test_export_counter_advances(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "export-fail:nth=1")
-        assert not chaos.should_fail_export()
-        assert chaos.should_fail_export()
-        assert not chaos.should_fail_export()
 
     def test_corrupt_cache_entry_scribbles_the_nth_read(
         self, monkeypatch, tmp_path

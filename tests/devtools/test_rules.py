@@ -430,70 +430,6 @@ class TestRL008SetIteration:
         assert run_rule(tmp_path, good, "RL008") == []
 
 
-class TestRL009ShmManagedRegistry:
-    def test_from_import_creation_flagged(self, tmp_path):
-        bad = """\
-            from multiprocessing.shared_memory import SharedMemory
-
-
-            def scratch(n):
-                return SharedMemory(create=True, size=n)
-            """
-        assert_flagged(run_rule(tmp_path, bad, "RL009"), "RL009", 5)
-
-    def test_module_attribute_creation_flagged(self, tmp_path):
-        bad = """\
-            from multiprocessing import shared_memory
-
-
-            def scratch(n):
-                return shared_memory.SharedMemory(create=True, size=n)
-            """
-        assert_flagged(run_rule(tmp_path, bad, "RL009"), "RL009", 5)
-
-    def test_shareable_list_flagged(self, tmp_path):
-        bad = """\
-            from multiprocessing import shared_memory
-
-            sl = shared_memory.ShareableList([1, 2, 3])
-            """
-        assert_flagged(run_rule(tmp_path, bad, "RL009"), "RL009", 3)
-
-    def test_engine_shm_module_exempt(self, tmp_path):
-        good = """\
-            from multiprocessing import shared_memory
-
-
-            def export(n):
-                return shared_memory.SharedMemory(create=True, size=n)
-            """
-        assert (
-            run_rule(tmp_path, good, "RL009", relpath="repro/engine/shm.py") == []
-        )
-
-    def test_registry_usage_passes(self, tmp_path):
-        good = """\
-            from repro.engine.shm import PlaneRegistry
-
-
-            def export(arr):
-                with PlaneRegistry() as reg:
-                    return reg.export(arr)
-            """
-        assert run_rule(tmp_path, good, "RL009") == []
-
-    def test_unrelated_shared_memory_name_passes(self, tmp_path):
-        good = """\
-            class SharedMemory:
-                pass
-
-
-            def scratch():
-                return SharedMemory()
-            """
-        assert run_rule(tmp_path, good, "RL009") == []
-
-
 class TestRL010FaultHandlingBoundaries:
     def test_ad_hoc_sleep_retry_loop_flagged(self, tmp_path):
         bad = """\
@@ -632,19 +568,6 @@ class TestRL011CorpusFormatContainment:
             """
         assert (
             run_rule(tmp_path, good, "RL011", relpath="repro/corpus/reader.py")
-            == []
-        )
-
-    def test_engine_shm_memmap_exempt(self, tmp_path):
-        good = """\
-            import numpy as np
-
-
-            def attach(path):
-                return np.memmap(path, dtype="<i8")
-            """
-        assert (
-            run_rule(tmp_path, good, "RL011", relpath="repro/engine/shm.py")
             == []
         )
 

@@ -6,7 +6,6 @@ from repro.errors import (
     ExecutionError,
     ReproError,
     ScenarioError,
-    ShmAttachError,
     TaskTimeout,
     WorkerCrash,
     capture,
@@ -18,7 +17,7 @@ from repro.errors import (
 class TestTaxonomy:
     def test_hierarchy(self):
         assert issubclass(ExecutionError, ReproError)
-        for cls in (WorkerCrash, TaskTimeout, ShmAttachError):
+        for cls in (WorkerCrash, TaskTimeout):
             assert issubclass(cls, ExecutionError)
         assert issubclass(ScenarioError, ReproError)
         # scenario failures are deterministic, never a retryable fault
@@ -34,10 +33,6 @@ class TestTaxonomy:
         err = TaskTimeout("too slow", seconds=1.5, attempts=2)
         assert err.seconds == 1.5
         assert err.attempts == 2
-
-    def test_shm_attach_error_carries_segment_name(self):
-        err = ShmAttachError("gone", name="psm_feedface")
-        assert err.name == "psm_feedface"
 
     def test_scenario_error_names_the_scenario(self):
         err = ScenarioError("g=path:8|s=greedy", "ValueError: boom")
@@ -105,7 +100,6 @@ class TestErrorCodes:
         assert ExecutionError.code == "execution-error"
         assert WorkerCrash.code == "worker-crash"
         assert TaskTimeout.code == "task-timeout"
-        assert ShmAttachError.code == "shm-attach-error"
         assert ScenarioError.code == "scenario-error"
 
     def test_error_code_uses_instance_code(self):

@@ -54,12 +54,6 @@ class TestFanOut:
     def test_serial_matches_map(self):
         assert fan_out(_square, [1, 2, 3], 1) == [1, 4, 9]
 
-    def test_parallel_order_determinism_under_chunking(self):
-        tasks = list(range(37))  # deliberately not a chunksize multiple
-        expected = [x * x for x in tasks]
-        for chunksize in (None, 1, 5, 64):
-            assert fan_out(_square, tasks, 2, chunksize=chunksize) == expected
-
     def test_single_task_stays_in_process(self):
         pid = os.getpid()
         [(_, worker_pid)] = fan_out(_tag_pid, [0], 4)
@@ -70,43 +64,44 @@ class TestFanOut:
         assert os.getpid() not in pids
 
     def test_initializer_runs_in_process_when_serial(self):
+        # fan_out takes no initializer: a serial fan_out runs every task in
+        # the caller's process, so warming that process beforehand suffices
         _STATE["warm"] = 0
-        out = fan_out(_read_warm, [0, 1], 1, initializer=_warm, initargs=("t",))
-        assert out == [(1, "t"), (1, "t")]
-
-    def test_initializer_runs_once_per_worker(self):
-        # every task must observe an already-warmed worker
-        out = fan_out(
-            _read_warm, list(range(12)), 2, initializer=_warm, initargs=("w",)
-        )
-        assert all(count >= 1 and tag == "w" for count, tag in out)
-
-    def test_maxtasksperchild_recycles_workers(self):
-        tasks = list(range(16))
-        # chunksize 1 + maxtasksperchild 1 = a fresh process per task
-        pids = [pid for _, pid in fan_out(
-            _tag_pid, tasks, 2, chunksize=1, maxtasksperchild=1
-        )]
-        assert len(set(pids)) > 2
-        # order is still task order
-        assert [x for x, _ in fan_out(
-            _tag_pid, tasks, 2, chunksize=1, maxtasksperchild=1
-        )] == tasks
+        _warm("t")
+        assert fan_out(_read_warm, [0, 1], 1) == [(1, "t"), (1, "t")]
+        assert {pid for _, pid in fan_out(_tag_pid, [0, 1], 1)} == {os.getpid()}
 
     def test_worker_exception_propagates(self):
         with pytest.raises(ValueError, match="task 3 exploded"):
-            fan_out(_boom, list(range(6)), 2, chunksize=1)
-
-    def test_pool_kwarg_conflicts_rejected(self):
-        with WorkerPool(2) as pool:
-            with pytest.raises(ValueError, match="WorkerPool properties"):
-                fan_out(_square, [1, 2], 2, pool=pool, initializer=_warm)
+            fan_out(_boom, list(range(6)), 2)
 
 
 class TestWorkerPool:
     def test_jobs_validation(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             WorkerPool(0)
+
+    def test_parallel_order_determinism_under_chunking(self):
+        tasks = list(range(37))  # deliberately not a chunksize multiple
+        expected = [x * x for x in tasks]
+        with WorkerPool(2) as pool:
+            for chunksize in (None, 1, 5, 64):
+                assert pool.map(_square, tasks, chunksize) == expected
+
+    def test_initializer_runs_once_per_worker(self):
+        # every task must observe an already-warmed worker
+        with WorkerPool(2, initializer=_warm, initargs=("w",)) as pool:
+            out = pool.map(_read_warm, range(12))
+        assert all(count >= 1 and tag == "w" for count, tag in out)
+
+    def test_maxtasksperchild_recycles_workers(self):
+        tasks = list(range(16))
+        # chunksize 1 + maxtasksperchild 1 = a fresh process per task
+        with WorkerPool(2, maxtasksperchild=1) as pool:
+            out = pool.map(_tag_pid, tasks, 1)
+        assert len({pid for _, pid in out}) > 2
+        # order is still task order
+        assert [x for x, _ in out] == tasks
 
     def test_persistent_pool_reuses_workers(self):
         # A map may land every chunk on one of the two workers, so the
@@ -118,19 +113,11 @@ class TestWorkerPool:
         assert len(first | second) <= 2
         assert os.getpid() not in first | second
 
-    def test_fan_out_routes_through_given_pool(self):
-        with WorkerPool(2) as pool:
-            a = {pid for _, pid in fan_out(_tag_pid, list(range(8)), 2, pool=pool)}
-            b = {pid for _, pid in fan_out(_tag_pid, list(range(8)), 2, pool=pool)}
-        # both fan_outs ran on the pool's own persistent processes
-        assert len(a | b) <= 2
-        assert os.getpid() not in a | b
-
     def test_serial_pool_runs_initializer_lazily_once(self):
         _STATE["warm"] = 0
         with WorkerPool(1, initializer=_warm, initargs=("p",)) as pool:
-            assert pool.map(_read_warm, [0]) == [(1, "p")]
-            assert pool.map(_read_warm, [1]) == [(1, "p")]
+            assert pool.map(_read_warm, [0, 1]) == [(1, "p"), (1, "p")]
+            assert pool.map(_read_warm, [2]) == [(1, "p")]
 
     def test_closed_pool_rejects_map(self):
         pool = WorkerPool(2)
