@@ -5,7 +5,7 @@ checked minimum-time schedules for h ≤ 4 here to keep the benchmark
 budget sane; the test-suite covers h ≤ 6 with full source sweeps).
 """
 
-from repro.analysis.experiments import experiment_e01_theorem1
+from repro.analysis import experiment_e01_theorem1
 
 
 def test_e01_theorem1_tree(benchmark, print_once):

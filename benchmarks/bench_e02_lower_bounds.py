@@ -1,6 +1,6 @@
 """E02/E03 — Theorems 2 and 3: degree lower bounds for k-mlbgs."""
 
-from repro.analysis.experiments import experiment_e02_lower_bounds
+from repro.analysis import experiment_e02_lower_bounds
 
 
 def test_e02_lower_bounds(benchmark, print_once):

@@ -1,6 +1,6 @@
 """E04/E05 — Example 1 labelings and Lemma 2's λ_m bounds."""
 
-from repro.analysis.experiments import (
+from repro.analysis import (
     experiment_e04_labelings,
     experiment_e05_lambda_m,
 )

@@ -1,6 +1,6 @@
 """E06 — Example 2 / Figs. 2–3: the G_{4,2} instance, edge for edge."""
 
-from repro.analysis.experiments import experiment_e06_g42
+from repro.analysis import experiment_e06_g42
 
 
 def test_e06_g42_structure(benchmark, print_once):

@@ -1,6 +1,6 @@
 """E07 — Example 3: G_{15,3}, Δ = 6 versus Δ(Q₁₅) = 15."""
 
-from repro.analysis.experiments import experiment_e07_g153
+from repro.analysis import experiment_e07_g153
 
 
 def test_e07_g153(benchmark, print_once):

@@ -1,6 +1,6 @@
 """E08 — Example 4 / Fig. 4: the broadcast from 0000, call for call."""
 
-from repro.analysis.experiments import experiment_e08_fig4
+from repro.analysis import experiment_e08_fig4
 
 
 def test_e08_fig4_reproduction(benchmark, print_once):

@@ -1,6 +1,6 @@
 """E09 — Theorem 4: Broadcast_2 validity/minimum-time sweep over (n, m)."""
 
-from repro.analysis.experiments import experiment_e09_broadcast2
+from repro.analysis import experiment_e09_broadcast2
 
 
 def test_e09_broadcast2_sweep(benchmark, print_once):

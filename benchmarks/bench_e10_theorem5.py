@@ -1,6 +1,6 @@
 """E10 — Theorem 5: Δ ≤ 2⌈√(2 log₂N + 4)⌉ − 4 for the k = 2 family."""
 
-from repro.analysis.experiments import experiment_e10_theorem5
+from repro.analysis import experiment_e10_theorem5
 
 
 def test_e10_theorem5(benchmark, print_once):

@@ -1,6 +1,6 @@
 """E11 — Examples 5–6 / Fig. 5: LABEL(7,4,2) and Construct_REC(7,4,2)."""
 
-from repro.analysis.experiments import experiment_e11_rec742
+from repro.analysis import experiment_e11_rec742
 
 
 def test_e11_rec742(benchmark, print_once):

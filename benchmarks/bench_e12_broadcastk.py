@@ -1,6 +1,6 @@
 """E12 — Theorem 6: Broadcast_k validity sweep over k = 3, 4, 5."""
 
-from repro.analysis.experiments import experiment_e12_broadcastk
+from repro.analysis import experiment_e12_broadcastk
 
 
 def test_e12_broadcastk_sweep(benchmark, print_once):

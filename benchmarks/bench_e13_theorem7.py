@@ -2,7 +2,7 @@
 optimized-thresholds ablation (how much the analytic n_i* leaves behind).
 """
 
-from repro.analysis.experiments import experiment_e13_theorem7
+from repro.analysis import experiment_e13_theorem7
 
 
 def test_e13_theorem7(benchmark, print_once):

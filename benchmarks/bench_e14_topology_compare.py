@@ -1,6 +1,6 @@
 """E14 — the Section-1/3 context table: degree/diameter across topologies."""
 
-from repro.analysis.experiments import experiment_e14_topology_compare
+from repro.analysis import experiment_e14_topology_compare
 
 
 def test_e14_topology_compare(benchmark, print_once):

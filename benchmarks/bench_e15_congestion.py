@@ -1,6 +1,6 @@
 """E15 — Section 5 future work: congestion profile + bandwidth ablation."""
 
-from repro.analysis.experiments import experiment_e15_congestion
+from repro.analysis import experiment_e15_congestion
 
 
 def test_e15_congestion(benchmark, print_once):

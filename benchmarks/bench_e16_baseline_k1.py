@@ -1,6 +1,6 @@
 """E16 — the k = 1 store-and-forward baseline and the k-crossover."""
 
-from repro.analysis.experiments import experiment_e16_baseline_k1
+from repro.analysis import experiment_e16_baseline_k1
 
 
 def test_e16_baseline_k1(benchmark, print_once):

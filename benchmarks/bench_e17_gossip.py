@@ -1,6 +1,6 @@
 """E17 — §5 future work: gossip under the k-line model."""
 
-from repro.analysis.experiments import experiment_e17_gossip
+from repro.analysis import experiment_e17_gossip
 
 
 def test_e17_gossip(benchmark, print_once):

@@ -1,6 +1,6 @@
 """E18 — footnote 1: diameters of the constructions vs the k·log₂N bound."""
 
-from repro.analysis.experiments import experiment_e18_diameter
+from repro.analysis import experiment_e18_diameter
 
 
 def test_e18_diameter(benchmark, print_once):

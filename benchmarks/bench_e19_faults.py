@@ -1,6 +1,6 @@
 """E19 — robustness ablation: random edge failures + schedule repair."""
 
-from repro.analysis.experiments import experiment_e19_faults
+from repro.analysis import experiment_e19_faults
 
 
 def test_e19_faults(benchmark, print_once):

@@ -1,6 +1,6 @@
 """E20 — §5: the vertex-disjoint call model (stronger than Definition 1)."""
 
-from repro.analysis.experiments import experiment_e20_vertex_disjoint
+from repro.analysis import experiment_e20_vertex_disjoint
 
 
 def test_e20_vertex_disjoint(benchmark, print_once):

@@ -1,6 +1,6 @@
 """E21 — wormhole cycle cost: degree savings vs latency overhead."""
 
-from repro.analysis.experiments import experiment_e21_wormhole
+from repro.analysis import experiment_e21_wormhole
 
 
 def test_e21_wormhole(benchmark, print_once):

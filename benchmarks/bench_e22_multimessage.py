@@ -1,6 +1,6 @@
 """E22 — multiple messages broadcasting (the [24] extension)."""
 
-from repro.analysis.experiments import experiment_e22_multimessage
+from repro.analysis import experiment_e22_multimessage
 
 
 def test_e22_multimessage(benchmark, print_once):

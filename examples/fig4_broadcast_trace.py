@@ -10,7 +10,7 @@ two rounds match the figure call for call (0000→1010 through 0010; then
 Run:  python examples/fig4_broadcast_trace.py
 """
 
-from repro.analysis.experiments import paper_g42
+from repro.analysis import paper_g42
 from repro.core.broadcast import broadcast_schedule
 from repro.model.validator import assert_valid_broadcast
 from repro.util.bits import to_bitstring

@@ -1,8 +1,7 @@
 """Construction experiments: the paper's worked examples and structural
 comparisons (E06–E08, E11, E14, E18).
 
-Split out of the old ``analysis/experiments.py`` monolith; every function
-registers itself with the experiment registry.
+Every function registers itself with the experiment registry.
 """
 
 from __future__ import annotations

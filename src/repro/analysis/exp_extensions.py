@@ -1,8 +1,7 @@
 """Extension experiments: the Section-5 directions beyond the paper
 (E15, E17, E19–E22).
 
-Split out of the old ``analysis/experiments.py`` monolith; every function
-registers itself with the experiment registry.
+Every function registers itself with the experiment registry.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Foundations experiments: trees, lower bounds, labelings (E01–E05).
 
-Split out of the old ``analysis/experiments.py`` monolith; every function
-registers itself with the experiment registry and still returns plain
-``list[dict]`` rows.
+Every function registers itself with the experiment registry and
+returns plain ``list[dict]`` rows.
 """
 
 from __future__ import annotations

@@ -221,7 +221,7 @@ _CACHE_MISSES = {"graph": 0, "construct": 0}
 
 
 def cached_graph(spec: str):
-    """The frozen graph for ``spec``, built at most once per process."""
+    """The graph for ``spec``, built at most once per process."""
     from repro.graphs.specs import graph_from_spec
 
     graph = _GRAPH_CACHE.get(spec)

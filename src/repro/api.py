@@ -42,11 +42,9 @@ Engine selection (``api.validate(..., engine=...)``)
     an alias of ``"fast"``, kept so CLI flags and v1 wire requests that
     name it keep working.
 ``"auto"`` (default)
-    ``fast`` when the graph is frozen (so the per-graph edge-key arrays
-    are shared through the process-wide engine cache) and ``reference``
-    otherwise — for a single schedule and for a list alike.  Because
-    the engines agree exactly, ``auto`` never changes a verdict — only
-    its speed.
+    ``fast``, with the per-graph edge-key arrays shared through the
+    process-wide engine cache.  Because the engines agree exactly, the
+    choice never changes a verdict — only its speed.
 
 All functions raise :class:`repro.types.ReproError` subtypes on invalid
 input, matching the rest of the library.
@@ -82,7 +80,7 @@ ENGINES = ("auto", "reference", "fast", "batch")
 
 
 def build_graph(spec: str | Graph) -> Graph:
-    """A frozen graph from a textual spec (``family:arg[:arg...]``).
+    """A graph from a textual spec (``family:arg[:arg...]``).
 
     Known families come from :mod:`repro.graphs.specs` (``hypercube:N``,
     ``sparse:N:M``, ``theorem1:K``, ``path:N``, ``random-tree:N:SEED``,
@@ -174,7 +172,7 @@ def schedule(
 
 def _validator(graph: Graph, engine: str) -> Callable[..., ValidationReport]:
     """The ``(schedule, k, **flags) -> report`` callable ``engine`` names."""
-    if engine == "reference" or (engine == "auto" and not graph.frozen):
+    if engine == "reference":
         from repro.model.validator import validate_broadcast
 
         def reference(
@@ -200,8 +198,7 @@ def validate(
     """Validate schedule(s) against Definition 1 on ``graph`` under ``k``.
 
     ``graph`` is a textual spec or a :class:`Graph` (the
-    :func:`build_graph` convention — specs build frozen graphs, so spec
-    callers always hit the cached fast engine).
+    :func:`build_graph` convention).
     ``schedules`` may be a single :class:`~repro.types.Schedule` or
     :class:`~repro.frame.ScheduleFrame` (returns one
     :class:`~repro.model.validator.ValidationReport`) or a list of

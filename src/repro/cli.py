@@ -85,10 +85,7 @@ machine-readable error code from :mod:`repro.errors`, e.g.
 ``schedule failed [invalid-parameter]: ...`` — the same codes the
 service returns in its HTTP error JSON.
 
-Legacy spellings from the sequential CLI era keep working but warn
-with ``DeprecationWarning``: ``python -m repro e06``,
-``python -m repro all``, ``--list`` and ``--export-csv DIR`` (see the
-migration table in CONTRIBUTING.md).
+A bare ``python -m repro`` is ``repro run``: every experiment.
 """
 
 from __future__ import annotations
@@ -98,20 +95,6 @@ import sys
 
 from repro.analysis import format_table, registry
 from repro.analysis.runner import DEFAULT_CACHE_DIR, ExperimentRunner
-
-_SUBCOMMANDS = (
-    "run",
-    "list",
-    "clean-cache",
-    "export-csv",
-    "schedule",
-    "validate",
-    "campaign",
-    "lint",
-    "serve",
-    "corpus",
-)
-
 
 def _fail(verb: str, exc: BaseException) -> int:
     """The exit-2 contract: one stderr line ``<verb> failed [<code>]: <msg>``.
@@ -933,51 +916,9 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         return _fail("corpus", exc)
 
 
-def _warn_legacy(legacy: str, modern: str) -> None:
-    import warnings
-
-    warnings.warn(
-        f"the legacy CLI spelling {legacy!r} is deprecated; "
-        f"use {modern!r} (see the migration table in CONTRIBUTING.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _legacy_argv(argv: list[str]) -> list[str] | None:
-    """Map the pre-subcommand CLI onto the new one (None = not legacy).
-
-    Each rewrite emits a :class:`DeprecationWarning` naming the modern
-    spelling; a bare ``python -m repro`` (no arguments at all) is the
-    documented default, not a legacy form, and stays silent.
-    """
-    if argv and argv[0] in _SUBCOMMANDS:
-        return None  # explicit subcommand — never rewrite
-    if "--list" in argv:
-        _warn_legacy("--list", "repro list")
-        return ["list"]
-    if "--export-csv" in argv:
-        idx = argv.index("--export-csv")
-        if idx + 1 < len(argv):
-            _warn_legacy("--export-csv DIR", "repro export-csv DIR")
-            return ["export-csv", argv[idx + 1]]
-        return None
-    if argv and not argv[0].startswith("-"):
-        targets = [] if argv == ["all"] else argv
-        modern = "repro run" + ("" if not targets else " " + " ".join(targets))
-        _warn_legacy(" ".join(argv), modern)
-        return ["run", *targets]
-    if not argv:
-        return ["run"]
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    legacy = _legacy_argv(argv)
-    if legacy is not None:
-        argv = legacy
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv or ["run"])
     if args.command == "list":
         return _cmd_list()
     if args.command == "export-csv":

@@ -250,14 +250,13 @@ class SparseHypercube:
         """
         import numpy as np
 
-        g = Graph(self.n_vertices)
+        edges: list[tuple[int, int]] = []
         verts = np.arange(self.n_vertices, dtype=np.int64)
         # base dimensions: complete subcubes over dims 1..n_1
         for i in range(1, self.base_dims + 1):
             bit = 1 << (i - 1)
             lower = verts[(verts & bit) == 0]
-            for u in lower:
-                g.add_edge(int(u), int(u) | bit)
+            edges.extend((int(u), int(u) | bit) for u in lower)
         # level dimensions: Rule 2, one vectorized mask per dimension
         for level in self.levels:
             block_vals = (verts >> level.block_lo) & ((1 << level.block_len) - 1)
@@ -266,9 +265,8 @@ class SparseHypercube:
                 j = level.dim_owner[dim]
                 bit = 1 << (dim - 1)
                 lower = verts[((verts & bit) == 0) & (vertex_labels == j)]
-                for u in lower:
-                    g.add_edge(int(u), int(u) | bit)
-        return g.freeze()
+                edges.extend((int(u), int(u) | bit) for u in lower)
+        return Graph(self.n_vertices, edges)
 
     def label_summary(self) -> list[dict[str, object]]:
         """Human-readable per-level summary (used by examples and the CLI)."""

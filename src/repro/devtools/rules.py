@@ -273,8 +273,8 @@ def rl004_registry_entry_points(ctx: FileContext) -> Iterable[Finding]:
 
     The registries attach parameter validation and provenance digests;
     importing ``repro.schedulers.greedy`` directly from analysis code
-    skips both.  Import the ``repro.schedulers`` facade or call
-    ``run_scheduler`` instead.
+    skips both.  Call ``run_scheduler`` (exported by the
+    ``repro.schedulers`` package) instead.
     """
     if ctx.is_test_file:
         return

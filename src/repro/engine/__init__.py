@@ -11,7 +11,7 @@ schedule generation over the construction's XOR-translation group, with
 every translated row checked by the fast validator.
 
 :mod:`repro.engine.cache` is the process-wide kernel cache: one
-``GraphKernels`` / ``FastValidator`` per frozen graph, shared by the
+``GraphKernels`` / ``FastValidator`` per graph, shared by the
 schedulers, the simulator, and the experiments.
 """
 

@@ -3,13 +3,13 @@
 ``GraphKernels`` and ``FastValidator`` construction each pay an O(N + E)
 setup cost (CSR materialization, edge-key sorting, flat adjacency
 tuples).  Before this cache every scheduler call, every experiment, and
-the simulator rebuilt them from the same frozen graph; now the first
-caller builds, everyone else shares:
+the simulator rebuilt them from the same graph; now the first caller
+builds, everyone else shares:
 
     kern = kernels_for(graph)          # GraphKernels, built once per graph
     fv = fast_validator_for(graph)     # FastValidator, likewise
 
-Keying: the cache slot is attached to the frozen graph object itself
+Keying: the cache slot is attached to the (immutable) graph object itself
 (``graph._repro_engine_cache``), so entries are keyed on **identity** and
 live exactly as long as the graph — no global strong reference ever pins
 a graph or its kernels, and a recycled ``id()`` can never alias an old
@@ -17,8 +17,6 @@ entry.  Identity (not structural hash) is deliberate: ``Graph.__hash__``
 walks the whole edge set per call, and the repository's graphs are built
 once and passed around, so identity is both cheap and correct.  A weak
 registry tracks live entries for :func:`cache_info` / :func:`clear_cache`.
-Unfrozen graphs are mutable and therefore **never cached** — callers get
-a fresh object each time.
 
 All cached objects are safe to share: their methods are stateless with
 callers threading bitmask state through (see :mod:`repro.engine.kernels`).
@@ -62,7 +60,6 @@ class _Stats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    uncached: int = 0
 
 
 _STATS = _Stats()
@@ -74,10 +71,8 @@ def _count_eviction(stats: _Stats = _STATS) -> None:
     stats.evictions += 1
 
 
-def _slot(graph: Graph) -> dict[str, object] | None:
-    """The per-graph entry dict, or None when the graph is uncacheable."""
-    if not isinstance(graph, Graph) or not graph.frozen:
-        return None
+def _slot(graph: Graph) -> dict[str, object]:
+    """The per-graph entry dict, attached on first use."""
     slot = cast("dict[str, object] | None", getattr(graph, _SLOT_ATTR, None))
     if slot is None:
         slot = {}
@@ -92,9 +87,6 @@ def _slot(graph: Graph) -> dict[str, object] | None:
 
 def _get(graph: Graph, key: str, build: Callable[[], _T]) -> _T:
     slot = _slot(graph)
-    if slot is None:
-        _STATS.uncached += 1
-        return build()
     cached = slot.get(key)
     if cached is not None:
         _STATS.hits += 1
@@ -106,12 +98,12 @@ def _get(graph: Graph, key: str, build: Callable[[], _T]) -> _T:
 
 
 def kernels_for(graph: Graph) -> GraphKernels:
-    """The process-wide :class:`GraphKernels` for a frozen graph."""
+    """The process-wide :class:`GraphKernels` for ``graph``."""
     return _get(graph, "kernels", lambda: GraphKernels(graph))
 
 
 def fast_validator_for(graph: Graph) -> FastValidator:
-    """The process-wide :class:`FastValidator` for a frozen graph."""
+    """The process-wide :class:`FastValidator` for ``graph``."""
     return _get(graph, "fast", lambda: FastValidator(graph))
 
 
@@ -122,7 +114,6 @@ def cache_info() -> dict[str, int]:
         "hits": _STATS.hits,
         "misses": _STATS.misses,
         "evictions": _STATS.evictions,
-        "uncached": _STATS.uncached,
     }
 
 
@@ -134,5 +125,5 @@ def clear_cache() -> int:
         if hasattr(graph, _SLOT_ATTR):
             delattr(graph, _SLOT_ATTR)
         _LIVE.pop(id(graph), None)
-    _STATS.hits = _STATS.misses = _STATS.evictions = _STATS.uncached = 0
+    _STATS.hits = _STATS.misses = _STATS.evictions = 0
     return len(graphs)

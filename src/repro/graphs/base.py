@@ -1,8 +1,8 @@
 """A small, fast undirected-graph kernel over integer vertices.
 
-Vertices are the integers ``0 .. N-1``.  The structure is immutable once
-``freeze()`` has been called (all factory functions in this package return
-frozen graphs); mutation during construction goes through ``add_edge``.
+Vertices are the integers ``0 .. N-1``.  A graph is immutable from
+construction: ``Graph(n, edges)`` is the only way to build one, so every
+builder collects its edges and makes one constructor call.
 
 The kernel keeps adjacency both as Python sets (O(1) ``has_edge``, cheap
 iteration) and, lazily, as a CSR-style pair of NumPy arrays for vectorized
@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.types import Edge, InvalidParameterError, Vertex, canonical_edge
+from repro.types import Edge, InvalidParameterError, canonical_edge
 
 __all__ = ["Graph"]
 
@@ -26,54 +26,27 @@ _UNREACHED = -1
 
 
 class Graph:
-    """Undirected simple graph on vertices ``0 .. n_vertices - 1``."""
+    """Immutable undirected simple graph on vertices ``0 .. n_vertices - 1``."""
 
     def __init__(self, n_vertices: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n_vertices < 0:
             raise InvalidParameterError(f"n_vertices must be >= 0, got {n_vertices}")
-        self._n = int(n_vertices)
-        self._adj: list[set[int]] = [set() for _ in range(self._n)]
-        self._frozen = False
-        self._csr_indptr: np.ndarray | None = None
-        self._csr_indices: np.ndarray | None = None
+        n = int(n_vertices)
+        adj: list[set[int]] = [set() for _ in range(n)]
+        # inline range and self-loop checks: io.graph_from_dict and
+        # from_networkx feed outside input through here
         for u, v in edges:
-            self.add_edge(u, v)
-
-    # -- construction -----------------------------------------------------
-
-    def add_edge(self, u: int, v: int) -> None:
-        """Add the undirected edge ``{u, v}`` (idempotent)."""
-        if self._frozen:
-            raise InvalidParameterError("graph is frozen; cannot add edges")
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            raise InvalidParameterError(f"self-loops are not allowed (vertex {u})")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-
-    def remove_edge(self, u: int, v: int) -> None:
-        """Remove the undirected edge ``{u, v}``; KeyError if absent."""
-        if self._frozen:
-            raise InvalidParameterError("graph is frozen; cannot remove edges")
-        self._adj[u].remove(v)
-        self._adj[v].remove(u)
-
-    def freeze(self) -> "Graph":
-        """Mark the graph immutable and return ``self`` (for chaining)."""
-        self._frozen = True
-        return self
-
-    def copy(self, *, frozen: bool = False) -> "Graph":
-        """An independent copy (unfrozen by default, so it can be edited)."""
-        g = Graph(self._n)
-        for u in range(self._n):
-            for v in self._adj[u]:
-                if u < v:
-                    g.add_edge(u, v)
-        if frozen:
-            g.freeze()
-        return g
+            if not 0 <= u < n:
+                raise InvalidParameterError(f"vertex {u} out of range [0, {n})")
+            if not 0 <= v < n:
+                raise InvalidParameterError(f"vertex {v} out of range [0, {n})")
+            if u == v:
+                raise InvalidParameterError(f"self-loops are not allowed (vertex {u})")
+            adj[u].add(v)
+            adj[v].add(u)
+        self._n = n
+        self._adj = adj
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     def _check_vertex(self, u: int) -> None:
         if not (0 <= u < self._n):
@@ -88,10 +61,6 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return sum(len(a) for a in self._adj) // 2
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     def vertices(self) -> range:
         return range(self._n)
@@ -143,9 +112,7 @@ class Graph:
             return NotImplemented
         return self._n == other._n and self._adj == other._adj
 
-    def __hash__(self) -> int:  # frozen graphs can key caches
-        if not self._frozen:
-            raise TypeError("only frozen graphs are hashable")
+    def __hash__(self) -> int:
         return hash((self._n, frozenset(self.edges())))
 
     def __repr__(self) -> str:
@@ -154,7 +121,7 @@ class Graph:
     # -- CSR view (lazy, built on first vectorized sweep) -------------------
 
     def _ensure_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._csr_indptr is None or not self._frozen:
+        if self._csr is None:
             indptr = np.zeros(self._n + 1, dtype=np.int64)
             for u in range(self._n):
                 indptr[u + 1] = indptr[u] + len(self._adj[u])
@@ -162,21 +129,18 @@ class Graph:
             for u in range(self._n):
                 nbrs = sorted(self._adj[u])
                 indices[indptr[u] : indptr[u + 1]] = nbrs
-            if self._frozen:
-                # the cached arrays are handed out by csr_arrays(); freeze
-                # them so a caller cannot corrupt every later validation
-                indptr.setflags(write=False)
-                indices.setflags(write=False)
-                self._csr_indptr, self._csr_indices = indptr, indices
-            return indptr, indices
-        return self._csr_indptr, self._csr_indices
+            # the cached arrays are handed out by csr_arrays(); freeze
+            # them so a caller cannot corrupt every later validation
+            indptr.setflags(write=False)
+            indices.setflags(write=False)
+            self._csr = (indptr, indices)
+        return self._csr
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The adjacency as CSR ``(indptr, indices)`` NumPy arrays.
 
         Neighbours of ``u`` are ``indices[indptr[u]:indptr[u+1]]``, sorted
-        ascending.  Cached on frozen graphs; rebuilt per call otherwise.
-        Callers must not mutate the returned arrays.
+        ascending.  Built once per graph and cached read-only.
         """
         return self._ensure_csr()
 
@@ -227,6 +191,7 @@ class Graph:
 
     def distance(self, u: int, v: int) -> int:
         """Shortest-path distance; -1 if disconnected."""
+        self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
             return 0
@@ -286,6 +251,7 @@ class Graph:
 
     def sphere(self, u: int, radius: int) -> set[int]:
         """Vertices at distance exactly ``radius`` from ``u``."""
+        self._check_vertex(u)
         if radius == 0:
             return {u}
         return self.ball(u, radius) - self.ball(u, radius - 1)
@@ -317,10 +283,6 @@ class Graph:
             best = max(best, int(dist.max()))
         return best
 
-    def radius_lower_bound(self, samples: Sequence[int]) -> int:
-        """max over sampled sources of eccentricity — a diameter lower bound."""
-        return max(self.eccentricity(u) for u in samples)
-
     # -- interop -------------------------------------------------------------
 
     def to_networkx(self):
@@ -341,14 +303,7 @@ class Graph:
             raise InvalidParameterError(
                 "from_networkx requires nodes to be exactly 0..N-1"
             )
-        out = Graph(n)
-        for u, v in g.edges():
-            out.add_edge(int(u), int(v))
-        return out.freeze()
-
-    @staticmethod
-    def from_edge_list(n_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        return Graph(n_vertices, edges).freeze()
+        return Graph(n, [(int(u), int(v)) for u, v in g.edges()])
 
     def is_subgraph_of(self, other: "Graph") -> bool:
         """True iff every edge of ``self`` is an edge of ``other`` (same N)."""
@@ -377,7 +332,3 @@ class Graph:
 
     def path_edges(self, path: Sequence[int]) -> list[Edge]:
         return [canonical_edge(a, b) for a, b in zip(path, path[1:])]
-
-    def vertices_within(self, u: Vertex, k: int) -> set[int]:
-        """Alias of :meth:`ball` named after Definition 1's distance bound."""
-        return self.ball(u, k)

@@ -19,15 +19,15 @@ def random_tree(n: int, seed: int) -> Graph:
     if n < 1:
         raise InvalidParameterError(f"tree needs >= 1 vertex, got {n}")
     if n == 1:
-        return Graph(1).freeze()
+        return Graph(1)
     if n == 2:
-        return Graph(2, [(0, 1)]).freeze()
+        return Graph(2, [(0, 1)])
     rng = random.Random(seed)
     prufer = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in prufer:
         degree[x] += 1
-    g = Graph(n)
+    edges = []
     # classic O(n log n)-ish decode with a sorted leaf pool
     import heapq
 
@@ -35,14 +35,14 @@ def random_tree(n: int, seed: int) -> Graph:
     heapq.heapify(leaves)
     for x in prufer:
         leaf = heapq.heappop(leaves)
-        g.add_edge(leaf, x)
+        edges.append((leaf, x))
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
     u = heapq.heappop(leaves)
     v = heapq.heappop(leaves)
-    g.add_edge(u, v)
-    return g.freeze()
+    edges.append((u, v))
+    return Graph(n, edges)
 
 
 def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
@@ -51,8 +51,8 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
         raise InvalidParameterError(f"graph needs >= 1 vertex, got {n}")
     rng = random.Random(seed ^ 0x5EED)
     tree = random_tree(n, seed)
-    g = tree.copy()
-    existing = set(tree.edges())
+    edges = list(tree.edges())
+    existing = set(edges)
     max_extra = n * (n - 1) // 2 - len(existing)
     budget = min(extra_edges, max_extra)
     attempts = 0
@@ -66,9 +66,9 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
         if e in existing:
             continue
         existing.add(e)
-        g.add_edge(u, v)
+        edges.append((u, v))
         budget -= 1
-    return g.freeze()
+    return Graph(n, edges)
 
 
 def random_spanning_tree_of(g: Graph, seed: int) -> Graph:
@@ -77,7 +77,7 @@ def random_spanning_tree_of(g: Graph, seed: int) -> Graph:
         raise InvalidParameterError("graph must be connected")
     rng = random.Random(seed ^ 0x7EE5)
     n = g.n_vertices
-    tree = Graph(n)
+    edges = []
     seen = [False] * n
     start = rng.randrange(n)
     seen[start] = True
@@ -90,6 +90,6 @@ def random_spanning_tree_of(g: Graph, seed: int) -> Graph:
             continue
         w = rng.choice(sorted(nbrs))
         seen[w] = True
-        tree.add_edge(u, w)
+        edges.append((u, w))
         stack.append(w)
-    return tree.freeze()
+    return Graph(n, edges)

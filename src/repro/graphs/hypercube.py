@@ -46,13 +46,10 @@ def hypercube_edge_array(n: int) -> np.ndarray:
 
 
 def hypercube(n: int) -> Graph:
-    """The complete binary n-cube ``Q_n`` on ``2^n`` vertices (frozen)."""
+    """The complete binary n-cube ``Q_n`` on ``2^n`` vertices."""
     if n < 0 or n > 24:
         raise InvalidParameterError(f"hypercube dimension out of range [0, 24]: {n}")
-    g = Graph(1 << n)
-    for u, v in hypercube_edge_array(n):
-        g.add_edge(int(u), int(v))
-    return g.freeze()
+    return Graph(1 << n, [(int(u), int(v)) for u, v in hypercube_edge_array(n)])
 
 
 def dimension_of_edge(u: int, v: int) -> int:

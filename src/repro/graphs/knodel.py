@@ -46,12 +46,12 @@ def knodel_graph(delta: int, n_vertices: int) -> Graph:
             f"need 1 <= Δ <= ⌊log2 N⌋ = {(n_vertices).bit_length() - 1}, "
             f"got Δ={delta}"
         )
-    g = Graph(n_vertices)
+    edges = []
     half = n_vertices // 2
     for j in range(half):
         for d in range(delta):
-            g.add_edge(j, half + (j + (1 << d) - 1) % half)
-    return g.freeze()
+            edges.append((j, half + (j + (1 << d) - 1) % half))
+    return Graph(n_vertices, edges)
 
 
 def knodel_broadcast(delta: int, n_vertices: int, source: int) -> Schedule:

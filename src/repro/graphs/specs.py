@@ -5,7 +5,7 @@ A spec is ``name`` or ``name:arg1:arg2...`` with integer arguments —
 graph family can be named in a shell command (``repro schedule --graph
 hypercube:3 ...``), a cached experiment parameter, or a benchmark id
 without importing builders.  Specs are deterministic: the same string
-always builds the same (frozen) graph.
+always builds the same graph.
 """
 
 from __future__ import annotations

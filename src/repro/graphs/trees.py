@@ -32,7 +32,7 @@ def path_graph(n: int) -> Graph:
     """The path ``0 - 1 - ... - n-1``."""
     if n < 1:
         raise InvalidParameterError(f"path needs >= 1 vertex, got {n}")
-    return Graph(n, ((i, i + 1) for i in range(n - 1))).freeze()
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def star(n: int) -> Graph:
@@ -43,7 +43,7 @@ def star(n: int) -> Graph:
     """
     if n < 1:
         raise InvalidParameterError(f"star needs >= 1 vertex, got {n}")
-    return Graph(n, ((0, i) for i in range(1, n))).freeze()
+    return Graph(n, ((0, i) for i in range(1, n)))
 
 
 def spider(leg_lengths: list[int]) -> Graph:
@@ -51,15 +51,15 @@ def spider(leg_lengths: list[int]) -> Graph:
     if not leg_lengths or any(length < 1 for length in leg_lengths):
         raise InvalidParameterError(f"leg lengths must be >= 1: {leg_lengths}")
     n = 1 + sum(leg_lengths)
-    g = Graph(n)
+    edges = []
     nxt = 1
     for length in leg_lengths:
         prev = 0
         for _ in range(length):
-            g.add_edge(prev, nxt)
+            edges.append((prev, nxt))
             prev = nxt
             nxt += 1
-    return g.freeze()
+    return Graph(n, edges)
 
 
 def complete_binary_tree(height: int) -> Graph:
@@ -71,12 +71,12 @@ def complete_binary_tree(height: int) -> Graph:
     if height < 0:
         raise InvalidParameterError(f"height must be >= 0, got {height}")
     n = (1 << (height + 1)) - 1
-    g = Graph(n)
+    edges = []
     for v in range(n):
         for c in (2 * v + 1, 2 * v + 2):
             if c < n:
-                g.add_edge(v, c)
-    return g.freeze()
+                edges.append((v, c))
+    return Graph(n, edges)
 
 
 def ternary_core_tree_order(h: int) -> int:
@@ -105,16 +105,16 @@ def balanced_ternary_core_tree(h: int) -> Graph:
         raise InvalidParameterError(f"h must be >= 1, got {h}")
     block = (1 << h) - 1  # vertices per branch: complete binary tree height h-1
     n = 1 + 3 * block
-    g = Graph(n)
+    edges = []
     for b in range(3):
         base = 1 + b * block
-        g.add_edge(0, base)  # centre to branch root
+        edges.append((0, base))  # centre to branch root
         for local in range(block):
             for child in (2 * local + 1, 2 * local + 2):
                 if child < block:
-                    g.add_edge(base + local, base + child)
+                    edges.append((base + local, base + child))
     assert n == ternary_core_tree_order(h)
-    return g.freeze()
+    return Graph(n, edges)
 
 
 def is_tree(g: Graph) -> bool:

@@ -31,7 +31,7 @@ def cycle_graph(n: int) -> Graph:
     """The cycle ``C_n`` (n >= 3)."""
     if n < 3:
         raise InvalidParameterError(f"cycle needs >= 3 vertices, got {n}")
-    return Graph(n, ((i, (i + 1) % n) for i in range(n))).freeze()
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def torus(rows: int, cols: int) -> Graph:
@@ -42,13 +42,13 @@ def torus(rows: int, cols: int) -> Graph:
     """
     if rows < 3 or cols < 3:
         raise InvalidParameterError(f"torus needs dims >= 3, got {rows}x{cols}")
-    g = Graph(rows * cols)
+    edges = []
     for r in range(rows):
         for c in range(cols):
             v = r * cols + c
-            g.add_edge(v, r * cols + (c + 1) % cols)
-            g.add_edge(v, ((r + 1) % rows) * cols + c)
-    return g.freeze()
+            edges.append((v, r * cols + (c + 1) % cols))
+            edges.append((v, ((r + 1) % rows) * cols + c))
+    return Graph(rows * cols, edges)
 
 
 def folded_hypercube(n: int) -> Graph:
@@ -62,11 +62,10 @@ def folded_hypercube(n: int) -> Graph:
 
     if n < 1:
         raise InvalidParameterError(f"folded hypercube needs n >= 1, got {n}")
-    base = hypercube(n).copy()
+    edges = list(hypercube(n).edges())
     full = (1 << n) - 1
-    for u in range(1 << (n - 1)):
-        base.add_edge(u, u ^ full)
-    return base.freeze()
+    edges.extend((u, u ^ full) for u in range(1 << (n - 1)))
+    return Graph(1 << n, edges)
 
 
 def cube_connected_cycles(n: int) -> Graph:
@@ -81,15 +80,15 @@ def cube_connected_cycles(n: int) -> Graph:
     """
     if n < 3:
         raise InvalidParameterError(f"CCC needs n >= 3, got {n}")
-    g = Graph(n * (1 << n))
+    edges = []
     for u in range(1 << n):
         for i in range(n):
             v = u * n + i
-            g.add_edge(v, u * n + (i + 1) % n)  # cycle edge
+            edges.append((v, u * n + (i + 1) % n))  # cycle edge
             w = u ^ (1 << i)
             if u < w:  # cube edge in dimension i+1
-                g.add_edge(v, w * n + i)
-    return g.freeze()
+                edges.append((v, w * n + i))
+    return Graph(n * (1 << n), edges)
 
 
 def de_bruijn(symbols: int, length: int) -> Graph:
@@ -105,14 +104,14 @@ def de_bruijn(symbols: int, length: int) -> Graph:
             f"de Bruijn needs symbols >= 2, length >= 1, got {symbols}, {length}"
         )
     n = symbols**length
-    g = Graph(n)
+    edges = []
     for u in range(n):
         shifted = (u * symbols) % n
         for a in range(symbols):
             v = shifted + a
             if u != v:
-                g.add_edge(u, v)
-    return g.freeze()
+                edges.append((u, v))
+    return Graph(n, edges)
 
 
 def crossed_cube(n: int) -> Graph:
@@ -160,12 +159,12 @@ def crossed_cube(n: int) -> Graph:
                 return False
         return True
 
-    g = Graph(1 << n)
+    edges = []
     for u in range(1 << n):
         for v in range(u + 1, 1 << n):
             if adjacent(u, v):
-                g.add_edge(u, v)
-    return g.freeze()
+                edges.append((u, v))
+    return Graph(1 << n, edges)
 
 
 def mobius_cube(n: int) -> Graph:
@@ -179,7 +178,7 @@ def mobius_cube(n: int) -> Graph:
     """
     if n < 1 or n > 16:
         raise InvalidParameterError(f"möbius cube supported for 1 <= n <= 16, got {n}")
-    g = Graph(1 << n)
+    edges = []
     for u in range(1 << n):
         for i in range(1, n + 1):
             above = (u >> i) & 1 if i < n else 0  # bit i+1 (0 for i = n)
@@ -188,8 +187,8 @@ def mobius_cube(n: int) -> Graph:
             else:
                 v = u ^ ((1 << i) - 1)  # flip bits 1..i
             if u != v:
-                g.add_edge(u, v)
-    return g.freeze()
+                edges.append((u, v))
+    return Graph(1 << n, edges)
 
 
 def star_graph_permutation(n: int) -> Graph:
@@ -205,12 +204,12 @@ def star_graph_permutation(n: int) -> Graph:
         raise InvalidParameterError(f"star graph supported for 2 <= n <= 7, got {n}")
     perms = sorted(permutations(range(n)))
     rank = {p: i for i, p in enumerate(perms)}
-    g = Graph(len(perms))
+    edges = []
     for p, u in rank.items():
         for i in range(1, n):
             q = list(p)
             q[0], q[i] = q[i], q[0]
             v = rank[tuple(q)]
             if u < v:
-                g.add_edge(u, v)
-    return g.freeze()
+                edges.append((u, v))
+    return Graph(len(perms), edges)

@@ -70,7 +70,7 @@ def graph_from_dict(data: dict[str, Any]) -> Graph:
         edges = [(int(u), int(v)) for u, v in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed graph payload: {exc}") from exc
-    return Graph(n, edges).freeze()
+    return Graph(n, edges)
 
 
 def frame_to_dict(frame: ScheduleFrame | Schedule) -> dict[str, Any]:

@@ -40,12 +40,9 @@ __all__ = [
 
 
 def remove_edges(graph: Graph, failed: set[Edge]) -> Graph:
-    """A copy of ``graph`` with the failed edges deleted."""
-    g = graph.copy()
-    for u, v in failed:
-        if g.has_edge(u, v):
-            g.remove_edge(u, v)
-    return g.freeze()
+    """``graph`` without the failed edges (given in either orientation)."""
+    dead = {canonical_edge(u, v) for u, v in failed}
+    return Graph(graph.n_vertices, [e for e in graph.edges() if e not in dead])
 
 
 def failed_edge_sample(graph: Graph, count: int, seed: int) -> set[Edge]:

@@ -29,7 +29,7 @@ construction, at vectorized speed on the (overwhelmingly common) valid
 schedules.
 
 This is the repository's one validation engine: :func:`repro.api.validate`
-resolves ``auto`` (on frozen graphs), ``fast`` and ``batch`` to it, and
+resolves ``auto``, ``fast`` and ``batch`` to it, and
 the all-sources pipeline (:mod:`repro.engine.batch`) runs it per row.
 """
 

@@ -27,25 +27,17 @@ the common :class:`ScheduleRequest` / :class:`ScheduleResult` API with
     Exact multi-message broadcast search (M = 1 reduces to Definition-1
     broadcast; M > 1 answers the Kwon–Chwa pipelining question).
 
-The pre-registry function facades (``heuristic_line_broadcast``,
-``find_minimum_time_schedule``, ``binomial_hypercube_broadcast``) are
-**deprecated**: they bypass the registry's validation and provenance
-digests.  Importing them from this package warns with
-:class:`DeprecationWarning`; use ``run_scheduler("greedy" | "search" |
-"store_forward", ScheduleRequest(...))`` instead (migration table in
-CONTRIBUTING.md).  The multi-message trio
+Besides the registry, this package exports the multi-message trio
 (``find_multimessage_schedule``, ``multimessage_lower_bound``,
 ``validate_multimessage``) and the analysis helpers
-(``minimum_kline_rounds``, ``is_k_mlbg_exact``) remain first-class:
-an M > 1 :class:`MultiMessageSchedule` is not a Definition-1 schedule,
-so the registry cannot carry it.
+(``minimum_kline_rounds``, ``is_k_mlbg_exact``): an M > 1
+:class:`MultiMessageSchedule` is not a Definition-1 schedule, so the
+registry cannot carry it.
 
 The pre-engine set-based implementations are retained verbatim in
 :mod:`repro.schedulers.legacy` as the property-test oracle and the
 benchmark baseline.
 """
-
-from typing import Any
 
 from repro.schedulers.multimsg_search import (
     find_multimessage_schedule,
@@ -64,50 +56,13 @@ from repro.schedulers.search import (
 )
 
 __all__ = [
-    "find_minimum_time_schedule",
     "find_multimessage_schedule",
     "is_k_mlbg_exact",
     "minimum_kline_rounds",
     "multimessage_lower_bound",
     "validate_multimessage",
-    "heuristic_line_broadcast",
-    "binomial_hypercube_broadcast",
     "ScheduleRequest",
     "ScheduleResult",
     "run_scheduler",
     "scheduler_names",
 ]
-
-# Deprecated pre-registry facade -> (defining submodule, registry strategy).
-_DEPRECATED_FACADES = {
-    "heuristic_line_broadcast": ("repro.schedulers.greedy", "greedy"),
-    "find_minimum_time_schedule": ("repro.schedulers.search", "search"),
-    "binomial_hypercube_broadcast": (
-        "repro.schedulers.store_forward",
-        "store_forward",
-    ),
-}
-
-
-def __getattr__(name: str) -> Any:
-    """Lazy access to the deprecated facades, with a migration warning.
-
-    The functions still work exactly as before — the warning only says
-    they bypass the registry (no validation, no provenance digest) and
-    names the ``run_scheduler`` strategy that replaces them.
-    """
-    entry = _DEPRECATED_FACADES.get(name)
-    if entry is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    import warnings
-
-    module_name, strategy = entry
-    warnings.warn(
-        f"repro.schedulers.{name} is a deprecated pre-registry facade; "
-        f'use run_scheduler("{strategy}", ScheduleRequest(...)) '
-        "(see the migration table in CONTRIBUTING.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module_name), name)

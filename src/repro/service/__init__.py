@@ -15,10 +15,10 @@ Layering, bottom up:
     per-endpoint latency/hit counters, and the graceful-shutdown
     choreography (drain in-flight, shut the pool down, close the
     corpus).  Every ``POST /v1/validate`` is one ``api.validate`` call
-    on the thread pool — the fast engine on the cached frozen graph.
+    on the thread pool — the fast engine on the cached graph.
 
 The point of the daemon is cache amortization: every request with the
-same graph spec reuses one frozen :class:`~repro.graphs.base.Graph`
+same graph spec reuses one :class:`~repro.graphs.base.Graph`
 object, so the process-wide per-graph kernel/validator caches
 (:mod:`repro.engine.cache`) hit on identity — see
 ``benchmarks/bench_serve.py`` for the measured cold/warm gap.

@@ -9,7 +9,7 @@ server behind ``repro serve``.
 Cache amortization — the reason the daemon exists — happens at two
 levels keyed on the *spec string*:
 
-* the graph/construction caches here map ``"sparse:9:3"`` to one frozen
+* the graph/construction caches here map ``"sparse:9:3"`` to one
   object, so every request for a spec sees the *same* ``Graph``
   identity, and
 * the process-wide engine caches (:mod:`repro.engine.cache`) key on

@@ -205,7 +205,7 @@ class Schedule:
     * ``schedule.to_frame()`` is the lossless inverse (property-pinned);
     * schedulers and engines return **frozen** schedules (builder mutates,
       result doesn't): ``append_round`` and round-list mutation raise on a
-      frozen schedule, exactly like ``Graph`` after ``freeze()``.
+      frozen schedule.
     """
 
     __slots__ = ("source", "_rounds", "_frame", "_frozen")

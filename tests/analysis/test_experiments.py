@@ -7,7 +7,7 @@ what the paper states (or draws in a figure).
 
 import pytest
 
-from repro.analysis.experiments import (
+from repro.analysis import (
     experiment_e01_theorem1,
     experiment_e02_lower_bounds,
     experiment_e04_labelings,
@@ -153,7 +153,7 @@ class TestExtensionExperiments:
     """E17–E22: the beyond-the-paper experiments (§5 directions)."""
 
     def test_e17_gossip_rows(self):
-        from repro.analysis.experiments import experiment_e17_gossip
+        from repro.analysis import experiment_e17_gossip
 
         rows = experiment_e17_gossip(cases=((4, 2), (6, 3)))
         for row in rows:
@@ -161,7 +161,7 @@ class TestExtensionExperiments:
             assert row["sparse rounds (k=3)"] >= row["Q_n rounds (k=1)"]
 
     def test_e18_diameter_rows(self):
-        from repro.analysis.experiments import experiment_e18_diameter
+        from repro.analysis import experiment_e18_diameter
 
         rows = experiment_e18_diameter(cases=((2, 8, (3,)), (3, 8, (2, 5))))
         for row in rows:
@@ -169,7 +169,7 @@ class TestExtensionExperiments:
             assert row["diam(G)"] >= row["diam(Q_n)=n"]
 
     def test_e19_fault_rows(self):
-        from repro.analysis.experiments import experiment_e19_faults
+        from repro.analysis import experiment_e19_faults
 
         rows = experiment_e19_faults(failure_counts=(1, 4, 16), trials=15)
         rates = [r["repair rate"] for r in rows]
@@ -178,14 +178,14 @@ class TestExtensionExperiments:
             assert row["repaired & valid"] == row["repaired"]
 
     def test_e20_vertex_disjoint_rows(self):
-        from repro.analysis.experiments import experiment_e20_vertex_disjoint
+        from repro.analysis import experiment_e20_vertex_disjoint
 
         rows = experiment_e20_vertex_disjoint(cases=((2, 6, (2,)),), sources_cap=4)
         assert rows[0]["minimum time"]
         assert not rows[-1]["minimum time"]  # the tree contrast row
 
     def test_e21_wormhole_rows(self):
-        from repro.analysis.experiments import experiment_e21_wormhole
+        from repro.analysis import experiment_e21_wormhole
 
         rows = experiment_e21_wormhole(n=8, flit_sizes=(1, 16))
         q_key = "Q_n cycles (Δ=10)"
@@ -196,7 +196,7 @@ class TestExtensionExperiments:
         assert small[s_key] / small[q_key] > large[s_key] / large[q_key]
 
     def test_e22_multimessage_rows(self):
-        from repro.analysis.experiments import experiment_e22_multimessage
+        from repro.analysis import experiment_e22_multimessage
 
         rows = experiment_e22_multimessage()
         q3 = next(r for r in rows if r["instance"].startswith("Q_3"))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import experiments as experiments_facade
+import repro.analysis as analysis
 from repro.analysis import registry
 from repro.types import InvalidParameterError
 
@@ -27,9 +27,9 @@ class TestRegistryContents:
             registry.get_experiment("e99")
 
     def test_facade_exports_every_registered_function(self):
-        # the compat facade re-exports exactly the registered callables
+        # the package re-exports exactly the registered callables
         for spec in registry.all_experiments():
-            assert getattr(experiments_facade, spec.fn.__name__) is spec.fn
+            assert getattr(analysis, spec.fn.__name__) is spec.fn
 
     def test_double_registration_rejected(self):
         with pytest.raises(InvalidParameterError):

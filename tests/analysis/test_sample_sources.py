@@ -8,7 +8,6 @@ fixed contract: never more than ``cap`` sources, endpoints always in.
 import pytest
 
 from repro.analysis.common import sample_sources
-from repro.analysis.experiments import _sample_sources
 from repro.types import InvalidParameterError
 
 
@@ -55,6 +54,3 @@ class TestSampleSources:
             sample_sources(10, 1)
         # no sampling needed → no error
         assert sample_sources(1, 1) == [0]
-
-    def test_legacy_private_alias(self):
-        assert _sample_sources is sample_sources

@@ -22,13 +22,12 @@ class TestPumpPrimitive:
         size = (1 << (s + 1)) - 1
         from repro.graphs.base import Graph
 
-        g = Graph(size + 1)
-        g.add_edge(0, 1)  # helper to root
+        edges = [(0, 1)]  # helper to root
         for local in range(size):
             for child in (2 * local + 1, 2 * local + 2):
                 if child < size:
-                    g.add_edge(1 + local, 1 + child)
-        g.freeze()
+                    edges.append((1 + local, 1 + child))
+        g = Graph(size + 1, edges)
         tree = _HeapTree(s, lambda x: 1 + x)
         schedule = Schedule(source=0)
         for i in range(1, s + 2):

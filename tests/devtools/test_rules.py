@@ -204,7 +204,7 @@ class TestRL004RegistryEntryPoints:
 
     def test_facade_import_passes(self, tmp_path):
         good = """\
-            from repro.schedulers import heuristic_line_broadcast
+            from repro.schedulers import run_scheduler
             """
         assert run_rule(tmp_path, good, "RL004", "repro/analysis/foo.py") == []
 

@@ -9,7 +9,6 @@ from repro.engine.cache import (
     kernels_for,
 )
 from repro.engine.kernels import GraphKernels
-from repro.graphs.base import Graph
 from repro.graphs.hypercube import hypercube
 from repro.model.validator_fast import FastValidator
 
@@ -28,13 +27,6 @@ class TestKernelCache:
         g = hypercube(2)
         assert isinstance(kernels_for(g), GraphKernels)
         assert isinstance(fast_validator_for(g), FastValidator)
-
-    def test_unfrozen_graphs_are_never_cached(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert not g.frozen
-        k1, k2 = kernels_for(g), kernels_for(g)
-        assert k1 is not k2  # fresh object per call; mutation stays safe
-        assert not hasattr(g, "_repro_engine_cache")
 
     def test_eviction_on_garbage_collection(self):
         clear_cache()

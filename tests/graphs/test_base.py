@@ -18,48 +18,23 @@ class TestConstruction:
         assert g.is_connected()
 
     def test_add_edge_idempotent(self):
-        g = Graph(3)
-        g.add_edge(0, 1)
-        g.add_edge(1, 0)
+        g = Graph(3, [(0, 1), (1, 0)])
         assert g.n_edges == 1
 
     def test_self_loop_rejected(self):
-        g = Graph(2)
         with pytest.raises(InvalidParameterError):
-            g.add_edge(1, 1)
+            Graph(2, [(1, 1)])
 
     def test_out_of_range_rejected(self):
-        g = Graph(2)
-        with pytest.raises(InvalidParameterError):
-            g.add_edge(0, 2)
-
-    def test_frozen_blocks_mutation(self):
-        g = Graph(3, [(0, 1)]).freeze()
-        with pytest.raises(InvalidParameterError):
-            g.add_edge(1, 2)
-        with pytest.raises(InvalidParameterError):
-            g.remove_edge(0, 1)
-
-    def test_copy_is_independent(self):
-        g = Graph(3, [(0, 1)]).freeze()
-        h = g.copy()
-        h.add_edge(1, 2)
-        assert g.n_edges == 1 and h.n_edges == 2
-
-    def test_remove_edge(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        g.remove_edge(0, 1)
-        assert not g.has_edge(0, 1)
-        with pytest.raises(KeyError):
-            g.remove_edge(0, 1)
+        for edge in ((0, 2), (2, 0), (-1, 1)):
+            with pytest.raises(InvalidParameterError):
+                Graph(2, [edge])
 
     def test_eq_and_hash(self):
-        a = Graph(3, [(0, 1)]).freeze()
-        b = Graph(3, [(1, 0)]).freeze()
+        a = Graph(3, [(0, 1)])
+        b = Graph(3, [(1, 0)])
         assert a == b
         assert hash(a) == hash(b)
-        with pytest.raises(TypeError):
-            hash(Graph(3, [(0, 1)]))  # unfrozen
 
 
 class TestQueries:
@@ -87,6 +62,15 @@ class TestQueries:
         g = triangle_plus_tail()
         assert g.neighbors(2) == frozenset({0, 1, 3})
         assert g.sorted_neighbors(2) == [0, 1, 3]
+
+    def test_distance_and_sphere_check_source(self):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])  # path:4
+        with pytest.raises(InvalidParameterError):
+            g.distance(-1, 3)  # a negative index must not wrap around
+        with pytest.raises(InvalidParameterError):
+            g.distance(9, 0)
+        with pytest.raises(InvalidParameterError):
+            g.sphere(9, 0)
 
 
 class TestTraversal:
@@ -127,7 +111,7 @@ class TestTraversal:
         assert g.ball(0, 0) == {0}
         assert g.ball(0, 1) == {0, 1, 2}
         assert g.sphere(0, 2) == {3}
-        assert g.vertices_within(0, 2) == {0, 1, 2, 3}
+        assert g.ball(0, 2) == {0, 1, 2, 3}
 
     def test_ball_negative_radius(self):
         with pytest.raises(InvalidParameterError):
@@ -158,7 +142,7 @@ class TestTraversal:
 
 class TestInterop:
     def test_networkx_roundtrip(self):
-        g = triangle_plus_tail().freeze()
+        g = triangle_plus_tail()
         nx_g = g.to_networkx()
         back = Graph.from_networkx(nx_g)
         assert back == g
@@ -174,8 +158,8 @@ class TestInterop:
             assert all(lengths[v] == ours[v] for v in range(5))
 
     def test_subgraph_relation(self):
-        g = triangle_plus_tail().freeze()
-        sub = Graph(5, [(0, 1), (2, 3)]).freeze()
+        g = triangle_plus_tail()
+        sub = Graph(5, [(0, 1), (2, 3)])
         assert sub.is_subgraph_of(g)
         assert not g.is_subgraph_of(sub)
         assert g.edge_difference(sub) == {(0, 2), (1, 2), (3, 4)}

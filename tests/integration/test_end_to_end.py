@@ -110,27 +110,6 @@ class TestCrossCheckNetworkx:
         assert max(d for _, d in nxg.degree()) == g.max_degree()
 
 
-class TestCLI:
-    def test_cli_runs_single_experiment(self, capsys):
-        from repro.cli import main
-
-        assert main(["e06"]) == 0
-        out = capsys.readouterr().out
-        assert "G_{4,2}" in out or "E06" in out
-
-    def test_cli_list(self, capsys):
-        from repro.cli import main
-
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "e01" in out and "e16" in out
-
-    def test_cli_unknown(self):
-        from repro.cli import main
-
-        assert main(["e99"]) == 2
-
-
 class TestCLISubcommands:
     def test_run_subcommand(self, capsys):
         from repro.cli import main
@@ -188,12 +167,35 @@ class TestCLISubcommands:
 
         assert main(["run", "e99"]) == 2
 
+    def test_bare_invocation_is_run(self, monkeypatch):
+        from repro import cli
+
+        calls = []
+        monkeypatch.setattr(
+            cli, "_cmd_run", lambda names, **kwargs: calls.append(names) or 0
+        )
+        assert cli.main([]) == 0
+        assert calls == [[]]  # no names: every registered experiment
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["e06"], ["all"], ["--list"], ["--export-csv", "out"]],
+        ids=["experiment-id", "all", "list-flag", "export-csv-flag"],
+    )
+    def test_legacy_spellings_are_usage_errors(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: repro" in capsys.readouterr().err
+
 
 class TestCLIExport:
     def test_export_csv_flag(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["--export-csv", str(tmp_path)]) == 0
+        assert main(["export-csv", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "degree_series_k2.csv" in out
         assert (tmp_path / "asymptotic_ratio_k3.csv").exists()

@@ -18,9 +18,10 @@ class TestPrimitives:
         sh = construct_base(4, 2)
         g = sh.graph
         e = next(iter(g.edges()))
-        g2 = remove_edges(g, {e})
-        assert g2.n_edges == g.n_edges - 1
-        assert not g2.has_edge(*e)
+        for failed in ({e}, {(e[1], e[0])}):  # either orientation
+            g2 = remove_edges(g, failed)
+            assert g2.n_edges == g.n_edges - 1
+            assert not g2.has_edge(*e)
 
     def test_failed_sample_deterministic(self):
         g = construct_base(5, 2).graph

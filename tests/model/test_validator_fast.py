@@ -40,7 +40,7 @@ def assert_agreement(graph, schedule, k, **kwargs):
 # takes 2 rounds; the corruption fixtures below each flip exactly one
 # Definition-1 condition first.
 def diamond() -> Graph:
-    return Graph(4, [(0, 1), (0, 2), (2, 3), (1, 3)]).freeze()
+    return Graph(4, [(0, 1), (0, 2), (2, 3), (1, 3)])
 
 
 def sched(rounds: list[list[tuple[int, ...]]], source: int = 0) -> Schedule:
@@ -81,7 +81,7 @@ class TestValidSchedules:
         assert fast.ok
 
     def test_single_vertex_graph(self):
-        g = Graph(1).freeze()
+        g = Graph(1)
         _, fast = assert_agreement(g, Schedule(source=0), 1)
         assert fast.ok
 

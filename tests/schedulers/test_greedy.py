@@ -59,7 +59,7 @@ class TestRandomTrees:
 
 class TestEdgeCases:
     def test_rejects_disconnected(self):
-        g = Graph(4, [(0, 1), (2, 3)]).freeze()
+        g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(InvalidParameterError):
             heuristic_line_broadcast(g, 0)
 

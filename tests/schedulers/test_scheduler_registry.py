@@ -1,8 +1,11 @@
 """The scheduler registry: discovery, the request/result API, the CLI
 subcommand, and cross-scheduler agreement on pinned families."""
 
+import warnings
+
 import pytest
 
+import repro.schedulers as schedulers
 from repro.graphs.hypercube import hypercube
 from repro.graphs.trees import balanced_ternary_core_tree, path_graph, star
 from repro.model.validator import minimum_broadcast_rounds, validate_broadcast
@@ -48,6 +51,38 @@ class TestRegistryContents:
         for source in (-1, 99):
             with pytest.raises(InvalidParameterError, match="not a vertex"):
                 find_multimessage_schedule(path_graph(4), source, 2, 1, 2)
+
+
+class TestPackageExports:
+    def test_registry_spellings_stay_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            run_scheduler(
+                "greedy",
+                ScheduleRequest(graph=hypercube(3), source=0, seed=1),
+                validate=False,
+            )
+
+    def test_multimessage_functions_stay_first_class(self):
+        """The registry cannot carry a MultiMessageSchedule for M>1, so
+        the multimsg trio stays exported by the package."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            assert callable(schedulers.find_multimessage_schedule)
+            assert callable(schedulers.multimessage_lower_bound)
+            assert callable(schedulers.validate_multimessage)
+
+    def test_unknown_attribute_still_raises(self):
+        """Strategy functions live in their submodules, not on the
+        package: callers go through ``run_scheduler``."""
+        for name in (
+            "not_a_scheduler",
+            "heuristic_line_broadcast",
+            "find_minimum_time_schedule",
+            "binomial_hypercube_broadcast",
+        ):
+            with pytest.raises(AttributeError):
+                getattr(schedulers, name)
 
 
 class TestRequestDefaults:

@@ -7,6 +7,7 @@ from repro.graphs.base import Graph
 from repro.graphs.hypercube import hypercube
 from repro.graphs.trees import balanced_ternary_core_tree, path_graph, star
 from repro.graphs.variants import cycle_graph
+from repro.model.faults import remove_edges
 from repro.model.validator import assert_valid_broadcast
 from repro.schedulers.search import (
     SearchBudgetExceeded,
@@ -61,7 +62,7 @@ class TestFind:
             find_minimum_time_schedule(g, 0, 6, node_budget=50)
 
     def test_rejects_disconnected(self):
-        g = Graph(4, [(0, 1), (2, 3)]).freeze()
+        g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(InvalidParameterError):
             find_minimum_time_schedule(g, 0, 2)
 
@@ -114,10 +115,8 @@ class TestKMlbgExact:
         the paper's construction is degree-minimizing, not edge-critical
         (an empirical observation the search certifies)."""
         sh = construct_base(4, 2)
-        g = sh.graph.copy()
-        rule2 = [e for e in g.edges() if (e[0] ^ e[1]) in (4, 8)]
-        g.remove_edge(*rule2[0])
-        g.freeze()
+        rule2 = [e for e in sh.graph.edges() if (e[0] ^ e[1]) in (4, 8)]
+        g = remove_edges(sh.graph, {rule2[0]})
         assert is_k_mlbg_exact(g, 2)
 
     def test_ball_starved_source_breaks_property(self):
@@ -126,11 +125,8 @@ class TestKMlbgExact:
         minimum-time 2-line broadcast — deleting 2 of vertex 0's edges in
         G_{4,2} leaves |ball(0,2)|−1 = 3 < 4."""
         sh = construct_base(4, 2)
-        g = sh.graph.copy()
-        nbrs = sorted(g.neighbors(0))
-        for v in nbrs[:2]:
-            g.remove_edge(0, v)
-        g.freeze()
+        nbrs = sorted(sh.graph.neighbors(0))
+        g = remove_edges(sh.graph, {(0, v) for v in nbrs[:2]})
         assert len(g.ball(0, 2)) - 1 < 4
         assert find_minimum_time_schedule(g, 0, 2) is None
 

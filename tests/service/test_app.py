@@ -233,7 +233,7 @@ class TestStats:
         assert data["coalescer"]["passes"] == 1
         assert data["coalescer"]["requests"] == 1
         assert data["graphs_cached"] == 1
-        assert {"entries", "hits", "misses"} <= set(data["engine_cache"])
+        assert set(data["engine_cache"]) == {"entries", "hits", "misses", "evictions"}
 
     def test_graph_cache_is_spec_keyed(self, service):
         frame = broadcast_frames(1)[0]

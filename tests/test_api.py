@@ -7,14 +7,13 @@ from repro import api
 from repro.core.broadcast import broadcast_schedule
 from repro.core.construct import construct_base
 from repro.frame import ScheduleFrame
-from repro.graphs.base import Graph
 from repro.types import Call, InvalidParameterError, Round, Schedule
 
 
 class TestBuildGraph:
     def test_spec(self):
         g = api.build_graph("hypercube:3")
-        assert g.n_vertices == 8 and g.frozen
+        assert g.n_vertices == 8
 
     def test_graph_passthrough(self):
         g = api.build_graph("path:5")
@@ -82,12 +81,6 @@ class TestValidate:
         schedules[1] = _corrupt(schedules[1])
         reports = api.validate(sh.graph, schedules, 2)
         assert [r.ok for r in reports] == [True, False, True]
-
-    def test_auto_on_unfrozen_graph_uses_reference(self):
-        g = Graph(2, [(0, 1)])  # never frozen
-        sched = Schedule(source=0)
-        sched.append_round([Call.direct(0, 1)])
-        assert api.validate(g, sched, 1).ok
 
     def test_unknown_engine(self):
         graph, sched, k = _valid_instance()
