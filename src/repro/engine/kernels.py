@@ -17,14 +17,17 @@ the whole graph once *per candidate target* — the kernels here work off a
   exact search's memo table share one state encoding;
 * the component-capacity machinery (``|C| ≤ b(C)·(2^r − 1)``) is computed
   *incrementally* by :class:`PenaltyState`: informing a vertex only splits
-  its own uninformed component, so a candidate probe relabels that one
-  component instead of re-scanning the graph.
+  its own uninformed component, and unless the vertex is a cut vertex of
+  that component it does not split it at all.  So a candidate probe costs
+  O(deg v) against per-component cut vertices and boundary counts (one
+  low-link DFS per component); only cut-vertex probes and commits
+  flood-fill the pieces, and nothing re-scans the graph.
 
 Equivalence with the legacy helpers is pinned by unit and property tests
 (``tests/engine``, ``tests/property/test_engine_property.py``): path
 enumeration and reachability return identical output, component summaries
 and capacity verdicts match exactly, and penalties match up to float
-summation order.
+summation order.  Probes match a flood of every split exactly.
 """
 
 from __future__ import annotations
@@ -290,14 +293,19 @@ class PenaltyState:
     """Incrementally-maintained component penalty for one greedy round.
 
     Informing an uninformed vertex ``v`` only affects ``v``'s own
-    component (it splits into the pieces reachable from ``v``'s uninformed
-    neighbours; every other component and boundary is untouched), so a
-    candidate **probe** flood-fills one component instead of the whole
-    graph — the asymptotic win over the legacy scorer, which re-labelled
-    all of G for every sampled candidate.
+    component C: every other component and boundary is untouched, because
+    ``v`` has no neighbour there.  When ``v`` is not a cut vertex of C,
+    ``C − v`` stays connected, so the probe needs only ``|C| − 1`` and the
+    new boundary count — O(deg v) from a per-component *cut-info* entry
+    (``|C|``, C's cut vertices, and each informed boundary vertex's number
+    of neighbours in C) built lazily by one Hopcroft–Tarjan low-link DFS.
+    Only cut-vertex probes and ``commit`` flood-fill the pieces.  Either
+    way a probe returns the same float as a flood of the whole split, and
+    no probe re-scans the graph as the legacy scorer did.
 
     ``probe(v)`` returns the penalty of ``informed ∪ {v}``;
-    ``commit(v)`` makes that hypothetical permanent.
+    ``commit(v)`` makes that hypothetical permanent.  Both reject a ``v``
+    that is informed or not a vertex.
     """
 
     def __init__(
@@ -315,58 +323,122 @@ class PenaltyState:
         self.cap_mult = (1 << rounds_left) - 1 if rounds_left > 0 else 0
         if summary is None:
             summary = kernels.components(informed_mask)
-        # The caller may keep reading its summary; labels are mutated on
-        # commit, so take an independent copy.
-        self.labels = summary.labels.copy()
+        # An independent list: labels are rewritten on commit, and every
+        # label is always an exact component (commit relabels each piece),
+        # so a neighbour carrying another label is informed.
+        self.labels: list[int] = summary.labels.tolist()
         self._terms: list[float] = [
             _penalty_term(s, b, self.cap_mult)
             for s, b in zip(summary.sizes, summary.boundaries)
         ]
         self.total = float(sum(self._terms))
+        # label -> (|C|, cut vertices, {informed w: #neighbours of w in C}).
+        # Labels are never reused (commit appends new ones), so an entry
+        # never goes stale; commit drops the entry of the label it splits.
+        self._cut_info: dict[int, tuple[int, set[int], dict[int, int]]] = {}
+
+    def _label(self, v: int) -> int:
+        """``v``'s component label; rejects informed and non-vertices."""
+        if not 0 <= v < self.kernels.n:
+            raise InvalidParameterError(
+                f"vertex {v} out of range [0, {self.kernels.n})"
+            )
+        label = self.labels[v]
+        if label < 0:
+            raise InvalidParameterError(f"vertex {v} is already informed")
+        return label
 
     def _split(self, v: int) -> tuple[float, list[tuple[int, int, list[int]]]]:
         """Penalty terms of the pieces ``v``'s component splits into when
         ``v`` becomes informed.  Returns ``(terms_sum, pieces)`` with each
         piece's ``(size, boundary_count, members)``."""
         labels = self.labels
-        label = int(labels[v])
-        informed_v = self.informed | (1 << v)
+        label = labels[v]
         nbrs = self.kernels.nbrs
-        visited = 1 << v
+        seen = bytearray(self.kernels.n)
+        seen[v] = 1
         terms = 0.0
         pieces: list[tuple[int, int, list[int]]] = []
         for s0 in nbrs[v]:
-            if labels[s0] != label or (visited >> s0) & 1:
+            if labels[s0] != label or seen[s0]:
                 continue
-            visited |= 1 << s0
+            seen[s0] = 1
             members = [s0]
             stack = [s0]
-            bmask = 0
+            border: set[int] = set()
             while stack:
                 x = stack.pop()
                 for y in nbrs[x]:
-                    if (informed_v >> y) & 1:
-                        bmask |= 1 << y
-                    elif not (visited >> y) & 1:
-                        visited |= 1 << y
+                    if y == v or labels[y] != label:
+                        border.add(y)
+                    elif not seen[y]:
+                        seen[y] = 1
                         members.append(y)
                         stack.append(y)
             size = len(members)
-            boundary = bmask.bit_count()
+            boundary = len(border)
             terms += _penalty_term(size, boundary, self.cap_mult)
             pieces.append((size, boundary, members))
         return terms, pieces
 
+    def _analyse(self, root: int) -> tuple[int, set[int], dict[int, int]]:
+        """Cut-info of ``root``'s component: one iterative low-link DFS
+        (Hopcroft–Tarjan) yielding ``|C|``, the cut vertices of C, and for
+        each informed boundary vertex its number of neighbours in C."""
+        labels = self.labels
+        label = labels[root]
+        nbrs = self.kernels.nbrs
+        disc = {root: 0}
+        low = {root: 0}
+        cut: set[int] = set()
+        boundary: dict[int, int] = {}
+        root_children = 0
+        stack = [(root, -1, iter(nbrs[root]))]
+        while stack:
+            x, px, it = stack[-1]
+            for y in it:
+                if labels[y] != label:
+                    boundary[y] = boundary.get(y, 0) + 1
+                elif y not in disc:
+                    disc[y] = low[y] = len(disc)
+                    stack.append((y, x, iter(nbrs[y])))
+                    break
+                elif y != px and disc[y] < low[x]:
+                    low[x] = disc[y]
+            else:  # every neighbour of x is done
+                stack.pop()
+                if px == root:
+                    root_children += 1
+                elif px >= 0:
+                    low[px] = min(low[px], low[x])
+                    if low[x] >= disc[px]:
+                        cut.add(px)
+        if root_children > 1:
+            cut.add(root)
+        return len(disc), cut, boundary
+
     def probe(self, v: int) -> float:
         """The penalty of ``informed ∪ {v}`` (``v`` must be uninformed)."""
-        label = int(self.labels[v])
-        new_terms, _pieces = self._split(v)
+        label = self._label(v)
+        info = self._cut_info.get(label)
+        if info is None:
+            info = self._cut_info[label] = self._analyse(v)
+        size, cut, boundary = info
+        if v in cut:
+            new_terms, _pieces = self._split(v)
+        else:
+            # C − v is connected: it loses each boundary vertex whose only
+            # neighbour in C is v, and gains v itself.  (When C = {v} the
+            # term of the empty remainder is 0.0, as the flood's.)
+            lost = sum(1 for y in self.kernels.nbrs[v] if boundary.get(y) == 1)
+            new_terms = _penalty_term(size - 1, len(boundary) - lost + 1, self.cap_mult)
         return self.total - self._terms[label] + new_terms
 
     def commit(self, v: int) -> None:
         """Inform ``v``: split its component and update labels/terms."""
-        label = int(self.labels[v])
+        label = self._label(v)
         _terms, pieces = self._split(v)
+        self._cut_info.pop(label, None)
         self.informed |= 1 << v
         self.total -= self._terms[label]
         self._terms[label] = 0.0

@@ -13,12 +13,14 @@ remaining).  That is exactly the prune of the exact searcher, used here
 as a steering heuristic — it is what avoids the classic failure modes
 (stranding a deep path tail; starving a branch of entries).
 
-Since PR 2 the scheduler is a thin strategy over the shared engine
+The scheduler is a thin strategy over the shared engine
 (:mod:`repro.engine.kernels`): reachability, component labeling, and the
 capacity scorer run on CSR-derived adjacency with integer-bitmask state,
-and candidate probes are *incremental* (informing a vertex only splits
-its own component, so a probe relabels one component instead of the whole
-graph — the legacy scorer's per-candidate full scan is what the
+and candidate probes are *incremental*.  Informing a vertex only splits
+its own component, and only when it is a cut vertex of that component; so
+a probe reads the component's cached cut vertices and boundary counts in
+O(deg v), flood-fills the pieces only for a cut vertex, and never scans
+the whole graph (the legacy scorer's per-candidate full scan is what the
 ``bench_schedulers`` speedup row measures).  Successful attempts are
 checked by the bitset fast validator before being returned.
 
@@ -76,7 +78,8 @@ def _pick_target(
 ) -> int | None:
     """The penalty-minimizing target for one caller (randomized sampling).
 
-    Each probe is an incremental component split, not a graph re-scan."""
+    Each probe is incremental (see :class:`PenaltyState`), not a graph
+    re-scan."""
     if not candidates:
         return None
     if len(candidates) > sample_cap:

@@ -7,8 +7,10 @@ import pytest
 from repro.engine.kernels import GraphKernels, PenaltyState
 from repro.graphs.generators import random_connected_graph, random_tree
 from repro.graphs.hypercube import hypercube
+from repro.graphs.specs import graph_from_spec
 from repro.graphs.trees import balanced_ternary_core_tree, path_graph, star
 from repro.schedulers import legacy
+from repro.types import InvalidParameterError
 from repro.util.bits import mask_from_indices
 
 GRAPHS = [
@@ -18,6 +20,9 @@ GRAPHS = [
     ("tern2", balanced_ternary_core_tree(2)),
     ("rtree16", random_tree(16, seed=4)),
     ("rconn12", random_connected_graph(12, 6, seed=9)),
+    ("cycle10", graph_from_spec("cycle:10")),  # no cut vertices
+    ("sparse5_2", graph_from_spec("sparse:5:2")),
+    ("knodel3_16", graph_from_spec("knodel:3:16")),
 ]
 
 
@@ -148,6 +153,21 @@ class TestPenaltyState:
             mask |= 1 << v
             assert pstate.total == pytest.approx(kern.component_penalty(mask, 3))
             assert pstate.informed == mask
+
+    @pytest.mark.parametrize("v", [0, -1, -5, 5, 9])
+    def test_rejects_informed_or_out_of_range_vertex(self, v):
+        """An informed vertex has no component to split, and a negative
+        vertex would index the labels from the end: both probe and commit
+        must refuse them and leave the state untouched."""
+        kern = GraphKernels(path_graph(5))
+        pstate = PenaltyState(kern, 1 << 0, 2)
+        assert pstate.total == kern.component_penalty(1 << 0, 2) == 1000.0
+        with pytest.raises(InvalidParameterError):
+            pstate.probe(v)
+        with pytest.raises(InvalidParameterError):
+            pstate.commit(v)
+        assert pstate.total == 1000.0 and pstate.informed == 1 << 0
+        assert pstate.probe(1) == kern.component_penalty(0b11, 2)
 
 
 class TestGreedyRngParameter:

@@ -5,7 +5,8 @@ connected graphs, with random used-edge sets and target sets, the
 CSR-native kernels return *identical* output to the legacy set-based
 ``_reachable_paths`` / ``_enumerate_paths`` (kept verbatim in
 :mod:`repro.schedulers.legacy`), and the component/capacity machinery
-agrees exactly.
+agrees exactly.  ``PenaltyState``'s cut-vertex-aware probes are pinned
+bit-for-bit against :class:`ReferencePenaltyState`, which floods every probe.
 """
 
 import random
@@ -14,9 +15,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.kernels import GraphKernels
+from repro.engine.kernels import (
+    ComponentSummary,
+    GraphKernels,
+    PenaltyState,
+    _penalty_term,
+)
 from repro.graphs.generators import random_connected_graph
 from repro.schedulers import legacy
+from repro.types import InvalidParameterError
 from repro.util.bits import mask_from_indices
 
 COMMON = settings(
@@ -93,3 +100,120 @@ def test_components_and_capacity_equivalence(n, extra, seed, rounds_left):
     assert kern.component_penalty(mask, rounds_left) == pytest.approx(
         legacy.component_penalty(graph, informed, rounds_left)
     )
+
+
+class ReferencePenaltyState:
+    """The bitmask-flood ``PenaltyState`` as it stood before probes used
+    cut vertices, kept verbatim: every probe flood-fills the split."""
+
+    def __init__(
+        self,
+        kernels: GraphKernels,
+        informed_mask: int,
+        rounds_left: int,
+        *,
+        summary: ComponentSummary | None = None,
+    ) -> None:
+        if rounds_left < 0:
+            raise InvalidParameterError(f"rounds_left must be >= 0, got {rounds_left}")
+        self.kernels = kernels
+        self.informed = informed_mask
+        self.cap_mult = (1 << rounds_left) - 1 if rounds_left > 0 else 0
+        if summary is None:
+            summary = kernels.components(informed_mask)
+        # The caller may keep reading its summary; labels are mutated on
+        # commit, so take an independent copy.
+        self.labels = summary.labels.copy()
+        self._terms: list[float] = [
+            _penalty_term(s, b, self.cap_mult)
+            for s, b in zip(summary.sizes, summary.boundaries)
+        ]
+        self.total = float(sum(self._terms))
+
+    def _split(self, v: int) -> tuple[float, list[tuple[int, int, list[int]]]]:
+        """Penalty terms of the pieces ``v``'s component splits into when
+        ``v`` becomes informed.  Returns ``(terms_sum, pieces)`` with each
+        piece's ``(size, boundary_count, members)``."""
+        labels = self.labels
+        label = int(labels[v])
+        informed_v = self.informed | (1 << v)
+        nbrs = self.kernels.nbrs
+        visited = 1 << v
+        terms = 0.0
+        pieces: list[tuple[int, int, list[int]]] = []
+        for s0 in nbrs[v]:
+            if labels[s0] != label or (visited >> s0) & 1:
+                continue
+            visited |= 1 << s0
+            members = [s0]
+            stack = [s0]
+            bmask = 0
+            while stack:
+                x = stack.pop()
+                for y in nbrs[x]:
+                    if (informed_v >> y) & 1:
+                        bmask |= 1 << y
+                    elif not (visited >> y) & 1:
+                        visited |= 1 << y
+                        members.append(y)
+                        stack.append(y)
+            size = len(members)
+            boundary = bmask.bit_count()
+            terms += _penalty_term(size, boundary, self.cap_mult)
+            pieces.append((size, boundary, members))
+        return terms, pieces
+
+    def probe(self, v: int) -> float:
+        """The penalty of ``informed ∪ {v}`` (``v`` must be uninformed)."""
+        label = int(self.labels[v])
+        new_terms, _pieces = self._split(v)
+        return self.total - self._terms[label] + new_terms
+
+    def commit(self, v: int) -> None:
+        """Inform ``v``: split its component and update labels/terms."""
+        label = int(self.labels[v])
+        _terms, pieces = self._split(v)
+        self.informed |= 1 << v
+        self.total -= self._terms[label]
+        self._terms[label] = 0.0
+        self.labels[v] = -1
+        for size, boundary, members in pieces:
+            new_label = len(self._terms)
+            term = _penalty_term(size, boundary, self.cap_mult)
+            self._terms.append(term)
+            self.total += term
+            for m in members:
+                self.labels[m] = new_label
+
+
+@COMMON
+@given(
+    n=st.integers(2, 16),
+    extra=st.one_of(st.just(0), st.integers(1, 10)),  # about half trees
+    seed=st.integers(0, 10_000),
+    rounds_left=st.integers(0, 5),
+    rng=st.randoms(use_true_random=False),
+)
+def test_penalty_state_probes_equal_reference(n, extra, seed, rounds_left, rng):
+    """Every probe and total equals the flood-every-probe reference
+    exactly (``==``, not approx), through a random commit sequence.
+    ``extra = 0`` draws trees, where every internal vertex is a cut
+    vertex."""
+    graph = random_connected_graph(n, extra, seed=seed)
+    kern = GraphKernels(graph)
+    density = rng.random()
+    informed = {v for v in range(n) if rng.random() < density} | {rng.randrange(n)}
+    mask = mask_from_indices(informed)
+    state = PenaltyState(kern, mask, rounds_left)
+    ref = ReferencePenaltyState(kern, mask, rounds_left)
+    commits = [v for v in range(n) if v not in informed]
+    rng.shuffle(commits)
+    for c in [None, *commits[: rng.randrange(len(commits) + 1)]]:
+        if c is not None:
+            state.commit(c)
+            ref.commit(c)
+        assert state.total == ref.total
+        assert state.informed == ref.informed
+        for v in range(n):
+            if not (state.informed >> v) & 1:
+                assert state.probe(v) == ref.probe(v), (v, sorted(informed))

@@ -1,16 +1,23 @@
 """Tests for the randomized capacity-aware heuristic scheduler."""
 
+import hashlib
+import json
+from functools import cache
+
 import pytest
 
+from repro import io
 from repro.graphs.base import Graph
 from repro.graphs.generators import random_tree
 from repro.graphs.hypercube import hypercube
+from repro.graphs.specs import graph_from_spec
 from repro.graphs.trees import (
     balanced_ternary_core_tree,
     complete_binary_tree,
     path_graph,
     star,
 )
+from repro.model.faults import faulted_graph
 from repro.model.validator import assert_valid_broadcast, minimum_broadcast_rounds
 from repro.schedulers.greedy import heuristic_line_broadcast
 from repro.types import InvalidParameterError
@@ -94,3 +101,71 @@ class TestEdgeCases:
         assert [tuple(c.path for c in r) for r in a.rounds] == [
             tuple(c.path for c in r) for r in b.rounds
         ]
+
+
+@cache
+def golden_graph(name):
+    if name == "faulted-sparse:6:3":
+        return faulted_graph(graph_from_spec("sparse:6:3"), 3, 7)[0]
+    return graph_from_spec(name)
+
+
+# ((graph, source, k, restarts, seed), sha256 of the schedule's v2 payload)
+GOLDEN = [
+    (
+        ("sparse:6:3", 0, None, 100, 11),
+        "324960744cc223312c953c1312f0378196b96b03ac215ff259bd5054c1581701",
+    ),
+    (
+        ("sparse:6:3", 21, None, 100, 32),
+        "17d8726d72a4b3ca125728a80dbe4376f5353d65725da3ef86e8fa22fdced07e",
+    ),
+    (
+        ("sparse:6:3", 63, None, 100, 74),
+        "dc29efd33e6fd5dd63634c93c1016bae5eee6c975bd3a40dc6c730565d31b715",
+    ),
+    (
+        ("faulted-sparse:6:3", 0, None, 100, 5),
+        "3c4872b2713f309181e5421ab6c2a87d29eaee02aa69f40f790f2480b9b93a35",
+    ),
+    (
+        ("faulted-sparse:6:3", 40, None, 100, 45),
+        "bfe6be66c6f6676231c9a7f512bbf8d76cbf1d8e78b6f99239d5982b29e67ede",
+    ),
+    (
+        ("hypercube:5", 0, 2, 300, 2),
+        "55f2700bd9550a009973a4bfcde6f4887a33614c86bcc02d58ab48c08ed96d0e",
+    ),
+    (
+        ("hypercube:5", 17, 2, 300, 19),
+        "0248ba8f8da19649d2da901ca8e81348d24554921829628016b4ac6bb42aae94",
+    ),
+    (
+        ("knodel:3:16", 3, 2, 300, 9),
+        "0a4f7e770725618e876f74b983239ff13cb79de90fd6c58bfc902ba287ffb587",
+    ),
+    (
+        ("theorem1:3", 0, None, 300, 1),
+        "b1c8df5b8a90c1eeb2df3bc81f8ead77d278dbadf5ecd1f2846ed5bd3a65ac14",
+    ),
+]
+
+
+class TestGoldenSchedules:
+    """Byte pins on greedy's output, recorded before probes used cut
+    vertices: a drift in a probe's float, the candidate order or the rng
+    stream shows up here.  ``faulted-sparse:6:3`` is the survivor of
+    ``faulted_graph(sparse:6:3, 3, 7)``, as in the campaigns' edge-fault
+    condition."""
+
+    @pytest.mark.parametrize("case,digest", GOLDEN)
+    def test_schedule_bytes_pinned(self, case, digest):
+        name, source, k, restarts, seed = case
+        sched = heuristic_line_broadcast(
+            golden_graph(name), source, k, restarts=restarts, seed=seed
+        )
+        assert sched is not None
+        blob = json.dumps(
+            io.frame_to_dict(sched), sort_keys=True, separators=(",", ":")
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
