@@ -33,11 +33,11 @@ Engine selection (``api.validate(..., engine=...)``)
     call with sets and per-edge lookups.  Legible, slow, and the
     repository's source of truth.
 ``"fast"``
-    the bitset/NumPy validator (:mod:`repro.model.validator_fast`), the
-    one validation engine.  Verdicts, error strings, and statistics are
-    identical to the reference by construction (failing rounds re-scan
-    through the reference; pinned by the property tests), at vectorized
-    speed.
+    the NumPy validator (:mod:`repro.model.validator_fast`), the one
+    validation engine.  Verdicts, error strings, and statistics are
+    identical to the reference (failing schedules are reported from
+    arrays in the reference's words; pinned by the property tests), at
+    vectorized speed.
 ``"batch"``
     an alias of ``"fast"``, kept so CLI flags and v1 wire requests that
     name it keep working.

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.frame import ScheduleBuilder, ScheduleFrame
+from repro.frame import ScheduleFrame
 from repro.model.validator_fast import ScheduleLayout, flatten_schedule
-from repro.types import InvalidParameterError, Schedule
+from repro.types import InvalidParameterError, InvalidScheduleError, Schedule
 
 __all__ = [
     "ScheduleLayout",
@@ -91,14 +91,17 @@ class StackedSchedules:
         """Row ``i`` as a columnar :class:`~repro.frame.ScheduleFrame`.
 
         By default calls keep their stored order — the exact inverse of
-        :func:`flatten_schedule`, which validation fallbacks rely on to
-        reproduce reference error ordering; the frame then shares the
-        stack's layout, so validating many rows never rebuilds it.
-        ``sort_calls=True`` orders each round's calls by ascending caller
-        instead, which is :func:`repro.core.broadcast.broadcast_schedule`'s
-        order — XOR translation permutes callers, so translated rows need
-        the re-sort to match direct generation (pinned by the property
-        tests).
+        :func:`flatten_schedule`, so validation reports list errors in
+        stored order; the frame then shares the stack's layout, so
+        validating many rows never rebuilds it.  ``sort_calls=True``
+        orders each round's calls by ascending caller instead, which is
+        :func:`repro.core.broadcast.broadcast_schedule`'s order — XOR
+        translation permutes callers, so translated rows need the re-sort
+        to match direct generation (pinned by the property tests).  The
+        sort is one ``lexsort`` of (round, caller) and one gather of the
+        row; it raises :class:`InvalidScheduleError` if a round holds two
+        calls from one caller, the only case in which caller order and
+        path order could differ.
         """
         lay = self.layout
         row = self.flat[i]
@@ -114,16 +117,24 @@ class StackedSchedules:
             # the frozen frame, not a change to its schedule content
             object.__setattr__(frame, "_layout", lay)  # repro-lint: disable=RL003
             return frame
-        builder = ScheduleBuilder(source)
-        for r in range(lay.n_rounds):
-            c0, c1 = int(lay.call_bounds[r]), int(lay.call_bounds[r + 1])
-            paths = [
-                tuple(int(v) for v in row[lay.path_starts[c] : lay.path_ends[c]])
-                for c in range(c0, c1)
-            ]
-            paths.sort()
-            builder.add_round(paths)
-        return builder.build()
+        callers = row[lay.path_starts]
+        round_of_call = np.repeat(np.arange(lay.n_rounds), lay.counts)
+        order = np.lexsort((callers, round_of_call))
+        ordered = callers[order]
+        if bool(((ordered[1:] == ordered[:-1]) & (np.diff(round_of_call) == 0)).any()):
+            raise InvalidScheduleError(
+                f"row {i} (source {source}) has a round with two calls "
+                "from one caller; it has no caller order"
+            )
+        sizes = lay.lengths[order] + 1
+        call_offsets = np.concatenate(([0], np.cumsum(sizes)))
+        gather = np.repeat(lay.path_starts[order] - call_offsets[:-1], sizes)
+        return ScheduleFrame(
+            source=source,
+            path_verts=row[gather + np.arange(gather.size)],
+            call_offsets=call_offsets,
+            round_offsets=lay.call_bounds.copy(),
+        )
 
     def to_schedule(self, i: int, *, sort_calls: bool = False) -> Schedule:
         """Materialize row ``i`` as a frozen frame-backed :class:`Schedule`.

@@ -29,9 +29,9 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.frame import ScheduleFrame, as_frame
+from repro.frame import ScheduleBuilder, ScheduleFrame, as_frame
 from repro.graphs.base import Graph
-from repro.types import Call, InvalidParameterError, Schedule
+from repro.types import InvalidParameterError, InvalidScheduleError, Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.sparse_hypercube import SparseHypercube
@@ -115,17 +115,14 @@ def schedule_to_dict(
         return frame_to_dict(schedule)
     if version != 1:
         raise InvalidParameterError(f"unknown schedule payload version {version}")
-    if isinstance(schedule, ScheduleFrame):
-        return {
-            "source": schedule.source,
-            "rounds": [
-                [list(path) for path in paths]
-                for paths in schedule.iter_round_paths()
-            ],
-        }
+    frame = as_frame(schedule)
+    verts = frame.path_verts.tolist()
+    call_offsets = frame.call_offsets.tolist()
+    round_offsets = frame.round_offsets.tolist()
+    paths = [verts[a:b] for a, b in zip(call_offsets, call_offsets[1:])]
     return {
-        "source": schedule.source,
-        "rounds": [[list(call.path) for call in rnd] for rnd in schedule.rounds],
+        "source": frame.source,
+        "rounds": [paths[a:b] for a, b in zip(round_offsets, round_offsets[1:])],
     }
 
 
@@ -136,7 +133,8 @@ def schedule_from_dict(data: dict[str, Any]) -> Schedule:
     v2 string, and its *absence* selects the legacy v1 ``rounds`` shape.
     Any other marker — a future version, a typo, a foreign payload — is
     an :class:`InvalidParameterError` naming the marker, never a bare
-    ``KeyError`` from the v1 parser chewing on the wrong shape.
+    ``KeyError`` from the v1 parser chewing on the wrong shape.  Both
+    versions load into a frame, returned as a frozen ``Schedule`` view.
     """
     marker = data.get("format")
     if marker == SCHEDULE_FORMAT_V2:
@@ -148,12 +146,12 @@ def schedule_from_dict(data: dict[str, Any]) -> Schedule:
             "marker-less v1 rounds shape)"
         )
     try:
-        schedule = Schedule(source=int(data["source"]))
+        builder = ScheduleBuilder(int(data["source"]))
         for rnd in data["rounds"]:
-            schedule.append_round([Call.via([int(v) for v in path]) for path in rnd])
-    except (KeyError, TypeError, ValueError) as exc:
+            builder.add_round(rnd)
+        return Schedule.from_frame(builder.build())
+    except (KeyError, TypeError, ValueError, InvalidScheduleError) as exc:
         raise InvalidParameterError(f"malformed schedule payload: {exc}") from exc
-    return schedule
 
 
 def save_schedule(
@@ -208,15 +206,20 @@ def certificate_for(
     sh: "SparseHypercube", sources: list[int] | None = None
 ) -> dict[str, Any]:
     """A k-mlbg certificate for a sparse hypercube (all sources by
-    default; pass a sample for large instances).
+    default; pass a non-empty sample for large instances).
 
     Schedules come from the batch engine — generated once per coset of
-    the translation group and XOR-translated to the remaining sources —
-    and materialize identically to per-source ``broadcast_schedule``
-    (calls sorted by caller within each round; pinned by the property
-    tests)."""
+    the translation group and XOR-translated to the remaining sources.
+    Each row is put in per-source ``broadcast_schedule`` order (calls
+    sorted by caller within each round; pinned by the property tests)
+    and encoded straight from its arrays, so no ``Call`` object is
+    built.  An empty ``sources`` list is an
+    :class:`InvalidParameterError`: a certificate with no schedule
+    proves nothing."""
     from repro.engine.batch import all_sources_schedules
 
+    if sources is not None and not len(sources):
+        raise InvalidParameterError("a certificate needs at least one source")
     srcs = sources if sources is not None else list(range(sh.n_vertices))
     by_source: dict[int, dict[str, Any]] = {}
     for stack in all_sources_schedules(sh, srcs):
@@ -236,8 +239,10 @@ def certificate_for(
 def verify_certificate(payload: dict[str, Any]) -> bool:
     """Re-validate a certificate from its JSON-compatible payload alone.
 
-    Validation goes through :func:`repro.api.validate` (engine ``auto``,
-    verdict-identical to the reference validator)."""
+    Each schedule loads as a frame (:func:`schedule_from_dict`) and is
+    validated through :func:`repro.api.validate` (engine ``auto``,
+    verdict-identical to the reference validator).  A certificate with
+    no schedules is not a proof, so it verifies as False."""
     from repro.api import validate as api_validate
 
     if payload.get("format") != "repro-kmlbg-certificate/1":
@@ -247,7 +252,7 @@ def verify_certificate(payload: dict[str, Any]) -> bool:
     schedules = [schedule_from_dict(d) for d in payload["schedules"]]
     reports = api_validate(graph, schedules, k)
     assert isinstance(reports, list)  # a list input yields a report list
-    return all(r.ok for r in reports)
+    return bool(reports) and all(r.ok for r in reports)
 
 
 def dump_certificate(payload: dict[str, Any], path: str) -> None:

@@ -6,9 +6,9 @@
     (Definitions 2–3)?
 
 ``validator_fast``
-    The bitset/NumPy fast path for the same checks — identical verdicts
-    and error strings (failing rounds re-scanned with the reference), an
-    order of magnitude faster on valid schedules.
+    The NumPy fast path for the same checks — identical verdicts and
+    error strings (failing schedules reported from arrays, pinned to the
+    reference by the property tests), an order of magnitude faster.
 
 ``simulator``
     A stateful round-by-round executor with statistics (informed counts,

@@ -90,7 +90,7 @@ class LineNetworkSimulator:
         self._fast_validator = None  # lazy; shared across runs on this graph
 
     def _fast_report(self, schedule: Schedule):
-        """A bitset fast-validator report for ``schedule`` (bandwidth-1
+        """A fast-validator report for ``schedule`` (bandwidth-1
         semantics; the validator's clauses are exactly the ones
         ``execute_round`` enforces per call)."""
         from repro.engine.cache import fast_validator_for

@@ -1,32 +1,31 @@
-"""Bitset/NumPy fast path for Definition-1 schedule validation.
+"""NumPy fast path for Definition-1 schedule validation.
 
 The reference validator (:mod:`repro.model.validator`) walks every call
 with Python sets and per-edge ``has_edge`` lookups — exact, legible, and
 the repository's oracle, but it dominates the runtime of the theorem
 sweeps (E01/E09/E12 validate a schedule per source per instance).
 
-:class:`FastValidator` checks the same conditions V1–V8 with set
-*aggregates* instead of per-call bookkeeping:
+:class:`FastValidator` checks the same conditions V1–V8 on arrays:
 
-* the whole schedule is flattened once into NumPy arrays (sources,
+* the whole schedule is flattened once into NumPy arrays (callers,
   receivers, call lengths, traversed edges) — no per-call Python after
   that single pass;
 * edge existence (V1) is one batched ``searchsorted`` of every traversed
-  edge (keyed ``min·N + max``) against the graph's sorted key array, and
-  per-round edge-disjointness (V5) is a sort + adjacent-equality sweep;
-* informed / caller / receiver sets are N-bit integer bitmasks —
-  "every caller informed" is ``smask & ~informed == 0``, "no duplicate
-  receiver" is ``popcount(rmask) == m``, informing a round's receivers
-  is ``informed |= rmask``.
+  edge (keyed ``min·N + max``) against the graph's sorted key array;
+* the per-round checks V3–V6 run across all rounds at once as sorts and
+  adjacent-equality sweeps over ``(round, value)`` keys, plus one
+  "round in which each vertex is first informed" array.
 
-The aggregate checks accept a round **iff** the reference accepts it
-(they detect a superset of the reference's per-round errors — see the
-property tests), so the fast path drops to slow mode only on *failing*
-rounds: those are re-scanned with the reference ``validate_round`` to
-reproduce the oracle's exact error strings and ordering.  Verdicts,
-error lists, and first-error classes are therefore identical by
-construction, at vectorized speed on the (overwhelmingly common) valid
-schedules.
+A schedule that passes those screens gets its report straight from
+them.  When V1/V2 flag a call or a screen rejects, one more array pass
+reproduces the reference's per-call bookkeeping exactly — a call is
+flagged when its ``(round, caller)``, ``(round, receiver)``,
+``(round, edge)`` or (vertex-disjoint mode) ``(round, vertex)`` key
+already occurred among the round's earlier calls whose path passes V1 —
+and only the flagged calls are formatted into the reference's error
+strings, in the reference's order.  Verdicts, error lists and
+statistics are therefore identical to the oracle's (pinned by the
+property tests), and no ``Call`` object is built on either path.
 
 This is the repository's one validation engine: :func:`repro.api.validate`
 resolves ``auto``, ``fast`` and ``batch`` to it, and
@@ -47,7 +46,6 @@ from repro.model.validator import (
     ValidationReport,
     minimum_broadcast_rounds,
     validate_broadcast,
-    validate_round,
 )
 from repro.types import Schedule
 
@@ -102,10 +100,13 @@ def classify_error(message: str) -> str:
     raise ValueError(f"unclassifiable validator error: {message!r}")
 
 
-def _rounds_containing(flat_indices: np.ndarray, boundaries: np.ndarray) -> set[int]:
-    """Round indices (0-based) owning the given flat item indices, where
-    ``boundaries[i]`` is the exclusive end offset of round ``i``."""
-    return set(np.searchsorted(boundaries, flat_indices, side="right").tolist())
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """True at every entry whose value already occurs earlier in ``keys``."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    out = np.zeros(keys.size, dtype=bool)
+    out[order[1:]] = ranked[1:] == ranked[:-1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -227,15 +228,16 @@ class _FrameScreenState:
     """Validation state derived from one (frame, graph) pair.
 
     Attached to the immutable frame (like its cached layout); holds the
-    call endpoints, canonical edge keys, the V1 missing-edge verdict,
-    and — per vertex-disjoint flag — the V3–V6 screen outcome
-    (informed-count trajectory, or None when some round fails)."""
+    call endpoints, canonical edge keys, whether any traversed edge is
+    missing from the graph (V1), and — per vertex-disjoint flag — the
+    V3–V6 screen outcome (informed-count trajectory, or None when some
+    round fails)."""
 
     graph_ref: "weakref.ref"
     sources: np.ndarray
     receivers: np.ndarray
     keys: np.ndarray
-    missing_rounds: frozenset
+    missing: bool
     screen: dict = field(default_factory=dict)
 
 
@@ -251,8 +253,6 @@ class FastValidator:
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self._n = graph.n_vertices
-        self._nbytes = (self._n + 7) // 8
-        self._full_mask = (1 << self._n) - 1
         # Canonical (u < v) edge keys min·N + max, sorted: CSR rows come in
         # ascending u with ascending neighbours, so filtering to v > u
         # yields the keys already in order.
@@ -264,43 +264,29 @@ class FastValidator:
         # (position == size lands on the -1 sentinel, never a match).
         self._edge_keys_sentinel = np.append(self._edge_keys, np.int64(-1))
 
-    # -- bitmask helpers ----------------------------------------------------
+    # -- columnar screen ----------------------------------------------------
 
-    def _mask(self, vertices: np.ndarray) -> int:
-        """N-bit integer bitmask of the given vertex indices."""
-        scatter = np.zeros(self._n, dtype=np.uint8)
-        scatter[vertices] = 1
-        return int.from_bytes(
-            np.packbits(scatter, bitorder="little").tobytes(), "little"
+    def _missing_edges(self, keys: np.ndarray) -> np.ndarray:
+        """Which traversed edges are not edges of the graph (V1), batched."""
+        return self._edge_keys_sentinel[np.searchsorted(self._edge_keys, keys)] != keys
+
+    def _state(self, layout: ScheduleLayout, flat: np.ndarray) -> _FrameScreenState:
+        """Call endpoints, canonical edge keys and the V1 verdict."""
+        n = self._n
+        us = flat[layout.us_idx]
+        vs = flat[layout.vs_idx]
+        keys = np.minimum(us, vs) * n + np.maximum(us, vs)
+        return _FrameScreenState(
+            graph_ref=weakref.ref(self.graph),
+            sources=flat[layout.path_starts],
+            receivers=flat[layout.path_ends - 1],
+            keys=keys,
+            missing=bool(self._missing_edges(keys).any()),
         )
-
-    def _mask_to_set(self, mask: int) -> set[int]:
-        """Expand an integer bitmask back to a vertex set (slow path only)."""
-        raw = np.frombuffer(mask.to_bytes(self._nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")[: self._n]
-        return set(np.flatnonzero(bits).tolist())
-
-    # -- columnar happy-path screen -----------------------------------------
-
-    def _missing_edge_rounds(
-        self, keys: np.ndarray, layout: ScheduleLayout
-    ) -> frozenset[int]:
-        """Round indices containing a traversed non-edge (V1), batched."""
-        if not keys.size:
-            return frozenset()
-        if self._edge_keys.size:
-            pos = np.searchsorted(self._edge_keys, keys)
-            bad = self._edge_keys_sentinel[pos] != keys
-            if not bad.any():
-                return frozenset()
-            missing = np.flatnonzero(bad)
-        else:
-            missing = np.arange(keys.size)
-        return frozenset(_rounds_containing(missing, layout.edge_bounds[1:]))
 
     def _frame_state(
         self, frame: ScheduleFrame, layout: ScheduleLayout, flat: np.ndarray
-    ) -> "_FrameScreenState":
+    ) -> _FrameScreenState:
         """The per-(frame, graph) validation state, cached on the frame.
 
         Frames are immutable and validators are per-graph, so call
@@ -311,20 +297,7 @@ class FastValidator:
         state = getattr(frame, "_screen_state", None)
         if state is not None and state.graph_ref() is self.graph:
             return state
-        n = self._n
-        sources = flat[layout.path_starts]
-        receivers = flat[layout.path_ends - 1]
-        us = flat[layout.us_idx]
-        vs = flat[layout.vs_idx]
-        keys = np.minimum(us, vs) * n + np.maximum(us, vs)
-        state = _FrameScreenState(
-            graph_ref=weakref.ref(self.graph),
-            sources=sources,
-            receivers=receivers,
-            keys=keys,
-            missing_rounds=self._missing_edge_rounds(keys, layout),
-            screen={},
-        )
+        state = self._state(layout, flat)
         # derived-value cache on the frozen frame (see flatten_frame)
         object.__setattr__(frame, "_screen_state", state)  # repro-lint: disable=RL003
         return state
@@ -334,21 +307,20 @@ class FastValidator:
         source: int,
         layout: ScheduleLayout,
         flat: np.ndarray,
-        sources: np.ndarray,
-        receivers: np.ndarray,
-        keys: np.ndarray,
+        state: _FrameScreenState,
         vertex_disjoint: bool,
     ) -> np.ndarray | None:
         """Per-round conditions V3–V6, vectorized across all rounds.
 
-        Returns the informed-count trajectory — identical to what the
-        round loop records — when every round passes; returns None when
-        *any* check fails, in which case the round loop decides.  Purely
+        Returns the informed-count trajectory — identical to the
+        reference's — when every round passes; returns None when *any*
+        check fails, in which case :meth:`_round_errors` decides.  Purely
         an accept-path shortcut: it can never change a verdict, an error
         string, or a statistic.  ``k`` plays no part in V3–V6 (V1/V2 are
         screened by the caller), so a cached result holds for every k.
         """
         n = self._n
+        sources, receivers, keys = state.sources, state.receivers, state.keys
         n_rounds = layout.n_rounds
         round_of_call = np.repeat(np.arange(n_rounds, dtype=np.int64), layout.counts)
         if receivers.size:
@@ -383,33 +355,98 @@ class FastValidator:
         received = np.bincount(round_of_call, minlength=n_rounds)
         return 1 + np.cumsum(received)
 
-    def _screened_report(
+    # -- failing schedules --------------------------------------------------
+
+    def _round_errors(
         self,
-        counts: np.ndarray,
+        source: int,
         layout: ScheduleLayout,
-        *,
-        require_minimum_time: bool,
-    ) -> ValidationReport:
-        """The exact report for a schedule whose every round passed."""
+        flat: np.ndarray,
+        state: _FrameScreenState,
+        k: int,
+        vertex_disjoint: bool,
+    ) -> tuple[list[str], np.ndarray]:
+        """The reference's per-round errors and informed counts, on arrays.
+
+        Mirrors :func:`repro.model.validator.validate_round` call by call:
+        a call whose path fails V1 reports only that, and takes no part in
+        the round's caller, receiver, edge and vertex bookkeeping; every
+        other call is checked against the round's earlier such calls.  As
+        in the reference, a receiver counts as informed from the round
+        after its call even when that call fails.
+        """
         n = self._n
-        n_rounds = layout.n_rounds
-        report = ValidationReport(
-            ok=True,
-            rounds=n_rounds,
-            informed_per_round=counts.tolist(),
-            max_call_length=layout.max_call_length,
-        )
-        n_informed = int(counts[-1]) if n_rounds else 1
-        if n_informed != n:
-            report.errors.append(f"broadcast incomplete: {n_informed} of {n} informed")
-        if require_minimum_time:
-            need = minimum_broadcast_rounds(n)
-            if n_rounds != need:
-                report.errors.append(
-                    f"schedule uses {n_rounds} rounds, minimum time is {need}"
+        lengths = layout.lengths
+        callers, receivers, keys = state.sources, state.receivers, state.keys
+        n_calls = layout.n_calls
+        calls = np.arange(n_calls)
+        round_of_call = np.repeat(np.arange(layout.n_rounds), layout.counts)
+        call_of_edge = np.repeat(calls, lengths)
+        bad_path = np.zeros(n_calls, dtype=bool)
+        bad_path[call_of_edge[self._missing_edges(keys)]] = True
+        ok = ~bad_path
+        # First round in which each vertex receives (the source: before any).
+        first = np.full(n, layout.n_rounds, dtype=np.int64)
+        np.minimum.at(first, receivers, round_of_call)
+        first[source] = -1
+
+        def repeats_among_ok(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+            out = np.zeros(mask.size, dtype=bool)
+            out[mask] = _repeats(values[mask])
+            return out
+
+        too_long = lengths > k
+        uninformed = first[callers] >= round_of_call
+        second_call = repeats_among_ok(ok, round_of_call * n + callers)
+        targeted = repeats_among_ok(ok, round_of_call * n + receivers)
+        fresh = first[receivers] < round_of_call
+        edge_ok = np.repeat(ok, lengths)
+        round_of_edge = np.repeat(round_of_call, lengths)
+        shared = repeats_among_ok(edge_ok, round_of_edge * (n * n) + keys)
+        shared_edges: dict[int, list[int]] = {}
+        for c, key in zip(call_of_edge[shared].tolist(), keys[shared].tolist()):
+            shared_edges.setdefault(c, []).append(key)
+        overlaps: dict[int, list[int]] = {}
+        if vertex_disjoint:
+            item_ok = np.repeat(ok, lengths + 1)
+            item_call = np.repeat(calls, lengths + 1)[item_ok]
+            verts = flat[item_ok]
+            once = ~_repeats(item_call * n + verts)  # a call's own repeats
+            item_call, verts = item_call[once], verts[once]
+            seen = _repeats(round_of_call[item_call] * n + verts)
+            for c, v in zip(item_call[seen].tolist(), verts[seen].tolist()):
+                overlaps.setdefault(c, []).append(v)
+        flagged = bad_path | too_long | uninformed | second_call | targeted | fresh
+        flagged[list(shared_edges) + list(overlaps)] = True
+
+        errors: list[str] = []
+        for c in np.flatnonzero(flagged).tolist():
+            caller, receiver = int(callers[c]), int(receivers[c])
+            tag = f"round {int(round_of_call[c]) + 1}, call {caller}->{receiver}"
+            if bad_path[c]:
+                path = tuple(flat[layout.path_starts[c] : layout.path_ends[c]].tolist())
+                errors.append(f"{tag}: path {path} is not a path of the graph")
+                continue
+            if too_long[c]:
+                errors.append(f"{tag}: length {int(lengths[c])} exceeds k={k}")
+            if uninformed[c]:
+                errors.append(f"{tag}: caller is not informed")
+            if second_call[c]:
+                errors.append(f"{tag}: vertex {caller} places a second call")
+            if targeted[c]:
+                errors.append(f"{tag}: receiver already targeted this round")
+            if fresh[c]:
+                errors.append(f"{tag}: receiver already informed")
+            for key in shared_edges.get(c, ()):
+                edge = divmod(key, n)
+                errors.append(f"{tag}: edge {edge} used by another call this round")
+            if c in overlaps:
+                errors.append(
+                    f"{tag}: vertices {sorted(overlaps[c])} shared with another "
+                    f"call (vertex-disjoint mode)"
                 )
-        report.ok = not report.errors
-        return report
+        informed = np.cumsum(np.bincount(first + 1, minlength=layout.n_rounds + 2))
+        return errors, informed[1 : layout.n_rounds + 1]
 
     # -- public API ---------------------------------------------------------
 
@@ -423,38 +460,26 @@ class FastValidator:
     ) -> ValidationReport:
         """Drop-in equivalent of :func:`repro.model.validator.validate_broadcast`.
 
-        Same :class:`ValidationReport`, same error strings (failing rounds
-        are re-scanned with the reference ``validate_round``), same
-        verdict — just faster on valid schedules.  Accepts the columnar
+        Same :class:`ValidationReport`, same error strings in the same
+        order, same verdict.  Accepts the columnar
         :class:`~repro.frame.ScheduleFrame` directly (or a frame-backed
-        ``Schedule`` view): the happy path then never materializes a
-        ``Call`` object — rounds are only built if one of them fails and
-        needs the reference re-scan for its exact error strings.
+        ``Schedule`` view) and never materializes a ``Call`` object:
+        valid schedules are accepted by the vectorized screens, and a
+        failing schedule's error strings are computed by one more array
+        pass that formats only the flagged calls.  A path vertex outside
+        the graph is the one case handed to the reference validator
+        whole, which raises :class:`~repro.types.InvalidParameterError`.
         """
         n = self._n
-        report = ValidationReport(ok=True, rounds=len(schedule))
         if not (0 <= schedule.source < n):
+            report = ValidationReport(ok=False, rounds=len(schedule))
             report.errors.append(f"source {schedule.source} not a vertex")
-            report.ok = False
             return report
-
-        sched_obj: Schedule | None = (
-            None if isinstance(schedule, ScheduleFrame) else schedule
-        )
-
-        def round_obj(idx: int):
-            nonlocal sched_obj
-            if sched_obj is None:
-                sched_obj = as_schedule(schedule)
-            return sched_obj.rounds[idx]
-
         layout, flat = flatten_schedule(schedule)
-        n_rounds = layout.n_rounds
         if flat.size and bool(((flat < 0) | (flat >= n)).any()):
             # Out-of-range path vertices: the reference raises
             # InvalidParameterError (Graph bounds check) rather than
-            # reporting; delegate wholesale to reproduce that exactly
-            # instead of crashing the bitmask scatter with IndexError.
+            # reporting; delegate wholesale to reproduce that exactly.
             return validate_broadcast(
                 self.graph,
                 as_schedule(schedule),
@@ -462,10 +487,6 @@ class FastValidator:
                 require_minimum_time=require_minimum_time,
                 vertex_disjoint=vertex_disjoint,
             )
-        n_calls = layout.n_calls
-        lengths = layout.lengths
-        call_bounds = layout.call_bounds
-        edge_bounds = layout.edge_bounds
         frame = (
             schedule
             if isinstance(schedule, ScheduleFrame)
@@ -473,88 +494,32 @@ class FastValidator:
         )
         if frame is not None:
             state = self._frame_state(frame, layout, flat)
-            sources, receivers, keys = state.sources, state.receivers, state.keys
-            missing_rounds = state.missing_rounds
         else:
-            state = None
-            sources = flat[layout.path_starts]
-            receivers = flat[layout.path_ends - 1]
-            us = flat[layout.us_idx]
-            vs = flat[layout.vs_idx]
-            keys = np.minimum(us, vs) * n + np.maximum(us, vs)
-            missing_rounds = self._missing_edge_rounds(keys, layout)
+            state = self._state(layout, flat)
 
-        # Global batches: call lengths (V2) and edge existence (V1); the
-        # owning rounds of any offender fall back to the reference scan.
-        suspect_rounds: set[int] = set(missing_rounds)
-        if n_calls and int(lengths.max()) > k:
-            suspect_rounds |= _rounds_containing(
-                np.flatnonzero(lengths > k), call_bounds[1:]
+        # V1/V2 are clean everywhere: try the fully columnar accept path
+        # (per-round checks vectorized across rounds, cached on frames).
+        counts = None
+        if not state.missing and layout.max_call_length <= k:
+            if vertex_disjoint not in state.screen:
+                state.screen[vertex_disjoint] = self._screen_counts(
+                    schedule.source, layout, flat, state, vertex_disjoint
+                )
+            counts = state.screen[vertex_disjoint]
+        errors: list[str] = []
+        if counts is None:
+            errors, counts = self._round_errors(
+                schedule.source, layout, flat, state, k, vertex_disjoint
             )
-
-        if not suspect_rounds:
-            # V1/V2 are clean everywhere: try the fully columnar accept
-            # path (per-round checks vectorized across rounds, cached on
-            # frames); fall through to the round loop only if some round
-            # fails one of them.
-            if state is not None and vertex_disjoint in state.screen:
-                counts = state.screen[vertex_disjoint]
-            else:
-                counts = self._screen_counts(
-                    schedule.source,
-                    layout,
-                    flat,
-                    sources,
-                    receivers,
-                    keys,
-                    vertex_disjoint,
-                )
-                if state is not None:
-                    state.screen[vertex_disjoint] = counts
-            if counts is not None:
-                return self._screened_report(
-                    counts, layout, require_minimum_time=require_minimum_time
-                )
-
-        informed = 1 << schedule.source
-        full = self._full_mask
-        for idx in range(n_rounds):
-            c0, c1 = int(call_bounds[idx]), int(call_bounds[idx + 1])
-            e0, e1 = int(edge_bounds[idx]), int(edge_bounds[idx + 1])
-            m = c1 - c0
-            rmask = self._mask(receivers[c0:c1]) if m else 0
-            ok = idx not in suspect_rounds
-            if ok and m:
-                smask = self._mask(sources[c0:c1])
-                ok = (
-                    smask.bit_count() == m          # V4: one call per caller
-                    and smask & (full ^ informed) == 0  # V3: callers informed
-                    and rmask.bit_count() == m      # V6: receivers distinct
-                    and rmask & informed == 0       # V6: receivers fresh
-                )
-                if ok:
-                    ks = np.sort(keys[e0:e1])
-                    ok = not (ks[1:] == ks[:-1]).any()  # V5: edge-disjoint
-                if ok and vertex_disjoint:
-                    verts = flat[e0 + c0 : e1 + c1]  # round's path vertices
-                    ok = np.unique(verts).size == verts.size
-            if not ok:
-                report.errors.extend(
-                    validate_round(
-                        self.graph,
-                        round_obj(idx),
-                        self._mask_to_set(informed),
-                        k,
-                        round_index=idx + 1,
-                        vertex_disjoint=vertex_disjoint,
-                    )
-                )
-            # Mirror the reference: receivers become informed regardless of
-            # the round's validity.
-            informed |= rmask
-            report.informed_per_round.append(informed.bit_count())
-        report.max_call_length = int(lengths.max()) if n_calls else 0
-        n_informed = informed.bit_count()
+        n_rounds = layout.n_rounds
+        report = ValidationReport(
+            ok=True,
+            errors=errors,
+            rounds=n_rounds,
+            informed_per_round=counts.tolist(),
+            max_call_length=layout.max_call_length,
+        )
+        n_informed = int(counts[-1]) if n_rounds else 1
         if n_informed != n:
             report.errors.append(f"broadcast incomplete: {n_informed} of {n} informed")
         if require_minimum_time:

@@ -14,7 +14,13 @@ from repro.engine.batch import (
     validate_all_sources,
 )
 from repro.model.validator import validate_broadcast
-from repro.types import InvalidParameterError, Schedule
+from repro.types import (
+    Call,
+    InvalidParameterError,
+    InvalidScheduleError,
+    Round,
+    Schedule,
+)
 
 
 def _instances():
@@ -112,6 +118,17 @@ class TestStackSchedules:
             layout, flat = flatten_schedule(stack.to_frame(i))
             assert layout is stack.layout
             assert np.array_equal(flat, stack.flat[i])
+
+    def test_sort_calls_rejects_a_repeated_caller(self):
+        """Two calls from one caller in a round: no caller order exists."""
+        sched = Schedule(source=0, rounds=[Round((Call.via((0, 1)), Call.via((0, 2))))])
+        layout, flat = flatten_schedule(sched)
+        stack = batch.StackedSchedules(
+            layout=layout, sources=np.array([0]), flat=flat[None, :]
+        )
+        assert stack.to_frame(0).n_calls == 2  # stored order is fine
+        with pytest.raises(InvalidScheduleError, match="two calls from one caller"):
+            stack.to_frame(0, sort_calls=True)
 
     def test_flatten_layout_key_discriminates(self):
         sh = construct_base(4, 2)

@@ -1,4 +1,4 @@
-"""The bitset fast-path validator against the reference oracle.
+"""The fast-path validator against the reference oracle.
 
 Deterministic cases: valid schedules from the real schemes, plus
 hand-built corruptions that trigger each Definition-1 violation class

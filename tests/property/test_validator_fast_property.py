@@ -1,13 +1,19 @@
 """Property-based agreement: fast-path validator ≡ reference validator.
 
 Strategy: generate *valid* schedules from the real schemes (randomly
-drawn construction parameters and sources), then optionally corrupt them
-with a randomly chosen structural mutation (shared-edge / duplicate
-caller, shared-receiver, uninformed-caller, over-length, bad-path,
-dropped/duplicated rounds).  On every instance the two validators must
-return the same verdict, the same error-string list (hence the same
-first error class), and the same statistics.
+drawn construction parameters and sources), then corrupt them with two
+or three randomly chosen structural mutations applied in sequence
+(shared-edge / duplicate caller, shared-receiver, uninformed-caller,
+over-length, bad-path, a call reusing its own edge, a call preceded by
+an invalid-path attempt from the same caller, dropped/duplicated
+rounds).  Every instance is validated as an object schedule and as a
+``ScheduleFrame`` (the form ``/v1/validate`` decodes to), in both the
+edge-disjoint and the vertex-disjoint model; the fast validator must
+return the reference's verdict, error-string list (hence first error
+class) and statistics on each.
 """
+
+import random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,9 +22,9 @@ from repro.core.broadcast import broadcast_schedule
 from repro.core.construct import construct_base
 from repro.model.validator import validate_broadcast
 from repro.model.validator_fast import (
+    ERROR_CLASSES,
     FastValidator,
     classify_error,
-    validate_broadcast_fast,
 )
 from repro.types import Call, Round, Schedule
 
@@ -130,6 +136,38 @@ def mut_echo_previous_round(g, sched, k, rng):
     return out, k
 
 
+def mut_reuse_own_edge(g, sched, k, rng):
+    """Turn a call ``a -> b -> ...`` into ``(a, b, a)``: it crosses its
+    own first edge twice and calls back its own (informed) caller."""
+    out = copy_schedule(sched)
+    r = rng.randrange(len(out.rounds))
+    calls = list(out.rounds[r].calls)
+    if not calls:
+        return out, k
+    i = rng.randrange(len(calls))
+    a, b = calls[i].path[:2]
+    calls[i] = Call.via((a, b, a))
+    replace_round(out, r, tuple(calls))
+    return out, k
+
+
+def mut_failed_attempt_first(g, sched, k, rng):
+    """Precede a call ``a -> ... -> b`` with ``(a, a, ..., b)``: same
+    caller, receiver, edges and vertices, but a self-loop hop makes the
+    path invalid, so the reference reports only that and the real call
+    after it stays clean."""
+    out = copy_schedule(sched)
+    r = rng.randrange(len(out.rounds))
+    calls = list(out.rounds[r].calls)
+    if not calls:
+        return out, k
+    i = rng.randrange(len(calls))
+    path = calls[i].path
+    calls.insert(i, Call.via((path[0], *path)))
+    replace_round(out, r, tuple(calls))
+    return out, k
+
+
 MUTATIONS = [
     mut_identity,
     mut_duplicate_call,
@@ -139,7 +177,39 @@ MUTATIONS = [
     mut_shrink_k,
     mut_bad_path,
     mut_echo_previous_round,
+    mut_reuse_own_edge,
+    mut_failed_attempt_first,
 ]
+
+
+def mutate(g, sched, mut_idxs, rng):
+    """Apply the mutations in order; returns the schedule and its k."""
+    k = 2
+    for idx in mut_idxs:
+        sched, k = MUTATIONS[idx](g, sched, k, rng)
+    return sched, k
+
+
+def assert_agreement(validator, g, sched, k):
+    """Fast ≡ reference on the object schedule and on its frame, in both
+    models; returns the reference reports (edge-, then vertex-disjoint)."""
+    refs = []
+    frame = sched.to_frame()
+    for vertex_disjoint in (False, True):
+        ref = validate_broadcast(g, sched, k, vertex_disjoint=vertex_disjoint)
+        for given_as in (sched, frame):
+            fast = validator.validate(given_as, k, vertex_disjoint=vertex_disjoint)
+            assert fast.ok == ref.ok
+            assert fast.errors == ref.errors
+            assert fast.rounds == ref.rounds
+            assert fast.informed_per_round == ref.informed_per_round
+            assert fast.max_call_length == ref.max_call_length
+            if not ref.ok:
+                # identical error lists ⇒ identical first error class;
+                # asserted explicitly since the class is the contract
+                assert classify_error(fast.errors[0]) == classify_error(ref.errors[0])
+        refs.append(ref)
+    return refs
 
 
 class TestFastValidatorAgreement:
@@ -148,32 +218,17 @@ class TestFastValidatorAgreement:
         n=st.integers(3, 6),
         m_seed=st.integers(0, 10**6),
         src_seed=st.integers(0, 10**6),
-        mut_idx=st.integers(0, len(MUTATIONS) - 1),
+        mut_idxs=st.lists(st.integers(0, len(MUTATIONS) - 1), min_size=2, max_size=3),
         rng_seed=st.integers(0, 10**6),
     )
-    def test_same_verdict_and_errors(self, n, m_seed, src_seed, mut_idx, rng_seed):
-        import random
-
+    def test_same_verdict_and_errors(self, n, m_seed, src_seed, mut_idxs, rng_seed):
         m = 1 + m_seed % (n - 1)
         sh = construct_base(n, m)
         g = sh.graph
-        source = src_seed % g.n_vertices
-        sched = broadcast_schedule(sh, source)
-        rng = random.Random(rng_seed)
-        mutated, k = MUTATIONS[mut_idx](g, sched, 2, rng)
-
-        ref = validate_broadcast(g, mutated, k)
-        fast = validate_broadcast_fast(g, mutated, k)
-        assert fast.ok == ref.ok
-        assert fast.errors == ref.errors
-        assert fast.rounds == ref.rounds
-        assert fast.informed_per_round == ref.informed_per_round
-        assert fast.max_call_length == ref.max_call_length
-        if not ref.ok:
-            # identical error lists ⇒ identical first error class; assert
-            # explicitly since the class is the satellite's contract
-            assert classify_error(fast.errors[0]) == classify_error(ref.errors[0])
-        if mut_idx == 0:
+        sched = broadcast_schedule(sh, src_seed % g.n_vertices)
+        mutated, k = mutate(g, sched, mut_idxs, random.Random(rng_seed))
+        ref, _ref_vd = assert_agreement(FastValidator(g), g, mutated, k)
+        if not any(mut_idxs):
             assert ref.ok  # the schemes generate valid schedules
 
     @COMMON
@@ -193,3 +248,25 @@ class TestFastValidatorAgreement:
             fast = validator.validate(sched, 2, vertex_disjoint=vertex_disjoint)
             assert fast.ok == ref.ok
             assert fast.errors == ref.errors
+
+
+# Seeds 0..39, each composing 2-3 mutations, on sparse hypercubes with
+# n = 3..6: together they make the reference report every error class
+# except bad-source (which has its own unit test).
+COVERAGE_SEEDS = range(40)
+
+
+def test_every_error_class_is_reached_with_agreement():
+    seen = set()
+    for seed in COVERAGE_SEEDS:
+        rng = random.Random(seed)
+        n = 3 + seed % 4
+        sh = construct_base(n, 1 + rng.randrange(n - 1))
+        g = sh.graph
+        sched = broadcast_schedule(sh, rng.randrange(g.n_vertices))
+        mut_idxs = [rng.randrange(1, len(MUTATIONS)) for _ in range(2 + seed % 2)]
+        mutated, k = mutate(g, sched, mut_idxs, rng)
+        for ref in assert_agreement(FastValidator(g), g, mutated, k):
+            seen.update(classify_error(e) for e in ref.errors)
+    assert seen == set(ERROR_CLASSES) - {"bad-source"}
+

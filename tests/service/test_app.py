@@ -215,6 +215,13 @@ class TestCertificate:
         assert status == 400
         assert json.loads(payload)["error"]["code"] == "invalid-parameter"
 
+    def test_empty_source_list_is_400(self, service):
+        """A certificate with no schedules proves nothing."""
+        body = json.dumps({"construction": GRAPH_SPEC, "sources": []}).encode()
+        status, payload = dispatch(service, "POST", "/v1/certificate", body)
+        assert status == 400
+        assert json.loads(payload)["error"]["code"] == "invalid-parameter"
+
 
 class TestStats:
     def test_counters_and_caches(self, service):

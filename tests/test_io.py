@@ -49,6 +49,28 @@ class TestScheduleRoundtrip:
         with pytest.raises(InvalidParameterError):
             schedule_from_dict({"rounds": []})
 
+    @pytest.mark.parametrize(
+        "rounds",
+        [[[[0]]], [[[]]], [[0]], 5, [[["a", 1]]], [[[0, None]]]],
+        ids=[
+            "one-vertex",
+            "empty-path",
+            "path-not-a-list",
+            "rounds-not-a-list",
+            "non-integer",
+            "null-vertex",
+        ],
+    )
+    def test_malformed_v1_paths_rejected(self, rounds):
+        with pytest.raises(InvalidParameterError, match="malformed schedule"):
+            schedule_from_dict({"source": 0, "rounds": rounds})
+
+    def test_v1_loads_as_a_frozen_frame(self):
+        sched = broadcast_schedule(construct_base(5, 2), 3)
+        back = schedule_from_dict(schedule_to_dict(sched))
+        assert back.frozen
+        assert back.frame_or_none() == sched.to_frame()
+
 
 class TestColumnarCodecV2:
     def make(self):
@@ -179,6 +201,15 @@ class TestCertificates:
         with pytest.raises(InvalidParameterError):
             verify_certificate({"format": "bogus"})
 
+    def test_empty_source_list_rejected(self):
+        with pytest.raises(InvalidParameterError, match="at least one source"):
+            certificate_for(construct_base(4, 2), sources=[])
+
+    def test_certificate_without_schedules_fails(self):
+        cert = certificate_for(construct_base(4, 2), sources=[0])
+        cert["schedules"] = []
+        assert not verify_certificate(cert)
+
     def test_file_roundtrip(self, tmp_path):
         sh = construct_base(4, 2)
         cert = certificate_for(sh, sources=[0, 5])
@@ -220,6 +251,31 @@ class TestGoldenBytes:
             hashlib.sha256(data).hexdigest()
             == "79e394c6959a57a2f6070661b88456fd7a7b5d2726e63473f92c853b171d197b"
         )
+
+    @pytest.mark.parametrize(
+        "n, size, digest",
+        [
+            (
+                6,
+                35_527,
+                "2f438718395f7f7b55a6308b320e7adb8f664648cdfa2c5abed6d0858b278f0d",
+            ),
+            (
+                8,
+                638_760,
+                "ad6865c92eda0d3ebe07541865bec94b605dd6d94806326793fdfd9cdd6b55e7",
+            ),
+        ],
+        ids=["sparse:6:3", "sparse:8:3"],
+    )
+    def test_full_source_certificate_bytes_pinned(self, tmp_path, n, size, digest):
+        """Every source's schedule, in the certificate's caller order."""
+        cert = certificate_for(construct_base(n, 3))
+        path = tmp_path / "cert.json"
+        dump_certificate(cert, str(path))
+        data = path.read_bytes()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_writes_are_repeatable(self, tmp_path):
         """Two invocations produce identical bytes (no wall-clock, no
