@@ -1,9 +1,10 @@
 """Shared benchmark configuration.
 
-Each ``bench_eXX`` module regenerates one paper artifact (see DESIGN.md's
-per-experiment index), printing its table once and timing the builder with
-pytest-benchmark.  ``once_per_session`` avoids reprinting under
-benchmark's calibration loops.
+Each ``bench_eXX`` module regenerates one paper artifact (``python -m
+repro list`` prints the experiment index), printing its table once and
+timing the experiment function with pytest-benchmark.
+``once_per_session`` avoids reprinting under benchmark's calibration
+loops.
 
 Headline measurements (the speedup-floor tests) additionally record
 machine-readable rows through the ``bench_json`` fixture; at session end

@@ -25,11 +25,11 @@ from repro.types import Round, Schedule
 def merged_schedule(sh, sources):
     """Force several broadcasts into shared rounds (conflicts intended)."""
     schedules = [broadcast_schedule(sh, s) for s in sources]
-    merged = Schedule(source=sources[0])
-    for rounds in zip(*(s.rounds for s in schedules)):
-        calls = tuple(c for rnd in rounds for c in rnd)
-        merged.rounds.append(Round(calls))
-    return merged
+    merged = [
+        Round(tuple(c for rnd in rounds for c in rnd))
+        for rounds in zip(*(s.rounds for s in schedules))
+    ]
+    return Schedule(sources[0], merged)
 
 
 def main() -> None:

@@ -1,9 +1,9 @@
 """Experiment harness: registry, parallel runner, and table builders.
 
 Each ``experiment_eXX`` function regenerates one artifact of the paper
-(see DESIGN.md's per-experiment index) and returns plain rows
-(``list[dict]``) so the same code backs the pytest benchmarks, the CLI
-(``python -m repro``), and EXPERIMENTS.md.
+(``python -m repro list`` prints the index) and returns plain rows
+(``list[dict]``) so the same code backs the pytest benchmarks and the
+CLI (``python -m repro``).
 
 Experiments live in five themed modules (``exp_foundations``,
 ``exp_constructions``, ``exp_theorems``, ``exp_extensions``,

@@ -46,11 +46,10 @@ def experiment_e15_congestion(
         # merge two broadcasts from different sources into shared rounds:
         # round i = calls of both schedules (conflicts intended)
         other = broadcast_schedule(sh, g.n_vertices - 1)
-        from repro.types import Schedule
+        from repro.types import Round, Schedule
 
-        merged = Schedule(source=0)
-        for r1, r2 in zip(sched.rounds, other.rounds):
-            merged.append_round(r1.calls + r2.calls)
+        pairs = zip(sched.rounds, other.rounds)
+        merged = Schedule(0, [Round(r1.calls + r2.calls) for r1, r2 in pairs])
         needed = min_feasible_bandwidth(g, merged)
         # static conflict count: (round, edge) slots that exceed bandwidth 1
         # when the two broadcasts share rounds — the dilation Section 5 asks

@@ -52,18 +52,18 @@ input, matching the rest of the library.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, cast
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-from repro.frame import ScheduleFrame, as_frame, as_schedule
+from repro.frame import ScheduleFrame, as_frame
 from repro.graphs.base import Graph
 from repro.model.validator import ValidationReport
-from repro.types import InvalidParameterError
+from repro.types import InvalidParameterError, Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.analysis.campaigns import CampaignSpec
     from repro.core.sparse_hypercube import SparseHypercube
     from repro.schedulers.registry import ScheduleResult
-    from repro.types import Schedule
 
 __all__ = [
     "ENGINES",
@@ -152,10 +152,10 @@ def schedule(
     """Run one registered scheduling strategy; returns its
     :class:`~repro.schedulers.registry.ScheduleResult`.
 
-    The result carries both representations of a found schedule: a
-    frozen columnar ``frame`` (the canonical interchange format) and the
-    frozen object view ``schedule``.  ``validate_result=True`` (default)
-    checks the result through :func:`validate` before it is returned.
+    The result carries a found schedule as its columnar ``frame`` (the
+    canonical interchange format) and as ``schedule``, the object view
+    over that same frame.  ``validate_result=True`` (default) checks the
+    result through :func:`validate` before it is returned.
     """
     from repro.schedulers.registry import ScheduleRequest, run_scheduler
 
@@ -175,12 +175,7 @@ def _validator(graph: Graph, engine: str) -> Callable[..., ValidationReport]:
     if engine == "reference":
         from repro.model.validator import validate_broadcast
 
-        def reference(
-            sched: "Schedule | ScheduleFrame", k: int, **flags: bool
-        ) -> ValidationReport:
-            return validate_broadcast(graph, as_schedule(sched), k, **flags)
-
-        return reference
+        return partial(validate_broadcast, graph)
     from repro.engine.cache import fast_validator_for
 
     return fast_validator_for(graph).validate
@@ -202,9 +197,10 @@ def validate(
     ``schedules`` may be a single :class:`~repro.types.Schedule` or
     :class:`~repro.frame.ScheduleFrame` (returns one
     :class:`~repro.model.validator.ValidationReport`) or a list of
-    either (returns a list of reports in input order).  ``engine``
-    selects the implementation — see the module docstring; every engine
-    produces byte-identical verdicts and error strings.
+    either (returns a list of reports in input order); anything else,
+    alone or in the list, raises :class:`InvalidParameterError`.
+    ``engine`` selects the implementation — see the module docstring;
+    every engine produces byte-identical verdicts and error strings.
     """
     if engine not in ENGINES:
         raise InvalidParameterError(
@@ -216,12 +212,16 @@ def validate(
         "require_minimum_time": require_minimum_time,
         "vertex_disjoint": vertex_disjoint,
     }
-    if isinstance(schedules, ScheduleFrame) or hasattr(schedules, "rounds"):
-        return check(cast("Schedule | ScheduleFrame", schedules), k, **flags)
-    return [
-        check(item, k, **flags)
-        for item in cast("Iterable[Schedule | ScheduleFrame]", schedules)
-    ]
+    if isinstance(schedules, (Schedule, ScheduleFrame)):
+        return check(schedules, k, **flags)
+    try:
+        items = iter(schedules)
+    except TypeError:
+        raise InvalidParameterError(
+            "expected a Schedule, a ScheduleFrame or an iterable of them, "
+            f"got {type(schedules).__name__}"
+        ) from None
+    return [check(item, k, **flags) for item in items]
 
 
 def certificate(

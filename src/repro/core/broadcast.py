@@ -29,7 +29,8 @@ from heapq import merge
 
 from repro.core.routing import reach_and_flip
 from repro.core.sparse_hypercube import SparseHypercube
-from repro.types import Call, InvalidParameterError, Schedule
+from repro.frame import ScheduleBuilder
+from repro.types import InvalidParameterError, Schedule
 from repro.util.bits import flip_dim
 
 __all__ = ["broadcast_schedule", "broadcast_2", "broadcast_k", "phase1_round_calls"]
@@ -37,9 +38,9 @@ __all__ = ["broadcast_schedule", "broadcast_2", "broadcast_k", "phase1_round_cal
 
 def phase1_round_calls(
     sh: SparseHypercube, informed: list[int], dim: int
-) -> list[Call]:
-    """The calls of the Phase-1 round for ``dim`` (> n_1), one per informed
-    vertex, in iteration order.
+) -> list[tuple[int, ...]]:
+    """The call paths of the Phase-1 round for ``dim`` (> n_1), one per
+    informed vertex, in iteration order.
 
     Callers must pass ``informed`` already sorted ascending (as
     :func:`broadcast_schedule` maintains across rounds) to get the
@@ -47,19 +48,15 @@ def phase1_round_calls(
     per-round ``sorted()`` re-sort was a hot-path cost on an
     already-sorted list.
     """
-    calls = []
-    for w in informed:
-        path = reach_and_flip(sh, w, dim)
-        calls.append(Call.via(path))
-    return calls
+    return [reach_and_flip(sh, w, dim) for w in informed]
 
 
-def _merge_receivers(informed: list[int], calls: list[Call]) -> list[int]:
+def _merge_receivers(informed: list[int], paths: list[tuple[int, ...]]) -> list[int]:
     """The informed list after a round, kept sorted: merge the (sorted)
     old list with the round's receivers instead of re-sorting everything.
     The receivers at most double the list, so this is O(N log m) per
     round against the old O(N log N) full sort."""
-    return list(merge(informed, sorted(c.receiver for c in calls)))
+    return list(merge(informed, sorted(p[-1] for p in paths)))
 
 
 def broadcast_schedule(sh: SparseHypercube, source: int) -> Schedule:
@@ -72,22 +69,22 @@ def broadcast_schedule(sh: SparseHypercube, source: int) -> Schedule:
         raise InvalidParameterError(
             f"source {source} out of range [0, {sh.n_vertices})"
         )
-    schedule = Schedule(source=source)
+    builder = ScheduleBuilder(source)
     informed = [source]  # kept sorted ascending across rounds
     # Phase 1 rounds: dimensions n down to n_1 + 1
     for dim in range(sh.n, sh.base_dims, -1):
-        calls = phase1_round_calls(sh, informed, dim)
-        schedule.append_round(calls)
-        informed = _merge_receivers(informed, calls)
+        paths = phase1_round_calls(sh, informed, dim)
+        builder.add_round(paths)
+        informed = _merge_receivers(informed, paths)
     # Phase 2 rounds: dimensions n_1 down to 1 (binomial in core cubes)
     for dim in range(sh.base_dims, 0, -1):
-        calls = [Call.direct(w, flip_dim(w, dim)) for w in informed]
-        schedule.append_round(calls)
-        informed = _merge_receivers(informed, calls)
+        paths = [(w, flip_dim(w, dim)) for w in informed]
+        builder.add_round(paths)
+        informed = _merge_receivers(informed, paths)
     assert len(informed) == sh.n_vertices, (
         f"broadcast reached {len(informed)} of {sh.n_vertices} vertices"
     )
-    return schedule
+    return Schedule.from_frame(builder.build())
 
 
 def broadcast_2(sh: SparseHypercube, source: int) -> Schedule:

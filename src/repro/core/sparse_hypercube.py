@@ -1,7 +1,9 @@
 """The :class:`SparseHypercube` structure: graph + recursion metadata.
 
 A sparse hypercube ``Construct(k, (n, n_{k-1}, …, n_1))`` admits a *flat*
-description that this class records (DESIGN.md, decision 4).  Write
+description that this class records, so deciding whether an edge exists
+reads one label, at the level owning its dimension, without unrolling
+the recursion.  Write
 ``n_0 = 0`` and ``n_k = n``.  Then for every vertex ``u ∈ {0,1}^n``:
 
 * **Base dimensions** ``1 ≤ i ≤ n_1``: the edge ``{u, ⊕_i u}`` always

@@ -9,7 +9,8 @@ constraint never binds and Theorem 1 states the tree lies in ``G_{2h}``.
 The paper proves existence by citing the line-broadcast theorem of [14];
 here we *find* the schedules: exact branch-and-bound for small h,
 randomized capacity-aware heuristic above that, both independently
-validated against Definition 1 (DESIGN.md, decision 5).
+validated against Definition 1, because neither search is trusted to be
+correct by construction.
 """
 
 from __future__ import annotations

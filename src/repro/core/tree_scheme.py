@@ -46,8 +46,9 @@ claim (recorded in EXPERIMENTS.md).
 
 from __future__ import annotations
 
+from repro.frame import ScheduleFrame
 from repro.graphs.trees import balanced_ternary_core_tree
-from repro.types import Call, InvalidParameterError, Schedule
+from repro.types import InvalidParameterError, Schedule
 
 __all__ = ["pump_calls", "rootfed_calls", "ternary_tree_schedule"]
 
@@ -167,18 +168,13 @@ def ternary_tree_schedule(h: int, source: int) -> Schedule:
     roots = [1 + b * block for b in range(3)]
 
     if h == 1:  # K_{1,3}: 2 rounds, handled directly
-        schedule = Schedule(source=source)
         if source == 0:
             r1, r2, r3 = roots
-            schedule.append_round([Call.direct(0, r1)])
-            schedule.append_round([Call.direct(0, r2), Call.via((r1, 0, r3))])
+            star_rounds = [[(0, r1)], [(0, r2), (r1, 0, r3)]]
         else:
             others = [r for r in roots if r != source]
-            schedule.append_round([Call.direct(source, 0)])
-            schedule.append_round(
-                [Call.via((source, 0, others[0])), Call.direct(0, others[1])]
-            )
-        return schedule
+            star_rounds = [[(source, 0)], [(source, 0, others[0]), (0, others[1])]]
+        return Schedule.from_frame(ScheduleFrame.from_paths(source, star_rounds))
 
     def branch_tree(b: int) -> _HeapTree:
         base = roots[b]
@@ -228,10 +224,7 @@ def ternary_tree_schedule(h: int, source: int) -> Schedule:
         for j in range(1, h + 1):
             rounds[j + 1].extend(pump_calls(branch_tree(others[1]), [0], j))
 
-    schedule = Schedule(source=source)
-    for call_paths in rounds:
-        schedule.append_round([Call.via(p) for p in call_paths])
-    return schedule
+    return Schedule.from_frame(ScheduleFrame.from_paths(source, rounds))
 
 
 def _path_to_root(v: int, branch_root: int) -> list[int]:

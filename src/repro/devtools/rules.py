@@ -20,10 +20,6 @@ __all__: list[str] = []
 
 # -- shared helpers ---------------------------------------------------------
 
-_MUTATOR_METHODS = frozenset(
-    {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
-)
-
 # random-module helpers that read or write the hidden module-global state;
 # the class constructors (Random/SystemRandom) are handled separately.
 _RANDOM_CLASSES = frozenset({"Random", "SystemRandom"})
@@ -177,76 +173,39 @@ def rl002_json_sort_keys(ctx: FileContext) -> Iterable[Finding]:
 @rule(
     "RL003",
     "no-frozen-mutation",
-    "no object.__setattr__ or .rounds mutation on frozen schedule "
-    "objects outside frame.py/types.py",
+    "no object.__setattr__ on frozen schedule objects outside "
+    "frame.py/types.py",
 )
 def rl003_no_frozen_mutation(ctx: FileContext) -> Iterable[Finding]:
-    """Frozen ``ScheduleFrame`` / ``Schedule`` objects are immutable.
+    """Frozen ``ScheduleFrame`` objects are immutable.
 
-    PR 5 fixed a silent mutation of a frozen schedule's rounds list;
     ``object.__setattr__`` on anything but ``self`` (the frozen-dataclass
-    ``__post_init__`` idiom) and in-place mutation of ``.rounds`` are now
-    reserved for the builder modules.
+    ``__post_init__`` idiom) bypasses that, so it is reserved for the
+    schedule modules.  A ``Schedule`` needs no check of its own: its
+    ``source`` and ``rounds`` are properties without setters, and
+    ``rounds`` is a tuple.
     """
     if ctx.is_test_file or ctx.in_module("repro/frame.py", "repro/types.py"):
         return
     for node in ctx.walk():
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "__setattr__"
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "object"
-            ):
-                first = node.args[0] if node.args else None
-                if not (isinstance(first, ast.Name) and first.id == "self"):
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        "object.__setattr__ on a non-self target bypasses "
-                        "frozen-object protection; build via "
-                        "frame.ScheduleBuilder",
-                    )
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr in _MUTATOR_METHODS
-                and isinstance(func.value, ast.Attribute)
-                and func.value.attr == "rounds"
-                # self.rounds.append(...) is the builder pattern (a class
-                # growing its own rounds); the bug is mutating another
-                # object's rounds.
-                and not (
-                    isinstance(func.value.value, ast.Name)
-                    and func.value.value.id == "self"
-                )
-            ):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "__setattr__"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "object"
+        ):
+            first = node.args[0] if node.args else None
+            if not (isinstance(first, ast.Name) and first.id == "self"):
                 yield (
                     node.lineno,
                     node.col_offset,
-                    f".rounds.{func.attr}() mutates a schedule in place; "
-                    "use Schedule.append_round or a builder",
+                    "object.__setattr__ on a non-self target bypasses "
+                    "frozen-object protection; build via "
+                    "frame.ScheduleBuilder",
                 )
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (node.targets if isinstance(node, ast.Assign) else [node.target])
-            for target in targets:
-                inner = target
-                if isinstance(inner, ast.Subscript):
-                    inner = inner.value
-                if (
-                    isinstance(inner, ast.Attribute)
-                    and inner.attr == "rounds"
-                    and not (
-                        isinstance(inner.value, ast.Name)
-                        and inner.value.id == "self"
-                    )
-                ):
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        "assignment to .rounds mutates a schedule in "
-                        "place; build a new Schedule instead",
-                    )
 
 
 # -- RL004: registry bypass -------------------------------------------------

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.frame import ScheduleFrame
-from repro.model.validator_fast import ScheduleLayout, flatten_schedule
+from repro.model.validator_fast import ScheduleLayout, flatten_frame
 from repro.types import InvalidParameterError, InvalidScheduleError, Schedule
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "AllSourcesOutcome",
     "translation_group",
     "coset_representatives",
-    "flatten_schedule",
     "all_sources_schedules",
     "validate_all_sources",
 ]
@@ -57,9 +56,10 @@ __all__ = [
 # Stacked schedule representation
 # ---------------------------------------------------------------------------
 #
-# ``ScheduleLayout`` and ``flatten_schedule`` live in
+# ``ScheduleLayout`` and ``flatten_frame`` live in
 # :mod:`repro.model.validator_fast` (one implementation of the index
-# arithmetic, shared with the fast validator) and are re-exported here.
+# arithmetic, shared with the fast validator); the layout is re-exported
+# here.
 
 
 @dataclass
@@ -91,13 +91,14 @@ class StackedSchedules:
         """Row ``i`` as a columnar :class:`~repro.frame.ScheduleFrame`.
 
         By default calls keep their stored order — the exact inverse of
-        :func:`flatten_schedule`, so validation reports list errors in
-        stored order; the frame then shares the stack's layout, so
-        validating many rows never rebuilds it.  ``sort_calls=True``
-        orders each round's calls by ascending caller instead, which is
-        :func:`repro.core.broadcast.broadcast_schedule`'s order — XOR
-        translation permutes callers, so translated rows need the re-sort
-        to match direct generation (pinned by the property tests).  The
+        :func:`~repro.model.validator_fast.flatten_frame`, so validation
+        reports list errors in stored order; the frame then shares the
+        stack's layout, so validating many rows never rebuilds it.
+        ``sort_calls=True`` orders each round's calls by ascending caller
+        instead, which is :func:`repro.core.broadcast.broadcast_schedule`'s
+        order — XOR translation permutes callers, so translated rows need
+        the re-sort to match direct generation (pinned by the property
+        tests).  The
         sort is one ``lexsort`` of (round, caller) and one gather of the
         row; it raises :class:`InvalidScheduleError` if a round holds two
         calls from one caller, the only case in which caller order and
@@ -137,7 +138,7 @@ class StackedSchedules:
         )
 
     def to_schedule(self, i: int, *, sort_calls: bool = False) -> Schedule:
-        """Materialize row ``i`` as a frozen frame-backed :class:`Schedule`.
+        """Row ``i`` as a :class:`Schedule`, a view over :meth:`to_frame`.
 
         See :meth:`to_frame` for call ordering; the object view is lazy,
         so consumers that only read counts or re-validate never pay
@@ -230,7 +231,7 @@ def _coset_stacks(sh, sources) -> tuple[list[StackedSchedules], int]:
                 continue
         else:
             ts = group
-        layout, flat = flatten_schedule(broadcast_schedule(sh, rep))
+        layout, flat = flatten_frame(broadcast_schedule(sh, rep).to_frame())
         # Order the translations by resulting source first, so the XOR
         # broadcast materializes the row block directly in source order
         # (no post-hoc fancy-index copy of the big array).
@@ -330,7 +331,7 @@ def validate_all_sources(
                 require_minimum_time=require_minimum_time,
                 vertex_disjoint=vertex_disjoint,
             )
-            per_source[src] = (report.ok, len(sched.rounds), report.max_call_length)
+            per_source[src] = (report.ok, len(sched), report.max_call_length)
     ordered = sorted(per_source) if sources is None else sources
     return AllSourcesOutcome(
         sources=ordered,

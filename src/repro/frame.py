@@ -1,12 +1,10 @@
 """Columnar schedule core: the library's canonical interchange format.
 
 The paper's object of study (Definition 1) is the broadcast schedule —
-rounds of edge-disjoint k-bounded calls.  Historically the canonical
-representation was :class:`repro.types.Schedule`, a list of rounds of
-frozen ``Call`` dataclasses, and every fast consumer (the bitset
-validator, the batch engine, the campaign drivers) re-flattened it into
-NumPy arrays on each use.  :class:`ScheduleFrame` makes the arrays the
-*primary* representation, CSR-style, mirroring ``Graph.csr_arrays()``:
+rounds of edge-disjoint k-bounded calls.  :class:`ScheduleFrame` holds
+it as NumPy arrays, CSR-style, mirroring ``Graph.csr_arrays()``, so fast
+consumers (the validator, the batch engine, the campaign runner, io)
+never walk per-call objects:
 
 ``path_verts``
     one flat ``int64`` row holding every call's full vertex path,
@@ -20,27 +18,27 @@ NumPy arrays on each use.  :class:`ScheduleFrame` makes the arrays the
 ``source``
     the broadcasting vertex.
 
-Frames are frozen: the dataclass is immutable and every array is marked
+A frame is immutable: the dataclass is frozen and every array is marked
 read-only, so a frame can be shared between validators, caches, and
 processes without defensive copies.  Producers that grow a schedule
-round by round use :class:`ScheduleBuilder` (mutate the builder, not the
-result).  The object API survives as views: ``Schedule.from_frame``
-wraps a frame without materializing a single ``Call``, and conversion in
-both directions is lossless (property-pinned by the test suite).
+round by round use :class:`ScheduleBuilder`.  Every
+:class:`repro.types.Schedule` is a view over exactly one frame:
+``Schedule.from_frame`` wraps a frame without materializing a single
+``Call``, ``Schedule(source, rounds)`` builds its frame once, and
+``to_frame`` returns that frame (property-pinned by the test suite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.types import InvalidParameterError, InvalidScheduleError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types ↔ frame)
-    from repro.types import Call, Schedule
+# ``types`` imports this module lazily (inside ``Schedule``), so importing
+# ``Schedule`` here at module level is cycle-free.
+from repro.types import InvalidParameterError, InvalidScheduleError, Schedule
 
 __all__ = ["ScheduleFrame", "ScheduleBuilder", "as_frame", "as_schedule"]
 
@@ -149,10 +147,9 @@ class ScheduleFrame:
     def informed_after(self, t: int) -> set[int]:
         """Vertices informed after the first ``t`` rounds (source included).
 
-        Replays receivers without checking feasibility, like
-        :meth:`repro.types.Schedule.informed_after`; ``t`` follows Python
-        slice semantics exactly (negative counts from the end), so the
-        frame and the object view always agree.
+        Replays receivers without checking feasibility; ``t`` follows
+        Python slice semantics (negative counts from the end), as a slice
+        of the round tuple ``Schedule.rounds[:t]`` does.
         """
         t = slice(t).indices(self.n_rounds)[1]
         c1 = int(self.round_offsets[t])
@@ -216,23 +213,6 @@ class ScheduleFrame:
             builder.add_round(paths)
         return builder.build()
 
-    @staticmethod
-    def from_schedule(schedule: "Schedule") -> "ScheduleFrame":
-        """The columnar form of an object schedule (lossless)."""
-        cached = schedule.frame_or_none()
-        if cached is not None:
-            return cached
-        return ScheduleFrame.from_paths(
-            schedule.source,
-            ([c.path for c in rnd] for rnd in schedule.rounds),
-        )
-
-    def to_schedule(self) -> "Schedule":
-        """A frozen object view over this frame (rounds materialize lazily)."""
-        from repro.types import Schedule
-
-        return Schedule.from_frame(self)
-
 
 class ScheduleBuilder:
     """Mutable accumulator for :class:`ScheduleFrame` construction.
@@ -268,10 +248,6 @@ class ScheduleBuilder:
             self._call_offsets.append(len(self._flat))
         self._round_offsets.append(self.n_calls)
 
-    def add_call_round(self, calls: Iterable["Call"]) -> None:
-        """Append one round given ``Call`` objects (compat shim)."""
-        self.add_round([c.path for c in calls])
-
     def build(self) -> ScheduleFrame:
         """Snapshot the accumulated rounds into a frozen frame."""
         return ScheduleFrame(
@@ -286,22 +262,22 @@ class ScheduleBuilder:
         )
 
 
-def as_frame(schedule: "Schedule | ScheduleFrame") -> ScheduleFrame:
-    """Coerce a ``Schedule`` or ``ScheduleFrame`` to a frame (lossless)."""
+def as_frame(schedule: Schedule | ScheduleFrame) -> ScheduleFrame:
+    """Coerce a ``Schedule`` or ``ScheduleFrame`` to its frame (lossless)."""
     if isinstance(schedule, ScheduleFrame):
         return schedule
-    if getattr(schedule, "to_frame", None) is None:
-        raise InvalidParameterError(
-            f"expected a Schedule or ScheduleFrame, got {type(schedule).__name__}"
-        )
-    return schedule.to_frame()
+    if isinstance(schedule, Schedule):
+        return schedule.to_frame()
+    raise InvalidParameterError(
+        f"expected a Schedule or ScheduleFrame, got {type(schedule).__name__}"
+    )
 
 
-def as_schedule(schedule: "Schedule | ScheduleFrame") -> "Schedule":
+def as_schedule(schedule: Schedule | ScheduleFrame) -> Schedule:
     """Coerce a ``Schedule`` or ``ScheduleFrame`` to the object view."""
     if isinstance(schedule, ScheduleFrame):
-        return schedule.to_schedule()
-    if hasattr(schedule, "rounds"):
+        return Schedule.from_frame(schedule)
+    if isinstance(schedule, Schedule):
         return schedule
     raise InvalidParameterError(
         f"expected a Schedule or ScheduleFrame, got {type(schedule).__name__}"

@@ -1,7 +1,7 @@
 """Random graph generators used by the test-suite and property tests.
 
 All generators take an explicit ``seed`` and are deterministic given it,
-per the repository's determinism policy (DESIGN.md, decision 6).
+per the repository's determinism policy (CONTRIBUTING.md, invariant 1).
 """
 
 from __future__ import annotations

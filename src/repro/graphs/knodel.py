@@ -22,8 +22,9 @@ scheme to work from every source).
 
 from __future__ import annotations
 
+from repro.frame import ScheduleBuilder
 from repro.graphs.base import Graph
-from repro.types import Call, InvalidParameterError, Schedule
+from repro.types import InvalidParameterError, Schedule
 
 __all__ = ["knodel_graph", "knodel_dimension_neighbor", "knodel_broadcast"]
 
@@ -68,20 +69,20 @@ def knodel_broadcast(delta: int, n_vertices: int, source: int) -> Schedule:
     if not (0 <= source < n_vertices):
         raise InvalidParameterError(f"source {source} out of range")
     rounds = math.ceil(math.log2(n_vertices))
-    schedule = Schedule(source=source)
+    builder = ScheduleBuilder(source)
     informed = [source]
     informed_set = {source}
     for r in range(rounds):
         d = r % delta
-        calls = []
+        paths = []
         claimed: set[int] = set()
         for w in sorted(informed):
             v = knodel_dimension_neighbor(w, d, n_vertices)
             if v in informed_set or v in claimed:
                 continue
-            calls.append(Call.direct(w, v))
+            paths.append((w, v))
             claimed.add(v)
-        schedule.append_round(calls)
+        builder.add_round(paths)
         informed.extend(claimed)
         informed_set |= claimed
-    return schedule
+    return Schedule.from_frame(builder.build())

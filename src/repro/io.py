@@ -134,7 +134,7 @@ def schedule_from_dict(data: dict[str, Any]) -> Schedule:
     Any other marker — a future version, a typo, a foreign payload — is
     an :class:`InvalidParameterError` naming the marker, never a bare
     ``KeyError`` from the v1 parser chewing on the wrong shape.  Both
-    versions load into a frame, returned as a frozen ``Schedule`` view.
+    versions load into a frame, returned as a ``Schedule`` view over it.
     """
     marker = data.get("format")
     if marker == SCHEDULE_FORMAT_V2:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.frame import as_schedule
 from repro.graphs.base import Graph
 from repro.types import (
     Call,
@@ -172,10 +173,7 @@ class LineNetworkSimulator:
         executor is inherently per-call, so the frame is walked through
         its object view.
         """
-        if not hasattr(schedule, "rounds"):  # a ScheduleFrame
-            from repro.frame import as_schedule
-
-            schedule = as_schedule(schedule)
+        schedule = as_schedule(schedule)
         if not (0 <= schedule.source < self.graph.n_vertices):
             raise InvalidScheduleError(f"source {schedule.source} not a vertex")
         informed: set[int] = {schedule.source}

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.frame import ScheduleFrame, as_schedule
 from repro.graphs.base import Graph
 from repro.types import Edge, InvalidScheduleError, Round, Schedule
 
@@ -120,7 +121,7 @@ def validate_round(
 
 def validate_broadcast(
     graph: Graph,
-    schedule: Schedule,
+    schedule: Schedule | ScheduleFrame,
     k: int,
     *,
     require_minimum_time: bool = True,
@@ -135,10 +136,7 @@ def validate_broadcast(
     legibility is the point of the oracle; array-speed lives in
     :mod:`repro.model.validator_fast`).
     """
-    if not hasattr(schedule, "rounds"):  # a ScheduleFrame
-        from repro.frame import as_schedule
-
-        schedule = as_schedule(schedule)
+    schedule = as_schedule(schedule)
     report = ValidationReport(ok=True, rounds=len(schedule.rounds))
     if not (0 <= schedule.source < graph.n_vertices):
         report.errors.append(f"source {schedule.source} not a vertex")

@@ -7,9 +7,9 @@ sweeps (E01/E09/E12 validate a schedule per source per instance).
 
 :class:`FastValidator` checks the same conditions V1–V8 on arrays:
 
-* the whole schedule is flattened once into NumPy arrays (callers,
-  receivers, call lengths, traversed edges) — no per-call Python after
-  that single pass;
+* every schedule is read through its columnar frame, whose offsets give
+  the NumPy arrays (callers, receivers, call lengths, traversed edges)
+  with no per-call Python;
 * edge existence (V1) is one batched ``searchsorted`` of every traversed
   edge (keyed ``min·N + max``) against the graph's sorted key array;
 * the per-round checks V3–V6 run across all rounds at once as sorts and
@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from repro.frame import ScheduleFrame, as_schedule
+from repro.frame import ScheduleFrame, as_frame
 from repro.graphs.base import Graph
 from repro.model.validator import (
     ValidationReport,
@@ -52,7 +51,6 @@ from repro.types import Schedule
 __all__ = [
     "FastValidator",
     "ScheduleLayout",
-    "flatten_schedule",
     "flatten_frame",
     "validate_broadcast_fast",
     "classify_error",
@@ -196,33 +194,6 @@ def flatten_frame(frame: ScheduleFrame) -> tuple[ScheduleLayout, np.ndarray]:
     return layout, frame.path_verts
 
 
-def flatten_schedule(
-    schedule: Schedule | ScheduleFrame,
-) -> tuple[ScheduleLayout, np.ndarray]:
-    """One pass over a schedule: its layout plus the flat path-vertex row.
-
-    Shared by :class:`FastValidator` and the batch engine
-    (:mod:`repro.engine.batch`) — one implementation of the index
-    arithmetic, two consumers.  Frames (and frame-backed schedules) take
-    the columnar shortcut: their layout derives from the offset arrays
-    without touching a single ``Call`` object.
-    """
-    if isinstance(schedule, ScheduleFrame):
-        return flatten_frame(schedule)
-    frame = schedule.frame_or_none()
-    if frame is not None:
-        return flatten_frame(frame)
-    rounds = schedule.rounds
-    paths = [c.path for rnd in rounds for c in rnd.calls]
-    counts = np.fromiter(
-        (len(rnd.calls) for rnd in rounds), dtype=np.int64, count=len(rounds)
-    )
-    lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths)) - 1
-    layout = ScheduleLayout.from_counts(counts, lengths)
-    flat = np.fromiter(chain.from_iterable(paths), dtype=np.int64, count=layout.n_items)
-    return layout, flat
-
-
 @dataclass
 class _FrameScreenState:
     """Validation state derived from one (frame, graph) pair.
@@ -270,20 +241,6 @@ class FastValidator:
         """Which traversed edges are not edges of the graph (V1), batched."""
         return self._edge_keys_sentinel[np.searchsorted(self._edge_keys, keys)] != keys
 
-    def _state(self, layout: ScheduleLayout, flat: np.ndarray) -> _FrameScreenState:
-        """Call endpoints, canonical edge keys and the V1 verdict."""
-        n = self._n
-        us = flat[layout.us_idx]
-        vs = flat[layout.vs_idx]
-        keys = np.minimum(us, vs) * n + np.maximum(us, vs)
-        return _FrameScreenState(
-            graph_ref=weakref.ref(self.graph),
-            sources=flat[layout.path_starts],
-            receivers=flat[layout.path_ends - 1],
-            keys=keys,
-            missing=bool(self._missing_edges(keys).any()),
-        )
-
     def _frame_state(
         self, frame: ScheduleFrame, layout: ScheduleLayout, flat: np.ndarray
     ) -> _FrameScreenState:
@@ -297,7 +254,16 @@ class FastValidator:
         state = getattr(frame, "_screen_state", None)
         if state is not None and state.graph_ref() is self.graph:
             return state
-        state = self._state(layout, flat)
+        us = flat[layout.us_idx]
+        vs = flat[layout.vs_idx]
+        keys = np.minimum(us, vs) * self._n + np.maximum(us, vs)
+        state = _FrameScreenState(
+            graph_ref=weakref.ref(self.graph),
+            sources=flat[layout.path_starts],
+            receivers=flat[layout.path_ends - 1],
+            keys=keys,
+            missing=bool(self._missing_edges(keys).any()),
+        )
         # derived-value cache on the frozen frame (see flatten_frame)
         object.__setattr__(frame, "_screen_state", state)  # repro-lint: disable=RL003
         return state
@@ -461,41 +427,34 @@ class FastValidator:
         """Drop-in equivalent of :func:`repro.model.validator.validate_broadcast`.
 
         Same :class:`ValidationReport`, same error strings in the same
-        order, same verdict.  Accepts the columnar
-        :class:`~repro.frame.ScheduleFrame` directly (or a frame-backed
-        ``Schedule`` view) and never materializes a ``Call`` object:
+        order, same verdict.  Accepts a ``Schedule`` or its columnar
+        :class:`~repro.frame.ScheduleFrame` (it reads the frame either
+        way) and never materializes a ``Call`` object:
         valid schedules are accepted by the vectorized screens, and a
         failing schedule's error strings are computed by one more array
         pass that formats only the flagged calls.  A path vertex outside
         the graph is the one case handed to the reference validator
         whole, which raises :class:`~repro.types.InvalidParameterError`.
         """
+        frame = as_frame(schedule)
         n = self._n
-        if not (0 <= schedule.source < n):
-            report = ValidationReport(ok=False, rounds=len(schedule))
-            report.errors.append(f"source {schedule.source} not a vertex")
+        if not (0 <= frame.source < n):
+            report = ValidationReport(ok=False, rounds=frame.n_rounds)
+            report.errors.append(f"source {frame.source} not a vertex")
             return report
-        layout, flat = flatten_schedule(schedule)
+        layout, flat = flatten_frame(frame)
         if flat.size and bool(((flat < 0) | (flat >= n)).any()):
             # Out-of-range path vertices: the reference raises
             # InvalidParameterError (Graph bounds check) rather than
             # reporting; delegate wholesale to reproduce that exactly.
             return validate_broadcast(
                 self.graph,
-                as_schedule(schedule),
+                frame,
                 k,
                 require_minimum_time=require_minimum_time,
                 vertex_disjoint=vertex_disjoint,
             )
-        frame = (
-            schedule
-            if isinstance(schedule, ScheduleFrame)
-            else schedule.frame_or_none()
-        )
-        if frame is not None:
-            state = self._frame_state(frame, layout, flat)
-        else:
-            state = self._state(layout, flat)
+        state = self._frame_state(frame, layout, flat)
 
         # V1/V2 are clean everywhere: try the fully columnar accept path
         # (per-round checks vectorized across rounds, cached on frames).
@@ -503,13 +462,13 @@ class FastValidator:
         if not state.missing and layout.max_call_length <= k:
             if vertex_disjoint not in state.screen:
                 state.screen[vertex_disjoint] = self._screen_counts(
-                    schedule.source, layout, flat, state, vertex_disjoint
+                    frame.source, layout, flat, state, vertex_disjoint
                 )
             counts = state.screen[vertex_disjoint]
         errors: list[str] = []
         if counts is None:
             errors, counts = self._round_errors(
-                schedule.source, layout, flat, state, k, vertex_disjoint
+                frame.source, layout, flat, state, k, vertex_disjoint
             )
         n_rounds = layout.n_rounds
         report = ValidationReport(

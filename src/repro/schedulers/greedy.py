@@ -212,8 +212,8 @@ def heuristic_line_broadcast(
     ``k = None`` means unbounded call length (the general line model of
     [14]; equivalently k = N−1).  Returns a schedule informing all
     vertices within ``rounds`` (default ⌈log₂N⌉) rounds, or ``None``.
-    The result is a frozen frame-backed view (rounds are accumulated in
-    a :class:`~repro.frame.ScheduleBuilder`, never as per-call objects).
+    The result is a view over the frame its rounds were accumulated in
+    (a :class:`~repro.frame.ScheduleBuilder`, never per-call objects).
 
     Randomness is fully explicit: attempt 0 is deterministic (sorted
     callers, seeded scorer); later attempts shuffle caller order and

@@ -23,7 +23,7 @@ from collections import deque
 
 from repro.graphs.base import Graph
 from repro.model.validator import minimum_broadcast_rounds
-from repro.types import Call, InvalidParameterError, Schedule, canonical_edge
+from repro.types import Call, InvalidParameterError, Round, Schedule, canonical_edge
 
 __all__ = [
     "reachable_paths",
@@ -342,7 +342,7 @@ def heuristic_line_broadcast_legacy(
     for attempt in range(restarts):
         rng = random.Random((seed << 20) ^ attempt)
         informed: set[int] = {source}
-        schedule = Schedule(source=source)
+        rounds_built: list[Round] = []
         ok = True
         for r in range(budget):
             remaining_after = budget - r - 1
@@ -358,7 +358,7 @@ def heuristic_line_broadcast_legacy(
             if uninformed_left > 0 and not calls:
                 ok = False
                 break
-            schedule.append_round(calls)
+            rounds_built.append(Round(tuple(calls)))
             informed.update(c.receiver for c in calls)
             if (
                 uninformed_left > 0
@@ -367,7 +367,5 @@ def heuristic_line_broadcast_legacy(
                 ok = False
                 break
         if ok and len(informed) == n:
-            # The oracle boundary matches the engine schedulers: results
-            # are frozen once handed out (builders mutate, results don't).
-            return schedule.freeze()
+            return Schedule(source, rounds_built)
     return None

@@ -71,10 +71,10 @@ class ScheduleRequest:
 class ScheduleResult:
     """A strategy's answer to a :class:`ScheduleRequest`.
 
-    A found schedule is carried in both representations: ``frame`` is
-    the canonical columnar :class:`~repro.frame.ScheduleFrame` (what io,
-    the validators, and the batch engine consume), ``schedule`` the
-    frozen object view over the same frame.
+    A found schedule is carried twice: ``frame`` is the canonical
+    columnar :class:`~repro.frame.ScheduleFrame` (what io, the
+    validators, and the batch engine consume), ``schedule`` the object
+    view over that same frame.
     """
 
     scheduler: str
@@ -163,12 +163,12 @@ def run_scheduler(
     """Run one registered strategy and wrap its answer in a
     :class:`ScheduleResult`.
 
-    Every found schedule comes back **frozen** (builder mutates, result
-    doesn't) with its columnar frame attached.  With ``validate=True``
-    (the default) the result is checked through :func:`repro.api.validate`
-    — engine ``auto``, whose verdicts and error strings equal the
-    reference validator's exactly — and minimum-time is required exactly
-    when the request left the round budget at the minimum.
+    Every found schedule comes back with its columnar frame attached.
+    With ``validate=True`` (the default) the result is checked through
+    :func:`repro.api.validate` — engine ``auto``, whose verdicts and error
+    strings equal the reference validator's exactly — and minimum-time is
+    required exactly when the request left the round budget at the
+    minimum.
     """
     spec = get_scheduler(name)
     t0 = time.perf_counter()
@@ -177,7 +177,7 @@ def run_scheduler(
     valid: bool | None = None
     frame: ScheduleFrame | None = None
     if sched is not None:
-        frame = sched.freeze().to_frame()
+        frame = sched.to_frame()
     if validate and sched is not None:
         from repro.api import validate as api_validate
 

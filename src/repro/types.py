@@ -15,8 +15,9 @@ defined here:
     The set of calls placed during one time unit.
 
 ``Schedule``
-    An ordered list of rounds, together with the source vertex, modelling a
-    complete broadcast.
+    An ordered tuple of rounds, together with the source vertex, modelling a
+    complete broadcast; a read-only view over its columnar
+    :class:`repro.frame.ScheduleFrame`.
 
 Vertices are plain Python ``int``s throughout the library.  For hypercube
 derived graphs the integer encodes the bit string: *dimension i* of the
@@ -27,7 +28,7 @@ paper (1-indexed, dimension 1 = least significant bit) corresponds to bit
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, NoReturn, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.frame import ScheduleFrame
@@ -175,138 +176,71 @@ class Round:
         return max((c.length for c in self.calls), default=0)
 
 
-class _FrozenRounds(list["Round"]):
-    """A list view that rejects mutation (rounds of a frozen schedule)."""
-
-    def _reject(self, *_args: object, **_kwargs: object) -> NoReturn:
-        raise InvalidParameterError("schedule is frozen; its rounds cannot be mutated")
-
-    # the mutators deliberately do not match list's signatures
-    append = extend = insert = remove = clear = _reject  # type: ignore[assignment]
-    pop = sort = reverse = _reject  # type: ignore[assignment]
-    __setitem__ = __delitem__ = _reject  # type: ignore[assignment]
-    __iadd__ = __imul__ = _reject  # type: ignore[assignment]
-
-
 class Schedule:
-    """A complete broadcast schedule: the source plus an ordered round list.
+    """A complete broadcast schedule: the source plus an ordered tuple of rounds.
 
     A schedule makes **no** claims about its own validity; use
     :func:`repro.api.validate` (or the simulator) to check it against a
     graph and a call-length bound ``k``.
 
-    Since the columnar redesign a ``Schedule`` is a *view* over the
-    canonical interchange format, :class:`repro.frame.ScheduleFrame`:
+    A ``Schedule`` is immutable from construction: it is a view over one
+    :class:`repro.frame.ScheduleFrame`, the canonical interchange format,
+    and has no mutators.
 
-    * ``Schedule.from_frame(frame)`` wraps a frame without materializing
-      any ``Call`` objects — rounds are built lazily on first access, so
-      array-native consumers (the fast validator) never pay
-      object-per-call cost;
-    * ``schedule.to_frame()`` is the lossless inverse (property-pinned);
-    * schedulers and engines return **frozen** schedules (builder mutates,
-      result doesn't): ``append_round`` and round-list mutation raise on a
-      frozen schedule.
+    * ``Schedule(source, rounds)`` builds the frame once from ``Round``
+      objects;
+    * ``Schedule.from_frame(frame)`` wraps an existing frame without
+      materializing any ``Call`` objects — ``rounds`` is built lazily on
+      first access, so array-native consumers (the fast validator) never
+      pay object-per-call cost;
+    * ``schedule.to_frame()`` returns that same frame object every time.
+
+    Producers that grow a schedule round by round use
+    :class:`repro.frame.ScheduleBuilder` and wrap the frame it builds.
     """
 
-    __slots__ = ("source", "_rounds", "_frame", "_frozen")
+    __slots__ = ("_frame", "_rounds")
 
-    source: Vertex
-    _rounds: list[Round] | None
-    _frame: "ScheduleFrame | None"
-    _frozen: bool
+    _frame: "ScheduleFrame"
+    _rounds: tuple[Round, ...] | None
 
-    def __init__(
-        self,
-        source: Vertex,
-        rounds: Sequence[Round] | None = None,
-    ) -> None:
-        self.source = source
-        self._rounds = list(rounds) if rounds is not None else []
-        self._frame = None
-        self._frozen = False
+    def __init__(self, source: Vertex, rounds: Iterable[Round] = ()) -> None:
+        from repro.frame import ScheduleFrame
 
-    # -- frame interop ------------------------------------------------------
+        self._rounds = tuple(rounds)
+        self._frame = ScheduleFrame.from_paths(
+            source, ([c.path for c in rnd.calls] for rnd in self._rounds)
+        )
 
     @classmethod
     def from_frame(cls, frame: "ScheduleFrame") -> "Schedule":
-        """A frozen object view over a :class:`~repro.frame.ScheduleFrame`.
+        """An object view over a :class:`~repro.frame.ScheduleFrame`.
 
         No ``Call``/``Round`` objects are created until ``rounds`` is
         first touched; consumers that speak arrays (the fast validator,
         the batch engine, io) read the frame directly.
         """
         schedule = cls.__new__(cls)
-        schedule.source = frame.source
-        schedule._rounds = None
         schedule._frame = frame
-        schedule._frozen = True
+        schedule._rounds = None
         return schedule
 
     def to_frame(self) -> "ScheduleFrame":
-        """The columnar form of this schedule (lossless round-trip).
-
-        Frozen schedules cache the frame; mutable ones rebuild it per
-        call (the rounds may change under us).
-        """
-        if self._frame is not None:
-            return self._frame
-        from repro.frame import ScheduleFrame
-
-        assert self._rounds is not None  # no frame implies explicit rounds
-        frame = ScheduleFrame.from_paths(
-            self.source, ([c.path for c in rnd] for rnd in self._rounds)
-        )
-        if self._frozen:
-            self._frame = frame
-        return frame
-
-    def frame_or_none(self) -> "ScheduleFrame | None":
-        """The cached frame if this schedule already has one (no build)."""
+        """The columnar form of this schedule (the same object on every call)."""
         return self._frame
 
-    # -- rounds view --------------------------------------------------------
+    @property
+    def source(self) -> Vertex:
+        return self._frame.source
 
     @property
-    def rounds(self) -> list[Round]:
+    def rounds(self) -> tuple[Round, ...]:
         if self._rounds is None:
-            assert self._frame is not None  # lazy rounds come from a frame
-            self._rounds = _FrozenRounds(
+            self._rounds = tuple(
                 Round(tuple(Call.via(p) for p in paths))
                 for paths in self._frame.iter_round_paths()
             )
         return self._rounds
-
-    @rounds.setter
-    def rounds(self, value: Sequence[Round]) -> None:
-        if self._frozen:
-            raise InvalidParameterError("schedule is frozen; cannot replace its rounds")
-        self._rounds = list(value)
-        self._frame = None
-
-    def append_round(self, calls: Sequence[Call]) -> None:
-        if self._frozen:
-            raise InvalidParameterError("schedule is frozen; cannot append rounds")
-        self._frame = None
-        assert self._rounds is not None  # mutable schedules hold a list
-        self._rounds.append(Round(tuple(calls)))
-
-    # -- freezing -----------------------------------------------------------
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def freeze(self) -> "Schedule":
-        """Mark the schedule immutable and return ``self`` (for chaining).
-
-        Schedulers and the batch engine freeze every schedule they hand
-        out, so a validated result cannot be silently edited afterwards.
-        """
-        if not self._frozen:
-            self._frozen = True
-            if self._rounds is not None and not isinstance(self._rounds, _FrozenRounds):
-                self._rounds = _FrozenRounds(self._rounds)
-        return self
 
     # -- inspection ---------------------------------------------------------
 
@@ -314,27 +248,15 @@ class Schedule:
         return iter(self.rounds)
 
     def __len__(self) -> int:
-        if self._rounds is None:
-            assert self._frame is not None
-            return self._frame.n_rounds
-        return len(self._rounds)
+        return self._frame.n_rounds
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Schedule):
             return NotImplemented
-        if self.source != other.source:
-            return False
-        if self._frame is not None and self._frame is other._frame:
-            return True
-        return list(self.rounds) == list(other.rounds)
-
-    __hash__ = None  # type: ignore[assignment]  # mutable container semantics
+        return self._frame == other._frame
 
     def __repr__(self) -> str:
-        return (
-            f"Schedule(source={self.source}, rounds={len(self)}"
-            f"{', frozen' if self._frozen else ''})"
-        )
+        return f"Schedule(source={self.source}, rounds={len(self)})"
 
     @property
     def num_rounds(self) -> int:
@@ -342,17 +264,11 @@ class Schedule:
 
     @property
     def num_calls(self) -> int:
-        if self._rounds is None:
-            assert self._frame is not None
-            return self._frame.n_calls
-        return sum(len(r) for r in self._rounds)
+        return self._frame.n_calls
 
     def max_call_length(self) -> int:
         """The longest call in the schedule (the schedule's effective ``k``)."""
-        if self._rounds is None:
-            assert self._frame is not None
-            return self._frame.max_call_length()
-        return max((r.max_call_length() for r in self._rounds), default=0)
+        return self._frame.max_call_length()
 
     def informed_after(self, t: int) -> set[Vertex]:
         """Vertices informed after the first ``t`` rounds (source included).
@@ -360,13 +276,7 @@ class Schedule:
         This replays receivers without checking feasibility; it is a
         convenience for inspection, not a validator.
         """
-        if self._rounds is None:
-            assert self._frame is not None
-            return self._frame.informed_after(t)
-        informed = {self.source}
-        for r in self._rounds[:t]:
-            informed.update(r.receivers())
-        return informed
+        return self._frame.informed_after(t)
 
     def all_informed(self) -> set[Vertex]:
         return self.informed_after(len(self))

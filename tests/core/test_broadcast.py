@@ -145,23 +145,22 @@ class TestCallOrderPinned:
     def test_matches_per_round_resort_reference(self):
         """Recompute the schedule with the pre-fix per-round ``sorted()``
         logic and pin exact equality."""
-        from repro.core.broadcast import phase1_round_calls
         from repro.core.routing import reach_and_flip
-        from repro.types import Call, Schedule
+        from repro.types import Call, Round, Schedule
         from repro.util.bits import flip_dim
 
         def reference(sh, source):
-            schedule = Schedule(source=source)
+            rounds = []
             informed = [source]
             for dim in range(sh.n, sh.base_dims, -1):
                 calls = [Call.via(reach_and_flip(sh, w, dim)) for w in sorted(informed)]
-                schedule.append_round(calls)
+                rounds.append(Round(tuple(calls)))
                 informed.extend(c.receiver for c in calls)
             for dim in range(sh.base_dims, 0, -1):
                 calls = [Call.direct(w, flip_dim(w, dim)) for w in sorted(informed)]
-                schedule.append_round(calls)
+                rounds.append(Round(tuple(calls)))
                 informed.extend(c.receiver for c in calls)
-            return schedule
+            return Schedule(source=source, rounds=rounds)
 
         for sh in (construct_base(5, 2), construct(3, 7, (2, 4))):
             for source in (0, 3, sh.n_vertices - 1):
@@ -178,4 +177,4 @@ class TestCallOrderPinned:
 
         forward = phase1_round_calls(sh, informed, sh.n - 1)
         backward = phase1_round_calls(sh, list(reversed(informed)), sh.n - 1)
-        assert [c.source for c in forward] == [c.source for c in reversed(backward)]
+        assert [p[0] for p in forward] == [p[0] for p in reversed(backward)]

@@ -10,7 +10,7 @@ from repro.core.tree_scheme import (
 )
 from repro.graphs.trees import balanced_ternary_core_tree, complete_binary_tree
 from repro.model.validator import minimum_broadcast_rounds, validate_broadcast
-from repro.types import Call, InvalidParameterError, Schedule
+from repro.types import Call, InvalidParameterError, Round, Schedule
 
 
 class TestPumpPrimitive:
@@ -29,9 +29,13 @@ class TestPumpPrimitive:
                     edges.append((1 + local, 1 + child))
         g = Graph(size + 1, edges)
         tree = _HeapTree(s, lambda x: 1 + x)
-        schedule = Schedule(source=0)
-        for i in range(1, s + 2):
-            schedule.append_round([Call.via(p) for p in pump_calls(tree, [0], i)])
+        schedule = Schedule(
+            source=0,
+            rounds=[
+                Round(tuple(Call.via(p) for p in pump_calls(tree, [0], i)))
+                for i in range(1, s + 2)
+            ],
+        )
         rep = validate_broadcast(g, schedule, k=size, require_minimum_time=False)
         assert rep.ok, rep.errors[:3]
         assert len(schedule.rounds) == s + 1
@@ -60,9 +64,13 @@ class TestRootFedPrimitive:
     def test_rootfed_completes_in_s_plus_1_rounds(self, s):
         g = complete_binary_tree(s)
         tree = _HeapTree(s, lambda x: x)
-        schedule = Schedule(source=0)
-        for j in range(1, s + 2):
-            schedule.append_round([Call.via(p) for p in rootfed_calls(tree, j)])
+        schedule = Schedule(
+            source=0,
+            rounds=[
+                Round(tuple(Call.via(p) for p in rootfed_calls(tree, j)))
+                for j in range(1, s + 2)
+            ],
+        )
         rep = validate_broadcast(
             g, schedule, k=g.n_vertices, require_minimum_time=False
         )

@@ -164,28 +164,6 @@ class TestRL003FrozenMutation:
             """
         assert run_rule(tmp_path, good, "RL003") == []
 
-    def test_foreign_rounds_append_flagged(self, tmp_path):
-        bad = """\
-            def merge(schedule, extra):
-                schedule.rounds.append(extra)
-            """
-        assert_flagged(run_rule(tmp_path, bad, "RL003"), "RL003", 2)
-
-    def test_own_rounds_append_passes(self, tmp_path):
-        good = """\
-            class Builder:
-                def add(self, r):
-                    self.rounds.append(r)
-            """
-        assert run_rule(tmp_path, good, "RL003") == []
-
-    def test_rounds_assignment_flagged(self, tmp_path):
-        bad = """\
-            def clobber(schedule):
-                schedule.rounds = []
-            """
-        assert_flagged(run_rule(tmp_path, bad, "RL003"), "RL003", 2)
-
     def test_builder_modules_exempt(self, tmp_path):
         bad = """\
             def attach(frame, layout):

@@ -9,10 +9,10 @@ from repro.engine import batch
 from repro.engine.batch import (
     all_sources_schedules,
     coset_representatives,
-    flatten_schedule,
     translation_group,
     validate_all_sources,
 )
+from repro.model.validator_fast import flatten_frame
 from repro.model.validator import validate_broadcast
 from repro.types import (
     Call,
@@ -115,14 +115,14 @@ class TestStackSchedules:
         sh = construct_base(4, 2)
         (stack, *_rest) = all_sources_schedules(sh)
         for i in (0, stack.n_schedules - 1):
-            layout, flat = flatten_schedule(stack.to_frame(i))
+            layout, flat = flatten_frame(stack.to_frame(i))
             assert layout is stack.layout
             assert np.array_equal(flat, stack.flat[i])
 
     def test_sort_calls_rejects_a_repeated_caller(self):
         """Two calls from one caller in a round: no caller order exists."""
         sched = Schedule(source=0, rounds=[Round((Call.via((0, 1)), Call.via((0, 2))))])
-        layout, flat = flatten_schedule(sched)
+        layout, flat = flatten_frame(sched.to_frame())
         stack = batch.StackedSchedules(
             layout=layout, sources=np.array([0]), flat=flat[None, :]
         )
@@ -133,9 +133,9 @@ class TestStackSchedules:
     def test_flatten_layout_key_discriminates(self):
         sh = construct_base(4, 2)
         a = broadcast_schedule(sh, 0)
-        b = Schedule(source=0, rounds=list(a.rounds[:-1]))
-        la, _ = flatten_schedule(a)
-        lb, _ = flatten_schedule(b)
+        b = Schedule(source=0, rounds=a.rounds[:-1])
+        la, _ = flatten_frame(a.to_frame())
+        lb, _ = flatten_frame(b.to_frame())
         assert la.key() != lb.key()
 
 

@@ -77,10 +77,9 @@ class TestFullPipeline:
         # corrupt: duplicate the first call of round 2 into round 1
         from repro.types import Round, Schedule
 
-        bad = Schedule(source=0)
-        bad.rounds = list(sched.rounds)
-        extra = sched.rounds[1].calls[0]
-        bad.rounds[0] = Round(tuple(sched.rounds[0].calls + (extra,)))
+        rounds = list(sched.rounds)
+        rounds[0] = Round(rounds[0].calls + (rounds[1].calls[0],))
+        bad = Schedule(source=0, rounds=rounds)
         rep = validate_broadcast(g, bad, 2)
         assert not rep.ok
         sim = LineNetworkSimulator(g, k=2, strict=False)

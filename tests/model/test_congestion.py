@@ -46,9 +46,10 @@ class TestMinBandwidth:
         sh = construct_base(6, 2)
         a = broadcast_schedule(sh, 0)
         b = broadcast_schedule(sh, sh.n_vertices - 1)
-        merged = Schedule(source=0)
-        for r1, r2 in zip(a.rounds, b.rounds):
-            merged.rounds.append(Round(tuple(r1.calls + r2.calls)))
+        merged = Schedule(
+            source=0,
+            rounds=[Round(r1.calls + r2.calls) for r1, r2 in zip(a.rounds, b.rounds)],
+        )
         assert min_feasible_bandwidth(sh.graph, merged) >= 2
 
     def test_empty_schedule(self):

@@ -6,7 +6,13 @@ from repro.core.broadcast import broadcast_schedule
 from repro.core.construct import construct, construct_base
 from repro.graphs.trees import star
 from repro.model.simulator import LineNetworkSimulator
-from repro.types import Call, InvalidScheduleError, Round, Schedule
+from repro.types import (
+    Call,
+    InvalidParameterError,
+    InvalidScheduleError,
+    Round,
+    Schedule,
+)
 
 
 class TestExecuteRound:
@@ -121,6 +127,16 @@ class TestFullRun:
         with pytest.raises(InvalidScheduleError):
             sim.run(Schedule(source=99))
 
+    def test_non_schedule_input_rejected(self):
+        """Regression: a ``ScheduleResult`` (whose ``rounds`` is an int)
+        was taken for a schedule and crashed with a ``TypeError``."""
+        from repro import api
+
+        result = api.schedule("hypercube:3", "search", k=1)
+        sim = LineNetworkSimulator(api.build_graph("hypercube:3"), k=1)
+        with pytest.raises(InvalidParameterError, match="ScheduleResult"):
+            sim.run(result)
+
 
 class TestFastCompletionPath:
     """``broadcast_completes`` short-circuits through the bitset fast
@@ -136,16 +152,15 @@ class TestFastCompletionPath:
     def test_invalid_schedule_still_raises_in_strict_mode(self):
         g = star(4)
         sim = LineNetworkSimulator(g, k=1, strict=True)
-        sched = Schedule(source=0)
-        sched.append_round([Call.via((0, 1, 0))])  # not a path; rejected
+        # not a path; rejected
+        sched = Schedule(source=0, rounds=[Round((Call.via((0, 1, 0)),))])
         with pytest.raises(InvalidScheduleError):
             sim.broadcast_completes(sched)
 
     def test_incomplete_schedule_lenient_mode(self):
         g = star(4)
         sim = LineNetworkSimulator(g, k=2, strict=False)
-        sched = Schedule(source=0)
-        sched.append_round([Call.direct(0, 1)])
+        sched = Schedule(source=0, rounds=[Round((Call.direct(0, 1),))])
         assert not sim.broadcast_completes(sched)
 
     def test_rejected_calls_can_still_complete(self):
@@ -154,10 +169,14 @@ class TestFastCompletionPath:
         preserve that verdict."""
         g = star(4)
         sim = LineNetworkSimulator(g, k=2, strict=False)
-        sched = Schedule(source=0)
-        sched.append_round([Call.direct(0, 1)])
-        sched.append_round([Call.direct(0, 2), Call.direct(1, 0)])  # 1->0 invalid
-        sched.append_round([Call.direct(0, 3)])
+        sched = Schedule(
+            source=0,
+            rounds=[
+                Round((Call.direct(0, 1),)),
+                Round((Call.direct(0, 2), Call.direct(1, 0))),  # 1->0 invalid
+                Round((Call.direct(0, 3),)),
+            ],
+        )
         assert sim.broadcast_completes(sched)
 
     def test_bandwidth_two_skips_fast_path(self):

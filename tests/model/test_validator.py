@@ -78,27 +78,32 @@ class TestRoundValidation:
 class TestBroadcastValidation:
     def test_valid_binomial_on_q2(self):
         g = hypercube(2)
-        sched = Schedule(source=0)
-        sched.append_round([Call.direct(0, 2)])
-        sched.append_round([Call.direct(0, 1), Call.direct(2, 3)])
+        sched = Schedule(
+            source=0,
+            rounds=[
+                Round((Call.direct(0, 2),)),
+                Round((Call.direct(0, 1), Call.direct(2, 3))),
+            ],
+        )
         rep = validate_broadcast(g, sched, 1)
         assert rep.ok
         assert rep.informed_per_round == [2, 4]
 
     def test_incomplete_detected(self):
         g = hypercube(2)
-        sched = Schedule(source=0)
-        sched.append_round([Call.direct(0, 1)])
-        sched.append_round([Call.direct(0, 2)])
+        sched = Schedule(
+            source=0,
+            rounds=[Round((Call.direct(0, 1),)), Round((Call.direct(0, 2),))],
+        )
         rep = validate_broadcast(g, sched, 1)
         assert not rep.ok
         assert any("incomplete" in e for e in rep.errors)
 
     def test_minimum_time_enforced(self):
         g = path_graph(4)
-        sched = Schedule(source=0)
-        for v in (1, 2, 3):
-            sched.append_round([Call.direct(v - 1, v)])
+        sched = Schedule(
+            source=0, rounds=[Round((Call.direct(v - 1, v),)) for v in (1, 2, 3)]
+        )
         rep = validate_broadcast(g, sched, 1)
         assert not rep.ok  # 3 rounds > ⌈log2 4⌉ = 2
         rep2 = validate_broadcast(g, sched, 1, require_minimum_time=False)

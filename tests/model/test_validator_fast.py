@@ -44,10 +44,10 @@ def diamond() -> Graph:
 
 
 def sched(rounds: list[list[tuple[int, ...]]], source: int = 0) -> Schedule:
-    s = Schedule(source=source)
-    for rnd in rounds:
-        s.rounds.append(Round(tuple(Call.via(path) for path in rnd)))
-    return s
+    return Schedule(
+        source=source,
+        rounds=[Round(tuple(Call.via(path) for path in rnd)) for rnd in rounds],
+    )
 
 
 class TestValidSchedules:

@@ -103,12 +103,12 @@ def test_validate_all_sources_equals_per_source_loop(sh):
 
 def _mutate(g, sched, rng):
     """One random structural mutation (or none); returns the schedule."""
-    out = Schedule(source=sched.source, rounds=list(sched.rounds))
     mode = rng.randrange(7)
     if mode == 0:
-        return out  # untouched
-    r = rng.randrange(len(out.rounds))
-    calls = list(out.rounds[r].calls)
+        return sched  # untouched
+    source, rounds = sched.source, list(sched.rounds)
+    r = rng.randrange(len(rounds))
+    calls = list(rounds[r].calls)
     if mode == 1 and calls:  # duplicate call: dup caller + edge + receiver
         calls.append(calls[rng.randrange(len(calls))])
     elif mode == 2 and calls:  # drop a call → incomplete broadcast
@@ -127,12 +127,11 @@ def _mutate(g, sched, rng):
         if len(walk) > 1:
             calls.append(Call.via(walk))
     elif mode == 5:  # duplicated round
-        out.rounds.append(out.rounds[r])
-        return out
+        rounds.append(rounds[r])
     elif mode == 6:  # bad source
-        out.source = g.n_vertices + 1
-    out.rounds[r] = Round(tuple(calls))
-    return out
+        source = g.n_vertices + 1
+    rounds[r] = Round(tuple(calls))
+    return Schedule(source=source, rounds=rounds)
 
 
 @COMMON

@@ -33,12 +33,11 @@ COMMON = settings(
 )
 
 
-def copy_schedule(sched: Schedule) -> Schedule:
-    return Schedule(source=sched.source, rounds=list(sched.rounds))
-
-
-def replace_round(sched: Schedule, idx: int, calls: tuple[Call, ...]) -> None:
-    sched.rounds[idx] = Round(calls)
+def replace_round(sched: Schedule, idx: int, calls: tuple[Call, ...]) -> Schedule:
+    """A new schedule: ``sched`` with round ``idx`` holding ``calls``."""
+    rounds = list(sched.rounds)
+    rounds[idx] = Round(calls)
+    return Schedule(source=sched.source, rounds=rounds)
 
 
 # -- mutations: each returns (schedule, k) ----------------------------------
@@ -50,46 +49,42 @@ def mut_identity(g, sched, k, rng):
 def mut_duplicate_call(g, sched, k, rng):
     """Same caller, path and receiver twice → duplicate caller + shared
     edge + shared receiver, all in one round."""
-    out = copy_schedule(sched)
-    r = rng.randrange(len(out.rounds))
-    calls = out.rounds[r].calls
+    r = rng.randrange(len(sched.rounds))
+    calls = sched.rounds[r].calls
     if not calls:
-        return out, k
-    replace_round(out, r, calls + (calls[rng.randrange(len(calls))],))
-    return out, k
+        return sched, k
+    return replace_round(sched, r, calls + (calls[rng.randrange(len(calls))],)), k
 
 
 def mut_reverse_call(g, sched, k, rng):
     """Reversed path: the new caller is the just-informed receiver."""
-    out = copy_schedule(sched)
-    r = rng.randrange(len(out.rounds))
-    calls = list(out.rounds[r].calls)
+    r = rng.randrange(len(sched.rounds))
+    calls = list(sched.rounds[r].calls)
     if not calls:
-        return out, k
+        return sched, k
     i = rng.randrange(len(calls))
     calls[i] = Call.via(tuple(reversed(calls[i].path)))
-    replace_round(out, r, tuple(calls))
-    return out, k
+    return replace_round(sched, r, tuple(calls)), k
 
 
 def mut_drop_round(g, sched, k, rng):
     """Removing a round breaks completeness and/or minimum time, and can
     leave later callers uninformed."""
-    out = copy_schedule(sched)
-    if len(out.rounds) <= 1:
-        return out, k
-    del out.rounds[rng.randrange(len(out.rounds))]
-    return out, k
+    rounds = list(sched.rounds)
+    if len(rounds) <= 1:
+        return sched, k
+    del rounds[rng.randrange(len(rounds))]
+    return Schedule(source=sched.source, rounds=rounds), k
 
 
 def mut_swap_rounds(g, sched, k, rng):
     """Swapping adjacent rounds makes later-phase callers uninformed."""
-    out = copy_schedule(sched)
-    if len(out.rounds) < 2:
-        return out, k
-    r = rng.randrange(len(out.rounds) - 1)
-    out.rounds[r], out.rounds[r + 1] = out.rounds[r + 1], out.rounds[r]
-    return out, k
+    rounds = list(sched.rounds)
+    if len(rounds) < 2:
+        return sched, k
+    r = rng.randrange(len(rounds) - 1)
+    rounds[r], rounds[r + 1] = rounds[r + 1], rounds[r]
+    return Schedule(source=sched.source, rounds=rounds), k
 
 
 def mut_shrink_k(g, sched, k, rng):
@@ -99,7 +94,6 @@ def mut_shrink_k(g, sched, k, rng):
 
 def mut_bad_path(g, sched, k, rng):
     """Replace one call's path with a non-edge hop."""
-    out = copy_schedule(sched)
     n = g.n_vertices
     non_edge = None
     for u in range(n):
@@ -110,45 +104,39 @@ def mut_bad_path(g, sched, k, rng):
         if non_edge:
             break
     if non_edge is None:  # complete graph; nothing to corrupt
-        return out, k
-    r = rng.randrange(len(out.rounds))
-    calls = list(out.rounds[r].calls)
+        return sched, k
+    r = rng.randrange(len(sched.rounds))
+    calls = list(sched.rounds[r].calls)
     if not calls:
-        return out, k
+        return sched, k
     calls[rng.randrange(len(calls))] = Call.via(non_edge)
-    replace_round(out, r, tuple(calls))
-    return out, k
+    return replace_round(sched, r, tuple(calls)), k
 
 
 def mut_echo_previous_round(g, sched, k, rng):
     """Copy a round-r call into round r+1: its receiver is already
     informed there (and the caller may place a second call)."""
-    out = copy_schedule(sched)
-    if len(out.rounds) < 2:
-        return out, k
-    r = rng.randrange(len(out.rounds) - 1)
-    prev = out.rounds[r].calls
+    if len(sched.rounds) < 2:
+        return sched, k
+    r = rng.randrange(len(sched.rounds) - 1)
+    prev = sched.rounds[r].calls
     if not prev:
-        return out, k
-    replace_round(
-        out, r + 1, out.rounds[r + 1].calls + (prev[rng.randrange(len(prev))],)
-    )
-    return out, k
+        return sched, k
+    echo = prev[rng.randrange(len(prev))]
+    return replace_round(sched, r + 1, sched.rounds[r + 1].calls + (echo,)), k
 
 
 def mut_reuse_own_edge(g, sched, k, rng):
     """Turn a call ``a -> b -> ...`` into ``(a, b, a)``: it crosses its
     own first edge twice and calls back its own (informed) caller."""
-    out = copy_schedule(sched)
-    r = rng.randrange(len(out.rounds))
-    calls = list(out.rounds[r].calls)
+    r = rng.randrange(len(sched.rounds))
+    calls = list(sched.rounds[r].calls)
     if not calls:
-        return out, k
+        return sched, k
     i = rng.randrange(len(calls))
     a, b = calls[i].path[:2]
     calls[i] = Call.via((a, b, a))
-    replace_round(out, r, tuple(calls))
-    return out, k
+    return replace_round(sched, r, tuple(calls)), k
 
 
 def mut_failed_attempt_first(g, sched, k, rng):
@@ -156,16 +144,14 @@ def mut_failed_attempt_first(g, sched, k, rng):
     caller, receiver, edges and vertices, but a self-loop hop makes the
     path invalid, so the reference reports only that and the real call
     after it stays clean."""
-    out = copy_schedule(sched)
-    r = rng.randrange(len(out.rounds))
-    calls = list(out.rounds[r].calls)
+    r = rng.randrange(len(sched.rounds))
+    calls = list(sched.rounds[r].calls)
     if not calls:
-        return out, k
+        return sched, k
     i = rng.randrange(len(calls))
     path = calls[i].path
     calls.insert(i, Call.via((path[0], *path)))
-    replace_round(out, r, tuple(calls))
-    return out, k
+    return replace_round(sched, r, tuple(calls)), k
 
 
 MUTATIONS = [

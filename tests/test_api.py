@@ -29,7 +29,7 @@ class TestSchedule:
         result = api.schedule("hypercube:3", "search", k=1)
         assert result.found and result.valid
         assert isinstance(result.frame, ScheduleFrame)
-        assert result.schedule.frozen
+        assert isinstance(result.schedule.rounds, tuple)
         assert result.schedule.to_frame() is result.frame
         assert result.rounds == result.frame.n_rounds == 3
 
@@ -48,10 +48,9 @@ def _valid_instance():
 
 
 def _corrupt(sched: Schedule) -> Schedule:
-    bad = Schedule(source=sched.source, rounds=list(sched.rounds))
-    extra = bad.rounds[0].calls[0]
-    bad.rounds[1] = Round(bad.rounds[1].calls + (extra,))
-    return bad
+    rounds = list(sched.rounds)
+    rounds[1] = Round(rounds[1].calls + (rounds[0].calls[0],))
+    return Schedule(source=sched.source, rounds=rounds)
 
 
 class TestValidate:
@@ -93,8 +92,7 @@ class TestValidate:
         and a list — never a raw numpy IndexError."""
         g = construct_base(3, 1).graph
         for v in (g.n_vertices, -1):
-            sched = Schedule(source=0)
-            sched.append_round([Call.via((0, v))])
+            sched = Schedule(source=0, rounds=[Round((Call.via((0, v)),))])
             messages = set()
             for engine in api.ENGINES:
                 for schedules in (sched, [sched]):
@@ -102,6 +100,21 @@ class TestValidate:
                         api.validate(g, schedules, 2, engine=engine)
                     messages.add(str(exc.value))
             assert len(messages) == 1
+
+    @pytest.mark.parametrize("engine", api.ENGINES)
+    def test_non_schedule_input_raises_naming_its_type(self, engine):
+        """Regression: a ``ScheduleResult`` (whose ``rounds`` is an int)
+        was taken for a schedule and crashed inside every engine."""
+        result = api.schedule("hypercube:3", "search", k=1)
+        cases = (
+            (result, "ScheduleResult"),
+            ([result], "ScheduleResult"),
+            ([result.schedule, result], "ScheduleResult"),
+            (42, "int"),
+        )
+        for schedules, name in cases:
+            with pytest.raises(InvalidParameterError, match=name):
+                api.validate("hypercube:3", schedules, 1, engine=engine)
 
     def test_batch_is_an_alias_of_fast(self):
         sh = construct_base(4, 2)

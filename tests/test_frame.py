@@ -1,5 +1,5 @@
 """Unit tests for the columnar schedule core (ScheduleFrame/ScheduleBuilder)
-and the frozen-schedule contract (builder mutates, result doesn't)."""
+and the immutable ``Schedule`` view over it."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from repro.types import (
     Call,
     InvalidParameterError,
     InvalidScheduleError,
+    Round,
     Schedule,
 )
 
@@ -48,12 +49,6 @@ class TestScheduleBuilder:
         b = ScheduleBuilder(0)
         with pytest.raises(InvalidScheduleError):
             b.add_round([(0,)])
-
-    def test_add_call_round_from_calls(self):
-        b = ScheduleBuilder(0)
-        b.add_call_round([Call.direct(0, 1), Call.via((0, 1, 2))])
-        f = b.build()
-        assert f.round_paths(0) == [(0, 1), (0, 1, 2)]
 
 
 class TestScheduleFrame:
@@ -113,7 +108,7 @@ class TestScheduleFrame:
         back = Schedule.from_frame(frame)
         assert back == sched
         assert back.to_frame() == frame
-        assert as_frame(back) is frame  # cached on the frozen view
+        assert as_frame(back) is frame  # the view wraps that very frame
 
     def test_lazy_view_counts_without_rounds(self):
         frame = small_frame()
@@ -128,28 +123,37 @@ class TestScheduleFrame:
 
 
 class TestFrozenSchedules:
-    def test_freeze_blocks_all_mutation(self):
-        s = Schedule(source=0)
-        s.append_round([Call.direct(0, 1)])
-        s.freeze()
-        with pytest.raises(InvalidParameterError):
-            s.append_round([Call.direct(1, 0)])
-        with pytest.raises(InvalidParameterError):
-            s.rounds = []
-        with pytest.raises(InvalidParameterError):
-            s.rounds[0] = s.rounds[0]
-        with pytest.raises(InvalidParameterError):
-            s.rounds.append(s.rounds[0])
-        with pytest.raises(InvalidParameterError):
-            del s.rounds[0]
+    """Every ``Schedule`` is immutable from construction: it has no
+    mutator and no setter, and one frame stands behind it."""
 
-    def test_copies_stay_mutable(self):
-        s = Schedule(source=0)
-        s.append_round([Call.direct(0, 1)])
-        s.freeze()
-        copy = Schedule(source=s.source, rounds=list(s.rounds))
-        copy.append_round([Call.direct(1, 0)])
-        assert copy.num_rounds == 2 and s.num_rounds == 1
+    def test_every_mutation_is_blocked(self):
+        s = Schedule(source=0, rounds=[Round((Call.direct(0, 1),))])
+        assert isinstance(s.rounds, tuple)
+        assert s.to_frame() is s.to_frame()
+        with pytest.raises(AttributeError):
+            s.rounds = ()
+        with pytest.raises(AttributeError):
+            s.source = 1
+        with pytest.raises(TypeError):
+            s.rounds[0] = s.rounds[0]
+        for gone in ("append_round", "freeze", "frozen", "frame_or_none"):
+            assert not hasattr(s, gone)
+        for gone in ("from_schedule", "to_schedule"):
+            assert not hasattr(ScheduleFrame, gone)
+        assert not hasattr(ScheduleBuilder, "add_call_round")
+
+    def test_source_cannot_drift_from_the_saved_bytes(self):
+        """Regression: a frozen schedule's ``source`` used to be writable,
+        so every engine validated the new source while the frame and both
+        payload versions kept the old one."""
+        from repro import io
+
+        sched = broadcast_schedule(construct_base(4, 2), 0)
+        with pytest.raises(AttributeError):
+            sched.source = 5
+        assert sched.source == sched.to_frame().source == 0
+        for version in (1, 2):
+            assert io.schedule_to_dict(sched, version=version)["source"] == 0
 
     def test_scheduler_results_are_frozen(self):
         """Regression (satellite): a schedule returned by a scheduler must
@@ -158,11 +162,12 @@ class TestFrozenSchedules:
 
         result = schedule("hypercube:3", "search", k=1)
         sched = result.schedule
-        assert sched.frozen and result.valid
-        with pytest.raises(InvalidParameterError):
-            sched.append_round([Call.direct(0, 1)])
-        with pytest.raises(InvalidParameterError):
-            sched.rounds.pop()
+        assert result.valid
+        assert sched.to_frame() is result.frame
+        with pytest.raises(AttributeError):
+            sched.source = 1
+        with pytest.raises(AttributeError):
+            sched.rounds = sched.rounds[:-1]
         # the validated verdict still holds because nothing could change
         assert validate(build_graph("hypercube:3"), sched, 1).ok
 
@@ -172,9 +177,10 @@ class TestFrozenSchedules:
         sh = construct_base(4, 2)
         stack = all_sources_schedules(sh, sources=[0, 1])[0]
         sched = stack.to_schedule(0)
-        assert sched.frozen
-        with pytest.raises(InvalidParameterError):
-            sched.append_round([Call.direct(0, 1)])
+        assert isinstance(sched.rounds, tuple)
+        assert sched.to_frame() is sched.to_frame()
+        with pytest.raises(AttributeError):
+            sched.rounds = ()
 
     def test_greedy_and_legacy_results_frozen(self):
         from repro.graphs.trees import path_graph
@@ -185,6 +191,8 @@ class TestFrozenSchedules:
         kernel = heuristic_line_broadcast(g, 0, None, restarts=50, seed=0)
         old = legacy.heuristic_line_broadcast_legacy(g, 0, None, restarts=50, seed=0)
         for sched in (kernel, old):
-            assert sched is not None and sched.frozen
-            with pytest.raises(InvalidParameterError):
-                sched.append_round([])
+            assert sched is not None
+            assert isinstance(sched.rounds, tuple)
+            assert sched.to_frame() is sched.to_frame()
+            with pytest.raises(AttributeError):
+                sched.rounds = ()

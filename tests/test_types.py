@@ -68,10 +68,13 @@ class TestRound:
 
 class TestSchedule:
     def make(self):
-        s = Schedule(source=0)
-        s.append_round([Call.direct(0, 1)])
-        s.append_round([Call.direct(0, 2), Call.via((1, 0, 3))])
-        return s
+        return Schedule(
+            source=0,
+            rounds=[
+                Round((Call.direct(0, 1),)),
+                Round((Call.direct(0, 2), Call.via((1, 0, 3)))),
+            ],
+        )
 
     def test_counters(self):
         s = self.make()

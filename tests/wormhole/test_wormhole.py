@@ -103,14 +103,14 @@ class TestScheduleLatency:
         from repro.types import Call
 
         g = path_graph(4)
-        sched = Schedule(source=0)
-        sched.rounds.append(Round((Call.via((0, 1, 2, 3)), Call.via((1, 2)))))
+        sched = Schedule(
+            source=0, rounds=[Round((Call.via((0, 1, 2, 3)), Call.via((1, 2))))]
+        )
         lat = schedule_latency(g, sched, 4)
         assert lat.rounds[0].cycles > 3 + 4 - 1
 
     def test_empty_round(self):
         g = path_graph(2)
-        sched = Schedule(source=0)
-        sched.append_round([])
+        sched = Schedule(source=0, rounds=[Round(())])
         lat = schedule_latency(g, sched, 4)
         assert lat.total_cycles == 0
