@@ -230,8 +230,8 @@ def load_campaign(ref: str) -> CampaignSpec:
         if not path.exists():
             raise InvalidParameterError(f"campaign spec file not found: {ref}")
         try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InvalidParameterError(
                 f"campaign spec {ref} is not valid JSON: {exc}"
             ) from None
@@ -445,11 +445,22 @@ def _dump_rows(rows: list[dict]) -> str:
     return "".join(_canonical(row) + "\n" for row in rows)
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Atomic durable write: tmp file, fsync, rename into place, so a
+    reader (or a resumed run) sees the old file or the whole new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    tmp.replace(path)
+
+
 def write_chunk(path: Path, rows: list[dict]) -> None:
     """Write rows as canonical JSONL (sorted keys, compact separators) —
     the byte format the merge determinism gate compares."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_dump_rows(rows))
+    _write_atomic(path, _dump_rows(rows))
 
 
 def read_chunk_rows(path: Path) -> list[dict]:
@@ -604,11 +615,13 @@ class _ShardCheckpoint:
     are re-sorted by scenario index at write time).  Checkpoints from a
     different grid or scenarios-module version (digest mismatch) are
     discarded, as is any row whose scenario identity or seed does not
-    match the current expansion.
+    match the current expansion.  The checkpoint goes only after the
+    finished chunk is written atomically (:meth:`complete`).
     """
 
     def __init__(self, chunk: Path, digest: str) -> None:
         stem = chunk.name[: -len(".jsonl")] if chunk.name.endswith(".jsonl") else chunk.name
+        self.chunk = chunk
         self.partial = chunk.with_name(stem + ".partial.jsonl")
         self.cursor = chunk.with_name(stem + ".cursor.json")
         self.digest = digest
@@ -651,7 +664,7 @@ class _ShardCheckpoint:
                         break  # stale row (older grid/seed): stop here
                     rows.append(row)
         self.partial.parent.mkdir(parents=True, exist_ok=True)
-        self._write_file(self.partial, _dump_rows(rows))
+        _write_atomic(self.partial, _dump_rows(rows))
         self.count = len(rows)
         self._write_cursor()
         return {row["index"]: row for row in rows}
@@ -665,24 +678,17 @@ class _ShardCheckpoint:
         self.count += 1
         self._write_cursor()
 
-    def clear(self) -> None:
-        """Remove the checkpoint files (the shard completed)."""
+    def complete(self, rows: list[dict]) -> None:
+        """Write the finished shard's chunk, then remove the checkpoint
+        files: the checkpoint or the complete chunk is on disk at every
+        instant."""
+        write_chunk(self.chunk, rows)
         self.partial.unlink(missing_ok=True)
         self.cursor.unlink(missing_ok=True)
 
     def _write_cursor(self) -> None:
         payload = _canonical({"digest": self.digest, "count": self.count})
-        self._write_file(self.cursor, payload + "\n")
-
-    @staticmethod
-    def _write_file(path: Path, text: str) -> None:
-        """Atomic durable write: tmp file, fsync, rename into place."""
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        tmp.replace(path)
+        _write_atomic(self.cursor, payload + "\n")
 
 
 class CampaignRunner:
@@ -745,9 +751,7 @@ class CampaignRunner:
             "digest": digest,
             "row": row,
         }
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
-        tmp.replace(path)
+        _write_atomic(path, json.dumps(payload, indent=1, sort_keys=True))
 
     def run(
         self,
@@ -762,6 +766,8 @@ class CampaignRunner:
         flushed incrementally to ``<chunk>.partial.jsonl`` with an
         fsync'd cursor, so a killed run resumes from the cursor instead
         of re-executing finished scenarios (see :class:`_ShardCheckpoint`).
+        On success the chunk is written there before the checkpoint is
+        removed (:meth:`_ShardCheckpoint.complete`).
         Scenario-code failures and quarantined poison tasks are both
         collected and raised *after* everything else completed, cached,
         and checkpointed.
@@ -857,9 +863,10 @@ class CampaignRunner:
                 failures=tuple(failures),
                 quarantined=tuple(task_faults),
             )
+        ordered = [outcomes[sc.index] for sc in owned]
         if ckpt is not None:
-            ckpt.clear()
-        return [outcomes[sc.index] for sc in owned]
+            ckpt.complete([o.row for o in ordered])
+        return ordered
 
 
 def run_campaign_shard(
@@ -889,11 +896,9 @@ def run_campaign_shard(
         maxtasksperchild=maxtasksperchild,
         retry=retry,
     )
-    chunk_target = chunk_path(out_dir, spec, shard)
-    outcomes = runner.run(spec, shard, checkpoint=chunk_target)
+    chunk = chunk_path(out_dir, spec, shard)
+    outcomes = runner.run(spec, shard, checkpoint=chunk)  # writes the chunk
     rows = [o.row for o in outcomes]
-    chunk = chunk_target
-    write_chunk(chunk, rows)
     manifest = {
         "format": MANIFEST_FORMAT,
         "campaign": spec.name,
@@ -919,8 +924,10 @@ def run_campaign_shard(
             for o in outcomes
         ],
     }
-    mpath = manifest_path(out_dir, spec, shard)
-    mpath.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    _write_atomic(
+        manifest_path(out_dir, spec, shard),
+        json.dumps(manifest, indent=1, sort_keys=True) + "\n",
+    )
     if shard == (0, 1):
         write_chunk(artifact_path(out_dir, spec), rows)
     return chunk, manifest, rows

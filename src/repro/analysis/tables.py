@@ -1,7 +1,8 @@
 """Plain-text table rendering for experiment output.
 
 No dependencies; produces aligned monospace tables from ``list[dict]``
-rows, matching the shape of the tables recorded in EXPERIMENTS.md.
+rows: the tables ``python -m repro run`` prints for the experiments that
+``python -m repro list`` names.
 """
 
 from __future__ import annotations

@@ -31,9 +31,8 @@ runner — see :mod:`repro.analysis.registry` / :mod:`repro.analysis.runner`):
     Machine-check a construction's broadcast scheme over many sources:
     ``repro validate --n 10 --m 3 --all-sources`` sweeps all ``2^n``
     sources through the batch engine (:mod:`repro.engine.batch`) —
-    coset-translated generation, each row checked by the fast validator.
-    ``--engine loop`` forces per-source generation for comparison; the
-    default samples 16 sources.  Alternatively
+    coset-translated generation, each row checked by the fast validator;
+    the default samples 16 sources.  Alternatively
     ``repro validate --schedule FILE`` re-checks a schedule file written
     by ``repro schedule --out`` via :func:`repro.api.validate`
     (``--engine auto|reference|fast|batch``; ``batch`` is an alias of
@@ -233,12 +232,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_val.add_argument(
         "--engine",
-        choices=("batch", "loop", "auto", "reference", "fast"),
         default=None,
-        help="sweep mode: batch (default) = coset-translated generation, "
-        "loop = per-source generation, both checked by the fast validator; "
-        "--schedule mode: auto (default) | reference | fast | batch (an "
-        "alias of fast), the repro.api.validate engines (identical verdicts)",
+        metavar="NAME",
+        help="--schedule mode: auto (default) | reference | fast | batch (an "
+        "alias of fast), the repro.api.validate engines (identical verdicts); "
+        "sweeps always run the batch engine",
     )
 
     p_camp = sub.add_parser(
@@ -420,7 +418,10 @@ def _cmd_list() -> int:
 def _cmd_export_csv(directory: str) -> int:
     from repro.analysis.sweeps import export_all_series
 
-    written = export_all_series(directory)
+    try:
+        written = export_all_series(directory)
+    except OSError as exc:  # e.g. DIR names an existing file
+        return _fail("export-csv", exc)
     for fname, count in sorted(written.items()):
         print(f"wrote {fname}: {count} rows")
     return 0
@@ -515,13 +516,6 @@ def _cmd_validate_file(args: argparse.Namespace) -> int:
         )
         return 2
     engine = args.engine if args.engine is not None else "auto"
-    if engine == "loop":
-        print(
-            "--engine loop applies to construction sweeps; "
-            "--schedule FILE takes auto, reference, fast, or batch",
-            file=sys.stderr,
-        )
-        return 2
     try:
         graph, frame, k_file = load_schedule(args.schedule)
         k_eff = args.k if args.k is not None else k_file
@@ -591,6 +585,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     from repro import api
     from repro.analysis.common import sample_sources
+    from repro.engine.batch import validate_all_sources
     from repro.types import ReproError
 
     if args.schedule is not None:
@@ -601,54 +596,35 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    engine = args.engine if args.engine is not None else "batch"
-    if engine not in ("batch", "loop"):
+    if args.engine not in (None, "batch"):
         print(
-            f"--engine {engine} applies to --schedule FILE mode; "
-            "construction sweeps take batch or loop",
+            f"--engine {args.engine} is not a sweep engine: "
+            "construction sweeps run only batch",
             file=sys.stderr,
         )
         return 2
     try:
         sh = api.construction(_construction_spec(args))
+        srcs = (
+            list(range(sh.n_vertices))
+            if args.all_sources
+            else sample_sources(sh.n_vertices, args.sources_cap)
+        )
     except (ReproError, ValueError) as exc:
         return _fail("validate", exc)
-    n_vertices = sh.n_vertices
-    srcs = (
-        list(range(n_vertices))
-        if args.all_sources
-        else sample_sources(n_vertices, args.sources_cap)
-    )
     t0 = time.perf_counter()
-    if engine == "batch":
-        from repro.engine.batch import validate_all_sources
-
-        outcome = validate_all_sources(sh, k=sh.k, sources=srcs)
-        ok = outcome.all_ok and all(r == sh.n for r in outcome.rounds)
-        max_len = outcome.max_call_length
-        provenance = f"{outcome.n_cosets} cosets, {outcome.n_stacks} stacks"
-    else:
-        from repro.core.broadcast import broadcast_schedule
-        from repro.engine.cache import fast_validator_for
-
-        validator = fast_validator_for(sh.graph)
-        ok, max_len = True, 0
-        for s in srcs:
-            sched = broadcast_schedule(sh, s)
-            rep = validator.validate(sched, sh.k)
-            ok = ok and rep.ok and len(sched.rounds) == sh.n
-            max_len = max(max_len, rep.max_call_length)
-        provenance = "per-source loop"
+    outcome = validate_all_sources(sh, k=sh.k, sources=srcs)
     seconds = time.perf_counter() - t0
+    ok = outcome.all_ok and all(r == sh.n for r in outcome.rounds)
     row = {
         "construct": f"Construct({sh.k}, n={sh.n}, {sh.thresholds})",
-        "N": n_vertices,
+        "N": sh.n_vertices,
         "Δ": sh.degree_formula(),
         "sources": len(srcs),
         "rounds": sh.n,
-        "max call len": max_len,
+        "max call len": outcome.max_call_length,
         f"valid (≤{sh.k})": ok,
-        "engine": f"{engine} ({provenance})",
+        "engine": f"batch ({outcome.n_cosets} cosets, {outcome.n_stacks} stacks)",
         "seconds": f"{seconds:.3f}",
     }
     print(format_table([row], title=f"[VALIDATE] Broadcast_{sh.k} source sweep"))

@@ -41,7 +41,8 @@ right subtree is exactly the tight pump case.
 
 Every call has length ≤ h < 2h, so the scheme actually certifies
 membership in ``G_h``, strictly stronger than Theorem 1's ``G_{2h}``
-claim (recorded in EXPERIMENTS.md).
+claim (pinned by ``TestTernarySchedule.test_call_lengths_at_most_h`` in
+``tests/core/test_tree_scheme.py``).
 """
 
 from __future__ import annotations

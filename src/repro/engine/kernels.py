@@ -1,11 +1,11 @@
 """CSR-native scheduling kernels shared by every registered scheduler.
 
-This module is the scheduling engine's compute layer.  Where the legacy
-schedulers (kept verbatim in :mod:`repro.schedulers.legacy`) privately
-reimplemented bounded-path enumeration and the component-capacity prune
-over Python sets — re-sorting neighbour sets on every visit, flood-filling
-the whole graph once *per candidate target* — the kernels here work off a
-:class:`GraphKernels` object built once per graph:
+This module is the scheduling engine's compute layer.  Where the
+pre-engine schedulers privately reimplemented bounded-path enumeration
+and the component-capacity prune over Python sets — re-sorting neighbour
+sets on every visit, flood-filling the whole graph once *per candidate
+target* — the kernels here work off a :class:`GraphKernels` object built
+once per graph:
 
 * adjacency comes from the graph's CSR arrays (``Graph.csr_arrays``),
   materialized once into flat per-vertex neighbour/edge-id tuples, so the
@@ -23,8 +23,10 @@ the whole graph once *per candidate target* — the kernels here work off a
   low-link DFS per component); only cut-vertex probes and commits
   flood-fill the pieces, and nothing re-scans the graph.
 
-Equivalence with the legacy helpers is pinned by unit and property tests
-(``tests/engine``, ``tests/property/test_engine_property.py``): path
+Equivalence with those set-based primitives, kept verbatim in
+:mod:`repro.schedulers.legacy` as the oracle, is pinned by unit and
+property tests (``tests/engine``,
+``tests/property/test_engine_property.py``): path
 enumeration and reachability return identical output, component summaries
 and capacity verdicts match exactly, and penalties match up to float
 summation order.  Probes match a flood of every split exactly.

@@ -179,13 +179,19 @@ def save_schedule(
         json.dump(payload, fh, separators=(",", ":"))  # repro-lint: disable=RL002
 
 
-def load_schedule(path: str) -> tuple[Graph, ScheduleFrame, int | None]:
-    """Read a file written by :func:`save_schedule`."""
+def _load_json(path: str) -> Any:
+    """Parse one JSON file; undecodable bytes or malformed JSON raise
+    :class:`InvalidParameterError` naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidParameterError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_schedule(path: str) -> tuple[Graph, ScheduleFrame, int | None]:
+    """Read a file written by :func:`save_schedule`."""
+    payload = _load_json(path)
     if not isinstance(payload, dict) or "format" not in payload:
         raise InvalidParameterError(
             f"{path} has no schedule-file version marker "
@@ -262,8 +268,7 @@ def dump_certificate(payload: dict[str, Any], path: str) -> None:
 
 
 def load_certificate(path: str) -> dict[str, Any]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _load_json(path)
     if not isinstance(payload, dict):
         raise InvalidParameterError(f"{path} does not hold a JSON object")
     return payload

@@ -34,9 +34,9 @@ Besides the registry, this package exports the multi-message trio
 :class:`MultiMessageSchedule` is not a Definition-1 schedule, so the
 registry cannot carry it.
 
-The pre-engine set-based implementations are retained verbatim in
-:mod:`repro.schedulers.legacy` as the property-test oracle and the
-benchmark baseline.
+The pre-engine set-based primitives are retained verbatim in
+:mod:`repro.schedulers.legacy` as the engine kernels' property-test
+oracle.
 """
 
 from repro.schedulers.multimsg_search import (

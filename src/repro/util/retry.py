@@ -123,18 +123,6 @@ class RetryPolicy:
         nominal = min(self.max_delay, self.base_delay * 2 ** (attempt - 1))
         return nominal * (0.5 + seeded_jitter(self.seed, key, attempt) / 2)
 
-    def sleep_before(self, attempt: int, key: str = "") -> float:
-        """Sleep the backoff for ``attempt`` and return the delay slept.
-
-        The one sanctioned in-process sleep (RL010) outside the chaos
-        harness; pool code wanting non-blocking backoff uses
-        :meth:`backoff` to compute a not-before timestamp instead.
-        """
-        delay = self.backoff(attempt, key)
-        if delay > 0:
-            time.sleep(delay)
-        return delay
-
     def chunk_deadline(self, n_items: int) -> float | None:
         """Deadline in seconds for a chunk of ``n_items`` tasks.
 

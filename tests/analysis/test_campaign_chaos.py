@@ -147,6 +147,28 @@ class TestCheckpointResume:
         # success clears the checkpoint files
         assert not ckpt.partial.exists() and not ckpt.cursor.exists()
 
+    def test_chunk_write_failure_keeps_the_checkpoint(self, tmp_path, monkeypatch):
+        """A failure while the finished chunk is written must leave the
+        checkpoint behind: the uncached re-run executes nothing and
+        writes the uninterrupted run's bytes."""
+        clean = tmp_path / "clean"
+        run_campaign_shard(TINY, out_dir=clean, cache_dir=None)
+        write_chunk = campaigns.write_chunk
+
+        def broken(path, rows):
+            raise OSError("injected chunk write failure")
+
+        out = tmp_path / "interrupted"
+        monkeypatch.setattr(campaigns, "write_chunk", broken)
+        with pytest.raises(OSError, match="injected"):
+            run_campaign_shard(TINY, out_dir=out, cache_dir=None)
+        monkeypatch.setattr(campaigns, "write_chunk", write_chunk)
+        _, manifest, _ = run_campaign_shard(TINY, out_dir=out, cache_dir=None)
+        assert manifest["executed"] == 0
+        assert manifest["cache_hits"] == TINY.n_scenarios
+        for written in (chunk_path(out, TINY, (0, 1)), artifact_path(out, TINY)):
+            assert written.read_bytes() == (clean / written.name).read_bytes()
+
 
 class TestQuarantineReport:
     def test_poison_scenario_reported_without_aborting(

@@ -1,8 +1,9 @@
 """Integration tests: every experiment regenerates its paper artifact.
 
-These are the executable form of EXPERIMENTS.md — each test asserts the
-"match" column of its experiment, i.e. that our measurement agrees with
-what the paper states (or draws in a figure).
+These are the executable form of the experiment registry (``python -m
+repro list``) — each test asserts the "match" column of its experiment,
+i.e. that our measurement agrees with what the paper states (or draws in
+a figure).
 """
 
 import pytest

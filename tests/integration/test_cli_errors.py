@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
@@ -132,6 +134,36 @@ class TestRunErrors:
 
     def test_bad_jobs(self):
         assert_clean_failure(run_cli("run", "e04", "--jobs", "0"), needle="--jobs")
+
+
+class TestFailuresOutsideHandlers:
+    """Failures raised where no handler caught them: each printed a
+    traceback and exited 1 before it reached ``_fail``."""
+
+    @pytest.mark.parametrize(
+        "args,needle",
+        [
+            (("validate", "--n", "4", "--sources-cap", "0"), "cap must be >= 2"),
+            (("validate", "--n", "4", "--sources-cap", "1"), "cap must be >= 2"),
+            (("validate", "--schedule", "{binary}"), "binary.json is not valid JSON"),
+            (("campaign", "run", "{binary}"), "binary.json is not valid JSON"),
+            (("export-csv", "{existing}"), "export-csv failed [io-error]"),
+        ],
+        ids=[
+            "sources-cap-0",
+            "sources-cap-1",
+            "schedule-not-utf8",
+            "campaign-spec-not-utf8",
+            "export-csv-onto-a-file",
+        ],
+    )
+    def test_one_line_exit_two(self, tmp_path, args, needle):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"RPCORPUS\xff\xfe\x00\x81")  # a corpus header
+        existing = tmp_path / "existing.txt"
+        existing.write_text("")
+        argv = [a.format(binary=binary, existing=existing) for a in args]
+        assert_clean_failure(run_cli(*argv), needle=needle)
 
 
 class TestCampaignHappyPathSubprocess:

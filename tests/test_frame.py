@@ -184,15 +184,11 @@ class TestFrozenSchedules:
 
     def test_greedy_and_legacy_results_frozen(self):
         from repro.graphs.trees import path_graph
-        from repro.schedulers import legacy
         from repro.schedulers.greedy import heuristic_line_broadcast
 
-        g = path_graph(8)
-        kernel = heuristic_line_broadcast(g, 0, None, restarts=50, seed=0)
-        old = legacy.heuristic_line_broadcast_legacy(g, 0, None, restarts=50, seed=0)
-        for sched in (kernel, old):
-            assert sched is not None
-            assert isinstance(sched.rounds, tuple)
-            assert sched.to_frame() is sched.to_frame()
-            with pytest.raises(AttributeError):
-                sched.rounds = ()
+        sched = heuristic_line_broadcast(path_graph(8), 0, None, restarts=50, seed=0)
+        assert sched is not None
+        assert isinstance(sched.rounds, tuple)
+        assert sched.to_frame() is sched.to_frame()
+        with pytest.raises(AttributeError):
+            sched.rounds = ()

@@ -1,8 +1,11 @@
-"""Byte pins on the schedule producers that build object schedules.
+"""Byte pins on the schedule producers that build object schedules, on
+the exact search, and on kernel path enumeration.
 
-Each case hashes the v2 payload of one producer's schedule, the way
-``tests/schedulers/test_greedy.py::TestGoldenSchedules`` pins greedy: a
-change in call order, round order or path choice shows up here."""
+Each schedule case hashes the v2 payload of one producer's schedule, the
+way ``tests/schedulers/test_greedy.py::TestGoldenSchedules`` pins greedy:
+a change in call order, round order or path choice shows up here.  The
+enumeration cases hash the paths ``GraphKernels.enumerate_paths`` lists
+from vertex 0 for k = 1, 2, 3, in the order it lists them."""
 
 import hashlib
 import json
@@ -13,9 +16,16 @@ from repro import api, io
 from repro.core.broadcast import broadcast_schedule
 from repro.core.construct import construct
 from repro.core.tree_scheme import ternary_tree_schedule
+from repro.engine.kernels import GraphKernels
 from repro.graphs.knodel import knodel_broadcast
-from repro.graphs.trees import path_graph
-from repro.schedulers.legacy import heuristic_line_broadcast_legacy
+from repro.graphs.specs import graph_from_spec
+from repro.schedulers.search import find_minimum_time_schedule
+from repro.util.bits import mask_from_indices
+
+
+def _digest(payload):
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _sparse_6_3(source):
@@ -73,13 +83,6 @@ GOLDEN = [
         lambda: knodel_broadcast(2, 12, 5),
         "850ea5ccf30f08655c715342bbb1e2b0a06422b499b3c91d580f66bdc45188f0",
     ),
-    (
-        "legacy greedy path:8 s=0",
-        lambda: heuristic_line_broadcast_legacy(
-            path_graph(8), 0, None, restarts=50, seed=0
-        ),
-        "554a067eefeda148f76168c0d2da493fb1547591e805724850493c11c46a8f8b",
-    ),
 ]
 
 
@@ -89,5 +92,83 @@ GOLDEN = [
 def test_schedule_bytes_pinned(build, digest):
     sched = build()
     assert sched is not None
-    blob = json.dumps(io.frame_to_dict(sched), sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+    assert _digest(io.frame_to_dict(sched)) == digest
+
+
+# ((graph, source, k), sha256 of find_minimum_time_schedule's v2 payload)
+SEARCH_GOLDEN = [
+    (
+        ("path:4", 1, 1),
+        "d2da27068b8da162fc74612232f29af97ff29aaee1659fdbb0d706aa5b06fd7b",
+    ),
+    (
+        ("star:7", 1, 2),
+        "d213718983cea3996cae2daa237c814fc96533ec0bf9aa03348b3537c7721b01",
+    ),
+    (
+        ("hypercube:3", 5, 1),
+        "01dc34b2718383da87e1e3fb8e387b66fb4b474a9e12d39f0aafcaa18ab394ef",
+    ),
+    (
+        ("theorem1:2", 0, 4),
+        "b5db8f6f778974deaf42ca0759fec135fe69672608db5566effc4f259f8e798b",
+    ),
+    (
+        ("sparse:4:2", 0, 2),
+        "0fcf06ff9b88c0d38925d8034e04efcaf5854e63d617d0d0b8b2a509ad74d7bf",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "case,digest",
+    SEARCH_GOLDEN,
+    ids=[f"{spec} s={source} k={k}" for (spec, source, k), _ in SEARCH_GOLDEN],
+)
+def test_search_bytes_pinned(case, digest):
+    spec, source, k = case
+    sched = find_minimum_time_schedule(graph_from_spec(spec), source, k)
+    assert sched is not None
+    assert _digest(io.frame_to_dict(sched)) == digest
+
+
+# (graph, paths listed over k = 1, 2, 3, sha256 of {str(k): paths})
+ENUMERATION_GOLDEN = [
+    (
+        "hypercube:3",
+        33,
+        "29a8a713175a0f477a3966cd75bfc289278b6aca762a975b7c8fe22f1c982b3e",
+    ),
+    (
+        "sparse:5:2",
+        62,
+        "efdb8a6735f6d8f06e3da1ae8500bd4d494159a72808b1508c77cd338960c469",
+    ),
+    (
+        "knodel:3:16",
+        33,
+        "49dc7e5fb3bb4b21fa94ce84ac7e5e2484d5a6796ec5e37bb3fee1dcba15bc98",
+    ),
+    (
+        "cycle:10",
+        12,
+        "8a97a3c83a08bb52b85958ca69f2b35726945962603dc65c8d388bf5c9aa7989",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,n_paths,digest",
+    ENUMERATION_GOLDEN,
+    ids=[spec for spec, _, _ in ENUMERATION_GOLDEN],
+)
+def test_enumerate_paths_pinned(spec, n_paths, digest):
+    graph = graph_from_spec(spec)
+    kern = GraphKernels(graph)
+    targets = mask_from_indices(range(1, graph.n_vertices))
+    paths = {
+        str(k): [list(p) for p in kern.enumerate_paths(0, k, 0, targets)]
+        for k in (1, 2, 3)
+    }
+    assert sum(len(ps) for ps in paths.values()) == n_paths
+    assert _digest(paths) == digest
