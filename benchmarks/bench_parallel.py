@@ -1,4 +1,5 @@
-"""Parallel-execution benchmark: cold campaign worker scaling.
+"""Parallel-execution benchmark: cold campaign worker scaling, and the
+pool's per-task dispatch cost.
 
 The ``fault-robustness`` built-in campaign is executed end to end with
 cold caches at 1/2/4 workers (1/2 at smoke size), and the row is merged
@@ -7,6 +8,12 @@ asserted only at full size on a multi-core box: worker scaling cannot
 be measured on one core, so the row records ``cpu_count`` and the
 assertion gates on it.  Every run's scenario count is checked before
 its time is used.
+
+The dispatch row maps a trivial task over 1,000 and 20,000 tasks (5,000
+at smoke size) on two warm workers.  The pool hands out one task per
+dispatch, so a dispatch that rescanned the queued tasks would grow with
+the map's length; at full size the per-task cost at the larger map must
+stay within 2× the cost at 1,000.
 """
 
 import os
@@ -15,12 +22,15 @@ import time
 from repro.analysis.campaigns import BUILTIN_CAMPAIGNS, CampaignRunner
 from repro.analysis.scenarios import clear_scenario_caches
 from repro.engine.cache import clear_cache
+from repro.util.pool import WorkerPool
 
 FULL = int(os.environ.get("REPRO_BENCH_N", "12")) >= 12
 CPUS = os.cpu_count() or 1
 WORKERS = (1, 2, 4) if FULL else (1, 2)
 WORKER_FLOOR = 1.6
 SPEC = BUILTIN_CAMPAIGNS["fault-robustness"]
+DISPATCH_SIZES = (1_000, 20_000) if FULL else (1_000, 5_000)
+DISPATCH_GROWTH_CEILING = 2.0
 
 
 def best_of(fn, repeats=3):
@@ -80,4 +90,50 @@ def test_campaign_worker_scaling(print_once, bench_json):
         assert scaling_2w >= WORKER_FLOOR, (
             f"2 workers only {scaling_2w:.2f}x over 1 worker on {CPUS} "
             f"cores (floor {WORKER_FLOOR}x)"
+        )
+
+
+# -- per-task dispatch cost --------------------------------------------------
+
+
+def _noop(x):
+    return x
+
+
+def test_pool_dispatch_cost(print_once, bench_json):
+    """Acceptance: per-task cost at the largest map ≤ 2× the cost at
+    1,000 tasks, asserted at full size (recorded unconditionally)."""
+    per_task_us = {}
+    with WorkerPool(2) as pool:
+        assert pool.map(_noop, range(100)) == list(range(100))  # warm workers
+        for n in DISPATCH_SIZES:
+            tasks = list(range(n))
+
+            def run(tasks=tasks):
+                assert pool.map(_noop, tasks) == tasks
+
+            per_task_us[n] = best_of(run) / n * 1e6
+    small, large = DISPATCH_SIZES
+    growth = per_task_us[large] / per_task_us[small]
+    rows = [{"tasks": n, "us_per_task": f"{us:.1f}"} for n, us in per_task_us.items()]
+    print_once(
+        "pool-dispatch-cost",
+        rows,
+        title=f"WorkerPool(2).map per-task cost, warm workers ({CPUS} cores)",
+    )
+    bench_json(
+        "bench_parallel",
+        "pool_dispatch_cost",
+        workload="WorkerPool(2).map over trivial tasks, warm workers, best of 3",
+        cpu_count=CPUS,
+        us_per_task_by_tasks={str(n): round(us, 2) for n, us in per_task_us.items()},
+        growth=round(growth, 2),
+        ceiling=DISPATCH_GROWTH_CEILING,
+        full_size=FULL,
+        ceiling_asserted=FULL,
+    )
+    if FULL:
+        assert growth <= DISPATCH_GROWTH_CEILING, (
+            f"per-task dispatch cost grew {growth:.2f}x from {small} to "
+            f"{large} tasks (ceiling {DISPATCH_GROWTH_CEILING}x)"
         )

@@ -281,16 +281,21 @@ def _spec_from_payload(payload: dict, *, origin: str) -> CampaignSpec:
             )
         return tuple(values)
 
+    def is_int(value: object) -> bool:
+        # bool is an int subclass, but true/false are not call-length
+        # bounds or seeds: "k": true would run as k = 1 under another id
+        return isinstance(value, int) and not isinstance(value, bool)
+
     k_values = payload.get("k_values", [None])
     if not isinstance(k_values, list) or not all(
-        v is None or isinstance(v, int) for v in k_values
+        v is None or is_int(v) for v in k_values
     ):
         raise InvalidParameterError(
             f"campaign spec {origin}: 'k_values' must be a list of "
             "integers or nulls"
         )
     base_seed = payload.get("base_seed", 0)
-    if not isinstance(base_seed, int):
+    if not is_int(base_seed):
         raise InvalidParameterError(
             f"campaign spec {origin}: 'base_seed' must be an integer"
         )
@@ -692,8 +697,9 @@ class _ShardCheckpoint:
 
 
 class CampaignRunner:
-    """Run a campaign shard through the experiment runner's pool policy,
-    with one resumable JSON cache entry per scenario.
+    """Run a campaign shard on a :class:`~repro.util.pool.WorkerPool`,
+    one scenario per task, with one resumable JSON cache entry per
+    scenario.
 
     Cache entries use the experiment cache's naming scheme
     (``<prefix>-<16-hex-digest>.json`` under ``cache_dir``), so
@@ -705,18 +711,12 @@ class CampaignRunner:
         *,
         jobs: int = 1,
         cache_dir: str | Path | None = None,
-        maxtasksperchild: int | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
         if jobs < 1:
             raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
-        if maxtasksperchild is not None and maxtasksperchild < 1:
-            raise InvalidParameterError(
-                f"maxtasksperchild must be >= 1 or None, got {maxtasksperchild}"
-            )
         self.jobs = jobs
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.maxtasksperchild = maxtasksperchild
         self.retry = retry if retry is not None else RetryPolicy()
         self.stats = CampaignStats()
 
@@ -807,14 +807,12 @@ class CampaignRunner:
             sorted({(sc.graph, sc.scheduler == SCHEME_SCHEDULER) for sc in to_run})
         )
 
-        def flush(indices: list[int], values: list[tuple[str, object, float]]) -> None:
-            # streaming checkpoint hook: runs in the parent, in chunk
+        def flush(index: int, value: tuple[str, object, float]) -> None:
+            # streaming checkpoint hook: runs in the parent, in task
             # completion order, before the map returns
-            if ckpt is None:
-                return
-            for status, payload, _seconds in values:
-                if status == "ok" and isinstance(payload, dict):
-                    ckpt.append(payload)
+            status, payload, _seconds = value
+            if ckpt is not None and status == "ok" and isinstance(payload, dict):
+                ckpt.append(payload)
 
         results: list[tuple[str, object, float] | None] = []
         task_faults: list[TaskFault] = []
@@ -823,7 +821,6 @@ class CampaignRunner:
                 min(self.jobs, len(to_run)),
                 initializer=warm_scenario_caches,
                 initargs=(warm_pairs,),
-                maxtasksperchild=self.maxtasksperchild,
                 retry=self.retry,
             ) as pool:
                 results, task_faults = pool.map_quarantine(
@@ -876,7 +873,6 @@ def run_campaign_shard(
     out_dir: str | Path = "campaign-results",
     jobs: int = 1,
     cache_dir: str | Path | None = None,
-    maxtasksperchild: int | None = None,
     retry: RetryPolicy | None = None,
 ) -> tuple[Path, dict, list[dict]]:
     """Execute one shard end-to-end: run, write the JSONL chunk and the
@@ -890,12 +886,7 @@ def run_campaign_shard(
     written, so callers (the CLI summary) need not re-read the chunk
     from disk.
     """
-    runner = CampaignRunner(
-        jobs=jobs,
-        cache_dir=cache_dir,
-        maxtasksperchild=maxtasksperchild,
-        retry=retry,
-    )
+    runner = CampaignRunner(jobs=jobs, cache_dir=cache_dir, retry=retry)
     chunk = chunk_path(out_dir, spec, shard)
     outcomes = runner.run(spec, shard, checkpoint=chunk)  # writes the chunk
     rows = [o.row for o in outcomes]

@@ -20,11 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis import registry
-
-# The pool policy (chunking, persistent pools, worker initializers,
-# bounded worker lifetime) lives in repro.util.pool; fan_out is
-# re-exported here because analysis code historically imported it from
-# the runner module.
 from repro.util.pool import fan_out
 from repro.util.retry import RetryPolicy
 
@@ -33,7 +28,6 @@ __all__ = [
     "RunnerStats",
     "ExperimentRunner",
     "DEFAULT_CACHE_DIR",
-    "fan_out",
 ]
 
 DEFAULT_CACHE_DIR = Path(".repro-cache")

@@ -198,8 +198,8 @@ def validate_scenario(sc: Scenario) -> None:
                 f"unknown scheduler {sc.scheduler!r}; known: "
                 + ", ".join([*sched_registry.scheduler_names(), SCHEME_SCHEDULER])
             )
-    if sc.k is not None and sc.k < 1:
-        raise InvalidParameterError(f"k must be >= 1 or None, got {sc.k}")
+    if sc.k is not None and (isinstance(sc.k, bool) or sc.k < 1):
+        raise InvalidParameterError(f"k must be an integer >= 1 or None, got {sc.k!r}")
 
 
 # -- per-process instance caches ---------------------------------------------

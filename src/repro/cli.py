@@ -141,8 +141,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--task-timeout", type=float, default=None, metavar="SEC",
-        help="per-task deadline in seconds; a worker exceeding it is "
-        "culled and the task retried (default: no deadline)",
+        help="per-experiment deadline in seconds, counted from its "
+        "dispatch; a worker exceeding it is culled and the experiment "
+        "retried (default: no deadline)",
     )
 
     sub.add_parser("list", help="list available experiments")
@@ -257,11 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_camp_run.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes (default 1 = sequential)",
-    )
-    p_camp_run.add_argument(
-        "--maxtasksperchild", type=int, default=None, metavar="N",
-        help="recycle each worker after N task chunks "
-        "(default: workers live for the whole run)",
     )
     p_camp_run.add_argument(
         "--retries", type=int, default=None, metavar="N",
@@ -655,19 +651,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             if args.jobs < 1:
                 print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
                 return 2
-            if args.maxtasksperchild is not None and args.maxtasksperchild < 1:
-                print(
-                    f"--maxtasksperchild must be >= 1, got {args.maxtasksperchild}",
-                    file=sys.stderr,
-                )
-                return 2
             chunk, manifest, rows = campaigns.run_campaign_shard(
                 spec,
                 shard=shard,
                 out_dir=args.out_dir,
                 jobs=args.jobs,
                 cache_dir=None if args.no_cache else args.cache_dir,
-                maxtasksperchild=args.maxtasksperchild,
                 retry=_retry_from_args(args),
             )
             print(

@@ -3,8 +3,8 @@
 The fault-tolerant execution layer (crash-safe :class:`~repro.util.pool.
 WorkerPool`, campaign crash-checkpointing) is only trustworthy if its
 failure paths run in CI on every push.  This module injects the
-failures *deterministically*: a spec string names exactly which chunk
-dies, which chunk stalls, which cache entry is corrupted — so a chaos
+failures *deterministically*: a spec string names exactly which task
+dies, which task stalls, which cache entry is corrupted — so a chaos
 test replays byte-for-byte and an assertion failure is a regression,
 never flake.
 
@@ -15,17 +15,22 @@ Spec grammar (``REPRO_CHAOS`` environment variable)::
 
 Supported events:
 
-``kill:chunk=K[:attempt=A]``
-    SIGKILL the worker process right before it executes pool chunk
-    ``K`` — only on attempt ``A`` (default 0), so the retry of the same
-    chunk survives and the recovery path is what gets tested.
-``delay:chunk=K:ms=M[:attempt=A]``
-    Sleep ``M`` milliseconds before executing chunk ``K`` (any attempt
+``kill:task=K[:attempt=A]``
+    SIGKILL the worker process right before it executes task ``K`` (the
+    task's position in the pool's map) — only on attempt ``A`` (default
+    0), so the retry of the same task survives and the recovery path is
+    what gets tested.
+``delay:task=K:ms=M[:attempt=A]``
+    Sleep ``M`` milliseconds before executing task ``K`` (any attempt
     when ``attempt`` is omitted) — drives task-timeout detection.
 ``corrupt-cache:nth=N``
     The ``N``-th campaign cache-entry read in this process first has
     its file overwritten with garbage — drives the corrupt-entry
     re-execution path.
+
+Each kind accepts only its own keys and must name its target (``task``,
+``ms`` for delays, ``nth``): a misspelled or missing key is a parse
+error, never an event that silently injects nothing.
 
 A global ``seed=S`` event seeds :func:`repro.util.retry.seeded_jitter`
 -style probabilistic gates (``p=`` on kill/delay events), for soak runs
@@ -50,11 +55,16 @@ __all__ = [
     "ChaosPolicy",
     "active_policy",
     "reset",
-    "on_chunk",
+    "on_task",
     "corrupt_cache_entry",
 ]
 
-_KINDS = ("kill", "delay", "corrupt-cache", "seed")
+# kind -> (required keys, optional keys)
+_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "kill": (("task",), ("attempt", "p")),
+    "delay": (("task", "ms"), ("attempt", "p")),
+    "corrupt-cache": (("nth",), ()),
+}
 
 _CORRUPT_BYTES = b'{"chaos": "corrupted entry"'  # deliberately torn JSON
 
@@ -78,13 +88,22 @@ class ChaosEvent:
             ) from None
 
 
-_INT_PARAMS = ("chunk", "ms", "attempt", "nth")
-
-
 def _validate_event(event: ChaosEvent) -> None:
-    """Reject malformed values at parse time, not mid-injection."""
-    for key in _INT_PARAMS:
-        if key in event.params:
+    """Reject malformed events at parse time, not mid-injection."""
+    required, optional = _KEYS[event.kind]
+    for key in event.params:
+        if key not in required and key not in optional:
+            raise InvalidParameterError(
+                f"REPRO_CHAOS: unknown parameter {key!r} for {event.kind}; "
+                f"known: {', '.join(required + optional)}"
+            )
+    for key in required:
+        if key not in event.params:
+            raise InvalidParameterError(
+                f"REPRO_CHAOS: {event.kind} needs a {key}= parameter"
+            )
+    for key in event.params:
+        if key != "p":  # every other key is an integer
             event.int_param(key)  # raises InvalidParameterError if bad
     p = event.params.get("p")
     if p is not None:
@@ -122,10 +141,10 @@ class ChaosPolicy:
                         f"REPRO_CHAOS: seed must be an integer, got {value!r}"
                     ) from None
                 continue
-            if head not in _KINDS or head == "seed":
+            if head not in _KEYS:
                 raise InvalidParameterError(
                     f"REPRO_CHAOS: unknown event kind {head!r}; "
-                    f"known: {', '.join(_KINDS)}"
+                    f"known: {', '.join(_KEYS)}, seed"
                 )
             params: dict[str, str] = {}
             for part in rest:
@@ -156,28 +175,26 @@ class ChaosPolicy:
 
     # -- decisions ---------------------------------------------------------
 
-    def chunk_actions(
-        self, chunk_id: int, attempt: int
-    ) -> tuple[bool, float]:
-        """(kill?, delay-seconds) for one chunk execution."""
+    def task_actions(self, index: int, attempt: int) -> tuple[bool, float]:
+        """(kill?, delay-seconds) for one task execution."""
         kill = False
         delay = 0.0
         for event in self.events:
             if event.kind == "kill":
                 want_attempt = event.int_param("attempt", 0)
                 if (
-                    event.int_param("chunk") == chunk_id
+                    event.int_param("task") == index
                     and attempt == want_attempt
-                    and self._gate(event, f"kill:{chunk_id}:{attempt}")
+                    and self._gate(event, f"kill:{index}:{attempt}")
                 ):
                     kill = True
             elif event.kind == "delay":
                 want_attempt = event.int_param("attempt")
-                if event.int_param("chunk") == chunk_id and (
+                if event.int_param("task") == index and (
                     want_attempt is None or attempt == want_attempt
                 ):
                     ms = event.int_param("ms", 0) or 0
-                    if self._gate(event, f"delay:{chunk_id}:{attempt}"):
+                    if self._gate(event, f"delay:{index}:{attempt}"):
                         delay += ms / 1000.0
         return kill, delay
 
@@ -217,12 +234,12 @@ def reset() -> None:
 # -- hooks (called from the execution layer) ---------------------------------
 
 
-def on_chunk(chunk_id: int, attempt: int) -> None:
-    """Worker-side hook before executing a chunk: may delay or die."""
+def on_task(index: int, attempt: int) -> None:
+    """Worker-side hook before executing a task: may delay or die."""
     policy = active_policy()
     if policy is None:
         return
-    kill, delay = policy.chunk_actions(chunk_id, attempt)
+    kill, delay = policy.task_actions(index, attempt)
     if delay > 0:
         time.sleep(delay)
     if kill:

@@ -266,7 +266,7 @@ def rl004_registry_entry_points(ctx: FileContext) -> Iterable[Finding]:
 @rule(
     "RL005",
     "fan-out-picklable",
-    "functions dispatched via runner.fan_out must be module-level "
+    "functions dispatched via pool.fan_out must be module-level "
     "(picklable)",
 )
 def rl005_fan_out_picklable(ctx: FileContext) -> Iterable[Finding]:

@@ -1,4 +1,4 @@
-"""Crash-safe multiprocessing pool: chunked fan-out that survives faults.
+"""Crash-safe multiprocessing pool: one task per dispatch, survives faults.
 
 Every parallel surface in the repo (``ExperimentRunner``,
 ``CampaignRunner``) routes through :class:`WorkerPool` / :func:`fan_out`
@@ -7,24 +7,24 @@ so the pool policy is written down once:
 * **In-process when parallelism cannot pay.**  ``jobs == 1`` or at most
   one task never spins up a pool; the optional ``initializer`` still runs
   (in-process) so serial and parallel executions warm the same caches.
-* **Explicit chunking.**  :func:`default_chunksize`
-  (``ceil(n_tasks / (jobs * CHUNKS_PER_WORKER))``) amortizes IPC
-  round-trips while keeping ~4 chunks per worker for load balancing.
-  Results are reassembled in task order regardless of chunking, worker
-  scheduling, crashes, or retries — the determinism contract pinned by
-  ``tests/util/test_pool.py``.
+* **One task per dispatch.**  Each idle worker is handed exactly one
+  task, so a slow task never holds others hostage and each task is its
+  own unit of retry and deadline.  Fresh tasks go out in task order, and
+  a dispatch never rescans the queue, so its cost does not grow with the
+  number of tasks.  Results are reassembled in task order regardless of
+  worker scheduling, crashes, or retries — the determinism contract
+  pinned by ``tests/util/test_pool.py``.
 * **Crash safety.**  Workers are individual ``multiprocessing.Process``
   children, each with its own duplex pipe; the parent waits on result
   pipes *and* process sentinels simultaneously, so a SIGKILL'd worker is
   detected immediately (the ``BrokenProcessPool`` analogue) instead of
-  hanging the run.  The failed chunk — and only that chunk — is re-run
-  under the :class:`~repro.util.retry.RetryPolicy`: a multi-task chunk
-  is first split into single-task chunks so one poison task cannot drag
-  its innocent chunk-mates through the retry budget.  A task that keeps
-  killing its worker (or blowing its ``task_timeout`` deadline) is
-  **quarantined** after ``max_attempts``: :meth:`WorkerPool.map_quarantine`
-  reports it as a :class:`TaskFault` value while every other task
-  completes; plain :meth:`WorkerPool.map` raises the corresponding
+  hanging the run.  The failed task — and only that task — is re-run
+  under the :class:`~repro.util.retry.RetryPolicy`, after its backoff.
+  A task that keeps killing its worker (or blowing its ``task_timeout``
+  deadline, counted from its dispatch) is **quarantined** after
+  ``max_attempts``: :meth:`WorkerPool.map_quarantine` reports it as a
+  :class:`TaskFault` value while every other task completes; plain
+  :meth:`WorkerPool.map` raises the corresponding
   :class:`~repro.errors.WorkerCrash` / :class:`~repro.errors.TaskTimeout`.
   Exceptions raised by the task's *own code* are never retried — they
   re-raise in the parent with their original type, exactly as before.
@@ -32,9 +32,6 @@ so the pool policy is written down once:
   and joins it (clean ``exitcode == 0``, atexit/flush hooks run);
   ``terminate()`` is the error-path hard kill.  A ``with`` block closes
   gracefully on clean exit and terminates when an exception is flying.
-* **Bounded worker lifetime.**  ``maxtasksperchild`` retires a worker
-  after N chunks (it exits cleanly and a fresh process takes its slot),
-  so long campaigns cannot accumulate per-process state.
 * **Start method.**  The platform default (``fork`` on Linux, ``spawn``
   elsewhere).  Everything submitted — worker functions, initializers,
   their arguments — must be a *top-level picklable* object (RL005), so
@@ -42,17 +39,18 @@ so the pool policy is written down once:
 
 Fault injection for tests/CI lives in :mod:`repro.devtools.chaos`
 (``REPRO_CHAOS``): the worker loop consults the chaos policy before
-each chunk (deterministic kill/delay), which is how the retry, timeout,
+each task (deterministic kill/delay), which is how the retry, timeout,
 and quarantine paths are proven without real flakiness.
 """
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 import time
 from collections import deque
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as _connection_wait
 from typing import Any, TypeVar, cast
 
@@ -61,20 +59,13 @@ from repro.errors import TaskTimeout, WorkerCrash, captured_call, format_cause
 from repro.util.retry import RetryPolicy, pause
 
 __all__ = [
-    "CHUNKS_PER_WORKER",
     "TaskFault",
     "WorkerPool",
-    "default_chunksize",
     "fan_out",
 ]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-# Target number of chunks handed to each worker: >1 so a slow chunk can
-# be balanced by idle workers picking up remaining chunks, small enough
-# that per-chunk pickling overhead stays negligible.
-CHUNKS_PER_WORKER = 4
 
 # Seconds granted to a worker to exit after a graceful stop request
 # before the hard-kill escalation (it is idle at that point — the grace
@@ -84,18 +75,6 @@ _GRACEFUL_JOIN_SECONDS = 5.0
 # Poll ceiling while tasks are in flight and a deadline or backoff gap
 # is pending; keeps fault detection latency bounded without busy-waiting.
 _MAX_POLL_SECONDS = 0.25
-
-
-def default_chunksize(n_tasks: int, jobs: int) -> int:
-    """Chunk size giving each worker ~``CHUNKS_PER_WORKER`` submissions.
-
-    Always at least 1; with few tasks this degrades to one task per
-    chunk, which matches ``Pool.map``'s own behavior on short inputs.
-    """
-    if n_tasks <= 0:
-        return 1
-    jobs = max(1, jobs)
-    return max(1, -(-n_tasks // (jobs * CHUNKS_PER_WORKER)))
 
 
 @dataclass(frozen=True)
@@ -117,11 +96,7 @@ class TaskFault:
 # -- worker side -------------------------------------------------------------
 
 
-def _run_items(fn: Callable[[Any], Any], items: list[Any]) -> list[Any]:
-    return [fn(item) for item in items]
-
-
-def _send_safe(conn: Connection, msg: tuple[Any, ...]) -> None:
+def _send_safe(conn: Connection, msg: tuple[str, Any]) -> None:
     """Send ``msg``; degrade unpicklable payloads to picklable summaries.
 
     An unpicklable result/exception must not kill the worker (the parent
@@ -130,30 +105,25 @@ def _send_safe(conn: Connection, msg: tuple[Any, ...]) -> None:
     status, payload = captured_call(conn.send, msg)
     if status == "ok":
         return
-    if msg[0] == "error":
-        conn.send(("error", msg[1], RuntimeError(format_cause(msg[2]))))
-    elif msg[0] == "init_error":
-        conn.send(("init_error", RuntimeError(format_cause(msg[1]))))
-    else:  # "ok" whose result would not pickle
-        conn.send(
-            ("error", msg[1], RuntimeError(f"result not picklable: {payload!r}"))
-        )
+    if msg[0] == "ok":  # a result that would not pickle
+        conn.send(("error", RuntimeError(f"result not picklable: {payload!r}")))
+    else:  # "error" / "init_error" whose exception would not pickle
+        conn.send((msg[0], RuntimeError(format_cause(msg[1]))))
 
 
 def _worker_main(
     conn: Connection,
     initializer: Callable[..., object] | None,
     initargs: tuple[Any, ...],
-    maxtasksperchild: int | None,
 ) -> None:
-    """Worker child loop: init once, then serve chunks until stopped.
+    """Worker child loop: init once, then serve tasks until stopped.
 
-    Protocol (parent → worker): ``("chunk", chunk_id, attempt, fn,
-    items)`` or ``("stop",)``.  Worker → parent: ``("ok", chunk_id,
-    results, retiring)``, ``("error", chunk_id, exc)``, or
-    ``("init_error", exc)``.  A worker only ever exits voluntarily
-    *between* chunks (retirement / stop), so a sentinel firing while a
-    chunk is in flight always means a crash.
+    Protocol (parent → worker): ``("task", index, attempt, fn, item)`` or
+    ``("stop",)``.  Worker → parent: ``("ok", value)``, ``("error",
+    exc)``, or ``("init_error", exc)``.  A worker exits only on a stop
+    request, a closed pipe, or after reporting an initializer failure, so
+    a sentinel that fires while a task is in flight, with no message in
+    the pipe, always means a crash.
     """
     if initializer is not None:
         status, payload = captured_call(initializer, *initargs)
@@ -161,7 +131,6 @@ def _worker_main(
             _send_safe(conn, ("init_error", payload))
             conn.close()
             return
-    done = 0
     while True:
         try:
             msg = conn.recv()
@@ -169,36 +138,30 @@ def _worker_main(
             break  # parent went away; nothing useful left to do
         if msg[0] == "stop":
             break
-        _, chunk_id, attempt, fn, items = msg
-        chaos.on_chunk(chunk_id, attempt)  # may delay or SIGKILL (tests)
-        status, payload = captured_call(_run_items, fn, items)
-        done += 1
-        retiring = maxtasksperchild is not None and done >= maxtasksperchild
-        if status == "raise":
-            _send_safe(conn, ("error", chunk_id, payload))
-        else:
-            _send_safe(conn, ("ok", chunk_id, payload, retiring))
-        if retiring:
-            break
+        _, index, attempt, fn, item = msg
+        chaos.on_task(index, attempt)  # may delay or SIGKILL (tests)
+        status, payload = captured_call(fn, item)
+        _send_safe(conn, ("error" if status == "raise" else "ok", payload))
     conn.close()
 
 
 # -- parent side -------------------------------------------------------------
 
 
-@dataclass
-class _Chunk:
-    chunk_id: int
-    indices: list[int]  # positions in the original task list
-    items: list[Any]
-    attempts: int = 0
-    not_before: float = 0.0  # monotonic timestamp gating re-dispatch
+@dataclass(order=True)
+class _Task:
+    """One task of a map; orders by its backoff gate, then its index."""
+
+    not_before: float  # monotonic timestamp gating re-dispatch
+    index: int  # position in the mapped task list
+    item: Any = field(compare=False)
+    attempts: int = field(default=0, compare=False)
 
 
 class _Worker:
     """Parent-side record of one worker process."""
 
-    __slots__ = ("proc", "conn", "slot", "chunk", "deadline")
+    __slots__ = ("proc", "conn", "slot", "task", "deadline")
 
     def __init__(
         self, proc: multiprocessing.Process, conn: Connection, slot: int
@@ -206,17 +169,17 @@ class _Worker:
         self.proc = proc
         self.conn = conn
         self.slot = slot
-        self.chunk: _Chunk | None = None
+        self.task: _Task | None = None
         self.deadline: float | None = None
 
 
 class WorkerPool:
     """A persistent, context-managed, crash-safe worker pool.
 
-    Wraps per-worker processes with the repo's policy defaults (explicit
-    chunking, optional per-worker initializer, bounded worker lifetime,
-    retry/timeout/quarantine via :class:`~repro.util.retry.RetryPolicy`)
-    and keeps the workers alive across calls:
+    Wraps per-worker processes with the repo's policy defaults (one task
+    per dispatch, optional per-worker initializer, retry/timeout/quarantine
+    via :class:`~repro.util.retry.RetryPolicy`) and keeps the workers
+    alive across calls:
 
     >>> with WorkerPool(jobs=4, initializer=warm) as pool:
     ...     a = pool.map(fn, tasks_1)
@@ -233,7 +196,6 @@ class WorkerPool:
         *,
         initializer: Callable[..., object] | None = None,
         initargs: tuple[Any, ...] = (),
-        maxtasksperchild: int | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
         if jobs < 1:
@@ -247,9 +209,7 @@ class WorkerPool:
         self.retry = retry if retry is not None else RetryPolicy()
         self._initializer = initializer
         self._initargs = initargs
-        self._maxtasksperchild = maxtasksperchild
         self._workers: dict[int, _Worker] = {}
-        self._next_chunk_id = 0
         self._warmed_inprocess = False
         self._init_error: BaseException | None = None
         self._closed = False
@@ -307,12 +267,7 @@ class WorkerPool:
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
         proc = multiprocessing.Process(
             target=_worker_main,
-            args=(
-                child_conn,
-                self._initializer,
-                self._initargs,
-                self._maxtasksperchild,
-            ),
+            args=(child_conn, self._initializer, self._initargs),
             daemon=True,
         )
         proc.start()
@@ -321,9 +276,10 @@ class WorkerPool:
         self._workers[slot] = worker
         return worker
 
-    def _remove(self, worker: _Worker, *, kill: bool) -> None:
+    def _remove(self, worker: _Worker) -> None:
+        """Hard-kill one worker and free its slot."""
         self._workers.pop(worker.slot, None)
-        if kill and worker.proc.is_alive():
+        if worker.proc.is_alive():
             worker.proc.terminate()
             worker.proc.join(1.0)
             if worker.proc.is_alive():  # pragma: no cover - last resort
@@ -337,9 +293,8 @@ class WorkerPool:
         self,
         fn: Callable[[_T], _R],
         tasks: Iterable[_T],
-        chunksize: int | None = None,
         *,
-        on_result: Callable[[list[int], list[_R]], None] | None = None,
+        on_result: Callable[[int, _R], None] | None = None,
     ) -> list[_R]:
         """Map ``fn`` over ``tasks``; results come back in task order.
 
@@ -347,10 +302,10 @@ class WorkerPool:
         the pool's :class:`RetryPolicy`; a task that exhausts its budget
         raises :class:`~repro.errors.WorkerCrash` /
         :class:`~repro.errors.TaskTimeout`.  ``on_result`` streams each
-        completed chunk ``(task_indices, values)`` to the caller as it
-        lands (completion order) — the campaign checkpoint hook.
+        completed task ``(task_index, value)`` to the caller as it lands
+        (completion order) — the campaign checkpoint hook.
         """
-        results, faults = self._run(fn, tasks, chunksize, on_result=on_result)
+        results, faults = self._run(fn, tasks, on_result=on_result)
         if faults:
             raise faults[0].as_error()
         return cast("list[_R]", results)
@@ -359,9 +314,8 @@ class WorkerPool:
         self,
         fn: Callable[[_T], _R],
         tasks: Iterable[_T],
-        chunksize: int | None = None,
         *,
-        on_result: Callable[[list[int], list[_R]], None] | None = None,
+        on_result: Callable[[int, _R], None] | None = None,
     ) -> tuple[list[_R | None], list[TaskFault]]:
         """Like :meth:`map`, but faulted tasks are quarantined.
 
@@ -371,7 +325,7 @@ class WorkerPool:
         other tasks complete normally.  Task-code exceptions still
         raise (they are deterministic; see the module docstring).
         """
-        return self._run(fn, tasks, chunksize, quarantine=True, on_result=on_result)
+        return self._run(fn, tasks, quarantine=True, on_result=on_result)
 
     def _warm_inprocess(self) -> None:
         """Serial-path initializer: run once, fail loudly forever after.
@@ -398,10 +352,9 @@ class WorkerPool:
         self,
         fn: Callable[[_T], _R],
         tasks: Iterable[_T],
-        chunksize: int | None,
         *,
         quarantine: bool = False,
-        on_result: Callable[[list[int], list[_R]], None] | None = None,
+        on_result: Callable[[int, _R], None] | None = None,
     ) -> tuple[list[_R | None], list[TaskFault]]:
         items = list(tasks)
         if self._closed:
@@ -415,26 +368,21 @@ class WorkerPool:
                 value = fn(item)
                 out.append(value)
                 if on_result is not None:
-                    on_result([idx], [value])
+                    on_result(idx, value)
             return out, []
-        if chunksize is None:
-            chunksize = default_chunksize(len(items), self.jobs)
-        pending: deque[_Chunk] = deque()
-        for lo in range(0, len(items), chunksize):
-            hi = min(len(items), lo + chunksize)
-            pending.append(
-                _Chunk(self._next_chunk_id, list(range(lo, hi)), items[lo:hi])
-            )
-            self._next_chunk_id += 1
+        # Fresh tasks leave in task order; a task that faulted waits in
+        # ``requeued``, a heap on its backoff gate, and goes first once
+        # the gate opens — so no dispatch rescans the remaining tasks.
+        fresh = deque(_Task(0.0, idx, item) for idx, item in enumerate(items))
+        requeued: list[_Task] = []
         results: list[_R | None] = [None] * len(items)
         faults: list[TaskFault] = []
         remaining = len(items)
         try:
             while remaining > 0:
-                now = time.monotonic()
-                self._dispatch(fn, pending, now)
+                self._dispatch(fn, fresh, requeued)
                 remaining -= self._collect(
-                    pending, results, faults, quarantine, on_result
+                    fresh, requeued, results, faults, quarantine, on_result
                 )
         except BaseException:  # repro-lint: disable=RL010 (re-raised immediately: the catch only hard-kills workers orphaned by the failing map, it swallows nothing)
             # error path: never leave workers running a doomed map
@@ -443,236 +391,161 @@ class WorkerPool:
         return results, faults
 
     def _dispatch(
-        self, fn: Callable[[Any], Any], pending: deque[_Chunk], now: float
+        self,
+        fn: Callable[[Any], Any],
+        fresh: deque[_Task],
+        requeued: list[_Task],
     ) -> None:
-        """Hand ready chunks to idle workers, spawning up to ``jobs``."""
-        ready = [c for c in pending if c.not_before <= now]
-        if not ready:
-            return
-        idle = [w for w in self._workers.values() if w.chunk is None]
-        while len(ready) > len(idle) and len(self._workers) < self.jobs:
-            slot = next(s for s in range(self.jobs) if s not in self._workers)
-            idle.append(self._spawn(slot))
-        for worker in idle:
-            if not ready:
-                break
-            chunk = ready.pop(0)
-            pending.remove(chunk)
-            worker.chunk = chunk
-            deadline = self.retry.chunk_deadline(len(chunk.items))
-            worker.deadline = None if deadline is None else now + deadline
-            status, payload = captured_call(
-                worker.conn.send,
-                ("chunk", chunk.chunk_id, chunk.attempts, fn, chunk.items),
+        """Hand one ready task to each idle slot, spawning up to ``jobs``."""
+        now = time.monotonic()
+        timeout = self.retry.task_timeout
+        for slot in range(self.jobs):
+            worker = self._workers.get(slot)
+            if worker is not None and worker.task is not None:
+                continue
+            if requeued and requeued[0].not_before <= now:
+                task = heapq.heappop(requeued)
+            elif fresh:
+                task = fresh.popleft()
+            else:
+                return
+            if worker is None:
+                worker = self._spawn(slot)
+            worker.task = task
+            worker.deadline = None if timeout is None else now + timeout
+            status, _ = captured_call(
+                worker.conn.send, ("task", task.index, task.attempts, fn, task.item)
             )
             if status == "raise":
                 # dead pipe: the worker crashed before we could feed it;
-                # requeue the chunk without charging an attempt
-                worker.chunk = None
-                pending.appendleft(chunk)
-                self._remove(worker, kill=True)
+                # requeue the task without charging an attempt
+                worker.task = None
+                heapq.heappush(requeued, task)
+                self._remove(worker)
 
     def _collect(
         self,
-        pending: deque[_Chunk],
+        fresh: deque[_Task],
+        requeued: list[_Task],
         results: list[Any],
         faults: list[TaskFault],
         quarantine: bool,
-        on_result: Callable[[list[int], list[Any]], None] | None,
+        on_result: Callable[[int, Any], None] | None,
     ) -> int:
         """Wait for one round of events; returns tasks newly settled."""
-        busy = [w for w in self._workers.values() if w.chunk is not None]
-        timeout = self._poll_timeout(busy, pending)
+        busy = [w for w in self._workers.values() if w.task is not None]
+        timeout = self._poll_timeout(busy, fresh, requeued)
         if not busy:
             pause(timeout if timeout is not None else 0.0)  # backoff gap
             return 0
         objects: list[Any] = [w.conn for w in busy]
         objects += [w.proc.sentinel for w in busy]
-        ready = _connection_wait(objects, timeout)
-        ready_set = set(ready)
+        ready = set(_connection_wait(objects, timeout))
         settled = 0
         for worker in busy:
-            if worker.conn in ready_set:
-                settled += self._service_message(
-                    worker, pending, results, faults, quarantine, on_result
-                )
-            elif worker.proc.sentinel in ready_set:
-                settled += self._service_death(
-                    worker, pending, results, faults, quarantine, on_result
+            if worker.conn in ready or worker.proc.sentinel in ready:
+                settled += self._service(
+                    worker, requeued, results, faults, quarantine, on_result
                 )
         now = time.monotonic()
         for worker in list(self._workers.values()):
             if (
-                worker.chunk is not None
+                worker.task is not None
                 and worker.deadline is not None
                 and now > worker.deadline
             ):
-                settled += self._fail_chunk(
+                settled += self._fail_task(
                     worker,
                     "timeout",
                     f"task exceeded {self.retry.task_timeout}s deadline",
-                    pending,
+                    requeued,
                     faults,
                     quarantine,
                 )
         return settled
 
     def _poll_timeout(
-        self, busy: list[_Worker], pending: deque[_Chunk]
+        self,
+        busy: list[_Worker],
+        fresh: deque[_Task],
+        requeued: list[_Task],
     ) -> float | None:
         now = time.monotonic()
         bounds = [w.deadline - now for w in busy if w.deadline is not None]
-        bounds += [c.not_before - now for c in pending if c.not_before > now]
-        if pending and not busy and not bounds:
+        if requeued and requeued[0].not_before > now:
+            bounds.append(requeued[0].not_before - now)
+        if (fresh or requeued) and not busy and not bounds:
             return _MAX_POLL_SECONDS
         if not bounds:
             return None  # block until a message or a death
         return min(_MAX_POLL_SECONDS, max(0.0, min(bounds)))
 
-    def _service_message(
+    def _service(
         self,
         worker: _Worker,
-        pending: deque[_Chunk],
+        requeued: list[_Task],
         results: list[Any],
         faults: list[TaskFault],
         quarantine: bool,
-        on_result: Callable[[list[int], list[Any]], None] | None,
+        on_result: Callable[[int, Any], None] | None,
     ) -> int:
+        """Settle a busy worker whose pipe or sentinel fired: receive its
+        message, or fail its task as a crash (EOF: the worker died)."""
         status, msg = captured_call(worker.conn.recv)
         if status == "raise":  # EOF without a message: the worker died
-            return self._fail_dead_worker(
-                worker, pending, faults, quarantine
+            return self._fail_task(
+                worker,
+                "crash",
+                f"worker died with exitcode {worker.proc.exitcode}",
+                requeued,
+                faults,
+                quarantine,
             )
-        return self._handle_message(
-            worker, msg, pending, results, faults, quarantine, on_result
-        )
+        if msg[0] == "ok":
+            task = worker.task
+            assert task is not None, "result for an unassigned worker"
+            worker.task = None
+            worker.deadline = None
+            results[task.index] = msg[1]
+            if on_result is not None:
+                on_result(task.index, msg[1])
+            return 1
+        # a task-code or initializer exception is deterministic: no
+        # retry, re-raise the original (``_run`` then kills the workers)
+        raise msg[1]
 
-    def _handle_message(
-        self,
-        worker: _Worker,
-        msg: tuple[Any, ...],
-        pending: deque[_Chunk],
-        results: list[Any],
-        faults: list[TaskFault],
-        quarantine: bool,
-        on_result: Callable[[list[int], list[Any]], None] | None,
-    ) -> int:
-        if msg[0] == "init_error":
-            # initializer failures are deterministic — no retry; requeue
-            # the unexecuted chunk for bookkeeping, then raise
-            if worker.chunk is not None:
-                pending.appendleft(worker.chunk)
-                worker.chunk = None
-            self._remove(worker, kill=True)
-            raise msg[1]
-        if msg[0] == "error":
-            raise msg[2]  # task-code exception: re-raise the original
-        _, _chunk_id, values, retiring = msg
-        chunk = worker.chunk
-        assert chunk is not None, "result for an unassigned worker"
-        worker.chunk = None
-        worker.deadline = None
-        for offset, idx in enumerate(chunk.indices):
-            results[idx] = values[offset]
-        if on_result is not None:
-            on_result(list(chunk.indices), list(values))
-        if retiring:
-            self._remove(worker, kill=False)
-        return len(chunk.indices)
-
-    def _service_death(
-        self,
-        worker: _Worker,
-        pending: deque[_Chunk],
-        results: list[Any],
-        faults: list[TaskFault],
-        quarantine: bool,
-        on_result: Callable[[list[int], list[Any]], None] | None,
-    ) -> int:
-        # drain any final message that raced the sentinel (a retiring
-        # worker's last result can still sit in the pipe when its
-        # sentinel fires); EOF here means the pipe was empty after all
-        if worker.chunk is not None and worker.conn.poll():
-            status, msg = captured_call(worker.conn.recv)
-            if status == "ok":  # pragma: no cover - narrow race
-                return self._handle_message(
-                    worker, msg, pending, results, faults, quarantine, on_result
-                )
-        return self._fail_dead_worker(worker, pending, faults, quarantine)
-
-    def _fail_dead_worker(
-        self,
-        worker: _Worker,
-        pending: deque[_Chunk],
-        faults: list[TaskFault],
-        quarantine: bool,
-    ) -> int:
-        exitcode = worker.proc.exitcode
-        if worker.chunk is None:
-            self._remove(worker, kill=False)  # voluntary exit between chunks
-            return 0
-        return self._fail_chunk(
-            worker,
-            "crash",
-            f"worker died with exitcode {exitcode}",
-            pending,
-            faults,
-            quarantine,
-            exitcode=exitcode,
-        )
-
-    def _fail_chunk(
+    def _fail_task(
         self,
         worker: _Worker,
         kind: str,
         cause: str,
-        pending: deque[_Chunk],
+        requeued: list[_Task],
         faults: list[TaskFault],
         quarantine: bool,
-        exitcode: int | None = None,
     ) -> int:
-        """Handle one chunk-level infrastructure fault; returns tasks
-        settled (only nonzero when a task is quarantined)."""
-        chunk = worker.chunk
-        assert chunk is not None
-        worker.chunk = None
-        self._remove(worker, kill=True)
-        chunk.attempts += 1
-        now = time.monotonic()
-        if len(chunk.items) > 1:
-            # isolate the poison task: retry as single-task chunks so
-            # innocent chunk-mates stop sharing its fate
-            singles = []
-            for idx, item in zip(chunk.indices, chunk.items):
-                single = _Chunk(
-                    self._next_chunk_id, [idx], [item], attempts=chunk.attempts
-                )
-                self._next_chunk_id += 1
-                single.not_before = now + self.retry.backoff(
-                    chunk.attempts, key=f"chunk{single.chunk_id}"
-                )
-                singles.append(single)
-            pending.extendleft(reversed(singles))
-            return 0
+        """Handle one infrastructure fault; returns tasks settled (only
+        nonzero when the task is quarantined)."""
+        task = worker.task
+        assert task is not None
+        worker.task = None
+        self._remove(worker)
+        task.attempts += 1
         message = (
-            f"task {chunk.indices[0]} {kind} on attempt "
-            f"{chunk.attempts}/{self.retry.max_attempts}: {cause}"
+            f"task {task.index} {kind} on attempt "
+            f"{task.attempts}/{self.retry.max_attempts}: {cause}"
         )
-        if chunk.attempts >= self.retry.max_attempts:
+        if task.attempts >= self.retry.max_attempts:
             fault = TaskFault(
-                index=chunk.indices[0],
-                kind=kind,
-                message=message,
-                attempts=chunk.attempts,
+                index=task.index, kind=kind, message=message, attempts=task.attempts
             )
             if not quarantine:
                 raise fault.as_error()
             faults.append(fault)
             return 1  # settled (as a poison-task report)
-        chunk.not_before = now + self.retry.backoff(
-            chunk.attempts, key=f"chunk{chunk.chunk_id}"
+        task.not_before = time.monotonic() + self.retry.backoff(
+            task.attempts, key=f"task{task.index}"
         )
-        pending.appendleft(chunk)
+        heapq.heappush(requeued, task)
         return 0
 
 
@@ -688,8 +561,8 @@ def fan_out(
     At most ``jobs`` workers, never more than there are tasks; the pool's
     own in-process path covers ``jobs == 1`` and single tasks.  ``fn``
     and the tasks must be picklable top-level objects (spawn-safe);
-    results come back in task order regardless of chunking, worker
-    scheduling, or fault recovery.
+    results come back in task order regardless of worker scheduling or
+    fault recovery.
     """
     with WorkerPool(max(1, min(jobs, len(tasks))), retry=retry) as pool:
         return pool.map(fn, tasks)

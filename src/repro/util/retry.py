@@ -15,10 +15,9 @@ surface, so the fault discipline is written down once:
   ``max_delay`` and jitters each step by a factor derived from
   ``sha256(seed, key, attempt)`` — the same run always sleeps the same
   amount (no module-global RNG, RL001), while distinct tasks decorrelate.
-* **Per-task deadlines.**  ``task_timeout`` seconds per task; the pool
-  multiplies by the chunk length and accounts the deadline from
-  dispatch time (see ``WorkerPool``), so a hung task surfaces as
-  :class:`~repro.errors.TaskTimeout` instead of a silent stall.
+* **Per-task deadlines.**  ``task_timeout`` seconds per task, counted
+  from the task's dispatch (see ``WorkerPool``), so a hung task surfaces
+  as :class:`~repro.errors.TaskTimeout` instead of a silent stall.
 
 This module is one of the two sanctioned homes of ``time.sleep``
 (lint rule RL010) — ad-hoc sleep/retry loops elsewhere are banned so
@@ -122,13 +121,3 @@ class RetryPolicy:
             return 0.0
         nominal = min(self.max_delay, self.base_delay * 2 ** (attempt - 1))
         return nominal * (0.5 + seeded_jitter(self.seed, key, attempt) / 2)
-
-    def chunk_deadline(self, n_items: int) -> float | None:
-        """Deadline in seconds for a chunk of ``n_items`` tasks.
-
-        ``task_timeout`` is *per task*; a worker processing a chunk
-        sequentially legitimately needs the sum.
-        """
-        if self.task_timeout is None:
-            return None
-        return self.task_timeout * max(1, n_items)

@@ -296,13 +296,13 @@ class TestSigkillResumeByteIdentity:
         out.mkdir()
         cursor = out / "chaos-tiny-shard0of2.cursor.json"
 
-        # Shard 0/2 owns 4 scenarios; jobs=2 gives chunk ids 0..3, and
-        # the injected delay stalls chunk 3 long past the test, so the
-        # run checkpoints the first rows and then hangs — kill it there.
+        # Shard 0/2 owns 4 scenarios (tasks 0..3), and the injected
+        # delay stalls task 3 long past the test, so the run
+        # checkpoints the first rows and then hangs — kill it there.
         proc = self._run_cli(
             spec_file,
             out,
-            chaos_spec="delay:chunk=3:ms=600000",
+            chaos_spec="delay:task=3:ms=600000",
             wait=False,
         )
         try:

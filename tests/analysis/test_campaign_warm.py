@@ -1,15 +1,13 @@
-"""The warm campaign path: pre-built scenario caches, recycled workers.
+"""The warm campaign path: pre-built scenario caches in every worker.
 
 Two contracts: the pool initializer actually pre-warms the per-process
 scenario caches (hit counters prove the execution path found them), and
-neither worker count nor worker recycling can change a campaign's
-bytes.
+the worker count cannot change a campaign's bytes.
 """
 
 import pytest
 
 from repro.analysis.campaigns import (
-    CampaignRunner,
     CampaignSpec,
     artifact_path,
     run_campaign_shard,
@@ -21,7 +19,6 @@ from repro.analysis.scenarios import (
     scenario_cache_info,
     warm_scenario_caches,
 )
-from repro.types import InvalidParameterError
 
 # Mixed scheme + registry schedulers over one sparse-hypercube spec so a
 # single run exercises both instance caches.
@@ -85,18 +82,11 @@ class TestCampaignRunsWarm:
 
 
 class TestWorkerConfigDeterminism:
-    def test_maxtasksperchild_does_not_change_bytes(self, tmp_path):
-        ref, recycled = tmp_path / "ref", tmp_path / "recycled"
-        run_campaign_shard(WARM, shard=(0, 1), out_dir=ref, jobs=1)
-        run_campaign_shard(
-            WARM, shard=(0, 1), out_dir=recycled, jobs=2, maxtasksperchild=1
-        )
+    def test_worker_count_keeps_bytes(self, tmp_path):
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        run_campaign_shard(WARM, shard=(0, 1), out_dir=serial, jobs=1)
+        run_campaign_shard(WARM, shard=(0, 1), out_dir=parallel, jobs=2)
         assert (
-            artifact_path(ref, WARM).read_bytes()
-            == artifact_path(recycled, WARM).read_bytes()
+            artifact_path(serial, WARM).read_bytes()
+            == artifact_path(parallel, WARM).read_bytes()
         )
-
-    def test_maxtasksperchild_validated(self):
-        with pytest.raises(InvalidParameterError, match="maxtasksperchild"):
-            CampaignRunner(maxtasksperchild=0)
-        CampaignRunner(maxtasksperchild=1)  # boundary accepted

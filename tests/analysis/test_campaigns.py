@@ -153,6 +153,18 @@ class TestJsonSpecs:
                 "schedulers": ["greedy"],
                 "surprise": 1,
             },
+            {
+                "name": "x",
+                "graphs": ["hypercube:3"],
+                "schedulers": ["greedy"],
+                "k_values": [True],
+            },
+            {
+                "name": "x",
+                "graphs": ["hypercube:3"],
+                "schedulers": ["greedy"],
+                "base_seed": False,
+            },
         ],
     )
     def test_malformed_specs_rejected(self, tmp_path, payload):

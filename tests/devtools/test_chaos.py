@@ -19,26 +19,26 @@ def _clean_chaos_state(monkeypatch):
 
 class TestParse:
     def test_kill_event(self):
-        policy = ChaosPolicy.parse("kill:chunk=3")
-        assert policy.chunk_actions(3, 0) == (True, 0.0)
-        assert policy.chunk_actions(3, 1) == (False, 0.0)  # retry survives
-        assert policy.chunk_actions(2, 0) == (False, 0.0)
+        policy = ChaosPolicy.parse("kill:task=3")
+        assert policy.task_actions(3, 0) == (True, 0.0)
+        assert policy.task_actions(3, 1) == (False, 0.0)  # retry survives
+        assert policy.task_actions(2, 0) == (False, 0.0)
 
     def test_kill_on_specific_attempt(self):
-        policy = ChaosPolicy.parse("kill:chunk=1:attempt=2")
-        assert policy.chunk_actions(1, 0) == (False, 0.0)
-        assert policy.chunk_actions(1, 2) == (True, 0.0)
+        policy = ChaosPolicy.parse("kill:task=1:attempt=2")
+        assert policy.task_actions(1, 0) == (False, 0.0)
+        assert policy.task_actions(1, 2) == (True, 0.0)
 
     def test_delay_event(self):
-        policy = ChaosPolicy.parse("delay:chunk=0:ms=250")
-        kill, delay = policy.chunk_actions(0, 0)
+        policy = ChaosPolicy.parse("delay:task=0:ms=250")
+        kill, delay = policy.task_actions(0, 0)
         assert not kill and delay == 0.25
-        _, delay_retry = policy.chunk_actions(0, 3)
+        _, delay_retry = policy.task_actions(0, 3)
         assert delay_retry == 0.25  # any attempt when attempt= omitted
 
     def test_multiple_events(self):
-        policy = ChaosPolicy.parse("kill:chunk=2; delay:chunk=2:ms=100")
-        assert policy.chunk_actions(2, 0) == (True, 0.1)
+        policy = ChaosPolicy.parse("kill:task=2; delay:task=2:ms=100")
+        assert policy.task_actions(2, 0) == (True, 0.1)
 
     def test_corrupt_cache_nth(self):
         policy = ChaosPolicy.parse("corrupt-cache:nth=1")
@@ -47,21 +47,34 @@ class TestParse:
 
     def test_seed_event(self):
         assert ChaosPolicy.parse("seed=9").seed == 9
-        assert ChaosPolicy.parse("kill:chunk=0;seed=4").seed == 4
+        assert ChaosPolicy.parse("kill:task=0;seed=4").seed == 4
 
     def test_unknown_kind_rejected(self):
         # the last two are retired kinds: rejected, never silently ignored
-        for spec in ("explode:chunk=1", "attach-fail:all", "export-fail:nth=1"):
+        for spec in ("explode:task=1", "attach-fail:all", "export-fail:nth=1"):
             with pytest.raises(InvalidParameterError, match="unknown event kind"):
                 ChaosPolicy.parse(spec)
 
     def test_malformed_param_rejected(self):
-        with pytest.raises(InvalidParameterError, match="malformed"):
-            ChaosPolicy.parse("kill:chunk")
+        # a malformed, unknown or missing key would inject nothing
+        cases = {
+            "kill:task": "malformed",
+            "kill:chnuk=0": "unknown parameter 'chnuk'",
+            "corrupt-cache:nth=0:p=1": "unknown parameter 'p'",
+            "kill": "kill needs a task= parameter",
+            "delay:ms=100": "delay needs a task= parameter",
+            "delay:task=0": "delay needs a ms= parameter",
+            "corrupt-cache": "corrupt-cache needs a nth= parameter",
+        }
+        for kind in ("kill", "delay"):  # the retired chunk= target
+            cases[f"{kind}:chunk=0"] = "unknown parameter 'chunk'"
+        for spec, message in cases.items():
+            with pytest.raises(InvalidParameterError, match=message):
+                ChaosPolicy.parse(spec)
 
     def test_non_integer_param_rejected(self):
         with pytest.raises(InvalidParameterError, match="integer"):
-            ChaosPolicy.parse("kill:chunk=abc")
+            ChaosPolicy.parse("kill:task=abc")
 
 
 class TestProcessHooks:
@@ -69,10 +82,10 @@ class TestProcessHooks:
         assert chaos.active_policy() is None
 
     def test_policy_cached_until_spec_changes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "kill:chunk=0")
+        monkeypatch.setenv("REPRO_CHAOS", "kill:task=0")
         first = chaos.active_policy()
         assert first is chaos.active_policy()
-        monkeypatch.setenv("REPRO_CHAOS", "kill:chunk=1")
+        monkeypatch.setenv("REPRO_CHAOS", "kill:task=1")
         second = chaos.active_policy()
         assert second is not first
 
@@ -88,13 +101,13 @@ class TestProcessHooks:
         with pytest.raises(json.JSONDecodeError):
             json.loads(entry.read_text())
 
-    def test_on_chunk_noop_without_policy(self):
-        chaos.on_chunk(0, 0)  # must not raise or sleep
+    def test_on_task_noop_without_policy(self):
+        chaos.on_task(0, 0)  # must not raise or sleep
 
     def test_probabilistic_gate_is_deterministic(self):
-        policy = ChaosPolicy.parse("kill:chunk=0:p=0.5;seed=3")
-        first = policy.chunk_actions(0, 0)
-        assert first == policy.chunk_actions(0, 0)
+        policy = ChaosPolicy.parse("kill:task=0:p=0.5;seed=3")
+        first = policy.task_actions(0, 0)
+        assert first == policy.task_actions(0, 0)
         # p=0 never fires, p=1 always does
-        assert not ChaosPolicy.parse("kill:chunk=0:p=0.0").chunk_actions(0, 0)[0]
-        assert ChaosPolicy.parse("kill:chunk=0:p=1.0").chunk_actions(0, 0)[0]
+        assert not ChaosPolicy.parse("kill:task=0:p=0.0").task_actions(0, 0)[0]
+        assert ChaosPolicy.parse("kill:task=0:p=1.0").task_actions(0, 0)[0]

@@ -488,7 +488,7 @@ class TestRL010FaultHandlingBoundaries:
             import time
 
 
-            def on_chunk(delay):
+            def on_task(delay):
                 time.sleep(delay)
             """
         assert run_rule(tmp_path, good, "RL010", "repro/devtools/chaos.py") == []

@@ -1,15 +1,15 @@
-"""The shared pool policy: chunked fan-out, initializers, persistence.
+"""The shared pool policy: one task per dispatch, initializers, persistence.
 
-The determinism contract — results in task order whatever the
-chunksize, worker count, or worker recycling — is what the campaign
-merge gate ultimately leans on, so it is pinned here directly.
+The determinism contract — results in task order whatever the worker
+count or the order tasks complete in — is what the campaign merge gate
+ultimately leans on, so it is pinned here directly.
 """
 
 import os
 
 import pytest
 
-from repro.util.pool import WorkerPool, default_chunksize, fan_out
+from repro.util.pool import WorkerPool, fan_out
 
 # -- module-level workers (the pool pickles them) ---------------------------
 
@@ -37,17 +37,6 @@ def _boom(x):
     if x == 3:
         raise ValueError("task 3 exploded")
     return x
-
-
-class TestDefaultChunksize:
-    def test_four_chunks_per_worker(self):
-        assert default_chunksize(32, 2) == 4
-        assert default_chunksize(100, 4) == 7
-
-    def test_floor_of_one(self):
-        assert default_chunksize(3, 8) == 1
-        assert default_chunksize(0, 4) == 1
-        assert default_chunksize(5, 0) == 2  # jobs clamped to >= 1
 
 
 class TestFanOut:
@@ -82,11 +71,11 @@ class TestWorkerPool:
             WorkerPool(0)
 
     def test_parallel_order_determinism_under_chunking(self):
-        tasks = list(range(37))  # deliberately not a chunksize multiple
+        # results land in completion order; map returns them in task order
+        tasks = list(range(37))
         expected = [x * x for x in tasks]
         with WorkerPool(2) as pool:
-            for chunksize in (None, 1, 5, 64):
-                assert pool.map(_square, tasks, chunksize) == expected
+            assert pool.map(_square, tasks) == expected
 
     def test_initializer_runs_once_per_worker(self):
         # every task must observe an already-warmed worker
@@ -94,17 +83,8 @@ class TestWorkerPool:
             out = pool.map(_read_warm, range(12))
         assert all(count >= 1 and tag == "w" for count, tag in out)
 
-    def test_maxtasksperchild_recycles_workers(self):
-        tasks = list(range(16))
-        # chunksize 1 + maxtasksperchild 1 = a fresh process per task
-        with WorkerPool(2, maxtasksperchild=1) as pool:
-            out = pool.map(_tag_pid, tasks, 1)
-        assert len({pid for _, pid in out}) > 2
-        # order is still task order
-        assert [x for x, _ in out] == tasks
-
     def test_persistent_pool_reuses_workers(self):
-        # A map may land every chunk on one of the two workers, so the
+        # A map may land every task on one of the two workers, so the
         # per-map pid sets need not be equal — but both maps must be
         # served by the pool's own (at most 2) persistent processes.
         with WorkerPool(2) as pool:

@@ -3,7 +3,7 @@
 Worker functions are module-level (RL005: submitted callables must be
 top-level picklable), and every crash here is deterministic — either a
 marker file flips the behavior on retry, or the chaos harness names the
-exact chunk to kill.
+exact task to kill.
 """
 
 import os
@@ -55,6 +55,12 @@ def _sleep_on_two(value):
     return value
 
 
+def _nap_on_two(value):
+    if value == 2:
+        time.sleep(0.7)  # past a 0.4 s deadline, inside twice that
+    return value
+
+
 def _log_execution(arg):
     log, value = arg
     with open(log, "a") as fh:
@@ -62,6 +68,15 @@ def _log_execution(arg):
     if value == 5:
         raise ValueError(f"task {value} is broken")
     return value
+
+
+def _log_crash_on_seven(arg):
+    log, value = arg
+    with open(log, "a") as fh:
+        fh.write(f"{value}\n")
+    if value == 7:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value * 2
 
 
 def _bad_init():
@@ -72,7 +87,7 @@ class TestCrashRetry:
     def test_killed_worker_chunk_is_rerun(self, tmp_path):
         tasks = [(str(tmp_path / f"marker{i}"), i) for i in range(4)]
         with WorkerPool(2, retry=FAST) as pool:
-            out = pool.map(_crash_once, tasks, chunksize=2)
+            out = pool.map(_crash_once, tasks)
         assert out == [0, 2, 4, 6]
         # every task really did kill a worker once before succeeding
         assert all(os.path.exists(marker) for marker, _ in tasks)
@@ -80,9 +95,7 @@ class TestCrashRetry:
     def test_poison_task_is_quarantined(self):
         retry = RetryPolicy(base_delay=0.0, max_attempts=2)
         with WorkerPool(2, retry=retry) as pool:
-            results, faults = pool.map_quarantine(
-                _crash_on_seven, [1, 7, 3, 4], chunksize=2
-            )
+            results, faults = pool.map_quarantine(_crash_on_seven, [1, 7, 3, 4])
         assert results == [2, None, 6, 8]
         (fault,) = faults
         assert fault.index == 1
@@ -94,16 +107,28 @@ class TestCrashRetry:
         retry = RetryPolicy(base_delay=0.0, max_attempts=2)
         with WorkerPool(2, retry=retry) as pool:
             with pytest.raises(WorkerCrash, match="attempt 2/2"):
-                pool.map(_crash_on_seven, [1, 7, 3, 4], chunksize=2)
+                pool.map(_crash_on_seven, [1, 7, 3, 4])
+
+    def test_zero_retries_runs_every_task_once(self, tmp_path):
+        # --retries 0: the crash is final, and no other task is re-run
+        log = str(tmp_path / "executions.log")
+        retry = RetryPolicy(base_delay=0.0, max_attempts=1)
+        with WorkerPool(2, retry=retry) as pool:
+            results, faults = pool.map_quarantine(
+                _log_crash_on_seven, [(log, i) for i in range(16)]
+            )
+        assert results == [None if i == 7 else i * 2 for i in range(16)]
+        (fault,) = faults
+        assert (fault.index, fault.kind, fault.attempts) == (7, "crash", 1)
+        with open(log) as fh:
+            assert sorted(int(line) for line in fh) == list(range(16))
 
 
 class TestTimeouts:
     def test_deadline_quarantines_slow_task(self):
         retry = RetryPolicy(base_delay=0.0, max_attempts=1, task_timeout=0.4)
         with WorkerPool(2, retry=retry) as pool:
-            results, faults = pool.map_quarantine(
-                _sleep_on_two, [0, 1, 2, 3], chunksize=1
-            )
+            results, faults = pool.map_quarantine(_sleep_on_two, [0, 1, 2, 3])
         assert results == [0, 1, None, 3]
         (fault,) = faults
         assert fault.kind == "timeout"
@@ -114,7 +139,17 @@ class TestTimeouts:
         retry = RetryPolicy(base_delay=0.0, max_attempts=1, task_timeout=0.4)
         with WorkerPool(2, retry=retry) as pool:
             with pytest.raises(TaskTimeout, match="deadline"):
-                pool.map(_sleep_on_two, [0, 1, 2, 3], chunksize=1)
+                pool.map(_sleep_on_two, [0, 1, 2, 3])
+
+    def test_deadline_is_per_task(self):
+        # task 2 overruns its own 0.4 s even though it and a fast
+        # neighbour together would fit in 0.8 s
+        retry = RetryPolicy(base_delay=0.0, max_attempts=1, task_timeout=0.4)
+        with WorkerPool(2, retry=retry) as pool:
+            results, faults = pool.map_quarantine(_nap_on_two, list(range(16)))
+        assert results == [None if i == 2 else i for i in range(16)]
+        (fault,) = faults
+        assert (fault.index, fault.kind) == (2, "timeout")
 
 
 class TestTaskExceptions:
@@ -123,7 +158,7 @@ class TestTaskExceptions:
         tasks = [(log, 1), (log, 5), (log, 2), (log, 3)]
         with WorkerPool(2, retry=FAST) as pool:
             with pytest.raises(ValueError, match="task 5 is broken"):
-                pool.map(_log_execution, tasks, chunksize=1)
+                pool.map(_log_execution, tasks)
         executed = open(log).read().splitlines()
         # deterministic task-code failure: exactly one execution, no retry
         assert executed.count("5") == 1
@@ -178,18 +213,16 @@ class TestChaosIntegration:
             WorkerPool(1)  # even serial pools must reject a bad spec
 
     def test_chaos_kill_is_survived_by_retry(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "kill:chunk=0")
+        monkeypatch.setenv("REPRO_CHAOS", "kill:task=0")
         with WorkerPool(2, retry=FAST) as pool:
-            out = pool.map(_double, [1, 2, 3, 4], chunksize=2)
+            out = pool.map(_double, [1, 2, 3, 4])
         assert out == [2, 4, 6, 8]
 
     def test_chaos_delay_trips_the_deadline(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "delay:chunk=0:ms=5000")
+        monkeypatch.setenv("REPRO_CHAOS", "delay:task=0:ms=5000")
         retry = RetryPolicy(base_delay=0.0, max_attempts=1, task_timeout=0.4)
         with WorkerPool(2, retry=retry) as pool:
-            results, faults = pool.map_quarantine(
-                _double, [1, 2, 3], chunksize=1
-            )
+            results, faults = pool.map_quarantine(_double, [1, 2, 3])
         assert results == [None, 4, 6]
         (fault,) = faults
         assert fault.index == 0
@@ -200,9 +233,8 @@ class TestOnResultStreaming:
     def test_on_result_sees_every_completed_task(self):
         seen = {}
 
-        def sink(indices, values):
-            for idx, value in zip(indices, values):
-                seen[idx] = value
+        def sink(idx, value):
+            seen[idx] = value
 
         with WorkerPool(2, retry=FAST) as pool:
             out = pool.map(_double, list(range(10)), on_result=sink)
@@ -212,14 +244,11 @@ class TestOnResultStreaming:
     def test_quarantined_task_never_streams(self):
         seen = {}
 
-        def sink(indices, values):
-            for idx, value in zip(indices, values):
-                seen[idx] = value
+        def sink(idx, value):
+            seen[idx] = value
 
         retry = RetryPolicy(base_delay=0.0, max_attempts=2)
         with WorkerPool(2, retry=retry) as pool:
-            pool.map_quarantine(
-                _crash_on_seven, [1, 7, 3, 4], chunksize=2, on_result=sink
-            )
+            pool.map_quarantine(_crash_on_seven, [1, 7, 3, 4], on_result=sink)
         assert 1 not in seen  # the poison index
         assert seen[0] == 2 and seen[2] == 6 and seen[3] == 8

@@ -70,14 +70,3 @@ class TestBackoff:
         assert all(0.0 <= v < 1.0 for v in values)
         assert len(values) == 64  # sha256: no accidental collisions here
         assert seeded_jitter(3, "k", 2) == seeded_jitter(3, "k", 2)
-
-
-class TestDeadlines:
-    def test_no_timeout_means_no_deadline(self):
-        assert RetryPolicy().chunk_deadline(10) is None
-
-    def test_deadline_scales_with_chunk_length(self):
-        policy = RetryPolicy(task_timeout=2.0)
-        assert policy.chunk_deadline(1) == 2.0
-        assert policy.chunk_deadline(5) == 10.0
-        assert policy.chunk_deadline(0) == 2.0  # floor: one task's budget
