@@ -6,10 +6,13 @@ conditions (:mod:`repro.analysis.scenarios`) — expanded into an indexed
 scenario list with per-scenario seeds derived deterministically from the
 campaign name and scenario identity.  Execution follows the experiment
 runner's architecture (:mod:`repro.analysis.runner`): scenarios fan out
-over the same crash-safe pool (:class:`~repro.util.pool.WorkerPool`) and each
-scenario is a resumable JSON cache entry whose key folds in the scenario
-definition **and** a code digest of the scenarios module, so editing
-scenario semantics invalidates stale entries.
+over the same crash-safe pool (:class:`~repro.util.pool.WorkerPool`) and
+each finished scenario is written at once as one entry of a
+:class:`~repro.analysis.store.ResultStore` — the result cache, or a
+checkpoint directory beside the shard's chunk when the cache is off — so
+a failed or killed run resumes instead of restarting.  The entry digest
+folds in the scenario definition **and** a code digest of the scenarios
+module, so editing scenario semantics invalidates stale entries.
 
 Sharding is deterministic: shard ``i`` of ``m`` owns the scenarios with
 ``index % m == i``, so independent invocations (CI matrix jobs, separate
@@ -29,7 +32,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import re
 import time
 from dataclasses import dataclass
@@ -44,7 +46,7 @@ from repro.analysis.scenarios import (
     validate_scenario,
     warm_scenario_caches,
 )
-from repro.devtools import chaos
+from repro.analysis import store
 from repro.errors import ScenarioError, capture
 from repro.types import InvalidParameterError, ReproError
 from repro.util.pool import TaskFault, WorkerPool
@@ -82,8 +84,8 @@ class CampaignExecutionError(ReproError):
     """One or more scenarios failed during campaign execution.
 
     Raised *after* every completed scenario of the batch has been
-    cached and checkpointed, so fixing the cause and re-running resumes
-    instead of restarting.  ``failures`` carries the scenarios whose own
+    stored, so fixing the cause and re-running resumes instead of
+    restarting.  ``failures`` carries the scenarios whose own
     code raised (:class:`~repro.errors.ScenarioError` — deterministic,
     never retried); ``quarantined`` carries the poison-task reports
     (:class:`~repro.util.pool.TaskFault`) for scenarios that exhausted
@@ -372,17 +374,18 @@ def scenarios_code_digest() -> str:
 
 
 def campaign_digest(spec: CampaignSpec) -> str:
-    """Identity of (axes, code version): names the campaign's cache
-    entries and is recorded in every shard manifest so merge can refuse
-    chunks produced by a different grid or code version."""
-    blob = _canonical(
+    """Identity of (axes, code version), recorded in every shard
+    manifest so merge can refuse chunks produced by a different grid or
+    code version."""
+    return store.digest(
         {"name": spec.name, "axes": spec.axes(), "code": scenarios_code_digest()}
     )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _scenario_digest(spec: CampaignSpec, sc: Scenario) -> str:
-    blob = _canonical(
+    """The digest of a scenario's store entry: an entry left by another
+    grid, seed or scenarios-code version is never found."""
+    return store.digest(
         {
             "campaign": spec.name,
             "scenario": sc.scenario_id,
@@ -390,7 +393,6 @@ def _scenario_digest(spec: CampaignSpec, sc: Scenario) -> str:
             "code": scenarios_code_digest(),
         }
     )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 # -- sharding ----------------------------------------------------------------
@@ -450,22 +452,11 @@ def _dump_rows(rows: list[dict]) -> str:
     return "".join(_canonical(row) + "\n" for row in rows)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Atomic durable write: tmp file, fsync, rename into place, so a
-    reader (or a resumed run) sees the old file or the whole new one."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    tmp.replace(path)
-
-
 def write_chunk(path: Path, rows: list[dict]) -> None:
     """Write rows as canonical JSONL (sorted keys, compact separators) —
     the byte format the merge determinism gate compares."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(path, _dump_rows(rows))
+    store.write_atomic(path, _dump_rows(rows))
 
 
 def read_chunk_rows(path: Path) -> list[dict]:
@@ -597,113 +588,42 @@ def _execute_scenario(sc: Scenario) -> tuple[str, object, float]:
     """Worker entry point (top-level, picklable): run one scenario.
 
     Failures come back as values (:func:`repro.errors.capture`) instead
-    of propagating, so the parent can cache every *completed* scenario
+    of propagating, so the parent stores every *completed* scenario
     before reporting — a crash in scenario 99 of 100 must not discard
-    98 finished cache entries (the resumable-run contract).
+    98 finished entries (the resumable-run contract).
     """
     t0 = time.perf_counter()
     status, payload = capture(run_scenario, sc)
     return status, payload, time.perf_counter() - t0
 
 
-class _ShardCheckpoint:
-    """Crash checkpoint for one shard: appended rows + an fsync'd cursor.
+def _entry_key(spec: CampaignSpec, sc: Scenario) -> str:
+    return f"campaign-{spec.name}-s{sc.index:03d}"
 
-    Every completed scenario's canonical JSONL row is appended to
-    ``<chunk>.partial.jsonl`` (flushed and fsync'd), then the cursor
-    file ``<chunk>.cursor.json`` — ``{"digest", "count"}`` — is
-    replaced atomically.  A SIGKILL at any instant leaves either a
-    cursor that names a fully-written row prefix, or a torn final line
-    *beyond* the cursor count that resume ignores; either way the next
-    run serves the checkpointed rows without re-executing them and the
-    final artifact stays byte-identical to an uninterrupted run (rows
-    are re-sorted by scenario index at write time).  Checkpoints from a
-    different grid or scenarios-module version (digest mismatch) are
-    discarded, as is any row whose scenario identity or seed does not
-    match the current expansion.  The checkpoint goes only after the
-    finished chunk is written atomically (:meth:`complete`).
-    """
 
-    def __init__(self, chunk: Path, digest: str) -> None:
-        stem = chunk.name[: -len(".jsonl")] if chunk.name.endswith(".jsonl") else chunk.name
-        self.chunk = chunk
-        self.partial = chunk.with_name(stem + ".partial.jsonl")
-        self.cursor = chunk.with_name(stem + ".cursor.json")
-        self.digest = digest
-        self.count = 0
+def _entry(sc: Scenario, row: dict) -> dict:
+    return {
+        "campaign": sc.campaign,
+        "scenario": sc.scenario_id,
+        "index": sc.index,
+        "row": row,
+    }
 
-    def load(self, expected: dict[int, Scenario]) -> dict[int, dict]:
-        """Validated checkpointed rows (index-keyed); resets on mismatch.
 
-        The partial file is rewritten to exactly the validated prefix so
-        later appends continue from a known-good state.
-        """
-        rows: list[dict] = []
-        if self.cursor.exists() and self.partial.exists():
-            meta = None
-            try:
-                meta = json.loads(self.cursor.read_text())
-            except (json.JSONDecodeError, OSError):
-                meta = None
-            count = meta.get("count") if isinstance(meta, dict) else None
-            if (
-                isinstance(meta, dict)
-                and meta.get("digest") == self.digest
-                and isinstance(count, int)
-                and count >= 0
-            ):
-                lines = self.partial.read_text().splitlines()
-                for line in lines[:count]:
-                    try:
-                        row = json.loads(line)
-                    except json.JSONDecodeError:
-                        break  # torn line: keep the prefix before it
-                    if not isinstance(row, dict):
-                        break
-                    sc = expected.get(row.get("index"))
-                    if (
-                        sc is None
-                        or row.get("scenario") != sc.scenario_id
-                        or row.get("seed") != sc.seed
-                    ):
-                        break  # stale row (older grid/seed): stop here
-                    rows.append(row)
-        self.partial.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(self.partial, _dump_rows(rows))
-        self.count = len(rows)
-        self._write_cursor()
-        return {row["index"]: row for row in rows}
-
-    def append(self, row: dict) -> None:
-        """Durably record one completed scenario (fsync'd, then cursor)."""
-        with open(self.partial, "a") as fh:
-            fh.write(_canonical(row) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        self.count += 1
-        self._write_cursor()
-
-    def complete(self, rows: list[dict]) -> None:
-        """Write the finished shard's chunk, then remove the checkpoint
-        files: the checkpoint or the complete chunk is on disk at every
-        instant."""
-        write_chunk(self.chunk, rows)
-        self.partial.unlink(missing_ok=True)
-        self.cursor.unlink(missing_ok=True)
-
-    def _write_cursor(self) -> None:
-        payload = _canonical({"digest": self.digest, "count": self.count})
-        _write_atomic(self.cursor, payload + "\n")
+def _stored_row(source: store.ResultStore | None, key: str, digest: str) -> dict | None:
+    payload = source.load(key, digest) if source is not None else None
+    row = payload.get("row") if payload is not None else None
+    return row if isinstance(row, dict) else None
 
 
 class CampaignRunner:
     """Run a campaign shard on a :class:`~repro.util.pool.WorkerPool`,
-    one scenario per task, with one resumable JSON cache entry per
-    scenario.
+    one scenario per task, storing each finished scenario as one
+    :class:`~repro.analysis.store.ResultStore` entry.
 
-    Cache entries use the experiment cache's naming scheme
-    (``<prefix>-<16-hex-digest>.json`` under ``cache_dir``), so
-    ``repro clean-cache`` sweeps them too.
+    Cache entries are ``campaign-<name>-s<index>-<digest>.json`` under
+    ``cache_dir`` — the experiment cache's naming scheme, so ``repro
+    clean-cache`` sweeps them too.
     """
 
     def __init__(
@@ -716,42 +636,9 @@ class CampaignRunner:
         if jobs < 1:
             raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self.cache = store.ResultStore(cache_dir) if cache_dir is not None else None
         self.retry = retry if retry is not None else RetryPolicy()
         self.stats = CampaignStats()
-
-    def _cache_path(self, spec: CampaignSpec, sc: Scenario, digest: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / (f"campaign-{spec.name}-s{sc.index:03d}-{digest}.json")
-
-    def _cache_load(self, path: Path | None, digest: str) -> dict | None:
-        if path is None or not path.exists():
-            return None
-        chaos.corrupt_cache_entry(path)  # no-op unless REPRO_CHAOS injects
-        try:
-            payload = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            return None
-        if not isinstance(payload, dict) or payload.get("digest") != digest:
-            return None
-        row = payload.get("row")
-        return row if isinstance(row, dict) else None
-
-    def _cache_store(
-        self, path: Path | None, sc: Scenario, digest: str, row: dict
-    ) -> None:
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "campaign": sc.campaign,
-            "scenario": sc.scenario_id,
-            "index": sc.index,
-            "digest": digest,
-            "row": row,
-        }
-        _write_atomic(path, json.dumps(payload, indent=1, sort_keys=True))
 
     def run(
         self,
@@ -762,36 +649,37 @@ class CampaignRunner:
     ) -> list[ScenarioOutcome]:
         """Execute the shard's scenarios; returns outcomes in index order.
 
-        ``checkpoint`` names the shard's chunk path: completed rows are
-        flushed incrementally to ``<chunk>.partial.jsonl`` with an
-        fsync'd cursor, so a killed run resumes from the cursor instead
-        of re-executing finished scenarios (see :class:`_ShardCheckpoint`).
-        On success the chunk is written there before the checkpoint is
-        removed (:meth:`_ShardCheckpoint.complete`).
-        Scenario-code failures and quarantined poison tasks are both
-        collected and raised *after* everything else completed, cached,
-        and checkpointed.
+        Each scenario is stored the moment it finishes: in the cache, or,
+        without one, in a checkpoint directory beside the chunk path
+        ``checkpoint`` (``<chunk stem>.checkpoint/``).  A lookup reads the
+        cache, then a leftover checkpoint; a row served from the
+        checkpoint is copied into the cache when there is one.  On
+        success the chunk is written at ``checkpoint`` first, and only
+        then is the checkpoint directory removed, so one of the two is
+        on disk at every instant.  Scenario-code failures and quarantined
+        poison tasks are both collected and raised *after* everything
+        else completed and was stored.
         """
         t_start = time.perf_counter()
         owned = shard_scenarios(expand_campaign(spec), shard)
         digests = {sc.index: _scenario_digest(spec, sc) for sc in owned}
-        ckpt: _ShardCheckpoint | None = None
-        ckpt_rows: dict[int, dict] = {}
-        if checkpoint is not None:
-            ckpt = _ShardCheckpoint(checkpoint, campaign_digest(spec))
-            ckpt_rows = ckpt.load({sc.index: sc for sc in owned})
+        ckpt = (
+            store.ResultStore(checkpoint.with_suffix(".checkpoint"))
+            if checkpoint is not None
+            else None
+        )
+        sink = self.cache if self.cache is not None else ckpt
         outcomes: dict[int, ScenarioOutcome] = {}
         to_run: list[Scenario] = []
         for sc in owned:
-            digest = digests[sc.index]
-            row = self._cache_load(self._cache_path(spec, sc, digest), digest)
-            if row is None and sc.index in ckpt_rows:
-                # served from the crash checkpoint: promote it into the
-                # JSON cache so later runs resume from either store
-                row = ckpt_rows[sc.index]
-                self._cache_store(
-                    self._cache_path(spec, sc, digest), sc, digest, row
-                )
+            key, digest = _entry_key(spec, sc), digests[sc.index]
+            row = _stored_row(self.cache, key, digest)
+            if row is None:
+                row = _stored_row(ckpt, key, digest)
+                if row is not None and self.cache is not None:
+                    # promote the checkpointed row, so later runs resume
+                    # from the cache whatever their out dir
+                    self.cache.store(key, digest, _entry(sc, row))
             if row is not None:
                 self.stats.cache_hits += 1
                 outcomes[sc.index] = ScenarioOutcome(
@@ -807,12 +695,12 @@ class CampaignRunner:
             sorted({(sc.graph, sc.scheduler == SCHEME_SCHEDULER) for sc in to_run})
         )
 
-        def flush(index: int, value: tuple[str, object, float]) -> None:
-            # streaming checkpoint hook: runs in the parent, in task
-            # completion order, before the map returns
+        def record(index: int, value: tuple[str, object, float]) -> None:
+            # runs in the parent as each task lands, before the map returns
             status, payload, _seconds = value
-            if ckpt is not None and status == "ok" and isinstance(payload, dict):
-                ckpt.append(payload)
+            if sink is not None and status == "ok":
+                sc = to_run[index]
+                sink.store(_entry_key(spec, sc), digests[sc.index], _entry(sc, payload))
 
         results: list[tuple[str, object, float] | None] = []
         task_faults: list[TaskFault] = []
@@ -824,7 +712,7 @@ class CampaignRunner:
                 retry=self.retry,
             ) as pool:
                 results, task_faults = pool.map_quarantine(
-                    _execute_scenario, to_run, on_result=flush
+                    _execute_scenario, to_run, on_result=record
                 )
         failures: list[ScenarioError] = []
         for sc, result in zip(to_run, results):
@@ -834,17 +722,18 @@ class CampaignRunner:
             if status == "error":
                 failures.append(ScenarioError(sc.scenario_id, str(payload)))
                 continue
-            row = payload
-            digest = digests[sc.index]
             self.stats.executed += 1
-            self._cache_store(self._cache_path(spec, sc, digest), sc, digest, row)
             outcomes[sc.index] = ScenarioOutcome(
-                scenario=sc, row=row, digest=digest, seconds=seconds, cached=False
+                scenario=sc,
+                row=payload,
+                digest=digests[sc.index],
+                seconds=seconds,
+                cached=False,
             )
         self.stats.seconds += time.perf_counter() - t_start
         if failures or task_faults:
-            # every completed scenario is cached and checkpointed above,
-            # so the re-run after a fix only executes the failed ones
+            # every completed scenario is stored above, so the re-run
+            # after a fix only executes the failed ones
             parts = []
             if failures:
                 more = f" (+{len(failures) - 1} more)" if len(failures) > 1 else ""
@@ -861,8 +750,9 @@ class CampaignRunner:
                 quarantined=tuple(task_faults),
             )
         ordered = [outcomes[sc.index] for sc in owned]
-        if ckpt is not None:
-            ckpt.complete([o.row for o in ordered])
+        if checkpoint is not None and ckpt is not None:
+            write_chunk(checkpoint, [o.row for o in ordered])
+            ckpt.remove()
         return ordered
 
 
@@ -879,12 +769,12 @@ def run_campaign_shard(
     provenance manifest, and — for an unsharded run — also write the
     merged artifact directly (byte-identical to ``merge_chunks`` output).
 
-    Completed scenarios are checkpointed incrementally beside the chunk
-    (``<chunk>.partial.jsonl`` + fsync'd cursor), so a killed run
-    resumes from the checkpoint and still produces byte-identical
-    artifacts.  Returns ``(chunk_path, manifest, rows)`` — the rows just
-    written, so callers (the CLI summary) need not re-read the chunk
-    from disk.
+    Each completed scenario is stored as it finishes — in the cache, or
+    without one in ``<chunk stem>.checkpoint/`` beside the chunk, which
+    goes once the chunk is written — so a killed run resumes from what
+    it stored and still produces byte-identical artifacts.  Returns
+    ``(chunk_path, manifest, rows)`` — the rows just written, so callers
+    (the CLI summary) need not re-read the chunk from disk.
     """
     runner = CampaignRunner(jobs=jobs, cache_dir=cache_dir, retry=retry)
     chunk = chunk_path(out_dir, spec, shard)
@@ -915,7 +805,7 @@ def run_campaign_shard(
             for o in outcomes
         ],
     }
-    _write_atomic(
+    store.write_atomic(
         manifest_path(out_dir, spec, shard),
         json.dumps(manifest, indent=1, sort_keys=True) + "\n",
     )

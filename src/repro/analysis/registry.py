@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.analysis import store
 from repro.types import InvalidParameterError
 
 __all__ = [
@@ -185,12 +186,7 @@ def params_digest(name: str, params: dict, *, code: str = "") -> str:
     version) — the runner's cache key.  ``code`` is the
     :func:`code_digest` of the experiment (empty = ignore code version,
     the pre-PR-4 behaviour)."""
-    blob = json.dumps(
-        {"experiment": name, "params": jsonable(params), "code": code},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return store.digest({"experiment": name, "params": jsonable(params), "code": code})
 
 
 def run_experiment(name: str, overrides: dict | None = None) -> list[dict]:

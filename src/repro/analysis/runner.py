@@ -1,11 +1,14 @@
 """Parallel experiment runner with params-keyed result caching.
 
 The registry (:mod:`repro.analysis.registry`) says *what* can run; this
-module says *how*: fan experiments out over a ``multiprocessing`` pool
-and memoize each result as JSON keyed on a hash of the experiment id and
-its effective parameters.  A re-run with unchanged parameters is a pure
-cache read — zero experiment executions — which is what makes repeated
-``repro run --all --cache`` invocations (CI, sweep drivers) cheap.
+module says *how*: map experiments over a crash-safe
+:class:`~repro.util.pool.WorkerPool` and store each result the moment
+it lands as one :class:`~repro.analysis.store.ResultStore` entry keyed
+on a hash of the experiment id, its effective parameters and its code.
+A re-run with unchanged parameters is a pure cache read — zero
+experiment executions — which is what makes repeated ``repro run --all
+--cache`` invocations (CI, sweep drivers) cheap, and a run that fails
+keeps every experiment that finished before the failure.
 
 Every experiment returns ``list[dict]`` rows of JSON scalars, so the
 cache round-trips losslessly and byte-identically (object key order is
@@ -14,13 +17,13 @@ preserved by ``json``).
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis import registry
-from repro.util.pool import fan_out
+from repro.analysis.store import ResultStore
+from repro.util.pool import WorkerPool
 from repro.util.retry import RetryPolicy
 
 __all__ = [
@@ -54,7 +57,6 @@ class RunnerStats:
     cache_hits: int = 0
     cache_misses: int = 0
     seconds: float = 0.0
-    per_experiment: dict[str, float] = field(default_factory=dict)
 
 
 def _execute(task: tuple[str, dict]) -> tuple[str, list[dict], float]:
@@ -64,6 +66,23 @@ def _execute(task: tuple[str, dict]) -> tuple[str, list[dict], float]:
     t0 = time.perf_counter()
     rows = spec.fn(**params)
     return name, rows, time.perf_counter() - t0
+
+
+def _cached_rows(
+    cache: ResultStore | None, name: str, digest: str
+) -> list[dict] | None:
+    payload = cache.load(name, digest) if cache is not None else None
+    if payload is None:
+        return None
+    # the entry is written sort_keys=True (byte determinism), so each
+    # row's display column order is restored from the stored list
+    try:
+        return [
+            {key: row[key] for key in cols}
+            for row, cols in zip(payload["rows"], payload["columns"], strict=True)
+        ]
+    except (KeyError, TypeError, ValueError):
+        return None  # columns out of sync with rows — treat as a miss
 
 
 class ExperimentRunner:
@@ -76,9 +95,9 @@ class ExperimentRunner:
         also the fallback when only one experiment is requested.
     cache_dir:
         When set, each result is stored as
-        ``<cache_dir>/<name>-<digest>.json`` and subsequent runs with the
-        same effective parameters are served from disk without executing
-        the experiment.
+        ``<cache_dir>/<name>-<digest>.json`` as soon as it finishes, and
+        subsequent runs with the same effective parameters are served
+        from disk without executing the experiment.
     retry:
         The :class:`~repro.util.retry.RetryPolicy` governing worker
         crash/timeout recovery for the parallel path (default: the
@@ -95,86 +114,9 @@ class ExperimentRunner:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self.cache = ResultStore(cache_dir) if cache_dir is not None else None
         self.retry = retry
         self.stats = RunnerStats()
-
-    # -- cache -------------------------------------------------------------
-
-    def _cache_path(self, name: str, digest: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{name}-{digest}.json"
-
-    def _cache_load(self, name: str, digest: str) -> list[dict] | None:
-        path = self._cache_path(name, digest)
-        if path is None or not path.exists():
-            return None
-        try:
-            payload = json.loads(path.read_text())
-            rows = payload["rows"]
-            columns = payload["columns"]
-        except (json.JSONDecodeError, KeyError, TypeError, OSError):
-            return None  # truncated/corrupt entry — treat as a miss
-        if not isinstance(payload, dict) or payload.get("digest") != digest:
-            return None  # stale entry
-        # the entry is written sort_keys=True (byte determinism), so each
-        # row's display column order is restored from the stored list
-        try:
-            return [
-                {key: row[key] for key in cols}
-                for row, cols in zip(rows, columns, strict=True)
-            ]
-        except (KeyError, TypeError, ValueError):
-            return None  # columns out of sync with rows — treat as a miss
-
-    def _cache_store(
-        self, name: str, digest: str, params: dict, rows: list[dict]
-    ) -> None:
-        path = self._cache_path(name, digest)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "experiment": name,
-            "digest": digest,
-            "params": registry.jsonable(params),
-            # sort_keys normalizes the bytes below; column order is table
-            # semantics, so it is recorded as data rather than dict order
-            "columns": [list(row) for row in rows],
-            "rows": rows,
-        }
-        # atomic write: an interrupted run must not leave a torn entry
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
-        tmp.replace(path)
-
-    def clean_cache(self) -> int:
-        """Delete all cache entries; returns the number removed.
-
-        Only files matching the runner's ``<name>-<16-hex-digest>.json``
-        naming scheme are touched — pointing ``--cache-dir`` at a
-        directory with unrelated JSON files must not eat them.
-        """
-        if self.cache_dir is None or not self.cache_dir.exists():
-            return 0
-
-        def is_entry_name(stem: str) -> bool:
-            prefix, _, digest = stem.rpartition("-")
-            return bool(prefix) and len(digest) == 16 and all(
-                c in "0123456789abcdef" for c in digest
-            )
-
-        removed = 0
-        for path in sorted(self.cache_dir.glob("*.json")):
-            if is_entry_name(path.name[: -len(".json")]):
-                path.unlink()
-                removed += 1
-        # also sweep orphaned temp files from interrupted writes
-        for path in sorted(self.cache_dir.glob("*.json.tmp")):
-            if is_entry_name(path.name[: -len(".json.tmp")]):
-                path.unlink()
-        return removed
 
     # -- execution ---------------------------------------------------------
 
@@ -204,7 +146,7 @@ class ExperimentRunner:
         results: dict[int, RunResult] = {}
         to_run: list[tuple[int, str, dict, str]] = []
         for idx, (name, params, digest) in enumerate(plan):
-            rows = self._cache_load(name, digest)
+            rows = _cached_rows(self.cache, name, digest)
             if rows is not None:
                 self.stats.cache_hits += 1
                 results[idx] = RunResult(
@@ -217,27 +159,44 @@ class ExperimentRunner:
                     cached=True,
                 )
             else:
-                if self.cache_dir is not None:
+                if self.cache is not None:
                     self.stats.cache_misses += 1
                 to_run.append((idx, name, params, digest))
 
+        def record(index: int, value: tuple[str, list[dict], float]) -> None:
+            # runs in the parent as each task lands, so an experiment
+            # that raises later cannot discard the ones already finished
+            idx, name, params, digest = to_run[index]
+            _, rows, seconds = value
+            self.stats.executed += 1
+            if self.cache is not None:
+                self.cache.store(
+                    name,
+                    digest,
+                    {
+                        "experiment": name,
+                        "params": registry.jsonable(params),
+                        # sort_keys normalizes the entry's bytes; column
+                        # order is table semantics, so it is recorded as
+                        # data rather than dict order
+                        "columns": [list(row) for row in rows],
+                        "rows": rows,
+                    },
+                )
+            results[idx] = RunResult(
+                name=name,
+                title=registry.get_experiment(name).title,
+                rows=rows,
+                params=params,
+                digest=digest,
+                seconds=seconds,
+                cached=False,
+            )
+
         if to_run:
             tasks = [(name, params) for _, name, params, _ in to_run]
-            outcomes = fan_out(_execute, tasks, self.jobs, retry=self.retry)
-            paired = zip(to_run, outcomes)
-            for (idx, name, params, digest), (_, rows, seconds) in paired:
-                self.stats.executed += 1
-                self.stats.per_experiment[name] = seconds
-                self._cache_store(name, digest, params, rows)
-                results[idx] = RunResult(
-                    name=name,
-                    title=registry.get_experiment(name).title,
-                    rows=rows,
-                    params=params,
-                    digest=digest,
-                    seconds=seconds,
-                    cached=False,
-                )
+            with WorkerPool(min(self.jobs, len(tasks)), retry=self.retry) as pool:
+                pool.map(_execute, tasks, on_result=record)
 
         self.stats.seconds += time.perf_counter() - t_start
         return [results[idx] for idx in range(len(plan))]

@@ -94,6 +94,8 @@ import sys
 
 from repro.analysis import format_table, registry
 from repro.analysis.runner import DEFAULT_CACHE_DIR, ExperimentRunner
+from repro.analysis.store import ResultStore
+
 
 def _fail(verb: str, exc: BaseException) -> int:
     """The exit-2 contract: one stderr line ``<verb> failed [<code>]: <msg>``.
@@ -424,7 +426,7 @@ def _cmd_export_csv(directory: str) -> int:
 
 
 def _cmd_clean_cache(cache_dir: str) -> int:
-    removed = ExperimentRunner(cache_dir=cache_dir).clean_cache()
+    removed = ResultStore(cache_dir).clean()
     print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'}")
     return 0
 

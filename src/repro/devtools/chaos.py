@@ -1,12 +1,12 @@
 """Deterministic fault injection: ``REPRO_CHAOS`` and :class:`ChaosPolicy`.
 
 The fault-tolerant execution layer (crash-safe :class:`~repro.util.pool.
-WorkerPool`, campaign crash-checkpointing) is only trustworthy if its
-failure paths run in CI on every push.  This module injects the
-failures *deterministically*: a spec string names exactly which task
-dies, which task stalls, which cache entry is corrupted — so a chaos
-test replays byte-for-byte and an assertion failure is a regression,
-never flake.
+WorkerPool`, the :class:`~repro.analysis.store.ResultStore` that runs
+resume from) is only trustworthy if its failure paths run in CI on every
+push.  This module injects the failures *deterministically*: a spec
+string names exactly which task dies, which task stalls, which store
+entry is corrupted — so a chaos test replays byte-for-byte and an
+assertion failure is a regression, never flake.
 
 Spec grammar (``REPRO_CHAOS`` environment variable)::
 
@@ -24,9 +24,9 @@ Supported events:
     Sleep ``M`` milliseconds before executing task ``K`` (any attempt
     when ``attempt`` is omitted) — drives task-timeout detection.
 ``corrupt-cache:nth=N``
-    The ``N``-th campaign cache-entry read in this process first has
-    its file overwritten with garbage — drives the corrupt-entry
-    re-execution path.
+    The ``N``-th result-store entry read in this process (experiment or
+    campaign, cache or checkpoint) first has its file overwritten with
+    garbage — drives the corrupt-entry re-execution path.
 
 Each kind accepts only its own keys and must name its target (``task``,
 ``ms`` for delays, ``nth``): a misspelled or missing key is a parse
@@ -247,10 +247,11 @@ def on_task(index: int, attempt: int) -> None:
 
 
 def corrupt_cache_entry(path: str | os.PathLike[str]) -> None:
-    """Cache-read hook: maybe scribble garbage over the entry first.
+    """Store-read hook: maybe scribble garbage over the entry first.
 
-    Corruption is a torn-JSON prefix, which the cache loaders must
-    treat as a miss (re-execute) — never a crash, never a stale row.
+    Corruption is a torn-JSON prefix, which
+    :meth:`~repro.analysis.store.ResultStore.load` must treat as a miss
+    (re-execute) — never a crash, never a stale row.
     """
     global _CACHE_LOAD_COUNT
     policy = active_policy()

@@ -260,17 +260,18 @@ def rl004_registry_entry_points(ctx: FileContext) -> Iterable[Finding]:
                     )
 
 
-# -- RL005: fan_out picklability --------------------------------------------
+# -- RL005: pool task picklability ------------------------------------------
 
 
 @rule(
     "RL005",
-    "fan-out-picklable",
-    "functions dispatched via pool.fan_out must be module-level "
-    "(picklable)",
+    "pool-task-picklable",
+    "functions handed to WorkerPool.map/map_quarantine or as a WorkerPool "
+    "initializer must be module-level (picklable)",
 )
-def rl005_fan_out_picklable(ctx: FileContext) -> Iterable[Finding]:
-    """``fan_out`` ships work to spawned processes via pickle.
+def rl005_pool_task_picklable(ctx: FileContext) -> Iterable[Finding]:
+    """A ``WorkerPool`` ships its task function and initializer to worker
+    processes via pickle.
 
     Lambdas, nested functions, and bound methods fail to pickle — but
     only when ``--jobs > 1``, so the bug hides in serial test runs.
@@ -290,31 +291,34 @@ def rl005_fan_out_picklable(ctx: FileContext) -> Iterable[Finding]:
     nested_defs = all_defs - top_level_defs
     for call in _calls(ctx):
         func = call.func
-        is_fan_out = (
-            isinstance(func, ast.Name) and func.id == "fan_out"
-        ) or (isinstance(func, ast.Attribute) and func.attr == "fan_out")
-        if not is_fan_out or not call.args:
+        attr = func.attr if isinstance(func, ast.Attribute) else None
+        if attr in ("map", "map_quarantine") and call.args:
+            shipped, where = call.args[0], f"{attr}()"
+        elif attr == "WorkerPool" or (
+            isinstance(func, ast.Name) and func.id == "WorkerPool"
+        ):
+            shipped, where = _keyword(call, "initializer"), "WorkerPool(initializer=)"
+        else:
             continue
-        worker = call.args[0]
-        if isinstance(worker, ast.Lambda):
+        if isinstance(shipped, ast.Lambda):
             yield (
-                worker.lineno,
-                worker.col_offset,
-                "lambda passed to fan_out is not picklable; use a "
+                shipped.lineno,
+                shipped.col_offset,
+                f"lambda passed to {where} is not picklable; use a "
                 "module-level function",
             )
-        elif isinstance(worker, ast.Name) and worker.id in nested_defs:
+        elif isinstance(shipped, ast.Name) and shipped.id in nested_defs:
             yield (
-                worker.lineno,
-                worker.col_offset,
-                f"nested function {worker.id!r} passed to fan_out is not "
+                shipped.lineno,
+                shipped.col_offset,
+                f"nested function {shipped.id!r} passed to {where} is not "
                 "picklable; move it to module level",
             )
-        elif isinstance(worker, ast.Attribute) and ctx.resolve(worker) is None:
+        elif isinstance(shipped, ast.Attribute) and ctx.resolve(shipped) is None:
             yield (
-                worker.lineno,
-                worker.col_offset,
-                "bound method passed to fan_out is not picklable; use a "
+                shipped.lineno,
+                shipped.col_offset,
+                f"bound method passed to {where} is not picklable; use a "
                 "module-level function",
             )
 

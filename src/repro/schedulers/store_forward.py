@@ -13,7 +13,6 @@ a 1-mlbg (the deleted dimension edges are irreplaceable at k = 1).
 from __future__ import annotations
 
 from repro.frame import ScheduleBuilder
-from repro.graphs.base import Graph
 from repro.schedulers.registry import ScheduleRequest, scheduler
 from repro.types import InvalidParameterError, Schedule
 from repro.util.bits import flip_dim
@@ -51,13 +50,6 @@ def dimension_order_broadcast(n: int, source: int, dims: list[int]) -> Schedule:
         builder.add_round(paths)
         informed.extend(p[-1] for p in paths)
     return Schedule.from_frame(builder.build())
-
-
-def hypercube_graph_for(n: int) -> Graph:
-    """Convenience: the graph the schedules above run on."""
-    from repro.graphs.hypercube import hypercube
-
-    return hypercube(n)
 
 
 @scheduler("store_forward", "binomial k=1 broadcast (complete hypercubes only)")

@@ -1,8 +1,8 @@
 """Crash-safe multiprocessing pool: one task per dispatch, survives faults.
 
 Every parallel surface in the repo (``ExperimentRunner``,
-``CampaignRunner``) routes through :class:`WorkerPool` / :func:`fan_out`
-so the pool policy is written down once:
+``CampaignRunner``) routes through :class:`WorkerPool` so the pool
+policy is written down once:
 
 * **In-process when parallelism cannot pay.**  ``jobs == 1`` or at most
   one task never spins up a pool; the optional ``initializer`` still runs
@@ -61,7 +61,6 @@ from repro.util.retry import RetryPolicy, pause
 __all__ = [
     "TaskFault",
     "WorkerPool",
-    "fan_out",
 ]
 
 _T = TypeVar("_T")
@@ -85,12 +84,13 @@ class TaskFault:
     kind: str  # "crash" | "timeout"
     message: str
     attempts: int
+    exitcode: int | None = None  # the crashed worker's, once reaped
 
     def as_error(self) -> WorkerCrash | TaskTimeout:
         """The exception this fault raises outside quarantine mode."""
         if self.kind == "timeout":
             return TaskTimeout(self.message, attempts=self.attempts)
-        return WorkerCrash(self.message, attempts=self.attempts)
+        return WorkerCrash(self.message, exitcode=self.exitcode, attempts=self.attempts)
 
 
 # -- worker side -------------------------------------------------------------
@@ -303,7 +303,7 @@ class WorkerPool:
         raises :class:`~repro.errors.WorkerCrash` /
         :class:`~repro.errors.TaskTimeout`.  ``on_result`` streams each
         completed task ``(task_index, value)`` to the caller as it lands
-        (completion order) — the campaign checkpoint hook.
+        (completion order) — the hook both runners store results through.
         """
         results, faults = self._run(fn, tasks, on_result=on_result)
         if faults:
@@ -455,12 +455,7 @@ class WorkerPool:
                 and now > worker.deadline
             ):
                 settled += self._fail_task(
-                    worker,
-                    "timeout",
-                    f"task exceeded {self.retry.task_timeout}s deadline",
-                    requeued,
-                    faults,
-                    quarantine,
+                    worker, "timeout", requeued, faults, quarantine
                 )
         return settled
 
@@ -493,14 +488,7 @@ class WorkerPool:
         message, or fail its task as a crash (EOF: the worker died)."""
         status, msg = captured_call(worker.conn.recv)
         if status == "raise":  # EOF without a message: the worker died
-            return self._fail_task(
-                worker,
-                "crash",
-                f"worker died with exitcode {worker.proc.exitcode}",
-                requeued,
-                faults,
-                quarantine,
-            )
+            return self._fail_task(worker, "crash", requeued, faults, quarantine)
         if msg[0] == "ok":
             task = worker.task
             assert task is not None, "result for an unassigned worker"
@@ -518,7 +506,6 @@ class WorkerPool:
         self,
         worker: _Worker,
         kind: str,
-        cause: str,
         requeued: list[_Task],
         faults: list[TaskFault],
         quarantine: bool,
@@ -528,7 +515,13 @@ class WorkerPool:
         task = worker.task
         assert task is not None
         worker.task = None
-        self._remove(worker)
+        self._remove(worker)  # joins the process, so its exit code is set
+        exitcode: int | None = None
+        if kind == "crash":
+            exitcode = worker.proc.exitcode
+            cause = f"worker died with exitcode {exitcode}"
+        else:
+            cause = f"task exceeded {self.retry.task_timeout}s deadline"
         task.attempts += 1
         message = (
             f"task {task.index} {kind} on attempt "
@@ -536,7 +529,11 @@ class WorkerPool:
         )
         if task.attempts >= self.retry.max_attempts:
             fault = TaskFault(
-                index=task.index, kind=kind, message=message, attempts=task.attempts
+                index=task.index,
+                kind=kind,
+                message=message,
+                attempts=task.attempts,
+                exitcode=exitcode,
             )
             if not quarantine:
                 raise fault.as_error()
@@ -548,21 +545,3 @@ class WorkerPool:
         heapq.heappush(requeued, task)
         return 0
 
-
-def fan_out(
-    fn: Callable[[_T], _R],
-    tasks: list[_T],
-    jobs: int,
-    *,
-    retry: RetryPolicy | None = None,
-) -> list[_R]:
-    """Map ``fn`` over ``tasks`` on a one-shot :class:`WorkerPool`.
-
-    At most ``jobs`` workers, never more than there are tasks; the pool's
-    own in-process path covers ``jobs == 1`` and single tasks.  ``fn``
-    and the tasks must be picklable top-level objects (spawn-safe);
-    results come back in task order regardless of worker scheduling or
-    fault recovery.
-    """
-    with WorkerPool(max(1, min(jobs, len(tasks))), retry=retry) as pool:
-        return pool.map(fn, tasks)

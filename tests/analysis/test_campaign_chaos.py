@@ -1,12 +1,13 @@
 """Campaign crash-safety: checkpoints, SIGKILL resume, quarantine, chaos.
 
-The flagship contract (ISSUE 8 / S3): a campaign run killed mid-flight
-resumes from its fsync'd checkpoint and the final artifacts — shard
-chunk, merged JSONL — are byte-identical to an uninterrupted run;
-manifests are identical once wall-clock and cache-provenance fields are
-normalized out.
+The flagship contract: a campaign run killed mid-flight resumes from the
+entries it stored (fsync'd, one per finished scenario) and the final
+artifacts — shard chunk, merged JSONL — are byte-identical to an
+uninterrupted run; manifests are identical once wall-clock and
+cache-provenance fields are normalized out.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -23,9 +24,7 @@ from repro.analysis.campaigns import (
     CampaignExecutionError,
     CampaignRunner,
     CampaignSpec,
-    _ShardCheckpoint,
     artifact_path,
-    campaign_digest,
     chunk_path,
     expand_campaign,
     manifest_path,
@@ -56,9 +55,14 @@ def _clean_chaos(monkeypatch):
     chaos.reset()
 
 
+def _checkpoint(out_dir, spec, shard=(0, 1)):
+    """The directory an uncached shard run stores finished rows in."""
+    return chunk_path(out_dir, spec, shard).with_suffix(".checkpoint")
+
+
 def _fake_row(sc):
-    """A deterministic row carrying the identity fields the checkpoint
-    and merge validators require."""
+    """A deterministic row carrying the identity fields the merge
+    validator requires."""
     return {
         "index": sc.index,
         "scenario": sc.scenario_id,
@@ -67,75 +71,22 @@ def _fake_row(sc):
     }
 
 
-class TestShardCheckpoint:
-    def _ckpt(self, tmp_path):
-        chunk = chunk_path(tmp_path, TINY, (0, 1))
-        return _ShardCheckpoint(chunk, campaign_digest(TINY))
-
-    def test_roundtrip(self, tmp_path):
-        expected = {sc.index: sc for sc in expand_campaign(TINY)}
-        ckpt = self._ckpt(tmp_path)
-        assert ckpt.load(expected) == {}
-        ckpt.append(_fake_row(expected[0]))
-        ckpt.append(_fake_row(expected[3]))
-        fresh = self._ckpt(tmp_path)
-        rows = fresh.load(expected)
-        assert sorted(rows) == [0, 3]
-        assert rows[3]["found"] == 30
-
-    def test_torn_final_line_is_ignored(self, tmp_path):
-        expected = {sc.index: sc for sc in expand_campaign(TINY)}
-        ckpt = self._ckpt(tmp_path)
-        ckpt.load(expected)
-        ckpt.append(_fake_row(expected[0]))
-        ckpt.append(_fake_row(expected[1]))
-        # simulate a kill mid-append: a torn row beyond the cursor count
-        with open(ckpt.partial, "a") as fh:
-            fh.write('{"index": 2, "scen')
-        fresh = self._ckpt(tmp_path)
-        rows = fresh.load(expected)
-        assert sorted(rows) == [0, 1]
-        # the partial was rewritten to exactly the validated prefix
-        assert len(fresh.partial.read_text().splitlines()) == 2
-
-    def test_digest_mismatch_discards_checkpoint(self, tmp_path):
-        expected = {sc.index: sc for sc in expand_campaign(TINY)}
-        ckpt = self._ckpt(tmp_path)
-        ckpt.load(expected)
-        ckpt.append(_fake_row(expected[0]))
-        chunk = chunk_path(tmp_path, TINY, (0, 1))
-        stale = _ShardCheckpoint(chunk, "0" * 16)  # another grid/code
-        assert stale.load(expected) == {}
-
-    def test_stale_row_stops_the_prefix(self, tmp_path):
-        expected = {sc.index: sc for sc in expand_campaign(TINY)}
-        ckpt = self._ckpt(tmp_path)
-        ckpt.load(expected)
-        ckpt.append(_fake_row(expected[0]))
-        bad = _fake_row(expected[1])
-        bad["seed"] += 1  # an older expansion's seed
-        ckpt.append(bad)
-        ckpt.append(_fake_row(expected[2]))
-        rows = self._ckpt(tmp_path).load(expected)
-        assert sorted(rows) == [0]  # prefix before the stale row only
+def _fail_last(sc):
+    """``_fake_row``, except that the grid's last scenario raises."""
+    if sc.index == TINY.n_scenarios - 1:
+        raise RuntimeError("injected failure")
+    return _fake_row(sc)
 
 
 class TestCheckpointResume:
     def test_failed_run_resumes_from_checkpoint(self, tmp_path, monkeypatch):
         chunk = chunk_path(tmp_path, TINY, (0, 1))
-        fail_index = TINY.n_scenarios - 1
-
-        def flaky(sc):
-            if sc.index == fail_index:
-                raise RuntimeError("injected failure")
-            return _fake_row(sc)
-
-        monkeypatch.setattr(campaigns, "run_scenario", flaky)
+        monkeypatch.setattr(campaigns, "run_scenario", _fail_last)
         runner = CampaignRunner()  # no JSON cache: checkpoint-only resume
         with pytest.raises(CampaignExecutionError, match="injected failure"):
             runner.run(TINY, checkpoint=chunk)
-        ckpt = _ShardCheckpoint(chunk, campaign_digest(TINY))
-        assert ckpt.partial.exists() and ckpt.cursor.exists()
+        ckpt = _checkpoint(tmp_path, TINY)
+        assert len(list(ckpt.glob("*.json"))) == TINY.n_scenarios - 1
         monkeypatch.setattr(campaigns, "run_scenario", _fake_row)
         resumed = CampaignRunner()
         outcomes = resumed.run(TINY, checkpoint=chunk)
@@ -144,8 +95,37 @@ class TestCheckpointResume:
         assert [o.row for o in outcomes] == [
             _fake_row(sc) for sc in expand_campaign(TINY)
         ]
-        # success clears the checkpoint files
-        assert not ckpt.partial.exists() and not ckpt.cursor.exists()
+        # success writes the chunk and clears the checkpoint
+        assert chunk.exists() and not ckpt.exists()
+
+    @pytest.mark.parametrize("leftover", ["truncated", "code", "base_seed"])
+    def test_stale_or_torn_checkpoint_entry_reruns(
+        self, tmp_path, monkeypatch, leftover
+    ):
+        """A checkpoint entry is served only if it is whole and was
+        written for this scenario, seed and scenarios-code version."""
+        chunk = chunk_path(tmp_path, TINY, (0, 1))
+        monkeypatch.setattr(campaigns, "run_scenario", _fail_last)
+        with pytest.raises(CampaignExecutionError):
+            CampaignRunner().run(TINY, checkpoint=chunk)
+        spec, stale = TINY, 1
+        if leftover == "truncated":
+            entry = sorted(_checkpoint(tmp_path, TINY).glob("*.json"))[0]
+            entry.write_text(entry.read_text()[:40])
+        elif leftover == "code":
+            monkeypatch.setattr(campaigns, "scenarios_code_digest", lambda: "f" * 16)
+            stale = TINY.n_scenarios - 1
+        else:
+            spec = dataclasses.replace(TINY, base_seed=TINY.base_seed + 1)
+            stale = TINY.n_scenarios - 1
+        monkeypatch.setattr(campaigns, "run_scenario", _fake_row)
+        resumed = CampaignRunner()
+        outcomes = resumed.run(spec, checkpoint=chunk)
+        assert resumed.stats.executed == stale + 1
+        assert [o.row for o in outcomes] == [
+            _fake_row(sc) for sc in expand_campaign(spec)
+        ]
+        assert not _checkpoint(tmp_path, TINY).exists()
 
     def test_chunk_write_failure_keeps_the_checkpoint(self, tmp_path, monkeypatch):
         """A failure while the finished chunk is written must leave the
@@ -168,6 +148,43 @@ class TestCheckpointResume:
         assert manifest["cache_hits"] == TINY.n_scenarios
         for written in (chunk_path(out, TINY, (0, 1)), artifact_path(out, TINY)):
             assert written.read_bytes() == (clean / written.name).read_bytes()
+
+    def test_uncached_failure_resumes_into_the_cache(self, tmp_path, monkeypatch):
+        """Rows checkpointed by a failed ``--no-cache`` run serve a re-run
+        with a cache, which writes the clean run's bytes and moves those
+        rows into the cache."""
+        monkeypatch.setattr(campaigns, "run_scenario", _fake_row)
+        clean = tmp_path / "clean"
+        run_campaign_shard(TINY, out_dir=clean, cache_dir=None)
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        monkeypatch.setattr(campaigns, "run_scenario", _fail_last)
+        with pytest.raises(CampaignExecutionError, match="injected failure"):
+            run_campaign_shard(TINY, out_dir=out, cache_dir=None)
+        monkeypatch.setattr(campaigns, "run_scenario", _fake_row)
+        _, manifest, _ = run_campaign_shard(TINY, out_dir=out, cache_dir=cache)
+        assert manifest["executed"] == 1
+        for written in (chunk_path(out, TINY, (0, 1)), artifact_path(out, TINY)):
+            assert written.read_bytes() == (clean / written.name).read_bytes()
+        _, again, _ = run_campaign_shard(
+            TINY, out_dir=tmp_path / "again", cache_dir=cache
+        )
+        assert again["executed"] == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            p.name for p in clean.iterdir()
+        )
+
+    def test_cached_run_leaves_no_checkpoint(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(campaigns, "run_scenario", _fake_row)
+        out = tmp_path / "out"
+        run_campaign_shard(TINY, out_dir=out, cache_dir=tmp_path / "cache")
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            p.name
+            for p in (
+                chunk_path(out, TINY, (0, 1)),
+                manifest_path(out, TINY, (0, 1)),
+                artifact_path(out, TINY),
+            )
+        )
 
 
 class TestQuarantineReport:
@@ -192,13 +209,14 @@ class TestQuarantineReport:
             runner.run(TINY, checkpoint=chunk)
         (fault,) = excinfo.value.quarantined
         assert fault.kind == "crash"
+        assert fault.as_error().exitcode == -signal.SIGKILL
         assert not excinfo.value.failures
         # every innocent scenario completed and was checkpointed
-        ckpt = _ShardCheckpoint(chunk, campaign_digest(TINY))
-        rows = ckpt.load({sc.index: sc for sc in expand_campaign(TINY)})
-        assert sorted(rows) == [
-            i for i in range(TINY.n_scenarios) if i != poison
+        stored = [
+            json.loads(p.read_text())["index"]
+            for p in _checkpoint(tmp_path, TINY).glob("*.json")
         ]
+        assert sorted(stored) == [i for i in range(TINY.n_scenarios) if i != poison]
         # a fixed re-run executes only the quarantined scenario
         monkeypatch.setattr(campaigns, "run_scenario", _fake_row)
         resumed = CampaignRunner()
@@ -222,6 +240,13 @@ class TestCorruptCacheChaos:
         assert [o.row for o in outcomes] == [
             _fake_row(sc) for sc in expand_campaign(TINY)
         ]
+        # bytes that are not UTF-8 are a miss too, not a decode error
+        monkeypatch.delenv("REPRO_CHAOS")
+        chaos.reset()
+        sorted(cache.glob("*.json"))[-1].write_bytes(b"\xff\xfe\x00garbage")
+        third = CampaignRunner(cache_dir=cache)
+        assert [o.row for o in third.run(TINY)] == [o.row for o in outcomes]
+        assert third.stats.executed == 1
 
 
 def _normalized_manifest(path: Path) -> str:
@@ -294,7 +319,7 @@ class TestSigkillResumeByteIdentity:
         spec = campaigns.load_campaign(str(spec_file))
         out = tmp_path / "interrupted"
         out.mkdir()
-        cursor = out / "chaos-tiny-shard0of2.cursor.json"
+        ckpt = _checkpoint(out, spec, (0, 2))
 
         # Shard 0/2 owns 4 scenarios (tasks 0..3), and the injected
         # delay stalls task 3 long past the test, so the run
@@ -308,18 +333,16 @@ class TestSigkillResumeByteIdentity:
         try:
             deadline = time.monotonic() + 90
             while time.monotonic() < deadline:
-                if cursor.exists():
-                    count = json.loads(cursor.read_text()).get("count", 0)
-                    if count >= 2:
-                        break
+                if len(list(ckpt.glob("*.json"))) >= 2:
+                    break
                 assert proc.poll() is None, "campaign exited before the kill"
                 time.sleep(0.05)
             else:
-                pytest.fail("checkpoint cursor never advanced")
+                pytest.fail("checkpoint never gained two entries")
         finally:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
-        assert cursor.exists()  # the crash left a durable checkpoint
+        assert ckpt.exists()  # the crash left a durable checkpoint
 
         # resume shard 0 without chaos, run shard 1 normally, merge
         self._run_cli(spec_file, out)
@@ -346,8 +369,8 @@ class TestSigkillResumeByteIdentity:
             manifest_path(out, spec, (0, 2)).read_text()
         )
         assert resumed_manifest["cache_hits"] >= 2
-        # success cleaned the checkpoint files up
-        assert not cursor.exists()
+        # success cleaned the checkpoint up
+        assert not ckpt.exists()
         # and the merged artifact equals an unsharded run's artifact
         single = tmp_path / "single"
         run_campaign_shard(spec, shard=(0, 1), out_dir=single)

@@ -327,9 +327,9 @@ class TestScenarioCache:
         assert len(names) == TINY.n_scenarios
         assert all(n.startswith("campaign-tiny-test-s") for n in names)
         # clean-cache's <prefix>-<16-hex>.json contract
-        from repro.analysis.runner import ExperimentRunner
+        from repro.analysis.store import ResultStore
 
-        assert ExperimentRunner(cache_dir=cache).clean_cache() == TINY.n_scenarios
+        assert ResultStore(cache).clean() == TINY.n_scenarios
 
     def test_code_digest_invalidates_cache(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"

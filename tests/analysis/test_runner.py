@@ -2,8 +2,13 @@
 
 import json
 
+import pytest
+
 from repro.analysis import registry
+from repro.analysis import runner as runner_module
 from repro.analysis.runner import ExperimentRunner
+from repro.analysis.store import ResultStore
+from repro.devtools import chaos
 
 # Shrunk parameters so running *every* registered experiment stays fast;
 # both runner invocations use the same overrides, so the cache contract
@@ -120,28 +125,57 @@ class TestCache:
         runner = ExperimentRunner(cache_dir=tmp_path)
         (result,) = runner.run(["e04"])
         path = tmp_path / f"e04-{result.digest}.json"
-        path.write_text(path.read_text()[: 40])  # simulate interrupted write
-        runner2 = ExperimentRunner(cache_dir=tmp_path)
-        (again,) = runner2.run(["e04"])
-        assert runner2.stats.executed == 1
-        assert again.rows == result.rows
-        # and the entry has healed
-        runner3 = ExperimentRunner(cache_dir=tmp_path)
-        runner3.run(["e04"])
-        assert runner3.stats.executed == 0
+        # an interrupted write, then bytes that are not even UTF-8
+        for garbage in (path.read_bytes()[:40], b"\xff\xfe\x00garbage"):
+            path.write_bytes(garbage)
+            runner2 = ExperimentRunner(cache_dir=tmp_path)
+            (again,) = runner2.run(["e04"])
+            assert runner2.stats.executed == 1
+            assert again.rows == result.rows
+            # and the entry has healed
+            runner3 = ExperimentRunner(cache_dir=tmp_path)
+            runner3.run(["e04"])
+            assert runner3.stats.executed == 0
+
+    def test_chaos_corrupted_entry_reruns(self, tmp_path, monkeypatch):
+        ExperimentRunner(cache_dir=tmp_path).run(["e04"])
+        monkeypatch.setenv("REPRO_CHAOS", "corrupt-cache:nth=0")
+        chaos.reset()
+        try:
+            warm = ExperimentRunner(cache_dir=tmp_path)
+            warm.run(["e04"])
+        finally:
+            chaos.reset()
+        assert warm.stats.executed == 1 and warm.stats.cache_hits == 0
+
+    def test_failed_run_keeps_finished_entries(self, tmp_path, monkeypatch):
+        """Each result is stored as it lands, so an experiment that raises
+        does not discard the ones that finished before it."""
+        execute = runner_module._execute
+
+        def broken(task):
+            if task[0] == "e06":
+                raise RuntimeError("injected e06 failure")
+            return execute(task)
+
+        monkeypatch.setattr(runner_module, "_execute", broken)
+        with pytest.raises(RuntimeError, match="injected e06 failure"):
+            ExperimentRunner(cache_dir=tmp_path).run(["e04", "e06", "e02"])
+        monkeypatch.setattr(runner_module, "_execute", execute)
+        fixed = ExperimentRunner(cache_dir=tmp_path)
+        fixed.run(["e04", "e06", "e02"])
+        assert (fixed.stats.executed, fixed.stats.cache_hits) == (2, 1)
 
     def test_clean_cache(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=tmp_path)
-        runner.run(["e04", "e06"])
-        assert runner.clean_cache() == 2
-        assert runner.clean_cache() == 0
+        ExperimentRunner(cache_dir=tmp_path).run(["e04", "e06"])
+        assert ResultStore(tmp_path).clean() == 2
+        assert ResultStore(tmp_path).clean() == 0
 
     def test_clean_cache_spares_foreign_json(self, tmp_path):
         foreign = tmp_path / "results.json"
         foreign.write_text("{}")
-        runner = ExperimentRunner(cache_dir=tmp_path)
-        runner.run(["e04"])
-        assert runner.clean_cache() == 1
+        ExperimentRunner(cache_dir=tmp_path).run(["e04"])
+        assert ResultStore(tmp_path).clean() == 1
         assert foreign.exists()
 
     def test_no_cache_dir_always_executes(self):
@@ -227,7 +261,5 @@ class TestParallel:
         assert warm.stats.executed == 0 and warm.stats.cache_hits == 2
 
     def test_bad_jobs_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             ExperimentRunner(jobs=0)

@@ -210,41 +210,59 @@ class TestRL004RegistryEntryPoints:
 class TestRL005FanOutPicklable:
     def test_lambda_flagged(self, tmp_path):
         bad = """\
-            from repro.analysis.runner import fan_out
+            from repro.util.pool import WorkerPool
 
 
             def go(tasks):
-                return fan_out(lambda t: t, tasks, 2)
+                with WorkerPool(2) as pool:
+                    return pool.map(lambda t: t, tasks)
             """
-        assert_flagged(run_rule(tmp_path, bad, "RL005"), "RL005", 5)
+        assert_flagged(run_rule(tmp_path, bad, "RL005"), "RL005", 6)
 
     def test_nested_function_flagged(self, tmp_path):
         bad = """\
-            from repro.analysis.runner import fan_out
+            from repro.util.pool import WorkerPool
 
 
             def go(tasks):
                 def work(t):
                     return t
 
-                return fan_out(work, tasks, 2)
+                with WorkerPool(2) as pool:
+                    return pool.map_quarantine(work, tasks)
             """
-        assert_flagged(run_rule(tmp_path, bad, "RL005"), "RL005", 8)
+        assert_flagged(run_rule(tmp_path, bad, "RL005"), "RL005", 9)
 
     def test_bound_method_flagged(self, tmp_path):
         bad = """\
-            from repro.analysis.runner import fan_out
+            from repro.util.pool import WorkerPool
 
 
             class Runner:
                 def go(self, tasks):
-                    return fan_out(self.work, tasks, 2)
+                    with WorkerPool(2) as pool:
+                        return pool.map(self.work, tasks)
             """
-        assert_flagged(run_rule(tmp_path, bad, "RL005"), "RL005", 6)
+        assert_flagged(run_rule(tmp_path, bad, "RL005"), "RL005", 7)
+
+    def test_lambda_initializer_flagged(self, tmp_path):
+        bad = """\
+            from repro.util.pool import WorkerPool
+
+
+            def go(work, tasks):
+                with WorkerPool(2, initializer=lambda: None) as pool:
+                    return pool.map(work, tasks)
+            """
+        assert_flagged(run_rule(tmp_path, bad, "RL005"), "RL005", 5)
 
     def test_module_level_function_passes(self, tmp_path):
         good = """\
-            from repro.analysis.runner import fan_out
+            from repro.util.pool import WorkerPool
+
+
+            def warm():
+                pass
 
 
             def work(t):
@@ -252,7 +270,8 @@ class TestRL005FanOutPicklable:
 
 
             def go(tasks):
-                return fan_out(work, tasks, 2)
+                with WorkerPool(2, initializer=warm) as pool:
+                    return pool.map(work, tasks)
             """
         assert run_rule(tmp_path, good, "RL005") == []
 

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from repro.util.pool import WorkerPool, fan_out
+from repro.util.pool import WorkerPool
 
 # -- module-level workers (the pool pickles them) ---------------------------
 
@@ -39,30 +39,36 @@ def _boom(x):
     return x
 
 
+def _one_shot(fn, tasks, jobs):
+    """How the runners map: one pool, never more workers than tasks."""
+    with WorkerPool(min(jobs, len(tasks))) as pool:
+        return pool.map(fn, tasks)
+
+
 class TestFanOut:
     def test_serial_matches_map(self):
-        assert fan_out(_square, [1, 2, 3], 1) == [1, 4, 9]
+        assert _one_shot(_square, [1, 2, 3], 1) == [1, 4, 9]
 
     def test_single_task_stays_in_process(self):
         pid = os.getpid()
-        [(_, worker_pid)] = fan_out(_tag_pid, [0], 4)
+        [(_, worker_pid)] = _one_shot(_tag_pid, [0], 4)
         assert worker_pid == pid
 
     def test_parallel_uses_worker_processes(self):
-        pids = {pid for _, pid in fan_out(_tag_pid, list(range(8)), 2)}
+        pids = {pid for _, pid in _one_shot(_tag_pid, list(range(8)), 2)}
         assert os.getpid() not in pids
 
     def test_initializer_runs_in_process_when_serial(self):
-        # fan_out takes no initializer: a serial fan_out runs every task in
-        # the caller's process, so warming that process beforehand suffices
+        # a serial pool runs every task in the caller's process, so
+        # warming that process beforehand suffices
         _STATE["warm"] = 0
         _warm("t")
-        assert fan_out(_read_warm, [0, 1], 1) == [(1, "t"), (1, "t")]
-        assert {pid for _, pid in fan_out(_tag_pid, [0, 1], 1)} == {os.getpid()}
+        assert _one_shot(_read_warm, [0, 1], 1) == [(1, "t"), (1, "t")]
+        assert {pid for _, pid in _one_shot(_tag_pid, [0, 1], 1)} == {os.getpid()}
 
     def test_worker_exception_propagates(self):
         with pytest.raises(ValueError, match="task 3 exploded"):
-            fan_out(_boom, list(range(6)), 2)
+            _one_shot(_boom, list(range(6)), 2)
 
 
 class TestWorkerPool:

@@ -109,6 +109,16 @@ class TestCrashRetry:
             with pytest.raises(WorkerCrash, match="attempt 2/2"):
                 pool.map(_crash_on_seven, [1, 7, 3, 4])
 
+    def test_crash_reports_the_reaped_exit_code(self):
+        # the exit code is read after the dead worker is joined: read
+        # before, it could still be None
+        retry = RetryPolicy(base_delay=0.0, max_attempts=1)
+        for _ in range(12):
+            with WorkerPool(2, retry=retry) as pool:
+                _, (fault,) = pool.map_quarantine(_crash_on_seven, [1, 7])
+            assert fault.message.endswith("worker died with exitcode -9")
+            assert fault.as_error().exitcode == -signal.SIGKILL
+
     def test_zero_retries_runs_every_task_once(self, tmp_path):
         # --retries 0: the crash is final, and no other task is re-run
         log = str(tmp_path / "executions.log")
