@@ -2,7 +2,10 @@
 the engine kernels.
 
 The greedy rows run a fixed restart budget on an n ≥ 256 instance at full
-size (the CI smoke sizes shrink it via ``REPRO_BENCH_N``).  The
+size (the CI smoke sizes shrink it via ``REPRO_BENCH_N``), and on the
+perfbench campaign's own instance: ``sparse:6:3`` from its ``sample:8``
+sources, 100 restarts each, on warm kernels, best of N with the spread
+and no floor.  The
 ``enumerate_paths`` pair times the kernel against the set-based
 primitive it is pinned to (:mod:`repro.schedulers.legacy`).  The
 measured numbers, and the retired kernels-vs-legacy greedy rows, are
@@ -10,9 +13,13 @@ recorded in ``benchmarks/RESULTS_schedulers.md``.
 """
 
 import os
+import statistics
+import time
 
+from repro.analysis.scenarios import sources_for
 from repro.engine.kernels import GraphKernels
 from repro.graphs.hypercube import hypercube
+from repro.graphs.specs import graph_from_spec
 from repro.graphs.trees import balanced_ternary_core_tree, path_graph
 from repro.schedulers import legacy
 from repro.schedulers.greedy import heuristic_line_broadcast
@@ -46,6 +53,50 @@ def test_bench_greedy_ternary_tree(benchmark):
         lambda: heuristic_line_broadcast(g, 0, None, restarts=1, seed=0),
         rounds=1,
         iterations=1,
+    )
+
+
+CAMPAIGN_REPEATS = 5
+
+
+def test_bench_greedy_campaign_instance(print_once, bench_json):
+    """Greedy as the campaign runs it: ``sparse:6:3``, ``k=None``, 100
+    restarts, one call per ``sample:8`` source.  One untimed pass warms
+    the kernels and the validator; no floor is asserted."""
+    g = graph_from_spec("sparse:6:3")
+    sources = sources_for("sample:8", g.n_vertices)
+
+    def run():
+        for s in sources:
+            assert heuristic_line_broadcast(g, s, None, restarts=100, seed=s)
+
+    run()
+    times = []
+    for _ in range(CAMPAIGN_REPEATS):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    best, median, worst = min(times), statistics.median(times), max(times)
+    print_once(
+        "greedy-campaign-instance",
+        [
+            {
+                "sources": len(sources),
+                "best_s": f"{best:.3f}",
+                "median_s": f"{median:.3f}",
+                "max_s": f"{worst:.3f}",
+            }
+        ],
+        title=f"greedy sparse:6:3 sample:8, 100 restarts, warm, N={CAMPAIGN_REPEATS}",
+    )
+    bench_json(
+        "bench_schedulers",
+        "greedy_campaign_instance",
+        workload="greedy sparse:6:3, k=None, restarts=100, sample:8 sources, warm",
+        repeats=CAMPAIGN_REPEATS,
+        best_s=round(best, 6),
+        median_s=round(median, 6),
+        max_s=round(worst, 6),
     )
 
 

@@ -41,6 +41,7 @@ from pathlib import Path
 from repro.analysis.scenarios import (
     SCHEME_SCHEDULER,
     Scenario,
+    parse_sources_policy,
     run_scenario,
     scenario_id,
     validate_scenario,
@@ -48,6 +49,7 @@ from repro.analysis.scenarios import (
 )
 from repro.analysis import store
 from repro.errors import ScenarioError, capture
+from repro.graphs.specs import spec_vertices
 from repro.types import InvalidParameterError, ReproError
 from repro.util.pool import TaskFault, WorkerPool
 from repro.util.retry import RetryPolicy
@@ -460,8 +462,14 @@ def write_chunk(path: Path, rows: list[dict]) -> None:
 
 
 def read_chunk_rows(path: Path) -> list[dict]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(
+            f"corrupt chunk {path}: not UTF-8 text ({exc})"
+        ) from None
     rows = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -506,7 +514,7 @@ def merge_chunks(spec: CampaignSpec, out_dir: str | Path) -> tuple[Path, list[di
     rows_by_index: dict[int, dict] = {}
     for path in chunks:
         for row in read_chunk_rows(path):
-            idx = row.get("index")
+            idx = row.get("index") if isinstance(row, dict) else None
             if not isinstance(idx, int):
                 raise InvalidParameterError(
                     f"chunk {path} has a row without an integer 'index'"
@@ -547,10 +555,10 @@ def merge_chunks(spec: CampaignSpec, out_dir: str | Path) -> tuple[Path, list[di
         if not mpath.exists():
             continue
         try:
-            manifest = json.loads(mpath.read_text())
-        except (json.JSONDecodeError, OSError):
+            manifest = json.loads(mpath.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, OSError):
             continue  # unreadable manifest: row identity above still gates
-        found = manifest.get("digest")
+        found = manifest.get("digest") if isinstance(manifest, dict) else None
         if found is not None and found != digest:
             raise InvalidParameterError(
                 f"chunk {path.name} was produced by campaign digest {found} "
@@ -610,6 +618,16 @@ def _entry(sc: Scenario, row: dict) -> dict:
     }
 
 
+def _dispatch_rank(sc: Scenario) -> tuple[bool, int, int]:
+    """Longest-first order (Graham's LPT) without a time estimate:
+    registry-scheduler scenarios before ``scheme`` ones, then larger
+    ``n_vertices × n_sources`` first, ties in index order."""
+    n = max(spec_vertices(sc.graph), 0)
+    kind, cap = parse_sources_policy(sc.sources)
+    n_sources = 1 if kind == "first" else n if kind == "all" else min(n, cap)
+    return sc.scheduler == SCHEME_SCHEDULER, -n * n_sources, sc.index
+
+
 def _stored_row(source: store.ResultStore | None, key: str, digest: str) -> dict | None:
     payload = source.load(key, digest) if source is not None else None
     row = payload.get("row") if payload is not None else None
@@ -624,6 +642,15 @@ class CampaignRunner:
     Cache entries are ``campaign-<name>-s<index>-<digest>.json`` under
     ``cache_dir`` — the experiment cache's naming scheme, so ``repro
     clean-cache`` sweeps them too.
+
+    Scenarios are dispatched longest-first, so the heaviest ones do not
+    start last and leave a worker idle at the end of the map: registry
+    schedulers (greedy's restarts dominate a campaign) before ``scheme``
+    scenarios, then by ``n_vertices × n_sources`` from the spec's vertex
+    formula (:func:`~repro.graphs.specs.spec_vertices`, nothing built),
+    largest first, ties in index order.  The order only decides which
+    idle worker gets what: rows, chunks, manifests, artifacts and the
+    failure report all stay in index order.
     """
 
     def __init__(
@@ -695,27 +722,32 @@ class CampaignRunner:
             sorted({(sc.graph, sc.scheduler == SCHEME_SCHEDULER) for sc in to_run})
         )
 
+        dispatched = sorted(to_run, key=_dispatch_rank)
+
         def record(index: int, value: tuple[str, object, float]) -> None:
             # runs in the parent as each task lands, before the map returns
             status, payload, _seconds = value
             if sink is not None and status == "ok":
-                sc = to_run[index]
+                sc = dispatched[index]
                 sink.store(_entry_key(spec, sc), digests[sc.index], _entry(sc, payload))
 
         results: list[tuple[str, object, float] | None] = []
         task_faults: list[TaskFault] = []
-        if to_run:
+        if dispatched:
             with WorkerPool(
-                min(self.jobs, len(to_run)),
+                min(self.jobs, len(dispatched)),
                 initializer=warm_scenario_caches,
                 initargs=(warm_pairs,),
                 retry=self.retry,
             ) as pool:
                 results, task_faults = pool.map_quarantine(
-                    _execute_scenario, to_run, on_result=record
+                    _execute_scenario, dispatched, on_result=record
                 )
+        finished = {sc.index: result for sc, result in zip(dispatched, results)}
+        task_faults.sort(key=lambda fault: dispatched[fault.index].index)
         failures: list[ScenarioError] = []
-        for sc, result in zip(to_run, results):
+        for sc in to_run:
+            result = finished.get(sc.index)
             if result is None:
                 continue  # quarantined: reported via task_faults below
             status, payload, seconds = result
@@ -739,7 +771,7 @@ class CampaignRunner:
                 more = f" (+{len(failures) - 1} more)" if len(failures) > 1 else ""
                 parts.append(f"failed: {failures[0]}{more}")
             for fault in task_faults:
-                sc = to_run[fault.index]
+                sc = dispatched[fault.index]
                 parts.append(
                     f"quarantined after {fault.attempts} attempts: scenario "
                     f"{sc.index} ({sc.scenario_id}) — {fault.message}"

@@ -9,7 +9,8 @@ once per graph:
 
 * adjacency comes from the graph's CSR arrays (``Graph.csr_arrays``),
   materialized once into flat per-vertex neighbour/edge-id tuples, so the
-  inner loops never touch a ``frozenset`` or call ``sorted``;
+  inner loops never touch a ``frozenset`` or call ``sorted``; the graph's
+  connectivity is computed once with them;
 * vertex sets (informed, claimed, visited) and used-edge sets are
   arbitrary-precision integer bitmasks — the same representation as
   :mod:`repro.model.validator_fast` and the bitmask helpers in
@@ -19,17 +20,19 @@ once per graph:
   *incrementally* by :class:`PenaltyState`: informing a vertex only splits
   its own uninformed component, and unless the vertex is a cut vertex of
   that component it does not split it at all.  So a candidate probe costs
-  O(deg v) against per-component cut vertices and boundary counts (one
-  low-link DFS per component); only cut-vertex probes and commits
-  flood-fill the pieces, and nothing re-scans the graph.
+  two lookups against per-component cut vertices and lost-boundary counts
+  (one low-link DFS per component), a non-cut commit keeps its component's
+  label without a flood, a cut-vertex commit reuses the pieces its probe
+  flooded, and nothing re-scans the graph.
 
 Equivalence with those set-based primitives, kept verbatim in
 :mod:`repro.schedulers.legacy` as the oracle, is pinned by unit and
 property tests (``tests/engine``,
 ``tests/property/test_engine_property.py``): path
 enumeration and reachability return identical output, component summaries
-and capacity verdicts match exactly, and penalties match up to float
-summation order.  Probes match a flood of every split exactly.
+and capacity verdicts match exactly, and :class:`PenaltyState`'s probes
+and totals equal a reference that floods every probe and every commit
+exactly (``==``), through any interleaving of probes and commits.
 """
 
 from __future__ import annotations
@@ -126,6 +129,7 @@ class GraphKernels:
             self.nbrs.append(tuple(int(x) for x in indices[lo:hi]))
             self.eids.append(tuple(int(x) for x in slot_edge[lo:hi]))
         self.full_mask = (1 << n) - 1
+        self.connected = graph.is_connected()
         self._edge_id_of: dict[tuple[int, int], int] | None = None
 
     # -- edge ids -----------------------------------------------------------
@@ -151,19 +155,16 @@ class GraphKernels:
 
     def reachable(
         self, caller: int, k: int, used_mask: int
-    ) -> tuple[list[int], list[int], list[int]]:
+    ) -> tuple[list[int], list[int]]:
         """BFS from ``caller`` over unused edges, depth-limited to ``k``.
 
-        Returns ``(parent, depth, order)``: ``parent[v]`` is the BFS
-        predecessor (-1 at the caller, :data:`UNREACHED` otherwise),
-        ``depth[v]`` the
-        hop count, and ``order`` the discovery order including the caller.
-        Level-synchronous with ascending-neighbour expansion, so parents
-        match the legacy FIFO BFS exactly.
+        Returns ``(parent, order)``: ``parent[v]`` is the BFS predecessor
+        (-1 at the caller, :data:`UNREACHED` otherwise) and ``order`` the
+        discovery order including the caller.  Level-synchronous with
+        ascending-neighbour expansion, so parents match the legacy FIFO
+        BFS exactly.
         """
-        n = self.n
-        parent = [UNREACHED] * n
-        depth = [0] * n
+        parent = [UNREACHED] * self.n
         parent[caller] = _ROOT
         order = [caller]
         frontier = [caller]
@@ -177,11 +178,40 @@ class GraphKernels:
                     if parent[v] != UNREACHED or (used_mask >> e) & 1:
                         continue
                     parent[v] = u
-                    depth[v] = d
                     nxt.append(v)
             order.extend(nxt)
             frontier = nxt
-        return parent, depth, order
+        return parent, order
+
+    def nearest_depth(
+        self, caller: int, k: int, used_mask: int, targets_mask: int
+    ) -> int | None:
+        """The depth of the nearest bit of ``targets_mask`` that
+        :meth:`reachable` reaches from ``caller``, or ``None``.
+
+        The same level-synchronous BFS, stopped as soon as a level holds
+        a target, so it never expands the levels beyond it.
+        """
+        if (targets_mask >> caller) & 1:
+            return 0
+        seen = bytearray(self.n)
+        seen[caller] = 1
+        frontier = [caller]
+        d = 0
+        nbrs, eids = self.nbrs, self.eids
+        while frontier and d < k:
+            d += 1
+            nxt: list[int] = []
+            for u in frontier:
+                for v, e in zip(nbrs[u], eids[u]):
+                    if seen[v] or (used_mask >> e) & 1:
+                        continue
+                    if (targets_mask >> v) & 1:
+                        return d
+                    seen[v] = 1
+                    nxt.append(v)
+            frontier = nxt
+        return None
 
     def path_to(self, parent: list[int], v: int) -> tuple[int, ...]:
         """The BFS path to ``v`` implied by a ``reachable`` parent array."""
@@ -196,7 +226,7 @@ class GraphKernels:
         """Drop-in equivalent of the legacy ``_reachable_paths``: one
         shortest free path per vertex reachable within ``k`` unused edges,
         keyed by target, in discovery order."""
-        parent, _depth, order = self.reachable(caller, k, used_mask)
+        parent, order = self.reachable(caller, k, used_mask)
         return {v: self.path_to(parent, v) for v in order[1:]}
 
     # -- bounded-length simple-path enumeration ----------------------------
@@ -238,7 +268,7 @@ class GraphKernels:
         any float summation over them) follow the legacy scan order.
         """
         n = self.n
-        labels = np.full(n, -1, dtype=np.int64)
+        labels = [-1] * n
         sizes: list[int] = []
         boundaries: list[int] = []
         nbrs = self.nbrs
@@ -261,7 +291,9 @@ class GraphKernels:
                         stack.append(y)
             sizes.append(size)
             boundaries.append(bmask.bit_count())
-        return ComponentSummary(labels=labels, sizes=sizes, boundaries=boundaries)
+        return ComponentSummary(
+            labels=np.array(labels, dtype=np.int64), sizes=sizes, boundaries=boundaries
+        )
 
     def component_penalty(self, informed_mask: int, rounds_left: int) -> float:
         """Σ over uninformed components of capacity overflow plus slack —
@@ -275,9 +307,16 @@ class GraphKernels:
             for s, b in zip(summary.sizes, summary.boundaries)
         )
 
-    def capacity_ok(self, informed_mask: int, rounds_left: int) -> bool:
+    def capacity_ok(
+        self,
+        informed_mask: int,
+        rounds_left: int,
+        *,
+        summary: ComponentSummary | None = None,
+    ) -> bool:
         """The exact searcher's two sound prunes: global doubling
-        ``|U| ≤ |I|·(2^r − 1)`` and the per-component capacity bound."""
+        ``|U| ≤ |I|·(2^r − 1)`` and the per-component capacity bound.
+        ``summary``, when given, must be ``components(informed_mask)``."""
         n_informed = informed_mask.bit_count()
         u_count = self.n - n_informed
         if u_count == 0:
@@ -287,8 +326,14 @@ class GraphKernels:
         cap = (1 << rounds_left) - 1
         if u_count > n_informed * cap:
             return False
-        summary = self.components(informed_mask)
+        if summary is None:
+            summary = self.components(informed_mask)
         return all(s <= b * cap for s, b in zip(summary.sizes, summary.boundaries))
+
+
+# (|C|, cut vertices of C, b(C), {member: #boundary vertices whose only
+# neighbour in C it is}) — one component's entry in PenaltyState.
+_CutInfo = tuple[int, set[int], int, dict[int, int]]
 
 
 class PenaltyState:
@@ -298,16 +343,19 @@ class PenaltyState:
     component C: every other component and boundary is untouched, because
     ``v`` has no neighbour there.  When ``v`` is not a cut vertex of C,
     ``C − v`` stays connected, so the probe needs only ``|C| − 1`` and the
-    new boundary count — O(deg v) from a per-component *cut-info* entry
-    (``|C|``, C's cut vertices, and each informed boundary vertex's number
-    of neighbours in C) built lazily by one Hopcroft–Tarjan low-link DFS.
-    Only cut-vertex probes and ``commit`` flood-fill the pieces.  Either
-    way a probe returns the same float as a flood of the whole split, and
-    no probe re-scans the graph as the legacy scorer did.
+    new boundary count ``b − lost(v) + 1`` — two lookups in a per-component
+    *cut-info* entry (``|C|``, C's cut vertices, ``b(C)``, and per member
+    the number of boundary vertices whose only neighbour in C it is),
+    built lazily by one Hopcroft–Tarjan low-link DFS.  Only cut-vertex
+    probes flood-fill the pieces.  Either way a probe returns the same
+    float as a flood of the whole split.
 
     ``probe(v)`` returns the penalty of ``informed ∪ {v}``;
-    ``commit(v)`` makes that hypothetical permanent.  Both reject a ``v``
-    that is informed or not a vertex.
+    ``commit(v)`` makes that hypothetical permanent.  A non-cut commit
+    keeps C's label and sets its term to the probe's; a cut-vertex commit
+    relabels the pieces, reusing those its probe flooded when no commit
+    came in between.  Both reject a ``v`` that is informed or not a
+    vertex.
     """
 
     def __init__(
@@ -326,18 +374,20 @@ class PenaltyState:
         if summary is None:
             summary = kernels.components(informed_mask)
         # An independent list: labels are rewritten on commit, and every
-        # label is always an exact component (commit relabels each piece),
-        # so a neighbour carrying another label is informed.
+        # label is always an exact component (a non-cut commit leaves C − v
+        # connected, a cut commit relabels each piece), so a neighbour
+        # carrying another label is informed.
         self.labels: list[int] = summary.labels.tolist()
         self._terms: list[float] = [
             _penalty_term(s, b, self.cap_mult)
             for s, b in zip(summary.sizes, summary.boundaries)
         ]
         self.total = float(sum(self._terms))
-        # label -> (|C|, cut vertices, {informed w: #neighbours of w in C}).
-        # Labels are never reused (commit appends new ones), so an entry
-        # never goes stale; commit drops the entry of the label it splits.
-        self._cut_info: dict[int, tuple[int, set[int], dict[int, int]]] = {}
+        # label -> its component's cut-info; commit drops its label's entry.
+        self._cut_info: dict[int, _CutInfo] = {}
+        # cut vertex -> the pieces its probe flooded; valid only until the
+        # next commit, which clears it.
+        self._pieces: dict[int, list[tuple[int, int, list[int]]]] = {}
 
     def _label(self, v: int) -> int:
         """``v``'s component label; rejects informed and non-vertices."""
@@ -383,16 +433,21 @@ class PenaltyState:
             pieces.append((size, boundary, members))
         return terms, pieces
 
-    def _analyse(self, root: int) -> tuple[int, set[int], dict[int, int]]:
+    def _analyse(self, root: int) -> _CutInfo:
         """Cut-info of ``root``'s component: one iterative low-link DFS
-        (Hopcroft–Tarjan) yielding ``|C|``, the cut vertices of C, and for
-        each informed boundary vertex its number of neighbours in C."""
+        (Hopcroft–Tarjan) yielding ``|C|``, the cut vertices of C, the
+        number of informed boundary vertices, and per member the number
+        of boundary vertices whose only neighbour in C it is."""
         labels = self.labels
         label = labels[root]
         nbrs = self.kernels.nbrs
-        disc = {root: 0}
-        low = {root: 0}
+        n = self.kernels.n
+        disc = [-1] * n
+        low = [0] * n
+        disc[root] = 0
+        count = 1
         cut: set[int] = set()
+        # informed boundary vertex -> its only neighbour in C, or -1
         boundary: dict[int, int] = {}
         root_children = 0
         stack = [(root, -1, iter(nbrs[root]))]
@@ -400,9 +455,10 @@ class PenaltyState:
             x, px, it = stack[-1]
             for y in it:
                 if labels[y] != label:
-                    boundary[y] = boundary.get(y, 0) + 1
-                elif y not in disc:
-                    disc[y] = low[y] = len(disc)
+                    boundary[y] = -1 if y in boundary else x
+                elif disc[y] < 0:
+                    disc[y] = low[y] = count
+                    count += 1
                     stack.append((y, x, iter(nbrs[y])))
                     break
                 elif y != px and disc[y] < low[x]:
@@ -412,12 +468,25 @@ class PenaltyState:
                 if px == root:
                     root_children += 1
                 elif px >= 0:
-                    low[px] = min(low[px], low[x])
+                    if low[x] < low[px]:
+                        low[px] = low[x]
                     if low[x] >= disc[px]:
                         cut.add(px)
         if root_children > 1:
             cut.add(root)
-        return len(disc), cut, boundary
+        lost: dict[int, int] = {}
+        for member in boundary.values():
+            if member >= 0:
+                lost[member] = lost.get(member, 0) + 1
+        return count, cut, len(boundary), lost
+
+    def _joined_term(self, v: int, info: _CutInfo) -> float:
+        """The term of ``C − v`` for a non-cut ``v``: C loses ``v`` and
+        each boundary vertex whose only neighbour in C is ``v``, and
+        gains ``v`` as a boundary vertex.  (When C = {v} the term of the
+        empty remainder is 0.0, as the flood's.)"""
+        size, _cut, n_boundary, lost = info
+        return _penalty_term(size - 1, n_boundary - lost.get(v, 0) + 1, self.cap_mult)
 
     def probe(self, v: int) -> float:
         """The penalty of ``informed ∪ {v}`` (``v`` must be uninformed)."""
@@ -425,30 +494,34 @@ class PenaltyState:
         info = self._cut_info.get(label)
         if info is None:
             info = self._cut_info[label] = self._analyse(v)
-        size, cut, boundary = info
-        if v in cut:
-            new_terms, _pieces = self._split(v)
+        if v in info[1]:
+            new_terms, self._pieces[v] = self._split(v)
         else:
-            # C − v is connected: it loses each boundary vertex whose only
-            # neighbour in C is v, and gains v itself.  (When C = {v} the
-            # term of the empty remainder is 0.0, as the flood's.)
-            lost = sum(1 for y in self.kernels.nbrs[v] if boundary.get(y) == 1)
-            new_terms = _penalty_term(size - 1, len(boundary) - lost + 1, self.cap_mult)
+            new_terms = self._joined_term(v, info)
         return self.total - self._terms[label] + new_terms
 
     def commit(self, v: int) -> None:
-        """Inform ``v``: split its component and update labels/terms."""
+        """Inform ``v``: update its component's labels and terms."""
         label = self._label(v)
-        _terms, pieces = self._split(v)
-        self._cut_info.pop(label, None)
-        self.informed |= 1 << v
-        self.total -= self._terms[label]
-        self._terms[label] = 0.0
-        self.labels[v] = -1
-        for size, boundary, members in pieces:
-            new_label = len(self._terms)
-            term = _penalty_term(size, boundary, self.cap_mult)
-            self._terms.append(term)
+        info = self._cut_info.pop(label, None)
+        pieces = self._pieces.get(v)
+        self._pieces.clear()  # every other probe's pieces may be stale now
+        if info is not None and v not in info[1]:
+            term = self._joined_term(v, info)
+            self.total -= self._terms[label]
             self.total += term
-            for m in members:
-                self.labels[m] = new_label
+            self._terms[label] = term
+        else:
+            if pieces is None:
+                _terms, pieces = self._split(v)
+            self.total -= self._terms[label]
+            self._terms[label] = 0.0
+            for size, boundary, members in pieces:
+                new_label = len(self._terms)
+                term = _penalty_term(size, boundary, self.cap_mult)
+                self._terms.append(term)
+                self.total += term
+                for m in members:
+                    self.labels[m] = new_label
+        self.informed |= 1 << v
+        self.labels[v] = -1

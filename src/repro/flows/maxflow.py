@@ -9,38 +9,36 @@ as a pair of opposing arcs (standard construction: a unit of flow may
 cross an undirected edge in either direction, and opposing units cancel,
 so any integral flow decomposes into paths using each undirected edge at
 most once — the edge-disjointness the k-line model needs).
+
+Arcs live in parallel lists indexed by arc id: ``add_arc`` appends the
+arc at an even id ``a`` and its residual twin at ``a ^ 1``.  The blocking
+flow is an iterative DFS over per-node current-arc pointers that pushes
+each path's bottleneck and restarts from the source, so augmenting paths
+come in the order the textbook recursive DFS finds them.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from dataclasses import dataclass, field
 
 from repro.types import InvalidParameterError
 
 __all__ = ["FlowNetwork", "max_flow_value"]
 
 
-@dataclass
-class _Arc:
-    to: int
-    cap: int
-    rev: int  # index of the reverse arc in adj[to]
-    init_cap: int = 0  # capacity at creation (for flow read-back)
-
-
-@dataclass
 class FlowNetwork:
-    """A directed flow network over nodes ``0 .. n_nodes-1``."""
+    """A directed flow network over nodes ``0 .. n_nodes-1``.
 
-    n_nodes: int
-    adj: list[list[_Arc]] = field(default_factory=list)
+    ``adj[u]`` lists the ids of the arcs out of ``u`` (residual twins
+    included) in insertion order; ``head[a]`` is arc ``a``'s target and
+    ``cap[a]`` its residual capacity.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n_nodes < 0:
-            raise InvalidParameterError(f"need n_nodes >= 0, got {self.n_nodes}")
-        if not self.adj:
-            self.adj = [[] for _ in range(self.n_nodes)]
+    def __init__(self, n_nodes: int) -> None:
+        if n_nodes < 0:
+            raise InvalidParameterError(f"need n_nodes >= 0, got {n_nodes}")
+        self.n_nodes = n_nodes
+        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
+        self.head: list[int] = []
+        self.cap: list[int] = []
 
     def add_arc(self, u: int, v: int, cap: int) -> None:
         """Add a directed arc u→v of the given capacity (plus the residual)."""
@@ -48,8 +46,11 @@ class FlowNetwork:
             raise InvalidParameterError(f"arc ({u}, {v}) out of range")
         if cap < 0:
             raise InvalidParameterError(f"capacity must be >= 0, got {cap}")
-        self.adj[u].append(_Arc(v, cap, len(self.adj[v]), cap))
-        self.adj[v].append(_Arc(u, 0, len(self.adj[u]) - 1, 0))
+        a = len(self.head)
+        self.head += (v, u)
+        self.cap += (cap, 0)
+        self.adj[u].append(a)
+        self.adj[v].append(a + 1)
 
     def add_undirected_unit_edge(self, u: int, v: int) -> None:
         """Model an undirected unit-capacity edge (one call may cross it,
@@ -60,33 +61,58 @@ class FlowNetwork:
 
     # -- Dinic ------------------------------------------------------------
 
-    def _bfs_levels(self, s: int, t: int) -> list[int] | None:
+    def _levels(self, s: int, t: int) -> list[int] | None:
+        """BFS levels over arcs with residual capacity, or None if ``t``
+        is unreachable.  Stops once ``t`` has its level: the nodes not yet
+        levelled then cannot lie on a shortest augmenting path."""
+        adj, head, cap = self.adj, self.head, self.cap
         level = [-1] * self.n_nodes
         level[s] = 0
-        dq: deque[int] = deque([s])
-        while dq:
-            u = dq.popleft()
-            for arc in self.adj[u]:
-                if arc.cap > 0 and level[arc.to] == -1:
-                    level[arc.to] = level[u] + 1
-                    dq.append(arc.to)
-        return level if level[t] != -1 else None
+        queue = [s]
+        for u in queue:  # the list grows while it is scanned: a FIFO
+            lv = level[u] + 1
+            for a in adj[u]:
+                v = head[a]
+                if cap[a] > 0 and level[v] < 0:
+                    level[v] = lv
+                    if v == t:
+                        return level
+                    queue.append(v)
+        return None
 
-    def _dfs_block(
-        self, u: int, t: int, pushed: int, level: list[int], it: list[int]
-    ) -> int:
-        if u == t:
-            return pushed
-        while it[u] < len(self.adj[u]):
-            arc = self.adj[u][it[u]]
-            if arc.cap > 0 and level[arc.to] == level[u] + 1:
-                d = self._dfs_block(arc.to, t, min(pushed, arc.cap), level, it)
-                if d > 0:
-                    arc.cap -= d
-                    self.adj[arc.to][arc.rev].cap += d
-                    return d
-            it[u] += 1
-        return 0
+    def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
+        adj, head, cap = self.adj, self.head, self.cap
+        it = [0] * self.n_nodes
+        flow = 0
+        path: list[int] = []  # arc ids from s to u
+        u = s
+        while True:
+            if u == t:
+                pushed = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
+                flow += pushed
+                path.clear()
+                u = s
+                continue
+            arcs = adj[u]
+            i = it[u]
+            nxt_level = level[u] + 1
+            while i < len(arcs):
+                a = arcs[i]
+                if cap[a] > 0 and level[head[a]] == nxt_level:
+                    break
+                i += 1
+            it[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = head[arcs[i]]
+            elif path:  # dead end: retreat and skip the arc that led here
+                u = head[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                return flow
 
     def max_flow(self, s: int, t: int) -> int:
         """Run Dinic from s to t; mutates the residual capacities."""
@@ -94,20 +120,16 @@ class FlowNetwork:
             raise InvalidParameterError("source equals sink")
         flow = 0
         while True:
-            level = self._bfs_levels(s, t)
+            level = self._levels(s, t)
             if level is None:
                 return flow
-            it = [0] * self.n_nodes
-            while True:
-                pushed = self._dfs_block(s, t, 1 << 60, level, it)
-                if pushed == 0:
-                    break
-                flow += pushed
+            flow += self._blocking_flow(s, t, level)
 
     def flow_on(self, u: int, arc_index: int) -> int:
-        """Units of flow currently on the arc_index-th arc out of ``u``."""
-        arc = self.adj[u][arc_index]
-        return arc.init_cap - arc.cap
+        """Units of flow currently on the arc_index-th arc out of ``u``
+        (negative on a residual twin carrying flow back)."""
+        a = self.adj[u][arc_index]
+        return -self.cap[a] if a & 1 else self.cap[a ^ 1]
 
 
 def max_flow_value(network: FlowNetwork, s: int, t: int) -> int:

@@ -74,14 +74,15 @@ def decompose_paths(
     net, s, t = _build_round_network(graph, informed, tgt)
     net.max_flow(s, t)
 
-    # net flow per ordered vertex pair, with opposing flows cancelled
+    # net flow per ordered vertex pair, with opposing flows cancelled;
+    # arc a (even) carries the flow its residual twin a ^ 1 holds
     flow: dict[tuple[int, int], int] = {}
-    for u in range(net.n_nodes):
-        for idx, arc in enumerate(net.adj[u]):
-            if arc.init_cap > 0:
-                f = net.flow_on(u, idx)
-                if f > 0:
-                    flow[(u, arc.to)] = flow.get((u, arc.to), 0) + f
+    head, cap = net.head, net.cap
+    for a in range(0, len(head), 2):
+        f = cap[a ^ 1]
+        if f > 0:
+            key = (head[a ^ 1], head[a])
+            flow[key] = flow.get(key, 0) + f
     for (u, v) in list(flow):
         if (v, u) in flow and flow[(u, v)] > 0 and flow[(v, u)] > 0:
             c = min(flow[(u, v)], flow[(v, u)])

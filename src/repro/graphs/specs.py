@@ -16,7 +16,13 @@ from typing import Callable
 from repro.graphs.base import Graph
 from repro.types import InvalidParameterError
 
-__all__ = ["graph_from_spec", "parse_spec", "spec_names", "validate_spec"]
+__all__ = [
+    "graph_from_spec",
+    "parse_spec",
+    "spec_names",
+    "spec_vertices",
+    "validate_spec",
+]
 
 
 def _sparse(n: int, m: int) -> Graph:
@@ -79,24 +85,35 @@ def _knodel(delta: int, n: int) -> Graph:
     return knodel_graph(delta, n)
 
 
-# name -> (builder, usage string); builders take the spec's int arguments.
-_BUILDERS: dict[str, tuple[Callable[..., Graph], str]] = {
-    "hypercube": (_hypercube, "hypercube:N_DIMS"),
-    "theorem1": (_theorem1, "theorem1:H"),
-    "path": (_path, "path:N"),
-    "star": (_star, "star:N"),
-    "cycle": (_cycle, "cycle:N"),
-    "complete-binary": (_complete_binary, "complete-binary:HEIGHT"),
-    "random-tree": (_random_tree, "random-tree:N[:SEED]"),
-    "random-graph": (_random_graph, "random-graph:N:EXTRA_EDGES[:SEED]"),
-    "sparse": (_sparse, "sparse:N_DIMS:M"),
-    "knodel": (_knodel, "knodel:DELTA:N"),
+# name -> (builder, usage string, vertex count); the builder and the
+# count both take the spec's int arguments.  The counts build no graph
+# (campaigns rank their scenarios by them) and stay total on arguments a
+# builder rejects, so ranking never fails where building would.
+_BUILDERS: dict[str, tuple[Callable[..., Graph], str, Callable[..., int]]] = {
+    "hypercube": (_hypercube, "hypercube:N_DIMS", lambda n: 1 << max(n, 0)),
+    "theorem1": (_theorem1, "theorem1:H", lambda h: 3 * (1 << max(h, 0)) - 2),
+    "path": (_path, "path:N", lambda n: n),
+    "star": (_star, "star:N", lambda n: n),
+    "cycle": (_cycle, "cycle:N", lambda n: n),
+    "complete-binary": (
+        _complete_binary,
+        "complete-binary:HEIGHT",
+        lambda h: (2 << max(h, 0)) - 1,
+    ),
+    "random-tree": (_random_tree, "random-tree:N[:SEED]", lambda n, seed=0: n),
+    "random-graph": (
+        _random_graph,
+        "random-graph:N:EXTRA_EDGES[:SEED]",
+        lambda n, extra_edges, seed=0: n,
+    ),
+    "sparse": (_sparse, "sparse:N_DIMS:M", lambda n, m: 1 << max(n, 0)),
+    "knodel": (_knodel, "knodel:DELTA:N", lambda delta, n: n),
 }
 
 
 def spec_names() -> list[str]:
     """Known spec family names with their usage strings."""
-    return [usage for _fn, usage in _BUILDERS.values()]
+    return [usage for _fn, usage, _order in _BUILDERS.values()]
 
 
 def parse_spec(spec: str) -> tuple[str, list[int]]:
@@ -131,7 +148,7 @@ def validate_spec(spec: str) -> None:
     time.
     """
     name, args = parse_spec(spec)
-    fn, usage = _BUILDERS[name]
+    fn, usage, _order = _BUILDERS[name]
     params = inspect.signature(fn).parameters
     required = sum(1 for p in params.values() if p.default is inspect.Parameter.empty)
     if not required <= len(args) <= len(params):
@@ -143,9 +160,23 @@ def validate_spec(spec: str) -> None:
 def graph_from_spec(spec: str) -> Graph:
     """Build the graph named by ``spec`` (``family[:int[:int...]]``)."""
     name, args = parse_spec(spec)
-    fn, usage = _BUILDERS[name]
+    fn, usage, _order = _BUILDERS[name]
     try:
         return fn(*args)
+    except TypeError:
+        raise InvalidParameterError(
+            f"wrong argument count in {spec!r} (usage: {usage})"
+        ) from None
+
+
+def spec_vertices(spec: str) -> int:
+    """The vertex count of ``graph_from_spec(spec)``, from the family's
+    formula: nothing is built.  Arguments the builder would reject still
+    get a count; only the family and arity are checked."""
+    name, args = parse_spec(spec)
+    _fn, usage, order = _BUILDERS[name]
+    try:
+        return order(*args)
     except TypeError:
         raise InvalidParameterError(
             f"wrong argument count in {spec!r} (usage: {usage})"

@@ -18,11 +18,18 @@ The scheduler is a thin strategy over the shared engine
 capacity scorer run on CSR-derived adjacency with integer-bitmask state,
 and candidate probes are *incremental*.  Informing a vertex only splits
 its own component, and only when it is a cut vertex of that component; so
-a probe reads the component's cached cut vertices and boundary counts in
-O(deg v), flood-fills the pieces only for a cut vertex, and never scans
-the whole graph (the legacy scorer's per-candidate full scan is what the
-``bench_schedulers`` speedup row measures).  Successful attempts are
-checked by the bitset fast validator before being returned.
+a probe reads the component's cached cut vertices and lost-boundary
+counts, flood-fills the pieces only for a cut vertex, and never scans the
+whole graph.  A commit floods nothing either: a non-cut vertex keeps its
+component's label, and a cut vertex reuses the pieces its probe flooded.
+The needy-component pass asks each caller only for its nearest depth
+(:meth:`~repro.engine.kernels.GraphKernels.nearest_depth`, a BFS that
+stops at the first level holding an open member) and runs the full BFS
+for the winner alone.  The component labelling that ends one round's
+capacity check starts the next round.  None of this changes a draw of
+the random stream or a probe's float, so schedules are byte-identical to
+the flood-everything scorer's.  Successful attempts are checked by the
+bitset fast validator before being returned.
 
 The scheduler is *sound but incomplete*: every returned schedule is
 validated; ``None`` only means "not found within the restart budget".
@@ -37,13 +44,18 @@ from __future__ import annotations
 import random
 
 from repro.engine.cache import fast_validator_for, kernels_for
-from repro.engine.kernels import UNREACHED, GraphKernels, PenaltyState
+from repro.engine.kernels import (
+    UNREACHED,
+    ComponentSummary,
+    GraphKernels,
+    PenaltyState,
+)
 from repro.frame import ScheduleBuilder
 from repro.graphs.base import Graph
 from repro.model.validator import minimum_broadcast_rounds
 from repro.schedulers.registry import ScheduleRequest, scheduler
 from repro.types import InvalidParameterError, Schedule
-from repro.util.bits import iter_bits, mask_to_indices
+from repro.util.bits import iter_bits, mask_from_indices, mask_to_indices
 
 __all__ = ["heuristic_line_broadcast"]
 
@@ -97,6 +109,7 @@ def _pick_target(
 def _build_round(
     kern: GraphKernels,
     informed_mask: int,
+    summary: ComponentSummary,
     k: int,
     rounds_left_after: int,
     rng: random.Random,
@@ -104,7 +117,8 @@ def _build_round(
     shuffle: bool,
     sample_cap: int = 24,
 ) -> list[tuple[int, ...]]:
-    """One greedy round, as a list of call paths.
+    """One greedy round, as a list of call paths.  ``summary`` is
+    ``kern.components(informed_mask)``.
 
     Strategy (the order matters — it encodes the scheduling insights the
     tight cases need):
@@ -128,7 +142,6 @@ def _build_round(
     used_mask = 0
     claimed_mask = 0
     calls: list[tuple[int, ...]] = []
-    summary = kern.components(informed_mask)
     pstate = PenaltyState(kern, informed_mask, rounds_left_after, summary=summary)
     remaining_callers = callers[:]
 
@@ -159,23 +172,23 @@ def _build_round(
         # prefer the *nearest* caller: a distant caller's path would cross
         # (and block) the territory of callers better placed to serve the
         # remaining needy components
+        open_mask = mask_from_indices(members) & ~claimed_mask
         options: list[tuple[int, float, int]] = []
-        reach: list[tuple[int, list[int], list[int]]] = []
+        reachers: list[int] = []
         for caller in remaining_callers:
-            parent, depth, _order = kern.reachable(caller, k, used_mask)
-            candidates = [
-                v
-                for v in members
-                if parent[v] != UNREACHED and not (claimed_mask >> v) & 1
-            ]
-            if candidates:
-                dist = min(depth[v] for v in candidates)
-                options.append((dist, rng.random(), len(reach)))
-                reach.append((caller, parent, candidates))
+            dist = kern.nearest_depth(caller, k, used_mask, open_mask)
+            if dist is not None:
+                options.append((dist, rng.random(), len(reachers)))
+                reachers.append(caller)
         if not options:
             return []  # this attempt is doomed; fail fast and restart
-        _, _, idx = min(options)
-        caller, parent, candidates = reach[idx]
+        caller = reachers[min(options)[2]]
+        parent, _order = kern.reachable(caller, k, used_mask)
+        candidates = [
+            v
+            for v in members
+            if parent[v] != UNREACHED and not (claimed_mask >> v) & 1
+        ]
         target = _pick_target(candidates, pstate, rng, sample_cap)
         assert target is not None
         place(caller, kern.path_to(parent, target))
@@ -184,7 +197,7 @@ def _build_round(
     for caller in remaining_callers[:]:
         if claimed_mask.bit_count() >= uninformed_count:
             break
-        parent, _depth, order = kern.reachable(caller, k, used_mask)
+        parent, order = kern.reachable(caller, k, used_mask)
         candidates = [
             v
             for v in order[1:]
@@ -226,7 +239,8 @@ def heuristic_line_broadcast(
     before being returned (belt-and-braces: the validator shares the
     engine's bitmask state representation, not its round construction).
     """
-    if not graph.is_connected():
+    kern = kernels_for(graph)
+    if not kern.connected:
         raise InvalidParameterError("graph must be connected")
     if not (0 <= source < graph.n_vertices):
         raise InvalidParameterError(f"source {source} not a vertex")
@@ -235,14 +249,16 @@ def heuristic_line_broadcast(
         raise InvalidParameterError(f"need k >= 1, got {k_eff}")
     budget = minimum_broadcast_rounds(graph.n_vertices) if rounds is None else rounds
     n = graph.n_vertices
-    kern = kernels_for(graph)
     validator = fast_validator_for(graph)
+    # every attempt starts from {source}, so one labelling serves them all
+    start_summary = kern.components(1 << source)
     for attempt in range(restarts):
         if rng is not None:
             attempt_rng = random.Random(rng.getrandbits(64))
         else:
             attempt_rng = random.Random((seed << 20) ^ attempt)
         informed_mask = 1 << source
+        summary = start_summary
         builder = ScheduleBuilder(source)
         ok = True
         for r in range(budget):
@@ -250,6 +266,7 @@ def heuristic_line_broadcast(
             paths = _build_round(
                 kern,
                 informed_mask,
+                summary,
                 k_eff,
                 remaining_after,
                 attempt_rng,
@@ -265,8 +282,10 @@ def heuristic_line_broadcast(
                 informed_mask |= 1 << p[-1]
             if informed_mask == kern.full_mask:
                 break  # done — don't pad a surplus budget with empty rounds
-            # early infeasibility: doubling + capacity prunes
-            if not kern.capacity_ok(informed_mask, remaining_after):
+            # early infeasibility: doubling + capacity prunes; the
+            # labelling carries over to the next round
+            summary = kern.components(informed_mask)
+            if not kern.capacity_ok(informed_mask, remaining_after, summary=summary):
                 ok = False
                 break
         if ok and informed_mask == kern.full_mask:

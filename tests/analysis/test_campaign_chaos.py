@@ -224,6 +224,35 @@ class TestQuarantineReport:
         assert resumed.stats.executed == 1
 
 
+    def test_quarantined_scenarios_reported_in_index_order(
+        self, tmp_path, monkeypatch
+    ):
+        # 2 and 6 are dispatched 6 first (see test_campaigns.MIXED)
+        spec = CampaignSpec(
+            name="mixed-test",
+            title="mixed dispatch grid",
+            graphs=("sparse:4:2", "sparse:5:2"),
+            schedulers=("scheme", "greedy"),
+            sources=("sample:4", "sample:2"),
+        )
+        poison = {2, 6}
+
+        def killer(sc):
+            if sc.index in poison:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return _fake_row(sc)
+
+        monkeypatch.setattr(campaigns, "run_scenario", killer)
+        runner = CampaignRunner(
+            jobs=2, retry=RetryPolicy(base_delay=0.0, max_attempts=1)
+        )
+        with pytest.raises(CampaignExecutionError) as excinfo:
+            runner.run(spec, checkpoint=chunk_path(tmp_path, spec, (0, 1)))
+        message = str(excinfo.value)
+        assert message.index("scenario 2 (") < message.index("scenario 6 (")
+        assert len(excinfo.value.quarantined) == 2
+
+
 class TestCorruptCacheChaos:
     def test_corrupted_entry_is_a_miss_not_a_crash(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"

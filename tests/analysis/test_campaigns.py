@@ -20,6 +20,7 @@ from repro.analysis.campaigns import (
 )
 from repro.graphs.specs import parse_spec
 from repro.types import InvalidParameterError
+from repro.util.pool import WorkerPool
 
 # A deliberately tiny grid so the execution tests stay fast.
 TINY = CampaignSpec(
@@ -31,6 +32,23 @@ TINY = CampaignSpec(
     sources=("first",),
     conditions=("none", "edge-faults:1"),
 )
+
+
+# Mixed schedulers and sizes: n_vertices x n_sources is 64, 32, 64, 32
+# for sparse:4:2 and 128, 64, 128, 64 for sparse:5:2 (scheme and greedy
+# each), so longest-first order has ties to keep in index order.
+MIXED = CampaignSpec(
+    name="mixed-test",
+    title="mixed dispatch grid",
+    graphs=("sparse:4:2", "sparse:5:2"),
+    schedulers=("scheme", "greedy"),
+    sources=("sample:4", "sample:2"),
+)
+MIXED_DISPATCH = [6, 2, 7, 3, 4, 0, 5, 1]
+
+
+def _identity_row(sc):
+    return {"index": sc.index, "scenario": sc.scenario_id, "seed": sc.seed}
 
 
 class TestExpansion:
@@ -235,6 +253,36 @@ class TestMergeDeterminism:
             merge_chunks(TINY, tmp_path)
 
 
+    def test_merge_rejects_non_utf8_chunk(self, tmp_path):
+        run_campaign_shard(TINY, shard=(0, 2), out_dir=tmp_path)
+        run_campaign_shard(TINY, shard=(1, 2), out_dir=tmp_path)
+        chunk = tmp_path / "tiny-test-shard1of2.jsonl"
+        chunk.write_bytes(b"\xff\xfe\x00garbage")
+        with pytest.raises(InvalidParameterError, match="shard1of2.jsonl.*UTF-8"):
+            merge_chunks(TINY, tmp_path)
+
+    def test_merge_rejects_non_object_rows(self, tmp_path):
+        run_campaign_shard(TINY, shard=(0, 2), out_dir=tmp_path)
+        run_campaign_shard(TINY, shard=(1, 2), out_dir=tmp_path)
+        (tmp_path / "tiny-test-shard1of2.jsonl").write_text("[1, 2]\n")
+        with pytest.raises(InvalidParameterError, match="without an integer"):
+            merge_chunks(TINY, tmp_path)
+
+    @pytest.mark.parametrize(
+        "payload", [b"\xff\xfe\x00garbage", b"{not json", b"[1, 2]"]
+    )
+    def test_merge_skips_unreadable_manifest(self, tmp_path, payload):
+        """An undecodable manifest is skipped like an unreadable one: the
+        rows' identity checks still gate the merge."""
+        run_campaign_shard(TINY, shard=(0, 2), out_dir=tmp_path)
+        run_campaign_shard(TINY, shard=(1, 2), out_dir=tmp_path)
+        (tmp_path / "tiny-test-shard0of2.manifest.json").write_bytes(payload)
+        merged, rows = merge_chunks(TINY, tmp_path)
+        single = tmp_path / "single"
+        run_campaign_shard(TINY, shard=(0, 1), out_dir=single)
+        assert merged.read_bytes() == artifact_path(single, TINY).read_bytes()
+
+
 class TestManifestDeterminism:
     """Regression for the unsorted-JSON manifest/cache writes (RL002):
     two runs of the same campaign must produce byte-identical artifacts
@@ -277,6 +325,49 @@ class TestManifestDeterminism:
             entry_a = next(cache_a.rglob(name_a)).read_bytes()
             entry_b = next(cache_b.rglob(name_b)).read_bytes()
             assert entry_a == entry_b, name_a
+
+
+class TestDispatchOrder:
+    def test_pool_gets_longest_first_with_ties_by_index(self, monkeypatch):
+        dispatched = []
+        real = WorkerPool.map_quarantine
+
+        def spy(pool, fn, tasks, **kwargs):
+            tasks = list(tasks)
+            dispatched.extend(sc.index for sc in tasks)
+            return real(pool, fn, tasks, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "map_quarantine", spy)
+        monkeypatch.setattr(campaigns, "run_scenario", _identity_row)
+        outcomes = CampaignRunner().run(MIXED)
+        # greedy (registry) scenarios first, then scheme; larger first
+        assert dispatched == MIXED_DISPATCH
+        assert [o.scenario.index for o in outcomes] == list(range(8))
+        assert [o.row for o in outcomes] == [
+            _identity_row(sc) for sc in expand_campaign(MIXED)
+        ]
+
+    def test_failures_reported_in_index_order(self, monkeypatch):
+        from repro.analysis.campaigns import CampaignExecutionError
+
+        failing = {2, 6}  # 6 is dispatched first
+        assert MIXED_DISPATCH.index(6) < MIXED_DISPATCH.index(2)
+
+        def flaky(sc):
+            if sc.index in failing:
+                raise RuntimeError(f"injected failure {sc.index}")
+            return _identity_row(sc)
+
+        monkeypatch.setattr(campaigns, "run_scenario", flaky)
+        with pytest.raises(CampaignExecutionError) as excinfo:
+            CampaignRunner().run(MIXED)
+        scenarios = expand_campaign(MIXED)
+        assert [f.scenario_id for f in excinfo.value.failures] == [
+            scenarios[2].scenario_id,
+            scenarios[6].scenario_id,
+        ]
+        assert "injected failure 2" in str(excinfo.value)
+        assert "(+1 more)" in str(excinfo.value)
 
 
 class TestFailureResume:

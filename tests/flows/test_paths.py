@@ -79,3 +79,43 @@ class TestDecomposition:
     def test_empty_targets(self):
         g = path_graph(3)
         assert decompose_paths(g, {0, 1, 2}) == []
+
+
+def _pin_graphs():
+    from repro.graphs.specs import graph_from_spec
+    from repro.model.faults import faulted_graph
+
+    specs = ["sparse:4:2", "sparse:5:2", "sparse:6:3", "hypercube:5", "knodel:3:16"]
+    graphs = [(spec, graph_from_spec(spec)) for spec in [*specs, "theorem1:2"]]
+    base = graph_from_spec("sparse:6:3")
+    for s in range(4):
+        graphs.append((f"faulted-sparse:6:3:{s}", faulted_graph(base, 3, s)[0]))
+    return graphs
+
+
+class TestDecompositionPin:
+    """Byte pin on ``decompose_paths``: the paths greedy's final round
+    takes.  Informed sets are drawn per graph from a fixed seed, and the
+    sets are built in ascending order, as greedy builds them.  A change
+    in arc insertion order, augmenting order or path extraction shows up
+    here."""
+
+    DIGEST = "f7473d028fa81fb6312310852f2f7d8a2d4ca03881da2f0d6a5f9d603f4b2fd3"
+    PER_GRAPH = 300
+
+    def test_paths_pinned(self):
+        import hashlib
+        import json
+        import random
+
+        out = []
+        for name, g in _pin_graphs():
+            rng = random.Random(name)
+            n = g.n_vertices
+            for _ in range(self.PER_GRAPH):
+                density = rng.random()
+                informed = {v for v in range(n) if rng.random() < density}
+                informed.add(rng.randrange(n))
+                out.append([name, sorted(informed), decompose_paths(g, informed)])
+        blob = json.dumps(out, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.DIGEST

@@ -113,6 +113,12 @@ class TestCampaignErrors:
         proc = run_cli("campaign", "merge", "paper-grid", "--out-dir", str(tmp_path))
         assert_clean_failure(proc, needle="no chunks")
 
+    def test_merge_non_utf8_chunk(self, tmp_path):
+        (tmp_path / "paper-grid-shard0of2.jsonl").write_text("")
+        (tmp_path / "paper-grid-shard1of2.jsonl").write_bytes(b"\xff\xfe\x00garbage")
+        proc = run_cli("campaign", "merge", "paper-grid", "--out-dir", str(tmp_path))
+        assert_clean_failure(proc, needle="paper-grid-shard1of2.jsonl")
+
     def test_malformed_json_spec(self, tmp_path):
         bad = tmp_path / "bad.json"
         payload = {"name": "x", "graphs": ["bogus:9"], "schedulers": ["greedy"]}

@@ -16,12 +16,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.kernels import (
+    UNREACHED,
     ComponentSummary,
     GraphKernels,
     PenaltyState,
     _penalty_term,
 )
 from repro.graphs.generators import random_connected_graph
+from repro.graphs.hypercube import hypercube
+from repro.graphs.trees import balanced_ternary_core_tree, path_graph
 from repro.schedulers import legacy
 from repro.types import InvalidParameterError
 from repro.util.bits import mask_from_indices
@@ -217,3 +220,114 @@ def test_penalty_state_probes_equal_reference(n, extra, seed, rounds_left, rng):
         for v in range(n):
             if not (state.informed >> v) & 1:
                 assert state.probe(v) == ref.probe(v), (v, sorted(informed))
+
+
+def _assert_same_state(state, ref, n):
+    assert state.total == ref.total
+    assert state.informed == ref.informed
+    for v in range(n):
+        if not (state.informed >> v) & 1:
+            assert state.probe(v) == ref.probe(v), v
+
+
+@COMMON
+@given(
+    n=st.integers(2, 16),
+    extra=st.one_of(st.just(0), st.integers(1, 10)),
+    seed=st.integers(0, 10_000),
+    rounds_left=st.integers(0, 5),
+    rng=st.randoms(use_true_random=False),
+)
+def test_penalty_state_interleavings_equal_reference(n, extra, seed, rounds_left, rng):
+    """Random interleavings of ``probe`` and ``commit``: a probe then a
+    commit of the same vertex (greedy's pattern), a commit with no probe
+    since the last commit, and a probe of ``v`` followed by a commit of
+    another vertex ``w`` of ``v``'s component and then of ``v`` itself.
+    Every probe, total and informed mask equals the reference."""
+    graph = random_connected_graph(n, extra, seed=seed)
+    kern = GraphKernels(graph)
+    informed = {rng.randrange(n)}
+    mask = mask_from_indices(informed)
+    state = PenaltyState(kern, mask, rounds_left)
+    ref = ReferencePenaltyState(kern, mask, rounds_left)
+    while state.informed != kern.full_mask:
+        open_ = [v for v in range(n) if not (state.informed >> v) & 1]
+        v = rng.choice(open_)
+        kind = rng.randrange(3)
+        if kind == 0:  # probe, then commit the probed vertex
+            assert state.probe(v) == ref.probe(v)
+            state.commit(v)
+            ref.commit(v)
+        elif kind == 1:  # commit without a probe since the last commit
+            state.commit(v)
+            ref.commit(v)
+        else:  # probe v, commit a component-mate w, then commit v
+            assert state.probe(v) == ref.probe(v)
+            mates = [w for w in open_ if w != v and ref.labels[w] == ref.labels[v]]
+            if mates:
+                w = rng.choice(mates)
+                state.commit(w)
+                ref.commit(w)
+                assert state.total == ref.total
+            state.commit(v)
+            ref.commit(v)
+        assert state.total == ref.total
+        assert state.informed == ref.informed
+    assert state.total == ref.total
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [path_graph(8), balanced_ternary_core_tree(2), hypercube(3)],
+    ids=["path:8", "theorem1:2", "hypercube:3"],
+)
+@pytest.mark.parametrize("rounds_left", [0, 1, 2])
+def test_penalty_state_commit_after_another_commit(graph, rounds_left):
+    """A vertex ``c`` probed, then another vertex ``w`` committed, then
+    ``c`` committed: when ``w`` shares ``c``'s component, the probe's
+    pieces are stale by then.  Scripted on every pair ``c ≠ w`` from the
+    state where only vertex 0 is informed.  The trees have cut vertices
+    there; ``hypercube:3`` has none, so its commits keep their labels."""
+    kern = GraphKernels(graph)
+    n = graph.n_vertices
+    for c in range(1, n):
+        for w in range(1, n):
+            if w == c:
+                continue
+            state = PenaltyState(kern, 1, rounds_left)
+            ref = ReferencePenaltyState(kern, 1, rounds_left)
+            assert state.probe(c) == ref.probe(c)
+            state.commit(w)
+            ref.commit(w)
+            state.commit(c)
+            ref.commit(c)
+            _assert_same_state(state, ref, n)
+            x = next(x for x in range(n) if not (state.informed >> x) & 1)
+            state.commit(x)  # no probe since the last commit
+            ref.commit(x)
+            _assert_same_state(state, ref, n)
+
+
+@COMMON
+@given(
+    n=st.integers(2, 14),
+    extra=st.integers(0, 8),
+    seed=st.integers(0, 10_000),
+    k=st.integers(1, 5),
+    with_caller=st.booleans(),
+)
+def test_nearest_depth_is_min_reachable_depth(n, extra, seed, k, with_caller):
+    """``nearest_depth`` is the least BFS depth ``reachable`` gives any
+    target (the caller's is 0), or ``None`` when it reaches none."""
+    graph, used, caller, targets = draw_instance(n, extra, seed)
+    if with_caller:
+        targets = targets | {caller}
+    kern = GraphKernels(graph)
+    used_mask = mask_from_indices(kern.edge_id(u, v) for u, v in used)
+    parent, _order = kern.reachable(caller, k, used_mask)
+    expected = min(
+        (len(kern.path_to(parent, v)) - 1 for v in targets if parent[v] != UNREACHED),
+        default=None,
+    )
+    got = kern.nearest_depth(caller, k, used_mask, mask_from_indices(targets))
+    assert got == expected
