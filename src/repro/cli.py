@@ -324,7 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=2, metavar="N",
-        help="validation thread-pool size (default 2)",
+        help="compute worker processes for validate, certificate and "
+        "scheduler requests (default 2; 1 computes on the event-loop thread)",
     )
     p_serve.add_argument(
         "--corpus", default=None, metavar="FILE",

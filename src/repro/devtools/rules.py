@@ -266,8 +266,8 @@ def rl004_registry_entry_points(ctx: FileContext) -> Iterable[Finding]:
 @rule(
     "RL005",
     "pool-task-picklable",
-    "functions handed to WorkerPool.map/map_quarantine or as a WorkerPool "
-    "initializer must be module-level (picklable)",
+    "functions handed to WorkerPool.map/map_quarantine/submit or as a "
+    "WorkerPool initializer must be module-level (picklable)",
 )
 def rl005_pool_task_picklable(ctx: FileContext) -> Iterable[Finding]:
     """A ``WorkerPool`` ships its task function and initializer to worker
@@ -292,7 +292,7 @@ def rl005_pool_task_picklable(ctx: FileContext) -> Iterable[Finding]:
     for call in _calls(ctx):
         func = call.func
         attr = func.attr if isinstance(func, ast.Attribute) else None
-        if attr in ("map", "map_quarantine") and call.args:
+        if attr in ("map", "map_quarantine", "submit") and call.args:
             shipped, where = call.args[0], f"{attr}()"
         elif attr == "WorkerPool" or (
             isinstance(func, ast.Name) and func.id == "WorkerPool"

@@ -53,7 +53,7 @@ from repro.engine.kernels import (
 from repro.frame import ScheduleBuilder
 from repro.graphs.base import Graph
 from repro.model.validator import minimum_broadcast_rounds
-from repro.schedulers.registry import ScheduleRequest, scheduler
+from repro.schedulers.registry import ScheduleRequest, positive_param, scheduler
 from repro.types import InvalidParameterError, Schedule
 from repro.util.bits import iter_bits, mask_from_indices, mask_to_indices
 
@@ -190,7 +190,8 @@ def _build_round(
             if parent[v] != UNREACHED and not (claimed_mask >> v) & 1
         ]
         target = _pick_target(candidates, pstate, rng, sample_cap)
-        assert target is not None
+        if target is None:  # the winner reaches an open member: cap < 1
+            raise InvalidParameterError(f"sample_cap must be >= 1, got {sample_cap}")
         place(caller, kern.path_to(parent, target))
 
     # 2) everyone else: greedy penalty-minimizing targets
@@ -299,8 +300,8 @@ def heuristic_line_broadcast(
 @scheduler("greedy", "randomized capacity-aware heuristic (engine kernels)")
 def _greedy_strategy(request: ScheduleRequest) -> tuple[Schedule | None, dict]:
     params = dict(request.params)
-    restarts = int(params.pop("restarts", 300))
-    sample_cap = int(params.pop("sample_cap", 24))
+    restarts = positive_param(params, "restarts", 300)
+    sample_cap = positive_param(params, "sample_cap", 24)
     if params:
         raise InvalidParameterError(f"greedy: unknown params {sorted(params)}")
     sched = heuristic_line_broadcast(

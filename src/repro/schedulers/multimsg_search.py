@@ -35,11 +35,11 @@ from repro.engine.cache import kernels_for
 from repro.frame import ScheduleBuilder
 from repro.graphs.base import Graph
 from repro.model.validator import minimum_broadcast_rounds
-from repro.schedulers.registry import ScheduleRequest, scheduler
+from repro.schedulers.registry import ScheduleRequest, positive_param, scheduler
+from repro.schedulers.search import SearchBudgetExceeded
 from repro.types import (
     Call,
     InvalidParameterError,
-    ReproError,
     Schedule,
 )
 from repro.util.bits import iter_bits
@@ -178,7 +178,9 @@ def find_multimessage_schedule(
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
-            raise ReproError(f"multi-message search exceeded {node_budget} nodes")
+            raise SearchBudgetExceeded(
+                f"multi-message search exceeded {node_budget} nodes"
+            )
         if all(h == full for h in holders):
             return []
         if r == rounds or not capacity_ok(holders, rounds - r):
@@ -204,7 +206,7 @@ def find_multimessage_schedule(
             nonlocal result, nodes
             nodes += 1
             if nodes > node_budget:
-                raise ReproError("multi-message search budget exceeded")
+                raise SearchBudgetExceeded("multi-message search budget exceeded")
             if idx == len(units):
                 if not calls:
                     return False
@@ -254,7 +256,7 @@ def find_multimessage_schedule(
 def _multimsg_strategy(request: ScheduleRequest) -> tuple[Schedule | None, dict]:
     params = dict(request.params)
     n_messages = int(params.pop("n_messages", 1))
-    node_budget = int(params.pop("node_budget", 3_000_000))
+    node_budget = positive_param(params, "node_budget", 3_000_000)
     if params:
         raise InvalidParameterError(f"multimsg_search: unknown params {sorted(params)}")
     if request.rounds is not None:

@@ -40,6 +40,7 @@ __all__ = [
     "all_schedulers",
     "run_scheduler",
     "load_all",
+    "positive_param",
 ]
 
 
@@ -157,6 +158,19 @@ def get_scheduler(name: str) -> SchedulerSpec:
     return _REGISTRY[key]
 
 
+def positive_param(params: dict[str, Any], name: str, default: int) -> int:
+    """Pop strategy parameter ``name`` as an integer of at least 1.
+
+    Restart counts, sample caps and node budgets below 1 cannot run a
+    strategy, so they are the request's fault (``InvalidParameterError``,
+    HTTP 400, CLI exit 2) rather than a not-found answer or a crash.
+    """
+    value = int(params.pop(name, default))
+    if value < 1:
+        raise InvalidParameterError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def run_scheduler(
     name: str, request: ScheduleRequest, *, validate: bool = True
 ) -> ScheduleResult:
@@ -168,9 +182,12 @@ def run_scheduler(
     :func:`repro.api.validate` — engine ``auto``, whose verdicts and error
     strings equal the reference validator's exactly — and minimum-time is
     required exactly when the request left the round budget at the
-    minimum.
+    minimum.  A negative round budget is rejected here, the boundary
+    the CLI and the service share.
     """
     spec = get_scheduler(name)
+    if request.rounds is not None and request.rounds < 0:
+        raise InvalidParameterError(f"rounds must be >= 0, got {request.rounds}")
     t0 = time.perf_counter()
     sched, stats = spec.fn(request)
     seconds = time.perf_counter() - t0

@@ -40,7 +40,7 @@ from repro.engine.cache import kernels_for
 from repro.frame import ScheduleBuilder
 from repro.graphs.base import Graph
 from repro.model.validator import minimum_broadcast_rounds
-from repro.schedulers.registry import ScheduleRequest, scheduler
+from repro.schedulers.registry import ScheduleRequest, positive_param, scheduler
 from repro.types import InvalidParameterError, ReproError, Schedule
 from repro.util.bits import mask_to_indices
 
@@ -53,7 +53,13 @@ __all__ = [
 
 
 class SearchBudgetExceeded(ReproError):
-    """The exact search ran out of its node budget (result unknown)."""
+    """The exact search ran out of its node budget (result unknown).
+
+    The request's budget is at fault, not the server: the service
+    answers it 422, like an invalid schedule.
+    """
+
+    code = "search-budget-exceeded"
 
 
 def find_minimum_time_schedule(
@@ -192,7 +198,7 @@ def is_k_mlbg_exact(graph: Graph, k: int, *, node_budget: int = 2_000_000) -> bo
 @scheduler("search", "exact branch-and-bound (engine kernels, certificate on None)")
 def _search_strategy(request: ScheduleRequest) -> tuple[Schedule | None, dict]:
     params = dict(request.params)
-    node_budget = int(params.pop("node_budget", 2_000_000))
+    node_budget = positive_param(params, "node_budget", 2_000_000)
     if params:
         raise InvalidParameterError(f"search: unknown params {sorted(params)}")
     sched = find_minimum_time_schedule(

@@ -6,39 +6,34 @@ returns ``(status, body_bytes)``.  Tests and the load benchmark drive
 it in-process; :func:`serve_forever` wraps it in the asyncio socket
 server behind ``repro serve``.
 
-Cache amortization — the reason the daemon exists — happens at two
-levels keyed on the *spec string*:
-
-* the graph/construction caches here map ``"sparse:9:3"`` to one
-  object, so every request for a spec sees the *same* ``Graph``
-  identity, and
-* the process-wide engine caches (:mod:`repro.engine.cache`) key on
-  that identity, so kernels and validators are built once and hit
-  forever after.
-
-All blocking work (construction, scheduling, validation) runs on a
-bounded thread pool; the event loop only parses and routes.  Each
-``/v1/validate`` request is one :func:`repro.api.validate` call on that
-pool, with no collection window in front of it.
+The event loop keeps HTTP framing, routing, corpus hits, ``healthz``
+and ``stats``.  Compute — ``/v1/validate``, ``/v1/certificate``, and
+``/v1/schedule`` after a corpus miss — goes to ``--workers`` processes
+of a :class:`~repro.util.pool.WorkerPool` as ``(endpoint, body)``
+bytes, through :meth:`~repro.util.pool.WorkerPool.submit`, so two
+requests in flight compute on two CPUs instead of taking turns on one
+GIL.  Each worker runs :func:`repro.service.compute.run` on its own
+spec-keyed graph and construction caches, which the process-wide engine
+caches (:mod:`repro.engine.cache`) key on.  A worker that dies
+mid-request is replaced and the request retried.  With ``--workers 1``
+compute runs in the daemon's process, on the event-loop thread.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
-import json
 import signal
 import time
-from typing import Any, Awaitable, Callable, TypeVar
+from collections import Counter
+from typing import Any
 
-from repro.errors import captured_call, error_code
-from repro.service import protocol
+from repro.errors import captured_call
+from repro.service import compute, protocol
 from repro.service.http import read_request, render_response
 from repro.types import InvalidParameterError, ReproError
+from repro.util.pool import WorkerPool
 
 __all__ = ["ReproService", "serve_forever"]
-
-_T = TypeVar("_T")
 
 ENDPOINTS = (
     "schedule",
@@ -68,7 +63,12 @@ class _EndpointStats:
 
 
 class ReproService:
-    """The transport-free service core (see module docstring)."""
+    """The transport-free service core (see module docstring).
+
+    The compute workers fork here, at construction: ``serve_forever``
+    builds the service before it opens a socket or installs a signal
+    handler, so the workers inherit neither.
+    """
 
     def __init__(
         self,
@@ -88,16 +88,9 @@ class ReproService:
             raise InvalidParameterError(
                 f"--max-keepalive must be >= 1, got {max_keepalive}"
             )
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-serve"
-        )
-        self._graphs: dict[str, Any] = {}
-        self._constructions: dict[str, Any] = {}
-        # validate requests and the schedules they carried (/v1/stats)
-        self._validates = 0
-        self._validated_schedules = 0
+        # what the compute requests changed in their processes: engine
+        # cache counters, cached graphs/constructions, validates
+        self._work: Counter[str] = Counter()
         self._stats = {name: _EndpointStats() for name in ENDPOINTS}
         self._inflight = 0
         self._idle = asyncio.Event()
@@ -116,40 +109,16 @@ class ReproService:
         self._max_keepalive = max_keepalive
         self._connections = 0
         self._rejected = 0
-
-    # -- caches -------------------------------------------------------------
+        self._pool = WorkerPool(workers, initializer=compute.reset)
+        self._pool.start()
 
     def _graph_for(self, spec: str) -> Any:
-        graph = self._graphs.get(spec)
-        if graph is None:
-            from repro import api
-
-            graph = api.build_graph(spec)
-            self._graphs[spec] = graph
-        return graph
-
-    def _construction_for(self, spec: str) -> Any:
-        sh = self._constructions.get(spec)
-        if sh is None:
-            from repro import api
-
-            sh = api.construction(spec)
-            self._constructions[spec] = sh
-        return sh
+        """This process's graph for ``spec`` (the compute caches')."""
+        return compute.graph_for(spec)
 
     # -- endpoint implementations ------------------------------------------
 
-    async def _offload(self, fn: Callable[[], _T]) -> _T:
-        """Run blocking work on the pool; re-raise its real exception."""
-        loop = asyncio.get_running_loop()
-        tag, value = await loop.run_in_executor(self._executor, captured_call, fn)
-        if tag == "raise":
-            raise value  # type: ignore[misc]
-        return value  # type: ignore[return-value]
-
-    def _corpus_response(
-        self, request: protocol.ScheduleRequestV1
-    ) -> tuple[int, bytes] | None:
+    def _corpus_response(self, body: bytes) -> tuple[int, bytes] | None:
         """A corpus-hit answer, or ``None`` when the scheduler must run.
 
         Only default-shaped requests are eligible (no round budget, no
@@ -159,7 +128,10 @@ class ReproService:
         registry schedulers are deterministic in (graph, scheduler, k,
         source, seed).  Pinned by tests and ``bench_corpus``.
         """
-        if self._corpus is None or request.rounds is not None or request.params:
+        if self._corpus is None:
+            return None
+        request = protocol.decode_schedule_request(compute.parse_json(body))
+        if request.rounds is not None or request.params:
             return None
         fid = self._corpus.lookup(
             request.graph,
@@ -188,120 +160,31 @@ class ReproService:
         )
         return 200, protocol.encode_canonical(response.to_wire())
 
-    async def _do_schedule(self, body: bytes) -> tuple[int, bytes]:
-        request = protocol.decode_schedule_request(_parse_json(body))
-        hit = self._corpus_response(request)
-        if hit is not None:
-            return hit
-        graph = self._graph_for(request.graph)
-
-        from repro import api
-
-        result = await self._offload(
-            functools.partial(
-                api.schedule,
-                graph,
-                request.scheduler,
-                source=request.source,
-                k=request.k,
-                rounds=request.rounds,
-                seed=request.seed,
-                params=dict(request.params),
-            )
-        )
-        payload = None
-        if result.frame is not None:
-            from repro.io import frame_to_dict
-
-            payload = frame_to_dict(result.frame)
-        response = protocol.ScheduleResponseV1(
-            scheduler=result.scheduler,
-            graph=request.graph,
-            source=result.source,
-            k=result.k,
-            found=result.found,
-            rounds=result.rounds,
-            valid=result.valid,
-            n_calls=result.frame.n_calls if result.frame is not None else None,
-            schedule=payload,
-        )
-        return 200, protocol.encode_canonical(response.to_wire())
-
-    async def _do_validate(self, body: bytes) -> tuple[int, bytes]:
-        request = protocol.decode_validate_request(_parse_json(body))
-        from repro import api
-        from repro.io import frame_from_dict
-
-        if request.engine not in api.ENGINES:
-            raise InvalidParameterError(
-                f"unknown engine {request.engine!r}; known: {', '.join(api.ENGINES)}"
-            )
-        graph = self._graph_for(request.graph)
-        frames = [frame_from_dict(dict(p)) for p in request.schedules]
-        self._validates += 1
-        self._validated_schedules += len(frames)
-        result = await self._offload(
-            functools.partial(
-                api.validate,
-                graph,
-                frames,
-                request.k,
-                engine=request.engine,
-                require_minimum_time=request.require_minimum_time,
-                vertex_disjoint=request.vertex_disjoint,
-            )
-        )
-        reports = result if isinstance(result, list) else [result]
-        response = protocol.ValidateResponseV1(
-            graph=request.graph,
-            k=request.k,
-            reports=tuple(
-                protocol.ReportV1(
-                    ok=r.ok,
-                    rounds=r.rounds,
-                    max_call_length=r.max_call_length,
-                    errors=tuple(r.errors),
-                )
-                for r in reports
-            ),
-        )
-        return 200, protocol.encode_canonical(response.to_wire())
-
-    async def _do_certificate(self, body: bytes) -> tuple[int, bytes]:
-        request = protocol.decode_certificate_request(_parse_json(body))
-        sh = self._construction_for(request.construction)
-
-        from repro import api
-
-        payload = await self._offload(
-            functools.partial(api.certificate, sh, request.sources)
-        )
-        return 200, protocol.encode_certificate_payload(payload)
-
     def _do_healthz(self) -> tuple[int, bytes]:
         return 200, protocol.encode_canonical(
             {"format": protocol.SERVICE_FORMAT, "status": "ok"}
         )
 
     def _do_stats(self) -> tuple[int, bytes]:
-        from repro.engine.cache import cache_info
-
+        work = self._work
         payload = {
             "format": protocol.SERVICE_FORMAT,
             "endpoints": {
                 name: stats.to_wire() for name, stats in self._stats.items()
             },
-            "engine_cache": dict(cache_info()),
+            "engine_cache": {
+                key: work[key] for key in ("entries", "hits", "misses", "evictions")
+            },
             # kept for wire compatibility: every validate request is
             # now exactly one engine pass, and none is shared
             "coalescer": {
-                "passes": self._validates,
-                "requests": self._validates,
-                "schedules": self._validated_schedules,
+                "passes": work["validates"],
+                "requests": work["validates"],
+                "schedules": work["schedules"],
                 "coalesced_passes": 0,
             },
-            "graphs_cached": len(self._graphs),
-            "constructions_cached": len(self._constructions),
+            "graphs_cached": work["graphs"],
+            "constructions_cached": work["constructions"],
             "corpus": {
                 "enabled": self._corpus is not None,
                 "frames": (
@@ -330,48 +213,49 @@ class ReproService:
         """Route one request; always returns a complete response pair."""
         route = _ROUTES.get(path)
         if route is None:
-            return _error_response(
-                protocol.ErrorV1("not-found", f"unknown path {path!r}")
-            )
+            return protocol.ErrorV1("not-found", f"unknown path {path!r}").response()
         endpoint, expected_method = route
         stats = self._stats[endpoint]
         if method != expected_method:
             stats.errors += 1
-            return _error_response(
-                protocol.ErrorV1(
-                    "method-not-allowed", f"{path} takes {expected_method}"
-                )
-            )
+            return protocol.ErrorV1(
+                "method-not-allowed", f"{path} takes {expected_method}"
+            ).response()
         self._inflight += 1
         self._idle.clear()
         started = time.perf_counter()
         try:
-            if endpoint == "healthz":
-                return self._do_healthz()
-            if endpoint == "stats":
-                return self._do_stats()
-            handler: Callable[[bytes], Awaitable[tuple[int, bytes]]] = {
-                "schedule": self._do_schedule,
-                "validate": self._do_validate,
-                "certificate": self._do_certificate,
-            }[endpoint]
-            return await handler(body)
-        except (ReproError, KeyError, OSError) as exc:
-            # domain/taxonomy errors, registry KeyErrors, IO faults
-            stats.errors += 1
-            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-            return _error_response(
-                protocol.ErrorV1(error_code(exc), str(message))
-            )
-        except ValueError as exc:
-            stats.errors += 1
-            return _error_response(protocol.ErrorV1(error_code(exc), str(exc)))
+            status, payload = await self._answer(endpoint, body)
         finally:
             stats.count += 1
             stats.seconds += time.perf_counter() - started
             self._inflight -= 1
             if self._inflight == 0:
                 self._idle.set()
+        if status >= 400:
+            stats.errors += 1
+        return status, payload
+
+    async def _answer(self, endpoint: str, body: bytes) -> tuple[int, bytes]:
+        if endpoint == "healthz":
+            return self._do_healthz()
+        if endpoint == "stats":
+            return self._do_stats()
+        if endpoint == "schedule":
+            tag, hit = captured_call(self._corpus_response, body)
+            if tag == "raise":
+                return protocol.ErrorV1.for_exception(hit).response()
+            if hit is not None:
+                return hit
+        # compute answers its own failures; only the pool's raise here
+        try:
+            status, payload, work = await self._pool.submit(
+                compute.run, (endpoint, body)
+            )
+        except (ReproError, OSError) as exc:  # retries spent, or no fork
+            return protocol.ErrorV1.for_exception(exc).response()
+        self._work.update(work)
+        return status, payload
 
     # -- connection handling / lifecycle ------------------------------------
 
@@ -396,7 +280,7 @@ class ReproService:
                 "overloaded",
                 f"connection limit {self._max_connections} reached; retry",
             )
-            status, payload = _error_response(error)
+            status, payload = error.response()
             try:
                 writer.write(
                     render_response(
@@ -424,7 +308,7 @@ class ReproService:
                     request = await read_request(reader)
                 except InvalidParameterError as exc:
                     error = protocol.ErrorV1("bad-request", str(exc))
-                    status, payload = _error_response(error)
+                    status, payload = error.response()
                     writer.write(
                         render_response(status, payload, keep_alive=False)
                     )
@@ -461,22 +345,11 @@ class ReproService:
         await self._idle.wait()
 
     def close(self) -> None:
-        """Release the pool and the corpus."""
-        self._executor.shutdown(wait=True)
+        """Stop the compute workers and release the corpus (idempotent)."""
+        self._pool.close()
         if self._corpus is not None:
             self._corpus.close()
             self._corpus = None
-
-
-def _parse_json(body: bytes) -> Any:
-    try:
-        return json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(f"request body is not valid JSON: {exc}") from None
-
-
-def _error_response(error: protocol.ErrorV1) -> tuple[int, bytes]:
-    return error.status, protocol.encode_canonical(error.to_wire())
 
 
 _ROUTES: dict[str, tuple[str, str]] = {
@@ -488,35 +361,24 @@ _ROUTES: dict[str, tuple[str, str]] = {
 }
 
 
-async def _amain(
-    host: str,
-    port: int,
-    workers: int,
-    corpus: str | None,
-    max_connections: int | None,
-    max_keepalive: int,
-) -> int:
-    service = ReproService(
-        workers=workers,
-        corpus=corpus,
-        max_connections=max_connections,
-        max_keepalive=max_keepalive,
-    )
-    server = await asyncio.start_server(service.handle_connection, host, port)
-    bound = server.sockets[0].getsockname()
-    print(f"repro serve listening on http://{bound[0]}:{bound[1]}", flush=True)
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        loop.add_signal_handler(sig, stop.set)
-    await stop.wait()
-    print("repro serve: draining", flush=True)
-    server.close()
-    await server.wait_closed()
-    await service.drain()
-    service.close()
-    print("repro serve: shutdown complete", flush=True)
-    return 0
+async def _amain(service: ReproService, host: str, port: int) -> None:
+    try:
+        server = await asyncio.start_server(service.handle_connection, host, port)
+        bound = server.sockets[0].getsockname()
+        print(f"repro serve listening on http://{bound[0]}:{bound[1]}", flush=True)
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(sig, stop.set)
+        await stop.wait()
+        print("repro serve: draining", flush=True)
+        server.close()
+        await server.wait_closed()
+        await service.drain()
+    finally:
+        # still under the loop's handlers: a second signal cannot kill
+        # the daemon while it stops its workers
+        service.close()
 
 
 def serve_forever(
@@ -528,7 +390,18 @@ def serve_forever(
     max_connections: int | None = None,
     max_keepalive: int = 1000,
 ) -> int:
-    """Run the daemon until SIGINT/SIGTERM; returns the exit code (0)."""
-    return asyncio.run(
-        _amain(host, port, workers, corpus, max_connections, max_keepalive)
+    """Run the daemon until SIGINT/SIGTERM; returns the exit code (0).
+
+    The service, and so its compute workers, exist before the event
+    loop, its socket and its signal handlers do; the workers are
+    stopped once in-flight requests are answered.
+    """
+    service = ReproService(
+        workers=workers,
+        corpus=corpus,
+        max_connections=max_connections,
+        max_keepalive=max_keepalive,
     )
+    asyncio.run(_amain(service, host, port))
+    print("repro serve: shutdown complete", flush=True)
+    return 0

@@ -30,6 +30,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.errors import error_code, format_cause
 from repro.types import InvalidParameterError
 
 __all__ = [
@@ -78,6 +79,7 @@ HTTP_STATUS_BY_CODE: dict[str, int] = {
     "io-error": 500,
     "repro-error": 500,
     "internal-error": 500,
+    "search-budget-exceeded": 422,
 }
 
 
@@ -216,6 +218,23 @@ class ErrorV1:
     @property
     def status(self) -> int:
         return http_status_for(self.code)
+
+    @classmethod
+    def for_exception(cls, exc: BaseException) -> ErrorV1:
+        """The wire error for ``exc``: its stable code and its message.
+
+        A registry ``KeyError`` gives its bare message; an exception
+        outside the taxonomy is ``internal-error`` (500), named by type.
+        """
+        code = error_code(exc)
+        if code == "internal-error":
+            return cls(code, format_cause(exc))
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        return cls(code, str(message))
+
+    def response(self) -> tuple[int, bytes]:
+        """``(HTTP status, canonical body)``."""
+        return self.status, encode_canonical(self.to_wire())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Crash-safe multiprocessing pool: one task per dispatch, survives faults.
 
-Every parallel surface in the repo (``ExperimentRunner``,
-``CampaignRunner``) routes through :class:`WorkerPool` so the pool
-policy is written down once:
+Every parallel surface in the repo (``ExperimentRunner`` and
+``CampaignRunner`` through :meth:`WorkerPool.map`, ``repro serve``'s
+compute through :meth:`WorkerPool.submit`) routes through
+:class:`WorkerPool` so the pool policy is written down once:
 
 * **In-process when parallelism cannot pay.**  ``jobs == 1`` or at most
   one task never spins up a pool; the optional ``initializer`` still runs
@@ -32,10 +33,20 @@ policy is written down once:
   and joins it (clean ``exitcode == 0``, atexit/flush hooks run);
   ``terminate()`` is the error-path hard kill.  A ``with`` block closes
   gracefully on clean exit and terminates when an exception is flying.
+* **Event-loop entry point.**  :meth:`WorkerPool.submit` runs one task
+  from a running asyncio loop: it waits on the worker's result pipe and
+  process sentinel with ``loop.add_reader`` (no thread, no polling),
+  queues FIFO while every worker is busy, and keeps ``map``'s worker
+  loop, task message and fault rules.
 * **Start method.**  The platform default (``fork`` on Linux, ``spawn``
   elsewhere).  Everything submitted — worker functions, initializers,
   their arguments — must be a *top-level picklable* object (RL005), so
-  the code is spawn-safe by construction.
+  the code is spawn-safe by construction.  A worker starts from a fresh
+  interpreter's signal state (default SIGTERM/SIGINT handling, no
+  wakeup fd), so one forked from a process whose event loop handles
+  signals does not hand the signals sent to it to that loop, and it
+  keeps no inherited socket but its own pipe, so one forked from a
+  server does not hold the server's connections open.
 
 Fault injection for tests/CI lives in :mod:`repro.devtools.chaos`
 (``REPRO_CHAOS``): the worker loop consults the chaos policy before
@@ -47,12 +58,18 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
+import os
+import signal
+import stat
 import time
 from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as _connection_wait
-from typing import Any, TypeVar, cast
+from typing import TYPE_CHECKING, Any, TypeVar, cast
+
+if TYPE_CHECKING:  # asyncio (and the ssl it loads) only where submit runs
+    import asyncio
 
 from repro.devtools import chaos
 from repro.errors import TaskTimeout, WorkerCrash, captured_call, format_cause
@@ -74,6 +91,9 @@ _GRACEFUL_JOIN_SECONDS = 5.0
 # Poll ceiling while tasks are in flight and a deadline or backoff gap
 # is pending; keeps fault detection latency bounded without busy-waiting.
 _MAX_POLL_SECONDS = 0.25
+
+# The signals a worker resets; blocked from its fork until it has.
+_WORKER_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
 @dataclass(frozen=True)
@@ -111,6 +131,34 @@ def _send_safe(conn: Connection, msg: tuple[str, Any]) -> None:
         conn.send((msg[0], RuntimeError(format_cause(msg[1]))))
 
 
+def _drop_inherited_sockets(keep: int) -> None:
+    """Point every inherited socket descriptor but ``keep`` (and stdio)
+    at ``/dev/null``.
+
+    A fork copies every descriptor of the parent: a worker forked by a
+    server would hold its listening socket and its clients' connections,
+    so a connection the server closes would not reach its client until
+    the worker exits.  ``dup2`` rather than ``close`` keeps each number
+    taken, so an inherited object that closes its descriptor later
+    cannot close one the worker opened.  Without ``/proc`` (where fork
+    is not the default start method) there is nothing to do.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in fds:
+        if fd <= 2 or fd in (keep, null):
+            continue
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(null, fd)
+        except OSError:
+            continue  # the listing's own descriptor, closed by now
+    os.close(null)
+
+
 def _worker_main(
     conn: Connection,
     initializer: Callable[..., object] | None,
@@ -125,6 +173,15 @@ def _worker_main(
     a sentinel that fires while a task is in flight, with no message in
     the pipe, always means a crash.
     """
+    # A fork inherits the parent's signal handlers and wakeup fd; under
+    # an event loop that handles SIGTERM, a SIGTERM sent to this worker
+    # would otherwise be written to the parent's loop (and start its
+    # shutdown) while the worker ignores it.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _WORKER_SIGNALS)
+    _drop_inherited_sockets(conn.fileno())
     if initializer is not None:
         status, payload = captured_call(initializer, *initargs)
         if status == "raise":
@@ -153,15 +210,18 @@ class _Task:
     """One task of a map; orders by its backoff gate, then its index."""
 
     not_before: float  # monotonic timestamp gating re-dispatch
-    index: int  # position in the mapped task list
+    index: int  # position in the mapped task list, or the submission count
     item: Any = field(compare=False)
     attempts: int = field(default=0, compare=False)
+    # a submitted task carries its own function and its caller's future
+    fn: Callable[[Any], Any] | None = field(default=None, compare=False)
+    future: asyncio.Future[Any] | None = field(default=None, compare=False)
 
 
 class _Worker:
     """Parent-side record of one worker process."""
 
-    __slots__ = ("proc", "conn", "slot", "task", "deadline")
+    __slots__ = ("proc", "conn", "slot", "task", "deadline", "timer")
 
     def __init__(
         self, proc: multiprocessing.Process, conn: Connection, slot: int
@@ -171,6 +231,7 @@ class _Worker:
         self.slot = slot
         self.task: _Task | None = None
         self.deadline: float | None = None
+        self.timer: asyncio.TimerHandle | None = None  # a submission's deadline
 
 
 class WorkerPool:
@@ -185,9 +246,11 @@ class WorkerPool:
     ...     a = pool.map(fn, tasks_1)
     ...     b = pool.map(fn, tasks_2)   # same warm workers
 
-    ``jobs == 1`` is fully supported and never forks: ``map`` runs
-    in-process (running ``initializer`` once, lazily) so callers can use
-    one code path for serial and parallel execution.
+    ``jobs == 1`` is fully supported and never forks: ``map`` and
+    ``submit`` run in-process (running ``initializer`` once, lazily) so
+    callers can use one code path for serial and parallel execution.
+    One pool serves either ``map`` calls or ``submit`` calls at a time,
+    not both.
     """
 
     def __init__(
@@ -213,6 +276,8 @@ class WorkerPool:
         self._warmed_inprocess = False
         self._init_error: BaseException | None = None
         self._closed = False
+        self._backlog: deque[_Task] = deque()  # submissions awaiting a worker
+        self._submitted = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -246,6 +311,14 @@ class WorkerPool:
     def _teardown(self, *, graceful: bool) -> None:
         workers = list(self._workers.values())
         self._workers.clear()
+        for task in self._backlog:
+            assert task.future is not None
+            task.future.cancel()
+        self._backlog.clear()
+        for worker in workers:
+            if worker.task is not None and worker.task.future is not None:
+                self._unwatch(worker)
+                worker.task.future.cancel()
         if graceful:
             for worker in workers:
                 if worker.proc.is_alive():
@@ -263,6 +336,17 @@ class WorkerPool:
 
     # -- worker management -------------------------------------------------
 
+    def start(self) -> None:
+        """Fork every worker now instead of at first use (no-op for
+        ``jobs == 1``): for callers that must fork at a known moment,
+        such as before they open sockets or install signal handlers."""
+        if self._closed:
+            raise RuntimeError("WorkerPool is closed")
+        if self.jobs > 1:
+            for slot in range(self.jobs):
+                if slot not in self._workers:
+                    self._spawn(slot)
+
     def _spawn(self, slot: int) -> _Worker:
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
         proc = multiprocessing.Process(
@@ -270,7 +354,13 @@ class WorkerPool:
             args=(child_conn, self._initializer, self._initargs),
             daemon=True,
         )
-        proc.start()
+        # a signal sent to the new worker before it resets its handlers
+        # waits for the reset instead of meeting the inherited handler
+        previous = signal.pthread_sigmask(signal.SIG_BLOCK, _WORKER_SIGNALS)
+        try:
+            proc.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, previous)
         child_conn.close()
         worker = _Worker(proc, parent_conn, slot)
         self._workers[slot] = worker
@@ -286,6 +376,64 @@ class WorkerPool:
                 worker.proc.kill()
         worker.proc.join(1.0)
         worker.conn.close()
+
+    def _hand(
+        self, slot: int, fn: Callable[[Any], Any], task: _Task
+    ) -> _Worker | None:
+        """Send ``task`` to the worker in ``slot``, forking one if the slot
+        is empty.  Returns ``None`` when that worker's pipe is dead: it
+        died idle, so it is reaped and the task is charged no attempt.
+        A task that will not pickle raises: resending cannot help."""
+        worker = self._workers.get(slot)
+        if worker is None:
+            worker = self._spawn(slot)
+        status, error = captured_call(
+            worker.conn.send, ("task", task.index, task.attempts, fn, task.item)
+        )
+        if status == "raise":
+            if not isinstance(error, OSError):
+                raise error  # pickling failed before a byte was written
+            self._remove(worker)
+            return None
+        timeout = self.retry.task_timeout
+        worker.task = task
+        worker.deadline = None if timeout is None else time.monotonic() + timeout
+        return worker
+
+    def _fault(self, worker: _Worker, kind: str) -> TaskFault | None:
+        """Reap ``worker`` after an infrastructure fault on its task.
+
+        Returns the task's :class:`TaskFault` once its attempts are
+        spent; otherwise gates the retry on its backoff and returns
+        ``None``.
+        """
+        task = worker.task
+        assert task is not None
+        worker.task = None
+        self._remove(worker)  # joins the process, so its exit code is set
+        exitcode: int | None = None
+        if kind == "crash":
+            exitcode = worker.proc.exitcode
+            cause = f"worker died with exitcode {exitcode}"
+        else:
+            cause = f"task exceeded {self.retry.task_timeout}s deadline"
+        task.attempts += 1
+        message = (
+            f"task {task.index} {kind} on attempt "
+            f"{task.attempts}/{self.retry.max_attempts}: {cause}"
+        )
+        if task.attempts >= self.retry.max_attempts:
+            return TaskFault(
+                index=task.index,
+                kind=kind,
+                message=message,
+                attempts=task.attempts,
+                exitcode=exitcode,
+            )
+        task.not_before = time.monotonic() + self.retry.backoff(
+            task.attempts, key=f"task{task.index}"
+        )
+        return None
 
     # -- execution ---------------------------------------------------------
 
@@ -398,7 +546,6 @@ class WorkerPool:
     ) -> None:
         """Hand one ready task to each idle slot, spawning up to ``jobs``."""
         now = time.monotonic()
-        timeout = self.retry.task_timeout
         for slot in range(self.jobs):
             worker = self._workers.get(slot)
             if worker is not None and worker.task is not None:
@@ -409,19 +556,8 @@ class WorkerPool:
                 task = fresh.popleft()
             else:
                 return
-            if worker is None:
-                worker = self._spawn(slot)
-            worker.task = task
-            worker.deadline = None if timeout is None else now + timeout
-            status, _ = captured_call(
-                worker.conn.send, ("task", task.index, task.attempts, fn, task.item)
-            )
-            if status == "raise":
-                # dead pipe: the worker crashed before we could feed it;
-                # requeue the task without charging an attempt
-                worker.task = None
-                heapq.heappush(requeued, task)
-                self._remove(worker)
+            if self._hand(slot, fn, task) is None:
+                heapq.heappush(requeued, task)  # fed to a dead worker
 
     def _collect(
         self,
@@ -514,34 +650,131 @@ class WorkerPool:
         nonzero when the task is quarantined)."""
         task = worker.task
         assert task is not None
-        worker.task = None
-        self._remove(worker)  # joins the process, so its exit code is set
-        exitcode: int | None = None
-        if kind == "crash":
-            exitcode = worker.proc.exitcode
-            cause = f"worker died with exitcode {exitcode}"
-        else:
-            cause = f"task exceeded {self.retry.task_timeout}s deadline"
-        task.attempts += 1
-        message = (
-            f"task {task.index} {kind} on attempt "
-            f"{task.attempts}/{self.retry.max_attempts}: {cause}"
-        )
-        if task.attempts >= self.retry.max_attempts:
-            fault = TaskFault(
-                index=task.index,
-                kind=kind,
-                message=message,
-                attempts=task.attempts,
-                exitcode=exitcode,
+        fault = self._fault(worker, kind)
+        if fault is None:
+            heapq.heappush(requeued, task)
+            return 0
+        if not quarantine:
+            raise fault.as_error()
+        faults.append(fault)
+        return 1  # settled (as a poison-task report)
+
+    # -- event-loop execution ----------------------------------------------
+
+    async def submit(self, fn: Callable[[_T], _R], item: _T) -> _R:
+        """Run ``fn(item)`` on a worker and await its result from a
+        running event loop.
+
+        An idle worker gets the task at once, otherwise it queues FIFO.
+        The loop waits on that worker's result pipe and process sentinel
+        (``loop.add_reader``), so no thread blocks and nothing polls.
+        The fault rules are :meth:`map`'s: an exception raised by ``fn``
+        re-raises here with its type; a worker that dies (or overruns
+        ``task_timeout``) is reaped and replaced, and the task retried
+        under the pool's :class:`RetryPolicy`, after its backoff, until
+        :class:`~repro.errors.WorkerCrash` /
+        :class:`~repro.errors.TaskTimeout` is raised.  Submissions are
+        numbered from 0 for ``REPRO_CHAOS`` (``kill:task=0`` kills the
+        first).  ``jobs == 1`` runs ``fn`` in process, on the loop's
+        thread.
+        """
+        if self._closed:
+            raise RuntimeError("WorkerPool is closed")
+        if self.jobs == 1:
+            self._warm_inprocess()
+            return fn(item)
+        import asyncio
+
+        future: asyncio.Future[_R] = asyncio.get_running_loop().create_future()
+        self._backlog.append(_Task(0.0, self._submitted, item, fn=fn, future=future))
+        self._submitted += 1
+        self._feed()
+        return await future
+
+    def _feed(self) -> None:
+        """Hand queued submissions to idle slots, oldest first."""
+        for slot in range(self.jobs):
+            while self._backlog:
+                busy = self._workers.get(slot)
+                if busy is not None and busy.task is not None:
+                    break
+                task = self._backlog.popleft()
+                assert task.fn is not None and task.future is not None
+                if task.future.done():
+                    continue  # its caller was cancelled
+                status, handed = captured_call(self._hand, slot, task.fn, task)
+                if status == "raise":  # unpicklable, or the fork failed
+                    task.future.set_exception(handed)
+                elif handed is None:
+                    self._backlog.appendleft(task)  # fed to a dead worker
+                else:
+                    self._watch(handed)
+
+    def _watch(self, worker: _Worker) -> None:
+        """Wake the loop when ``worker`` answers, dies, or overruns."""
+        assert worker.task is not None and worker.task.future is not None
+        loop = worker.task.future.get_loop()
+        loop.add_reader(worker.conn.fileno(), self._settle, worker)
+        loop.add_reader(worker.proc.sentinel, self._settle, worker)
+        if self.retry.task_timeout is not None:
+            worker.timer = loop.call_later(
+                self.retry.task_timeout, self._expire, worker
             )
-            if not quarantine:
-                raise fault.as_error()
-            faults.append(fault)
-            return 1  # settled (as a poison-task report)
-        task.not_before = time.monotonic() + self.retry.backoff(
-            task.attempts, key=f"task{task.index}"
-        )
-        heapq.heappush(requeued, task)
-        return 0
+
+    def _unwatch(self, worker: _Worker) -> None:
+        assert worker.task is not None and worker.task.future is not None
+        loop = worker.task.future.get_loop()
+        loop.remove_reader(worker.conn.fileno())
+        loop.remove_reader(worker.proc.sentinel)
+        if worker.timer is not None:
+            worker.timer.cancel()
+            worker.timer = None
+
+    def _settle(self, worker: _Worker) -> None:
+        """Loop callback: a submission's worker answered or died."""
+        self._unwatch(worker)
+        task = worker.task
+        assert task is not None and task.future is not None
+        status, msg = captured_call(worker.conn.recv)
+        if status == "raise":  # EOF without a message: the worker died
+            self._refeed(worker, "crash")
+            return
+        worker.task = None
+        worker.deadline = None
+        if msg[0] == "init_error":
+            self._remove(worker)  # it exits after reporting
+        if not task.future.done():
+            if msg[0] == "ok":
+                task.future.set_result(msg[1])
+            else:  # the task's own exception, or its initializer's
+                task.future.set_exception(msg[1])
+        self._feed()
+
+    def _expire(self, worker: _Worker) -> None:
+        """Loop callback: a submission overran ``task_timeout``."""
+        worker.timer = None
+        self._unwatch(worker)
+        self._refeed(worker, "timeout")
+
+    def _refeed(self, worker: _Worker, kind: str) -> None:
+        """A submission's worker faulted: retry after the backoff, or
+        fail the caller once its attempts are spent."""
+        task = worker.task
+        assert task is not None and task.future is not None
+        fault = self._fault(worker, kind)
+        if fault is not None:
+            if not task.future.done():
+                task.future.set_exception(fault.as_error())
+        else:
+            delay = max(0.0, task.not_before - time.monotonic())
+            task.future.get_loop().call_later(delay, self._requeue, task)
+        self._feed()
+
+    def _requeue(self, task: _Task) -> None:
+        assert task.future is not None
+        if self._closed:
+            task.future.cancel()
+            return
+        self._backlog.appendleft(task)  # a retry goes before fresh tasks
+        self._feed()
 

@@ -245,6 +245,16 @@ class TestRL005FanOutPicklable:
             """
         assert_flagged(run_rule(tmp_path, bad, "RL005"), "RL005", 7)
 
+    def test_lambda_submit_flagged(self, tmp_path):
+        bad = """\
+            from repro.util.pool import WorkerPool
+
+
+            async def go(pool: WorkerPool, item):
+                return await pool.submit(lambda t: t, item)
+            """
+        assert_flagged(run_rule(tmp_path, bad, "RL005"), "RL005", 5)
+
     def test_lambda_initializer_flagged(self, tmp_path):
         bad = """\
             from repro.util.pool import WorkerPool
@@ -272,6 +282,10 @@ class TestRL005FanOutPicklable:
             def go(tasks):
                 with WorkerPool(2, initializer=warm) as pool:
                     return pool.map(work, tasks)
+
+
+            async def one(pool, item):
+                return await pool.submit(work, item)
             """
         assert run_rule(tmp_path, good, "RL005") == []
 

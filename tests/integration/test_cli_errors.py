@@ -71,6 +71,28 @@ class TestScheduleErrors:
     def test_missing_graph(self):
         assert_clean_failure(run_cli("schedule"), needle="--graph")
 
+    def test_zero_restarts(self):
+        """Not "found: no" with exit 1: no attempt could ever run."""
+        assert_clean_failure(
+            run_cli("schedule", "--graph", "hypercube:3", "--restarts", "0"),
+            needle="[invalid-parameter]: restarts must be >= 1, got 0",
+        )
+
+    @pytest.mark.parametrize("scheduler", ["greedy", "search"])
+    def test_negative_rounds(self, scheduler):
+        assert_clean_failure(
+            run_cli(
+                "schedule",
+                "--graph",
+                "hypercube:3",
+                "--scheduler",
+                scheduler,
+                "--rounds",
+                "-1",
+            ),
+            needle="[invalid-parameter]: rounds must be >= 0, got -1",
+        )
+
 
 class TestValidateErrors:
     def test_k_without_thresholds(self):
@@ -229,3 +251,20 @@ class TestErrorCodeBrackets:
         proc = run_cli("serve", "--workers", "0")
         assert_clean_failure(proc, needle="[invalid-parameter]")
         assert proc.stderr.startswith("serve failed [")
+
+    def test_search_budget_code(self, monkeypatch, capsys):
+        """An exhausted search budget has its own code (the CLI exposes
+        no budget knob, so the search is made to run out in process)."""
+        from repro import cli
+        from repro.schedulers import search
+
+        def exhausted(*_args, **_kwargs):
+            raise search.SearchBudgetExceeded("exact search exceeded 1 nodes")
+
+        monkeypatch.setattr(search, "find_minimum_time_schedule", exhausted)
+        rc = cli.main(["schedule", "--graph", "hypercube:3", "--scheduler", "search"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "schedule failed [search-budget-exceeded]: "
+            "exact search exceeded 1 nodes\n"
+        )

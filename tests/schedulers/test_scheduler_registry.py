@@ -45,6 +45,38 @@ class TestRegistryContents:
         with pytest.raises(InvalidParameterError):
             run_scheduler(name, ScheduleRequest(graph=graph, params={"bogus": 1}))
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("greedy", {"restarts": 0}),
+            ("greedy", {"sample_cap": 0}),
+            ("greedy", {"sample_cap": -1}),
+            ("search", {"node_budget": 0}),
+            ("multimsg_search", {"node_budget": 0}),
+        ],
+    )
+    def test_unusable_params_rejected(self, name, params):
+        (key,) = params
+        with pytest.raises(InvalidParameterError, match=f"{key} must be >= 1"):
+            run_scheduler(name, ScheduleRequest(graph=path_graph(4), params=params))
+
+    @pytest.mark.parametrize(
+        "name", ["greedy", "search", "store_forward", "multimsg_search"]
+    )
+    def test_negative_rounds_rejected(self, name):
+        graph = hypercube(2) if name == "store_forward" else path_graph(4)
+        with pytest.raises(InvalidParameterError, match="rounds must be >= 0"):
+            run_scheduler(name, ScheduleRequest(graph=graph, rounds=-1))
+
+    def test_multimsg_budget_exhaustion_is_a_search_budget_error(self):
+        from repro.schedulers.search import SearchBudgetExceeded
+
+        with pytest.raises(SearchBudgetExceeded):
+            run_scheduler(
+                "multimsg_search",
+                ScheduleRequest(graph=hypercube(3), params={"node_budget": 1}),
+            )
+
     def test_multimsg_rejects_bad_source(self):
         from repro.schedulers.multimsg_search import find_multimessage_schedule
 

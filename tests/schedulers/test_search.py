@@ -61,6 +61,10 @@ class TestFind:
         with pytest.raises(SearchBudgetExceeded):
             find_minimum_time_schedule(g, 0, 6, node_budget=50)
 
+    def test_budget_exceeded_has_its_own_code(self):
+        """The request's budget is at fault: 422, not a 500 repro-error."""
+        assert SearchBudgetExceeded.code == "search-budget-exceeded"
+
     def test_rejects_disconnected(self):
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(InvalidParameterError):

@@ -114,6 +114,46 @@ class TestSchedule:
         assert status == 400
         assert json.loads(payload)["error"]["code"] == "invalid-parameter"
 
+    @pytest.mark.parametrize(
+        "request_fields, needle",
+        [
+            ({"params": {"sample_cap": 0}}, "sample_cap must be >= 1, got 0"),
+            ({"params": {"sample_cap": -1}}, "sample_cap must be >= 1, got -1"),
+            ({"params": {"restarts": 0}}, "restarts must be >= 1, got 0"),
+            ({"rounds": -1}, "rounds must be >= 0, got -1"),
+            ({"scheduler": "search", "rounds": -1}, "rounds must be >= 0"),
+            (
+                {"scheduler": "search", "params": {"node_budget": 0}},
+                "node_budget must be >= 1, got 0",
+            ),
+        ],
+    )
+    def test_unusable_scheduler_parameters_are_400(
+        self, service, request_fields, needle
+    ):
+        """Rejected before any search runs: not a 200 "not found", not a
+        crash, not another library's message."""
+        body = json.dumps({"graph": "hypercube:3", **request_fields}).encode()
+        status, payload = dispatch(service, "POST", "/v1/schedule", body)
+        assert status == 400
+        error = json.loads(payload)["error"]
+        assert error["code"] == "invalid-parameter"
+        assert needle in error["message"]
+
+    def test_exhausted_search_budget_is_422(self, service):
+        """The request's budget ran out: the request is at fault."""
+        body = json.dumps(
+            {
+                "graph": "hypercube:3",
+                "scheduler": "search",
+                "source": 0,
+                "params": {"node_budget": 1},
+            }
+        ).encode()
+        status, payload = dispatch(service, "POST", "/v1/schedule", body)
+        assert status == 422
+        assert json.loads(payload)["error"]["code"] == "search-budget-exceeded"
+
 
 class TestValidate:
     def test_single_matches_serial_api_validate(self, service):
@@ -243,11 +283,15 @@ class TestStats:
         assert set(data["engine_cache"]) == {"entries", "hits", "misses", "evictions"}
 
     def test_graph_cache_is_spec_keyed(self, service):
+        """The graph is built once per spec in the worker that computes,
+        and the second request hits that worker's engine cache."""
         frame = broadcast_frames(1)[0]
         dispatch(service, "POST", "/v1/validate", validate_body([frame]))
         dispatch(service, "POST", "/v1/validate", validate_body([frame]))
-        assert len(service._graphs) == 1
-        assert service._graphs[GRAPH_SPEC] is service._graphs[GRAPH_SPEC]
+        data = json.loads(dispatch(service, "GET", "/v1/stats")[1])
+        assert data["graphs_cached"] == 1
+        assert data["engine_cache"]["hits"] >= 1
+        assert service._graph_for(GRAPH_SPEC) is service._graph_for(GRAPH_SPEC)
 
 
 class TestLifecycle:

@@ -41,6 +41,7 @@ class TestStatusMap:
             "io-error": 500,
             "repro-error": 500,
             "internal-error": 500,
+            "search-budget-exceeded": 422,
         }
 
     def test_unknown_code_is_500(self):
@@ -49,6 +50,22 @@ class TestStatusMap:
     def test_error_v1_status_follows_code(self):
         assert protocol.ErrorV1("invalid-schedule", "x").status == 422
         assert protocol.ErrorV1("worker-crash", "x").status == 503
+        assert protocol.ErrorV1("search-budget-exceeded", "x").status == 422
+
+    def test_error_for_exception(self):
+        from repro.schedulers.search import SearchBudgetExceeded
+
+        assert protocol.ErrorV1.for_exception(
+            SearchBudgetExceeded("exact search exceeded 1 nodes")
+        ) == protocol.ErrorV1(
+            "search-budget-exceeded", "exact search exceeded 1 nodes"
+        )
+        assert protocol.ErrorV1.for_exception(
+            KeyError("unknown scheduler 'x'")
+        ) == protocol.ErrorV1("unknown-name", "unknown scheduler 'x'")
+        assert protocol.ErrorV1.for_exception(
+            AssertionError("boom")
+        ) == protocol.ErrorV1("internal-error", "AssertionError: boom")
 
 
 class TestGoldenBytes:

@@ -3,12 +3,14 @@
 Launches ``python -m repro serve`` on an ephemeral port, speaks HTTP to
 all five endpoints, checks that concurrent validates answer byte for
 byte what serial ``api.validate`` answers, and that SIGTERM drains
-cleanly with no shared-memory segments left behind in ``/dev/shm``.
+cleanly with no shared-memory segments left behind in ``/dev/shm`` and
+no compute worker left running.
 """
 
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -183,8 +185,6 @@ def test_keep_alive_reuses_connection(daemon):
 
 
 def test_malformed_http_gets_400_and_close(daemon):
-    import socket
-
     _proc, port = daemon
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         sock.sendall(b"NOT A REQUEST\r\n\r\n")
@@ -222,3 +222,123 @@ def test_sigint_also_shuts_down_cleanly():
     stdout, stderr = proc.communicate(timeout=30)
     assert proc.returncode == 0, (proc.returncode, stderr)
     assert "shutdown complete" in stdout
+
+
+def _children(pid):
+    """The live or unreaped child processes of ``pid`` (Linux ``/proc``)."""
+    kids = set()
+    for tid in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{tid}/children") as fh:
+            kids.update(int(p) for p in fh.read().split())
+    return kids
+
+
+def test_compute_workers_survive_faults_and_leave_with_the_daemon():
+    """Chaos kills the first compute request's worker: it is replaced
+    and the request answered.  Terminating that replacement, forked
+    after the daemon's signal handlers exist, kills only the worker: the
+    daemon does not drain and keeps answering.  SIGTERM to the daemon
+    then exits 0 within seconds and leaves no child behind."""
+    env = dict(os.environ)
+    src = str(REPO_ROOT / "src")
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    env["REPRO_CHAOS"] = "kill:task=0"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
+    )
+    try:
+        line = proc.stdout.readline().strip()
+        assert "listening" in line, line
+        port = int(line.rsplit(":", 1)[1])
+        first = _children(proc.pid)
+        assert len(first) == 2
+        sh = construct_base(5, 2)
+        payloads = [
+            {
+                "graph": GRAPH_SPEC,
+                "k": K,
+                "schedules": [frame_to_dict(as_frame(broadcast_schedule(sh, s)))],
+            }
+            for s in range(4)
+        ]
+        # the retry forks a replacement while this connection is open; a
+        # ``Connection: close`` answer must still end in EOF at once
+        body = json.dumps(payloads[0]).encode()
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/validate HTTP/1.1\r\nConnection: close\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+            sock.settimeout(5)
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        head, _, answer = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK"), raw
+        assert json.loads(answer)["reports"][0]["ok"] is True
+        (replacement,) = _children(proc.pid) - first
+        os.kill(replacement, signal.SIGTERM)
+        time.sleep(0.3)
+        assert request(port, "GET", "/v1/healthz")[0] == 200
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            answers = list(
+                pool.map(
+                    lambda p: request(port, "POST", "/v1/validate", p), payloads
+                )
+            )
+        assert [status for status, _ in answers] == [200] * 4
+        assert proc.poll() is None
+        kids = _children(proc.pid)
+    finally:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGTERM)
+        t0 = time.monotonic()
+        stdout, stderr = proc.communicate(timeout=30)
+    assert proc.returncode == 0, (proc.returncode, stderr)
+    assert time.monotonic() - t0 < 5.0
+    assert stdout.count("repro serve: draining") == 1
+    assert "shutdown complete" in stdout
+    assert not [kid for kid in kids | first if os.path.exists(f"/proc/{kid}")]
+
+
+def test_workers_exit_when_the_daemon_is_killed():
+    """No worker holds the daemon's end of its pipe, so a SIGKILLed
+    daemon's workers see EOF and exit instead of waiting forever."""
+    env = dict(os.environ)
+    src = str(REPO_ROOT / "src")
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
+    )
+    line = proc.stdout.readline().strip()
+    assert "listening" in line, line
+    kids = _children(proc.pid)
+    assert len(kids) == 2
+    proc.kill()
+    proc.communicate(timeout=30)
+
+    def running(pid):
+        try:
+            with open(f"/proc/{pid}/status") as fh:
+                return "\nState:\tZ" not in fh.read()
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 5.0
+    while any(running(kid) for kid in kids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not [kid for kid in kids if running(kid)]
