@@ -614,9 +614,9 @@ def rl010_fault_handling_boundaries(ctx: FileContext) -> Iterable[Finding]:
             yield (
                 call.lineno,
                 call.col_offset,
-                "ad-hoc time.sleep; use repro.util.retry (RetryPolicy "
-                "backoff / pause) so waits are policy-driven and "
-                "deterministic",
+                "ad-hoc time.sleep; wait out a repro.util.retry "
+                "RetryPolicy backoff as an event-loop timer so waits are "
+                "policy-driven and deterministic",
             )
     for node in ctx.walk():
         if isinstance(node, ast.ExceptHandler) and _catches_broadly(node):

@@ -219,13 +219,18 @@ def certificate_for(
     Each row is put in per-source ``broadcast_schedule`` order (calls
     sorted by caller within each round; pinned by the property tests)
     and encoded straight from its arrays, so no ``Call`` object is
-    built.  An empty ``sources`` list is an
-    :class:`InvalidParameterError`: a certificate with no schedule
-    proves nothing."""
+    built.  An empty ``sources`` list, or one that names a source twice,
+    is an :class:`InvalidParameterError`: a certificate with no schedule
+    proves nothing, and a repeated schedule proves nothing new."""
     from repro.engine.batch import all_sources_schedules
 
     if sources is not None and not len(sources):
         raise InvalidParameterError("a certificate needs at least one source")
+    seen: set[int] = set()
+    for source in sources or ():
+        if source in seen:
+            raise InvalidParameterError(f"certificate source {source} is listed twice")
+        seen.add(source)
     srcs = sources if sources is not None else list(range(sh.n_vertices))
     by_source: dict[int, dict[str, Any]] = {}
     for stack in all_sources_schedules(sh, srcs):

@@ -255,7 +255,7 @@ def find_multimessage_schedule(
 )
 def _multimsg_strategy(request: ScheduleRequest) -> tuple[Schedule | None, dict]:
     params = dict(request.params)
-    n_messages = int(params.pop("n_messages", 1))
+    n_messages = positive_param(params, "n_messages", 1)
     node_budget = positive_param(params, "node_budget", 3_000_000)
     if params:
         raise InvalidParameterError(f"multimsg_search: unknown params {sorted(params)}")

@@ -161,11 +161,17 @@ def get_scheduler(name: str) -> SchedulerSpec:
 def positive_param(params: dict[str, Any], name: str, default: int) -> int:
     """Pop strategy parameter ``name`` as an integer of at least 1.
 
-    Restart counts, sample caps and node budgets below 1 cannot run a
-    strategy, so they are the request's fault (``InvalidParameterError``,
-    HTTP 400, CLI exit 2) rather than a not-found answer or a crash.
+    The one reader of integer strategy parameters.  Parameters arrive
+    as JSON from the service, so only an ``int`` that is not a ``bool``
+    counts: ``null``, ``true``, ``1.5``, ``1e400``, ``"7"`` or ``[3]``
+    is refused, never coerced.  Restart counts, sample caps, node
+    budgets and message counts below 1 cannot run a strategy either.
+    Both are the request's fault (``InvalidParameterError``, HTTP 400,
+    CLI exit 2) rather than a not-found answer or a crash.
     """
-    value = int(params.pop(name, default))
+    value = params.pop(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise InvalidParameterError(f"{name} must be >= 1, got {value}")
     return value

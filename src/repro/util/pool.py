@@ -8,6 +8,14 @@ compute through :meth:`WorkerPool.submit`) routes through
 * **In-process when parallelism cannot pay.**  ``jobs == 1`` or at most
   one task never spins up a pool; the optional ``initializer`` still runs
   (in-process) so serial and parallel executions warm the same caches.
+* **One dispatch engine, on an event loop.**  Mapped and submitted
+  tasks wait in one FIFO backlog for an idle worker; the loop watches
+  each busy worker's result pipe and process sentinel
+  (``loop.add_reader``: no thread, no polling), and deadlines and
+  backoffs are loop timers.  :meth:`WorkerPool.submit` runs from the
+  caller's loop; :meth:`WorkerPool.map` forks its workers, then runs on
+  a loop of its own (``asyncio.run``), so call it outside a running
+  loop — its workers fork before ``asyncio`` (and its ``ssl``) loads.
 * **One task per dispatch.**  Each idle worker is handed exactly one
   task, so a slow task never holds others hostage and each task is its
   own unit of retry and deadline.  Fresh tasks go out in task order, and
@@ -16,28 +24,25 @@ compute through :meth:`WorkerPool.submit`) routes through
   worker scheduling, crashes, or retries — the determinism contract
   pinned by ``tests/util/test_pool.py``.
 * **Crash safety.**  Workers are individual ``multiprocessing.Process``
-  children, each with its own duplex pipe; the parent waits on result
-  pipes *and* process sentinels simultaneously, so a SIGKILL'd worker is
-  detected immediately (the ``BrokenProcessPool`` analogue) instead of
-  hanging the run.  The failed task — and only that task — is re-run
-  under the :class:`~repro.util.retry.RetryPolicy`, after its backoff.
-  A task that keeps killing its worker (or blowing its ``task_timeout``
-  deadline, counted from its dispatch) is **quarantined** after
-  ``max_attempts``: :meth:`WorkerPool.map_quarantine` reports it as a
-  :class:`TaskFault` value while every other task completes; plain
-  :meth:`WorkerPool.map` raises the corresponding
-  :class:`~repro.errors.WorkerCrash` / :class:`~repro.errors.TaskTimeout`.
-  Exceptions raised by the task's *own code* are never retried — they
-  re-raise in the parent with their original type, exactly as before.
+  children, each with its own duplex pipe; the loop watches result
+  pipes *and* process sentinels, so a SIGKILL'd worker is detected
+  immediately (the ``BrokenProcessPool`` analogue) instead of hanging
+  the run.  The failed task — and only that task — is re-run under the
+  :class:`~repro.util.retry.RetryPolicy`, after its backoff, ahead of
+  fresh tasks.  A task that keeps killing its worker (or blowing its
+  ``task_timeout`` deadline, counted from its dispatch) is
+  **quarantined** after ``max_attempts``:
+  :meth:`WorkerPool.map_quarantine` reports it as a :class:`TaskFault`
+  value while every other task completes; plain :meth:`WorkerPool.map`
+  raises the corresponding :class:`~repro.errors.WorkerCrash` /
+  :class:`~repro.errors.TaskTimeout`.  Exceptions raised by the task's
+  *own code* are never retried — they re-raise in the parent with their
+  original type.
 * **Graceful vs. hard shutdown.**  ``close()`` asks each worker to stop
   and joins it (clean ``exitcode == 0``, atexit/flush hooks run);
-  ``terminate()`` is the error-path hard kill.  A ``with`` block closes
-  gracefully on clean exit and terminates when an exception is flying.
-* **Event-loop entry point.**  :meth:`WorkerPool.submit` runs one task
-  from a running asyncio loop: it waits on the worker's result pipe and
-  process sentinel with ``loop.add_reader`` (no thread, no polling),
-  queues FIFO while every worker is busy, and keeps ``map``'s worker
-  loop, task message and fault rules.
+  ``terminate()`` is the error-path hard kill, also applied by a failing
+  ``map`` (Ctrl-C included).  A ``with`` block closes gracefully on
+  clean exit and terminates when an exception is flying.
 * **Start method.**  The platform default (``fork`` on Linux, ``spawn``
   elsewhere).  Everything submitted — worker functions, initializers,
   their arguments — must be a *top-level picklable* object (RL005), so
@@ -56,24 +61,22 @@ and quarantine paths are proven without real flakiness.
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import os
 import signal
 import stat
-import time
 from collections import deque
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
-from multiprocessing.connection import Connection, wait as _connection_wait
+from dataclasses import dataclass
+from multiprocessing.connection import Connection
 from typing import TYPE_CHECKING, Any, TypeVar, cast
 
-if TYPE_CHECKING:  # asyncio (and the ssl it loads) only where submit runs
+if TYPE_CHECKING:  # imported at run time only once the workers have forked
     import asyncio
 
 from repro.devtools import chaos
 from repro.errors import TaskTimeout, WorkerCrash, captured_call, format_cause
-from repro.util.retry import RetryPolicy, pause
+from repro.util.retry import RetryPolicy
 
 __all__ = [
     "TaskFault",
@@ -87,10 +90,6 @@ _R = TypeVar("_R")
 # before the hard-kill escalation (it is idle at that point — the grace
 # only needs to cover interpreter shutdown).
 _GRACEFUL_JOIN_SECONDS = 5.0
-
-# Poll ceiling while tasks are in flight and a deadline or backoff gap
-# is pending; keeps fault detection latency bounded without busy-waiting.
-_MAX_POLL_SECONDS = 0.25
 
 # The signals a worker resets; blocked from its fork until it has.
 _WORKER_SIGNALS = {signal.SIGINT, signal.SIGTERM}
@@ -205,33 +204,29 @@ def _worker_main(
 # -- parent side -------------------------------------------------------------
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class _Task:
-    """One task of a map; orders by its backoff gate, then its index."""
+    """One task: what to run, and the future its caller awaits."""
 
-    not_before: float  # monotonic timestamp gating re-dispatch
-    index: int  # position in the mapped task list, or the submission count
-    item: Any = field(compare=False)
-    attempts: int = field(default=0, compare=False)
-    # a submitted task carries its own function and its caller's future
-    fn: Callable[[Any], Any] | None = field(default=None, compare=False)
-    future: asyncio.Future[Any] | None = field(default=None, compare=False)
+    index: int  # position in the mapped list, or the submission count
+    item: Any
+    fn: Callable[[Any], Any]
+    future: asyncio.Future[Any]
+    attempts: int = 0
+    fault: TaskFault | None = None  # set once its attempts are spent
 
 
+@dataclass(slots=True, eq=False)
 class _Worker:
     """Parent-side record of one worker process."""
 
-    __slots__ = ("proc", "conn", "slot", "task", "deadline", "timer")
-
-    def __init__(
-        self, proc: multiprocessing.Process, conn: Connection, slot: int
-    ) -> None:
-        self.proc = proc
-        self.conn = conn
-        self.slot = slot
-        self.task: _Task | None = None
-        self.deadline: float | None = None
-        self.timer: asyncio.TimerHandle | None = None  # a submission's deadline
+    proc: multiprocessing.Process
+    conn: Connection
+    slot: int
+    task: _Task | None = None
+    timer: asyncio.TimerHandle | None = None  # the task's deadline
+    # the loop reading this worker's pipe and sentinel, while it is busy
+    loop: asyncio.AbstractEventLoop | None = None
 
 
 class WorkerPool:
@@ -249,8 +244,8 @@ class WorkerPool:
     ``jobs == 1`` is fully supported and never forks: ``map`` and
     ``submit`` run in-process (running ``initializer`` once, lazily) so
     callers can use one code path for serial and parallel execution.
-    One pool serves either ``map`` calls or ``submit`` calls at a time,
-    not both.
+    Otherwise both run on one dispatch engine: ``submit`` from a running
+    event loop, ``map`` on a loop of its own, so call ``map`` outside one.
     """
 
     def __init__(
@@ -276,7 +271,7 @@ class WorkerPool:
         self._warmed_inprocess = False
         self._init_error: BaseException | None = None
         self._closed = False
-        self._backlog: deque[_Task] = deque()  # submissions awaiting a worker
+        self._backlog: deque[_Task] = deque()  # tasks awaiting a worker
         self._submitted = 0
 
     # -- lifecycle ---------------------------------------------------------
@@ -312,12 +307,11 @@ class WorkerPool:
         workers = list(self._workers.values())
         self._workers.clear()
         for task in self._backlog:
-            assert task.future is not None
             task.future.cancel()
         self._backlog.clear()
         for worker in workers:
-            if worker.task is not None and worker.task.future is not None:
-                self._unwatch(worker)
+            self._unwatch(worker)
+            if worker.task is not None:
                 worker.task.future.cancel()
         if graceful:
             for worker in workers:
@@ -339,7 +333,8 @@ class WorkerPool:
     def start(self) -> None:
         """Fork every worker now instead of at first use (no-op for
         ``jobs == 1``): for callers that must fork at a known moment,
-        such as before they open sockets or install signal handlers."""
+        such as before they open sockets, install signal handlers or
+        import ``asyncio``."""
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
         if self.jobs > 1:
@@ -368,6 +363,7 @@ class WorkerPool:
 
     def _remove(self, worker: _Worker) -> None:
         """Hard-kill one worker and free its slot."""
+        self._unwatch(worker)
         self._workers.pop(worker.slot, None)
         if worker.proc.is_alive():
             worker.proc.terminate()
@@ -377,65 +373,7 @@ class WorkerPool:
         worker.proc.join(1.0)
         worker.conn.close()
 
-    def _hand(
-        self, slot: int, fn: Callable[[Any], Any], task: _Task
-    ) -> _Worker | None:
-        """Send ``task`` to the worker in ``slot``, forking one if the slot
-        is empty.  Returns ``None`` when that worker's pipe is dead: it
-        died idle, so it is reaped and the task is charged no attempt.
-        A task that will not pickle raises: resending cannot help."""
-        worker = self._workers.get(slot)
-        if worker is None:
-            worker = self._spawn(slot)
-        status, error = captured_call(
-            worker.conn.send, ("task", task.index, task.attempts, fn, task.item)
-        )
-        if status == "raise":
-            if not isinstance(error, OSError):
-                raise error  # pickling failed before a byte was written
-            self._remove(worker)
-            return None
-        timeout = self.retry.task_timeout
-        worker.task = task
-        worker.deadline = None if timeout is None else time.monotonic() + timeout
-        return worker
-
-    def _fault(self, worker: _Worker, kind: str) -> TaskFault | None:
-        """Reap ``worker`` after an infrastructure fault on its task.
-
-        Returns the task's :class:`TaskFault` once its attempts are
-        spent; otherwise gates the retry on its backoff and returns
-        ``None``.
-        """
-        task = worker.task
-        assert task is not None
-        worker.task = None
-        self._remove(worker)  # joins the process, so its exit code is set
-        exitcode: int | None = None
-        if kind == "crash":
-            exitcode = worker.proc.exitcode
-            cause = f"worker died with exitcode {exitcode}"
-        else:
-            cause = f"task exceeded {self.retry.task_timeout}s deadline"
-        task.attempts += 1
-        message = (
-            f"task {task.index} {kind} on attempt "
-            f"{task.attempts}/{self.retry.max_attempts}: {cause}"
-        )
-        if task.attempts >= self.retry.max_attempts:
-            return TaskFault(
-                index=task.index,
-                kind=kind,
-                message=message,
-                attempts=task.attempts,
-                exitcode=exitcode,
-            )
-        task.not_before = time.monotonic() + self.retry.backoff(
-            task.attempts, key=f"task{task.index}"
-        )
-        return None
-
-    # -- execution ---------------------------------------------------------
+    # -- entry points ------------------------------------------------------
 
     def map(
         self,
@@ -452,6 +390,9 @@ class WorkerPool:
         :class:`~repro.errors.TaskTimeout`.  ``on_result`` streams each
         completed task ``(task_index, value)`` to the caller as it lands
         (completion order) — the hook both runners store results through.
+        Each task's index is its ``REPRO_CHAOS`` task number.  The map
+        runs on an event loop of its own, so it must not be called from
+        a running one (use :meth:`submit` there).
         """
         results, faults = self._run(fn, tasks, on_result=on_result)
         if faults:
@@ -469,9 +410,10 @@ class WorkerPool:
 
         Returns ``(results, faults)``: every task that exhausted its
         retry budget has ``None`` at its position and a
-        :class:`TaskFault` entry — the poison-task report — while all
-        other tasks complete normally.  Task-code exceptions still
-        raise (they are deterministic; see the module docstring).
+        :class:`TaskFault` entry — the poison-task report, sorted by
+        index — while all other tasks complete normally.  Task-code
+        exceptions still raise (they are deterministic; see the module
+        docstring).
         """
         return self._run(fn, tasks, quarantine=True, on_result=on_result)
 
@@ -518,156 +460,60 @@ class WorkerPool:
                 if on_result is not None:
                     on_result(idx, value)
             return out, []
-        # Fresh tasks leave in task order; a task that faulted waits in
-        # ``requeued``, a heap on its backoff gate, and goes first once
-        # the gate opens — so no dispatch rescans the remaining tasks.
-        fresh = deque(_Task(0.0, idx, item) for idx, item in enumerate(items))
-        requeued: list[_Task] = []
-        results: list[_R | None] = [None] * len(items)
-        faults: list[TaskFault] = []
-        remaining = len(items)
-        try:
-            while remaining > 0:
-                self._dispatch(fn, fresh, requeued)
-                remaining -= self._collect(
-                    fresh, requeued, results, faults, quarantine, on_result
-                )
-        except BaseException:  # repro-lint: disable=RL010 (re-raised immediately: the catch only hard-kills workers orphaned by the failing map, it swallows nothing)
-            # error path: never leave workers running a doomed map
-            self._teardown(graceful=False)
-            raise
-        return results, faults
+        self.start()  # fork before asyncio is loaded: workers never carry it
+        import asyncio
 
-    def _dispatch(
+        return asyncio.run(self._gather(fn, items, quarantine, on_result))
+
+    async def _gather(
         self,
         fn: Callable[[Any], Any],
-        fresh: deque[_Task],
-        requeued: list[_Task],
-    ) -> None:
-        """Hand one ready task to each idle slot, spawning up to ``jobs``."""
-        now = time.monotonic()
-        for slot in range(self.jobs):
-            worker = self._workers.get(slot)
-            if worker is not None and worker.task is not None:
-                continue
-            if requeued and requeued[0].not_before <= now:
-                task = heapq.heappop(requeued)
-            elif fresh:
-                task = fresh.popleft()
-            else:
-                return
-            if self._hand(slot, fn, task) is None:
-                heapq.heappush(requeued, task)  # fed to a dead worker
-
-    def _collect(
-        self,
-        fresh: deque[_Task],
-        requeued: list[_Task],
-        results: list[Any],
-        faults: list[TaskFault],
+        items: list[Any],
         quarantine: bool,
         on_result: Callable[[int, Any], None] | None,
-    ) -> int:
-        """Wait for one round of events; returns tasks newly settled."""
-        busy = [w for w in self._workers.values() if w.task is not None]
-        timeout = self._poll_timeout(busy, fresh, requeued)
-        if not busy:
-            pause(timeout if timeout is not None else 0.0)  # backoff gap
-            return 0
-        objects: list[Any] = [w.conn for w in busy]
-        objects += [w.proc.sentinel for w in busy]
-        ready = set(_connection_wait(objects, timeout))
-        settled = 0
-        for worker in busy:
-            if worker.conn in ready or worker.proc.sentinel in ready:
-                settled += self._service(
-                    worker, requeued, results, faults, quarantine, on_result
-                )
-        now = time.monotonic()
-        for worker in list(self._workers.values()):
-            if (
-                worker.task is not None
-                and worker.deadline is not None
-                and now > worker.deadline
-            ):
-                settled += self._fail_task(
-                    worker, "timeout", requeued, faults, quarantine
-                )
-        return settled
+    ) -> tuple[list[Any], list[TaskFault]]:
+        """``map``'s body on its loop: queue every task, then take each
+        as it lands (completion order) until all have."""
+        import asyncio
 
-    def _poll_timeout(
-        self,
-        busy: list[_Worker],
-        fresh: deque[_Task],
-        requeued: list[_Task],
-    ) -> float | None:
-        now = time.monotonic()
-        bounds = [w.deadline - now for w in busy if w.deadline is not None]
-        if requeued and requeued[0].not_before > now:
-            bounds.append(requeued[0].not_before - now)
-        if (fresh or requeued) and not busy and not bounds:
-            return _MAX_POLL_SECONDS
-        if not bounds:
-            return None  # block until a message or a death
-        return min(_MAX_POLL_SECONDS, max(0.0, min(bounds)))
-
-    def _service(
-        self,
-        worker: _Worker,
-        requeued: list[_Task],
-        results: list[Any],
-        faults: list[TaskFault],
-        quarantine: bool,
-        on_result: Callable[[int, Any], None] | None,
-    ) -> int:
-        """Settle a busy worker whose pipe or sentinel fired: receive its
-        message, or fail its task as a crash (EOF: the worker died)."""
-        status, msg = captured_call(worker.conn.recv)
-        if status == "raise":  # EOF without a message: the worker died
-            return self._fail_task(worker, "crash", requeued, faults, quarantine)
-        if msg[0] == "ok":
-            task = worker.task
-            assert task is not None, "result for an unassigned worker"
-            worker.task = None
-            worker.deadline = None
-            results[task.index] = msg[1]
-            if on_result is not None:
-                on_result(task.index, msg[1])
-            return 1
-        # a task-code or initializer exception is deterministic: no
-        # retry, re-raise the original (``_run`` then kills the workers)
-        raise msg[1]
-
-    def _fail_task(
-        self,
-        worker: _Worker,
-        kind: str,
-        requeued: list[_Task],
-        faults: list[TaskFault],
-        quarantine: bool,
-    ) -> int:
-        """Handle one infrastructure fault; returns tasks settled (only
-        nonzero when the task is quarantined)."""
-        task = worker.task
-        assert task is not None
-        fault = self._fault(worker, kind)
-        if fault is None:
-            heapq.heappush(requeued, task)
-            return 0
-        if not quarantine:
-            raise fault.as_error()
-        faults.append(fault)
-        return 1  # settled (as a poison-task report)
-
-    # -- event-loop execution ----------------------------------------------
+        loop = asyncio.get_running_loop()
+        landed: asyncio.Queue[_Task] = asyncio.Queue()
+        tasks = [
+            _Task(idx, item, fn, loop.create_future())
+            for idx, item in enumerate(items)
+        ]
+        for task in tasks:
+            task.future.add_done_callback(lambda _, t=task: landed.put_nowait(t))
+        results: list[Any] = [None] * len(tasks)
+        faults: list[TaskFault] = []
+        self._backlog.extend(tasks)
+        try:
+            self._feed()
+            for _ in tasks:
+                task = await landed.get()
+                error = task.future.exception()
+                if error is None:
+                    results[task.index] = task.future.result()
+                    if on_result is not None:
+                        on_result(task.index, results[task.index])
+                elif quarantine and task.fault is not None:
+                    faults.append(task.fault)
+                else:
+                    raise error  # the task's own exception, or its fault's
+        except BaseException:  # repro-lint: disable=RL010 (re-raised at once: the catch only hard-kills the workers of the failing map, Ctrl-C included, it swallows nothing)
+            for task in tasks:
+                if not task.future.cancel() and not task.future.cancelled():
+                    task.future.exception()  # settled: seen, so never logged
+            self._teardown(graceful=False)
+            raise
+        faults.sort(key=lambda fault: fault.index)
+        return results, faults
 
     async def submit(self, fn: Callable[[_T], _R], item: _T) -> _R:
         """Run ``fn(item)`` on a worker and await its result from a
         running event loop.
 
         An idle worker gets the task at once, otherwise it queues FIFO.
-        The loop waits on that worker's result pipe and process sentinel
-        (``loop.add_reader``), so no thread blocks and nothing polls.
         The fault rules are :meth:`map`'s: an exception raised by ``fn``
         re-raises here with its type; a worker that dies (or overruns
         ``task_timeout``) is reaped and replaced, and the task retried
@@ -686,23 +532,25 @@ class WorkerPool:
         import asyncio
 
         future: asyncio.Future[_R] = asyncio.get_running_loop().create_future()
-        self._backlog.append(_Task(0.0, self._submitted, item, fn=fn, future=future))
+        self._backlog.append(_Task(self._submitted, item, fn, future))
         self._submitted += 1
         self._feed()
         return await future
 
+    # -- the dispatch engine -----------------------------------------------
+
     def _feed(self) -> None:
-        """Hand queued submissions to idle slots, oldest first."""
+        """Hand queued tasks to idle slots, oldest first, forking a
+        worker into an empty slot."""
         for slot in range(self.jobs):
             while self._backlog:
                 busy = self._workers.get(slot)
                 if busy is not None and busy.task is not None:
                     break
                 task = self._backlog.popleft()
-                assert task.fn is not None and task.future is not None
                 if task.future.done():
                     continue  # its caller was cancelled
-                status, handed = captured_call(self._hand, slot, task.fn, task)
+                status, handed = captured_call(self._hand, slot, task)
                 if status == "raise":  # unpicklable, or the fork failed
                     task.future.set_exception(handed)
                 elif handed is None:
@@ -710,37 +558,59 @@ class WorkerPool:
                 else:
                     self._watch(handed)
 
+    def _hand(self, slot: int, task: _Task) -> _Worker | None:
+        """Send ``task`` to the worker in ``slot``, forking one if the slot
+        is empty.  Returns ``None`` when that worker's pipe is dead: it
+        died idle, so it is reaped and the task is charged no attempt.
+        A task that will not pickle raises: resending cannot help."""
+        worker = self._workers.get(slot)
+        if worker is None:
+            worker = self._spawn(slot)
+        status, error = captured_call(
+            worker.conn.send, ("task", task.index, task.attempts, task.fn, task.item)
+        )
+        if status == "raise":
+            if not isinstance(error, OSError):
+                raise error  # pickling failed before a byte was written
+            self._remove(worker)
+            return None
+        worker.task = task
+        return worker
+
     def _watch(self, worker: _Worker) -> None:
         """Wake the loop when ``worker`` answers, dies, or overruns."""
-        assert worker.task is not None and worker.task.future is not None
+        assert worker.task is not None
         loop = worker.task.future.get_loop()
-        loop.add_reader(worker.conn.fileno(), self._settle, worker)
-        loop.add_reader(worker.proc.sentinel, self._settle, worker)
+        if worker.loop is None:
+            loop.add_reader(worker.conn.fileno(), self._settle, worker)
+            loop.add_reader(worker.proc.sentinel, self._settle, worker)
+            worker.loop = loop
         if self.retry.task_timeout is not None:
             worker.timer = loop.call_later(
                 self.retry.task_timeout, self._expire, worker
             )
 
     def _unwatch(self, worker: _Worker) -> None:
-        assert worker.task is not None and worker.task.future is not None
-        loop = worker.task.future.get_loop()
-        loop.remove_reader(worker.conn.fileno())
-        loop.remove_reader(worker.proc.sentinel)
+        if worker.loop is not None:
+            worker.loop.remove_reader(worker.conn.fileno())
+            worker.loop.remove_reader(worker.proc.sentinel)
+            worker.loop = None
         if worker.timer is not None:
             worker.timer.cancel()
             worker.timer = None
 
     def _settle(self, worker: _Worker) -> None:
-        """Loop callback: a submission's worker answered or died."""
-        self._unwatch(worker)
+        """Loop callback: a task's worker answered or died."""
         task = worker.task
-        assert task is not None and task.future is not None
+        assert task is not None
         status, msg = captured_call(worker.conn.recv)
         if status == "raise":  # EOF without a message: the worker died
             self._refeed(worker, "crash")
             return
+        if worker.timer is not None:
+            worker.timer.cancel()
+            worker.timer = None
         worker.task = None
-        worker.deadline = None
         if msg[0] == "init_error":
             self._remove(worker)  # it exits after reporting
         if not task.future.done():
@@ -748,33 +618,54 @@ class WorkerPool:
                 task.future.set_result(msg[1])
             else:  # the task's own exception, or its initializer's
                 task.future.set_exception(msg[1])
-        self._feed()
+        self._feed()  # a worker handed its next task keeps its readers
+        if worker.task is None:
+            self._unwatch(worker)
 
     def _expire(self, worker: _Worker) -> None:
-        """Loop callback: a submission overran ``task_timeout``."""
+        """Loop callback: a task overran ``task_timeout``."""
         worker.timer = None
-        self._unwatch(worker)
         self._refeed(worker, "timeout")
 
     def _refeed(self, worker: _Worker, kind: str) -> None:
-        """A submission's worker faulted: retry after the backoff, or
-        fail the caller once its attempts are spent."""
+        """A task's worker faulted: reap it, then retry the task after its
+        backoff, or fail it once its attempts are spent."""
         task = worker.task
-        assert task is not None and task.future is not None
-        fault = self._fault(worker, kind)
-        if fault is not None:
-            if not task.future.done():
-                task.future.set_exception(fault.as_error())
+        assert task is not None
+        worker.task = None
+        self._remove(worker)  # unwatched and joined: its exit code is set
+        exitcode: int | None = None
+        if kind == "crash":
+            exitcode = worker.proc.exitcode
+            cause = f"worker died with exitcode {exitcode}"
         else:
-            delay = max(0.0, task.not_before - time.monotonic())
-            task.future.get_loop().call_later(delay, self._requeue, task)
+            cause = f"task exceeded {self.retry.task_timeout}s deadline"
+        task.attempts += 1
+        if task.attempts >= self.retry.max_attempts:
+            task.fault = TaskFault(
+                index=task.index,
+                kind=kind,
+                message=(
+                    f"task {task.index} {kind} on attempt "
+                    f"{task.attempts}/{self.retry.max_attempts}: {cause}"
+                ),
+                attempts=task.attempts,
+                exitcode=exitcode,
+            )
+            if not task.future.done():
+                task.future.set_exception(task.fault.as_error())
+        else:
+            delay = self.retry.backoff(task.attempts, key=f"task{task.index}")
+            if delay > 0:
+                task.future.get_loop().call_later(delay, self._requeue, task)
+            else:
+                self._backlog.appendleft(task)  # a retry goes before fresh tasks
         self._feed()
 
     def _requeue(self, task: _Task) -> None:
-        assert task.future is not None
-        if self._closed:
+        """Loop timer: a faulted task's backoff has passed."""
+        if self._closed or task.future.done():
             task.future.cancel()
             return
         self._backlog.appendleft(task)  # a retry goes before fresh tasks
         self._feed()
-

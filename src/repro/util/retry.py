@@ -19,15 +19,15 @@ surface, so the fault discipline is written down once:
   from the task's dispatch (see ``WorkerPool``), so a hung task surfaces
   as :class:`~repro.errors.TaskTimeout` instead of a silent stall.
 
-This module is one of the two sanctioned homes of ``time.sleep``
-(lint rule RL010) — ad-hoc sleep/retry loops elsewhere are banned so
-every backoff is policy-driven and deterministic.
+Nothing here sleeps: ``WorkerPool`` waits out each backoff and each
+deadline as an event-loop timer.  This module stays one of lint rule
+RL010's boundary modules — ad-hoc sleep/retry loops elsewhere are
+banned so every backoff is policy-driven and deterministic.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
 
 from repro.types import InvalidParameterError
@@ -35,20 +35,8 @@ from repro.types import InvalidParameterError
 __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
     "RetryPolicy",
-    "pause",
     "seeded_jitter",
 ]
-
-
-def pause(seconds: float) -> None:
-    """Block for ``seconds`` (no-op for ``<= 0``).
-
-    The sanctioned sleep primitive (RL010) for policy-driven waits —
-    the pool's backoff gaps between re-dispatches route through here so
-    every delay in the execution layer is attributable to a policy.
-    """
-    if seconds > 0:
-        time.sleep(seconds)
 
 # Two retries by default: enough to absorb a transient fault (one kill,
 # one unlucky respawn) without letting a genuinely poisoned task burn

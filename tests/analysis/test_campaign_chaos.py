@@ -404,3 +404,80 @@ class TestSigkillResumeByteIdentity:
         single = tmp_path / "single"
         run_campaign_shard(spec, shard=(0, 1), out_dir=single)
         assert merged.read_bytes() == artifact_path(single, spec).read_bytes()
+
+
+def _children(pid):
+    """The live or unreaped child processes of ``pid`` (Linux ``/proc``)."""
+    kids = set()
+    for tid in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{tid}/children") as fh:
+            kids.update(int(p) for p in fh.read().split())
+    return kids
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            return "\nState:\tZ" not in fh.read()
+    except FileNotFoundError:
+        return False
+
+
+class TestCtrlC:
+    """SIGINT to a parallel campaign while one task is held: the CLI
+    exits at once, takes its workers with it, and the re-run executes
+    only the held scenario."""
+
+    def _cli(self, out_dir, *, chaos_spec=None):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = _SRC
+        env.pop("REPRO_CHAOS", None)
+        if chaos_spec is not None:
+            env["REPRO_CHAOS"] = chaos_spec
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", "campaign", "run", "paper-grid"]
+            + ["--jobs", "2", "--no-cache", "--out-dir", str(out_dir)],
+            env=env,
+            start_new_session=True,  # the signal must reach the CLI alone
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+
+    def test_interrupted_run_leaves_no_worker_and_resumes(self, tmp_path):
+        spec = campaigns.load_campaign("paper-grid")
+        out = tmp_path / "interrupted"
+        ckpt = _checkpoint(out, spec)
+        # the fourth dispatched scenario sleeps 4 s: the other fifteen
+        # land first, then the run waits on it
+        proc = self._cli(out, chaos_spec="delay:task=3:ms=4000")
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(ckpt.glob("*.json"))) < spec.n_scenarios - 1:
+                assert proc.poll() is None, "campaign exited before the signal"
+                assert time.monotonic() < deadline, "checkpoint never filled"
+                time.sleep(0.02)
+            kids = _children(proc.pid)
+            assert len(kids) == 2
+            proc.send_signal(signal.SIGINT)
+            t0 = time.monotonic()
+            proc.communicate(timeout=30)
+            assert time.monotonic() - t0 < 5.0
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate(timeout=30)
+        assert proc.returncode != 0
+        assert not [kid for kid in kids if _running(kid)]
+
+        resumed = self._cli(out)
+        stdout, stderr = resumed.communicate(timeout=120)
+        assert resumed.returncode == 0, stderr
+        assert f"(1 executed, {spec.n_scenarios - 1} cached" in stdout
+        clean = tmp_path / "clean"
+        run_campaign_shard(spec, shard=(0, 1), out_dir=clean)
+        assert (
+            artifact_path(out, spec).read_bytes()
+            == artifact_path(clean, spec).read_bytes()
+        )
+        assert not ckpt.exists()

@@ -61,6 +61,33 @@ class TestRegistryContents:
             run_scheduler(name, ScheduleRequest(graph=path_graph(4), params=params))
 
     @pytest.mark.parametrize(
+        "name, key",
+        [
+            ("greedy", "restarts"),
+            ("greedy", "sample_cap"),
+            ("search", "node_budget"),
+            ("multimsg_search", "node_budget"),
+            ("multimsg_search", "n_messages"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "value", [None, True, False, 1.5, 2.0, float("inf"), "7", [3], {}]
+    )
+    def test_non_integer_params_rejected(self, name, key, value):
+        """One reader for every integer parameter: only an int that is
+        not a bool passes; nothing is coerced."""
+        request = ScheduleRequest(graph=path_graph(4), params={key: value})
+        with pytest.raises(InvalidParameterError, match=f"{key} must be an integer"):
+            run_scheduler(name, request)
+
+    def test_n_messages_below_one_rejected(self):
+        with pytest.raises(InvalidParameterError, match="n_messages must be >= 1"):
+            run_scheduler(
+                "multimsg_search",
+                ScheduleRequest(graph=path_graph(4), params={"n_messages": 0}),
+            )
+
+    @pytest.mark.parametrize(
         "name", ["greedy", "search", "store_forward", "multimsg_search"]
     )
     def test_negative_rounds_rejected(self, name):

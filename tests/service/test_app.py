@@ -140,6 +140,37 @@ class TestSchedule:
         assert error["code"] == "invalid-parameter"
         assert needle in error["message"]
 
+    @pytest.mark.parametrize(
+        "scheduler, raw_params, needle",
+        [
+            ("greedy", '{"restarts": null}', "restarts must be an integer, got None"),
+            ("greedy", '{"restarts": [3]}', "restarts must be an integer, got [3]"),
+            ("greedy", '{"restarts": 1e400}', "restarts must be an integer, got inf"),
+            ("greedy", '{"restarts": "7"}', "restarts must be an integer, got '7'"),
+            ("greedy", '{"restarts": 1.5}', "restarts must be an integer, got 1.5"),
+            ("greedy", '{"sample_cap": 0.5}', "sample_cap must be an integer"),
+            ("search", '{"node_budget": {}}', "node_budget must be an integer"),
+            ("search", '{"node_budget": true}', "node_budget must be an integer"),
+            ("multimsg_search", '{"n_messages": null}', "n_messages must be an"),
+            ("multimsg_search", '{"n_messages": true}', "n_messages must be an"),
+            ("multimsg_search", '{"n_messages": 0}', "n_messages must be >= 1"),
+        ],
+    )
+    def test_scheduler_parameters_of_the_wrong_type_are_400(
+        self, service, scheduler, raw_params, needle
+    ):
+        """Neither a 500 nor a run on a coerced value: ``"7"``, ``1.5``
+        and ``true`` used to run as 7, 1 and 1."""
+        body = (
+            f'{{"graph": "hypercube:3", "scheduler": "{scheduler}", '
+            f'"params": {raw_params}}}'
+        ).encode()
+        status, payload = dispatch(service, "POST", "/v1/schedule", body)
+        assert status == 400
+        error = json.loads(payload)["error"]
+        assert error["code"] == "invalid-parameter"
+        assert needle in error["message"]
+
     def test_exhausted_search_budget_is_422(self, service):
         """The request's budget ran out: the request is at fault."""
         body = json.dumps(
@@ -261,6 +292,18 @@ class TestCertificate:
         status, payload = dispatch(service, "POST", "/v1/certificate", body)
         assert status == 400
         assert json.loads(payload)["error"]["code"] == "invalid-parameter"
+
+    def test_repeated_sources_are_400(self, service):
+        """A repeated source proves nothing new; a small body of repeats
+        must not buy an answer thousands of times its size."""
+        body = json.dumps(
+            {"construction": "sparse:4:2", "sources": [0] * 20_000}
+        ).encode()
+        status, payload = dispatch(service, "POST", "/v1/certificate", body)
+        assert status == 400
+        error = json.loads(payload)["error"]
+        assert error["code"] == "invalid-parameter"
+        assert "source 0 is listed twice" in error["message"]
 
 
 class TestStats:

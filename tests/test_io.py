@@ -205,6 +205,14 @@ class TestCertificates:
         with pytest.raises(InvalidParameterError, match="at least one source"):
             certificate_for(construct_base(4, 2), sources=[])
 
+    def test_repeated_source_rejected(self):
+        """A repeated source proves nothing new, and repeats multiplied
+        the answer: 20,000 zeros made a 60 KB request a 2.7 MB reply."""
+        with pytest.raises(InvalidParameterError, match="source 3 is listed twice"):
+            certificate_for(construct_base(4, 2), sources=[0, 3, 5, 3, 0])
+        with pytest.raises(InvalidParameterError, match="source 0 is listed twice"):
+            certificate_for(construct_base(4, 2), sources=[0] * 20_000)
+
     def test_certificate_without_schedules_fails(self):
         cert = certificate_for(construct_base(4, 2), sources=[0])
         cert["schedules"] = []

@@ -6,10 +6,31 @@ ultimately leans on, so it is pinned here directly.
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.util.pool import WorkerPool
+
+_SRC = str(Path(repro.__file__).resolve().parents[1])
+
+# Run in a fresh interpreter: the test process may have loaded asyncio.
+_ASYNCIO_PROBE = """
+import sys
+
+from repro.util.pool import WorkerPool
+
+
+def asyncio_loaded(_):
+    return "asyncio" in sys.modules
+
+
+with WorkerPool(2) as pool:
+    print(pool.map(asyncio_loaded, range(6)))
+"""
 
 # -- module-level workers (the pool pickles them) ---------------------------
 
@@ -45,7 +66,7 @@ def _one_shot(fn, tasks, jobs):
         return pool.map(fn, tasks)
 
 
-class TestFanOut:
+class TestOneShotMap:
     def test_serial_matches_map(self):
         assert _one_shot(_square, [1, 2, 3], 1) == [1, 4, 9]
 
@@ -76,7 +97,7 @@ class TestWorkerPool:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             WorkerPool(0)
 
-    def test_parallel_order_determinism_under_chunking(self):
+    def test_parallel_results_come_back_in_task_order(self):
         # results land in completion order; map returns them in task order
         tasks = list(range(37))
         expected = [x * x for x in tasks]
@@ -116,3 +137,21 @@ class TestWorkerPool:
         pool.map(_square, [1, 2])
         pool.close()
         pool.close()
+
+
+class TestForkBeforeAsyncio:
+    def test_map_workers_never_load_asyncio(self):
+        """``map`` runs on an event loop, but forks its workers before
+        asyncio (and the ssl it loads) is imported: each worker process
+        would carry those pages for nothing."""
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        env.pop("REPRO_CHAOS", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", _ASYNCIO_PROBE],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str([False] * 6)

@@ -84,7 +84,7 @@ def _bad_init():
 
 
 class TestCrashRetry:
-    def test_killed_worker_chunk_is_rerun(self, tmp_path):
+    def test_killed_worker_task_is_rerun(self, tmp_path):
         tasks = [(str(tmp_path / f"marker{i}"), i) for i in range(4)]
         with WorkerPool(2, retry=FAST) as pool:
             out = pool.map(_crash_once, tasks)
