@@ -1,9 +1,9 @@
 """Shared benchmark configuration.
 
-Each ``bench_eXX`` module regenerates one paper artifact (``python -m
-repro list`` prints the experiment index), printing its table once and
-timing the experiment function with pytest-benchmark.
-``once_per_session`` avoids reprinting under benchmark's calibration
+``bench_experiments.py`` regenerates every paper artifact (``python -m
+repro list`` prints the experiment index), printing each table once,
+timing each experiment function with pytest-benchmark and checking its
+claims.  ``print_once`` avoids reprinting under benchmark's calibration
 loops.
 
 Headline measurements (the speedup-floor tests) additionally record

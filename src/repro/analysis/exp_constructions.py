@@ -1,7 +1,8 @@
 """Construction experiments: the paper's worked examples and structural
 comparisons (E06–E08, E11, E14, E18).
 
-Every function registers itself with the experiment registry.
+Every function registers itself with the experiment registry, together
+with the check of its paper claims.
 """
 
 from __future__ import annotations
@@ -30,6 +31,16 @@ __all__ = [
 ]
 
 
+def _match_claims(rows: list[dict], params: dict) -> list[str]:
+    """Every measured quantity equals the paper's (E06–E08, E11)."""
+    return [
+        f"{next(iter(row.values()))}: measured {row['measured']}, "
+        f"paper {row['paper']}"
+        for row in rows
+        if not row["match"]
+    ]
+
+
 # ---------------------------------------------------------------------------
 # E06  Example 2 / Figs. 2–3 (G_{4,2})
 # ---------------------------------------------------------------------------
@@ -42,7 +53,7 @@ def paper_g42():
     )
 
 
-@experiment("e06", "Example 2 / Figs. 2–3: G_{4,2}")
+@experiment("e06", "Example 2 / Figs. 2–3: G_{4,2}", claims=_match_claims)
 def experiment_e06_g42() -> list[dict]:
     """G_{4,2}: structure versus the values stated/drawable from Figs 2–3."""
     sh = paper_g42()
@@ -98,7 +109,7 @@ def experiment_e06_g42() -> list[dict]:
 # E07  Example 3 (G_{15,3})
 # ---------------------------------------------------------------------------
 
-@experiment("e07", "Example 3: G_{15,3}")
+@experiment("e07", "Example 3: G_{15,3}", claims=_match_claims)
 def experiment_e07_g153(*, build_graph: bool = True) -> list[dict]:
     """G_{15,3}: Δ = 6 = 3 + 3, less than half of Δ(Q₁₅) = 15."""
     sh = construct_base(15, 3)
@@ -159,7 +170,7 @@ def experiment_e07_g153(*, build_graph: bool = True) -> list[dict]:
 # E08  Example 4 / Fig. 4
 # ---------------------------------------------------------------------------
 
-@experiment("e08", "Example 4 / Fig. 4: broadcast from 0000")
+@experiment("e08", "Example 4 / Fig. 4: broadcast from 0000", claims=_match_claims)
 def experiment_e08_fig4() -> list[dict]:
     """Broadcast_2 in G_{4,2} from 0000: the paper's first two rounds,
     reproduced call for call."""
@@ -209,7 +220,7 @@ def experiment_e08_fig4() -> list[dict]:
 # E11  Examples 5–6 / Fig. 5 (LABEL and Construct_REC(7,4,2))
 # ---------------------------------------------------------------------------
 
-@experiment("e11", "Examples 5–6 / Fig. 5: Construct_REC(7,4,2)")
+@experiment("e11", "Examples 5–6 / Fig. 5: Construct_REC(7,4,2)", claims=_match_claims)
 def experiment_e11_rec742() -> list[dict]:
     """Construct_REC(7,4,2) with the paper's labeling and partition:
     Example 5's labeling pattern and Example 6's incident edges of 0⁷."""
@@ -268,7 +279,25 @@ def experiment_e11_rec742() -> list[dict]:
 # E14  Topology comparison (Section 1/3 context)
 # ---------------------------------------------------------------------------
 
-@experiment("e14", "Topology comparison (context)")
+def _e14_claims(rows: list[dict], params: dict) -> list[str]:
+    """Sparse k=2 keeps Q_n's order with a smaller Δ; k=3 ≤ k=2; CCC Δ = 3."""
+    by_name = {row["topology"]: row for row in rows}
+    q = next(row for row in rows if row["topology"].startswith("Q_"))
+    sparse2 = next(row for row in rows if row["topology"].startswith("sparse k=2"))
+    sparse3 = by_name["sparse k=3"]
+    fails = []
+    if not sparse2["Δ"] < q["Δ"]:
+        fails.append(f"sparse k=2 Δ = {sparse2['Δ']} not below Q_n's {q['Δ']}")
+    if sparse2["N"] != q["N"]:
+        fails.append(f"sparse k=2 N = {sparse2['N']} ≠ Q_n's {q['N']}")
+    if sparse3["Δ"] > sparse2["Δ"]:
+        fails.append(f"sparse k=3 Δ = {sparse3['Δ']} > k=2's {sparse2['Δ']}")
+    if by_name["CCC(6)"]["Δ"] != 3:
+        fails.append(f"CCC(6) Δ = {by_name['CCC(6)']['Δ']} ≠ 3")
+    return fails
+
+
+@experiment("e14", "Topology comparison (context)", claims=_e14_claims)
 def experiment_e14_topology_compare(*, n: int = 9) -> list[dict]:
     """Degree/diameter/edges across classic topologies at comparable order."""
     from repro.graphs.knodel import knodel_graph
@@ -319,7 +348,19 @@ def experiment_e14_topology_compare(*, n: int = 9) -> list[dict]:
 # E18  footnote 1: diameters of the constructions vs k·log₂N
 # ---------------------------------------------------------------------------
 
-@experiment("e18", "Footnote 1: diameters vs k·log2 N")
+def _e18_claims(rows: list[dict], params: dict) -> list[str]:
+    """Footnote 1: n ≤ diameter ≤ k·log₂N for every construction."""
+    fails = []
+    for row in rows:
+        case = f"k={row['k']}, n={row['n']}"
+        if not row["within bound"]:
+            fails.append(f"{case}: diameter {row['diam(G)']} beyond k·n")
+        if row["diam(G)"] < row["diam(Q_n)=n"]:
+            fails.append(f"{case}: diameter {row['diam(G)']} < n")
+    return fails
+
+
+@experiment("e18", "Footnote 1: diameters vs k·log2 N", claims=_e18_claims)
 def experiment_e18_diameter(
     *,
     cases: tuple[tuple[int, int, tuple[int, ...]], ...] = (

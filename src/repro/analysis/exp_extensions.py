@@ -1,7 +1,8 @@
 """Extension experiments: the Section-5 directions beyond the paper
 (E15, E17, E19–E22).
 
-Every function registers itself with the experiment registry.
+Every function registers itself with the experiment registry, together
+with the check of its claims.
 """
 
 from __future__ import annotations
@@ -31,7 +32,25 @@ __all__ = [
 # E15  Congestion / bandwidth ablation (Section 5)
 # ---------------------------------------------------------------------------
 
-@experiment("e15", "Section 5: congestion / bandwidth")
+def _e15_claims(rows: list[dict], params: dict) -> list[str]:
+    """One broadcast loads an edge once a round; two merged ones conflict."""
+    fails = []
+    for row in rows:
+        graph = row["graph"]
+        if row["peak edge load (valid sched)"] != 1:
+            fails.append(f"{graph}: peak edge load ≠ 1")
+        if row["solo rejections @b=1"] != 0:
+            fails.append(f"{graph}: the simulator rejects a valid broadcast")
+        if row["merged 2-src min bandwidth"] < 2:
+            fails.append(f"{graph}: merged broadcasts fit bandwidth 1")
+        if row["merged conflicting edge-slots @b=1"] <= 0:
+            fails.append(f"{graph}: merged broadcasts never conflict")
+        if not 0 < row["utilization"] <= 1:
+            fails.append(f"{graph}: utilization {row['utilization']} ∉ (0, 1]")
+    return fails
+
+
+@experiment("e15", "Section 5: congestion / bandwidth", claims=_e15_claims)
 def experiment_e15_congestion(
     *, cases: tuple[tuple[int, int], ...] = ((8, 3), (10, 3), (12, 4))
 ) -> list[dict]:
@@ -86,7 +105,24 @@ def experiment_e15_congestion(
 # E17  §5 future work: gossip under the k-line model
 # ---------------------------------------------------------------------------
 
-@experiment("e17", "Section 5: gossip under the k-line model")
+def _e17_claims(rows: list[dict], params: dict) -> list[str]:
+    """Both gossips valid; Q_n's takes ⌈log₂N⌉ rounds, sparse no fewer."""
+    fails = []
+    for row in rows:
+        case = f"n={row['n']}, m={row['m']}"
+        q_rounds = row["Q_n rounds (k=1)"]
+        if not row["Q_n valid+complete"]:
+            fails.append(f"{case}: Q_n's gossip invalid or incomplete")
+        if not row["sparse valid+complete"]:
+            fails.append(f"{case}: the sparse gossip invalid or incomplete")
+        if q_rounds != row["min rounds ⌈log₂N⌉"]:
+            fails.append(f"{case}: Q_n's gossip takes {q_rounds} rounds ≠ ⌈log₂N⌉")
+        if row["sparse rounds (k=3)"] < q_rounds:
+            fails.append(f"{case}: the sparse gossip beats Q_n's optimum")
+    return fails
+
+
+@experiment("e17", "Section 5: gossip under the k-line model", claims=_e17_claims)
 def experiment_e17_gossip(
     *, cases: tuple[tuple[int, int], ...] = ((4, 2), (6, 2), (8, 3), (10, 3))
 ) -> list[dict]:
@@ -130,7 +166,22 @@ def experiment_e17_gossip(
 # E19  robustness ablation: random edge failures + repair
 # ---------------------------------------------------------------------------
 
-@experiment("e19", "Robustness: edge failures + repair")
+def _e19_claims(rows: list[dict], params: dict) -> list[str]:
+    """Repair rate non-increasing in failures; every repair is valid."""
+    rates = [row["repair rate"] for row in rows]
+    fails = []
+    if any(a < b for a, b in zip(rates, rates[1:])):
+        fails.append(f"repair rates rise with the failure count: {rates}")
+    for row in rows:
+        if row["repaired & valid"] != row["repaired"]:
+            fails.append(
+                f"f={row['failures f']}: {row['repaired & valid']} of "
+                f"{row['repaired']} repaired schedules valid"
+            )
+    return fails
+
+
+@experiment("e19", "Robustness: edge failures + repair", claims=_e19_claims)
 def experiment_e19_faults(
     *,
     n: int = 8,
@@ -186,7 +237,20 @@ def experiment_e19_faults(
 # E20  §5 extension: the vertex-disjoint call model
 # ---------------------------------------------------------------------------
 
-@experiment("e20", "Section 5: vertex-disjoint calls")
+def _e20_claims(rows: list[dict], params: dict) -> list[str]:
+    """Constructions are minimum-time with vertex-disjoint calls; B_3 is not."""
+    construct = [row for row in rows if row["instance"].startswith("Construct")]
+    tree = [row for row in rows if row["instance"].startswith("Theorem-1")]
+    fails = [] if construct else ["no Construct rows"]
+    for row in construct:
+        if not row["minimum time"]:
+            fails.append(f"{row['instance']}: not minimum time")
+    if not tree or tree[0]["minimum time"]:
+        fails.append("no Theorem-1 tree row, or its scheme is minimum time")
+    return fails
+
+
+@experiment("e20", "Section 5: vertex-disjoint calls", claims=_e20_claims)
 def experiment_e20_vertex_disjoint(
     *,
     cases: tuple[tuple[int, int, tuple[int, ...]], ...] = (
@@ -240,7 +304,27 @@ def experiment_e20_vertex_disjoint(
 # E21  wormhole cycle cost: degree savings vs latency overhead
 # ---------------------------------------------------------------------------
 
-@experiment("e21", "Wormhole cycle cost: degree vs latency")
+def _e21_claims(rows: list[dict], params: dict) -> list[str]:
+    """k=2 costs more cycles, by a ratio that shrinks to < 5% with size."""
+    q_key = next(key for key in rows[0] if key.startswith("Q_n cycles"))
+    s_keys = [key for key in rows[0] if key.startswith("sparse k=2")]
+    if not s_keys:
+        return ["no sparse k=2 column"]
+    fails = []
+    for row in rows:
+        if row[s_keys[0]] < row[q_key]:
+            fails.append(f"{row['message flits']} flits: k=2 beats Q_n")
+    ratios = [row[s_keys[0]] / row[q_key] for row in rows]
+    if any(a < b for a, b in zip(ratios, ratios[1:])):
+        fails.append(f"k=2 overhead ratios rise with message size: {ratios}")
+    if not ratios[0] > ratios[-1]:
+        fails.append("k=2 overhead does not shrink from the smallest message")
+    if not ratios[-1] < 1.05:
+        fails.append(f"k=2 overhead {ratios[-1]:.3f}× at the largest message")
+    return fails
+
+
+@experiment("e21", "Wormhole cycle cost: degree vs latency", claims=_e21_claims)
 def experiment_e21_wormhole(
     *,
     n: int = 10,
@@ -275,7 +359,7 @@ def experiment_e21_wormhole(
         rows.append(
             {
                 "message flits": flits,
-                "Q_n cycles (Δ=10)": lat_q.total_cycles,
+                f"Q_n cycles (Δ={n})": lat_q.total_cycles,
                 f"sparse k=2 cycles (Δ={sh2.degree_formula()})": lat_2.total_cycles,
                 f"sparse k=3 cycles (Δ={sh3.degree_formula()})": lat_3.total_cycles,
                 "k=2 overhead": f"{100 * (lat_2.total_cycles / base - 1):.0f}%",
@@ -289,7 +373,22 @@ def experiment_e21_wormhole(
 # E22  multi-message broadcast (the [24] extension)
 # ---------------------------------------------------------------------------
 
-@experiment("e22", "Multiple messages broadcasting ([24])")
+def _e22_claims(rows: list[dict], params: dict) -> list[str]:
+    """Two messages: Q_3 (k=1) meets its bound of 5 rounds; G_{3,1} (k=2) too."""
+    by_instance = {row["instance"]: row for row in rows}
+    q3 = by_instance["Q_3, M=2, k=1 (exact search)"]
+    sparse = by_instance["G_{3,1}, M=2, k=2 (exact search)"]
+    fails = []
+    if not q3["rounds"].startswith("5"):
+        fails.append(f"Q_3: {q3['rounds']} rounds, not 5")
+    if q3["lower bound"] != 5:
+        fails.append(f"Q_3: lower bound {q3['lower bound']} ≠ 5")
+    if sparse["rounds"] != "5":
+        fails.append(f"G_{{3,1}}: {sparse['rounds']} rounds, not 5")
+    return fails
+
+
+@experiment("e22", "Multiple messages broadcasting ([24])", claims=_e22_claims)
 def experiment_e22_multimessage() -> list[dict]:
     """Multiple messages from one source: pipelining the paper's scheme is
     impossible (saturated callers), but genuine multi-message schedules

@@ -52,7 +52,21 @@ __all__ = [
 # E09  Theorem 4 (Broadcast_2 sweep)
 # ---------------------------------------------------------------------------
 
-@experiment("e09", "Theorem 4: Broadcast_2 sweep")
+def _e09_claims(rows: list[dict], params: dict) -> list[str]:
+    """Theorem 4: Broadcast_2 is a valid n-round 2-line broadcast."""
+    fails = [] if rows else ["no (n, m) swept"]
+    for row in rows:
+        case = f"G_{{{row['n']},{row['m']}}}"
+        if not row["valid (≤2)"]:
+            fails.append(f"{case}: not a valid minimum-time 2-line broadcast")
+        if row["max call len"] > 2:
+            fails.append(f"{case}: a call of length {row['max call len']} > 2")
+        if row["rounds"] != row["n"]:
+            fails.append(f"{case}: {row['rounds']} rounds ≠ n")
+    return fails
+
+
+@experiment("e09", "Theorem 4: Broadcast_2 sweep", claims=_e09_claims)
 def experiment_e09_broadcast2(
     *, n_values: tuple[int, ...] = (3, 4, 5, 6, 7, 8, 10, 12), sources_cap: int = 16
 ) -> list[dict]:
@@ -86,7 +100,25 @@ def experiment_e09_broadcast2(
 # E10  Theorem 5
 # ---------------------------------------------------------------------------
 
-@experiment("e10", "Theorem 5: k=2 degree bound")
+def _e10_claims(rows: list[dict], params: dict) -> list[str]:
+    """Theorem 5: ⌈√n⌉ ≤ Δ ≤ min(bound, n); the remark rows reach Δ = 2m."""
+    fails = []
+    for row in rows:
+        n, delta = row["n"], row["Δ measured"]
+        if not row["Δ ≤ bound"]:
+            fails.append(f"n={n}: Δ = {delta} above Theorem 5's bound")
+        if not row["lower ⌈√n⌉"] <= delta <= row["Δ(Q_n)"]:
+            fails.append(f"n={n}: Δ = {delta} outside [⌈√n⌉, n]")
+    remark = [row for row in rows if str(row["case"]).startswith("remark")]
+    if not remark:
+        fails.append("no n = m(m+2) remark rows")
+    for row in remark:
+        if row["Δ measured"] != 2 * row["m*"]:
+            fails.append(f"n={row['n']}: remark Δ = {row['Δ measured']} ≠ 2m")
+    return fails
+
+
+@experiment("e10", "Theorem 5: k=2 degree bound", claims=_e10_claims)
 def experiment_e10_theorem5(
     *, n_values: tuple[int, ...] = tuple(range(2, 65, 4))
 ) -> list[dict]:
@@ -132,7 +164,19 @@ def experiment_e10_theorem5(
 # E12  Theorem 6 (Broadcast_k sweep)
 # ---------------------------------------------------------------------------
 
-@experiment("e12", "Theorem 6: Broadcast_k sweep")
+def _e12_claims(rows: list[dict], params: dict) -> list[str]:
+    """Theorem 6: Broadcast_k is a valid minimum-time k-line broadcast."""
+    fails = [] if rows else ["no construction swept"]
+    for row in rows:
+        case = f"k={row['k']}, n={row['n']}"
+        if not row["valid (≤k)"]:
+            fails.append(f"{case}: not a valid minimum-time k-line broadcast")
+        if row["max call len"] > row["k"]:
+            fails.append(f"{case}: a call of length {row['max call len']} > k")
+    return fails
+
+
+@experiment("e12", "Theorem 6: Broadcast_k sweep", claims=_e12_claims)
 def experiment_e12_broadcastk(
     *,
     cases: tuple[tuple[int, int, tuple[int, ...]], ...] = (
@@ -173,7 +217,21 @@ def experiment_e12_broadcastk(
 # E13  Theorem 7 + Corollaries
 # ---------------------------------------------------------------------------
 
-@experiment("e13", "Theorem 7 + corollaries: general k")
+def _e13_claims(rows: list[dict], params: dict) -> list[str]:
+    """Theorem 7: lower bound ≤ analytic Δ ≤ bound; optimized ≤ analytic."""
+    fails = []
+    for row in rows:
+        case, analytic = f"k={row['k']}, n={row['n']}", row["Δ analytic"]
+        if not row["Δ ≤ bound"]:
+            fails.append(f"{case}: Δ = {analytic} above the bound")
+        if row["lower bound"] > analytic:
+            fails.append(f"{case}: Δ = {analytic} below the lower bound")
+        if isinstance(row["Δ optimized"], int) and row["Δ optimized"] > analytic:
+            fails.append(f"{case}: optimized Δ = {row['Δ optimized']} > analytic")
+    return fails
+
+
+@experiment("e13", "Theorem 7 + corollaries: general k", claims=_e13_claims)
 def experiment_e13_theorem7(
     *,
     ks: tuple[int, ...] = (3, 4, 5),
@@ -230,7 +288,23 @@ def experiment_e13_theorem7(
 # E16  k = 1 baseline
 # ---------------------------------------------------------------------------
 
-@experiment("e16", "k=1 store-and-forward baseline")
+def _e16_claims(rows: list[dict], params: dict) -> list[str]:
+    """Q_n broadcasts at k=1; the sparse scheme needs k=2; sparse Δ ≤ n."""
+    fails = []
+    for row in rows:
+        n = row["n"]
+        if not row["Q_n binomial valid @k=1"]:
+            fails.append(f"n={n}: Q_n's binomial broadcast invalid at k=1")
+        if row["sparse sched valid @k=1"]:
+            fails.append(f"n={n}: the sparse scheme is valid at k=1")
+        if not row["sparse sched valid @k=2"]:
+            fails.append(f"n={n}: the sparse scheme is invalid at k=2")
+        if row["sparse Δ"] > row["Δ(Q_n)"]:
+            fails.append(f"n={n}: sparse Δ = {row['sparse Δ']} > n")
+    return fails
+
+
+@experiment("e16", "k=1 store-and-forward baseline", claims=_e16_claims)
 def experiment_e16_baseline_k1(
     *, n_values: tuple[int, ...] = (4, 6, 8, 10)
 ) -> list[dict]:

@@ -1,11 +1,13 @@
 """Declarative experiment registry.
 
 Every experiment function registers itself with the :func:`experiment`
-decorator, declaring its id (``e01`` … ``e22``) and a one-line title.
-The registry is the single source of truth consumed by the CLI
-(``repro run`` / ``repro list``), the parallel runner
-(:mod:`repro.analysis.runner`), and the benchmarks — the old hand-kept
-``EXPERIMENTS`` dict in ``cli.py`` is gone.
+decorator, declaring its id (``e01`` … ``e23``), a one-line title and
+its claim check: ``claims(rows, params)`` returns the messages of the
+paper's claims that ``rows`` (computed with effective ``params``) fail,
+so an empty list means every claim holds.  The registry is the single
+source of truth consumed by the CLI (``repro run`` / ``repro list``),
+the parallel runner (:mod:`repro.analysis.runner`, which checks every
+result's claims), the claims test and the experiments benchmark.
 
 Experiments keep their keyword-only parameters; the registry introspects
 the defaults so a run can be cached under a hash of the *effective*
@@ -40,13 +42,17 @@ __all__ = [
 ]
 
 
+Claims = Callable[[list[dict], dict], list[str]]
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registered experiment: id, title, callable, and module."""
+    """One registered experiment: id, title, callable, claims, module."""
 
     name: str
     title: str
     fn: Callable[..., list[dict]]
+    claims: Claims
     module: str = field(default="")
 
     def __call__(self, **params) -> list[dict]:
@@ -56,8 +62,8 @@ class ExperimentSpec:
 _REGISTRY: dict[str, ExperimentSpec] = {}
 
 
-def experiment(name: str, title: str) -> Callable:
-    """Register ``fn`` under experiment id ``name``.
+def experiment(name: str, title: str, *, claims: Claims) -> Callable:
+    """Register ``fn`` under experiment id ``name``, with its claim check.
 
     Ids are lowercase (``e01``).  Double registration of the same id is a
     programming error and raises immediately.
@@ -71,7 +77,7 @@ def experiment(name: str, title: str) -> Callable:
                 f"({_REGISTRY[key].fn.__module__} and {fn.__module__})"
             )
         _REGISTRY[key] = ExperimentSpec(
-            name=key, title=title, fn=fn, module=fn.__module__
+            name=key, title=title, fn=fn, claims=claims, module=fn.__module__
         )
         return fn
 

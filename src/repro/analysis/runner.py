@@ -12,7 +12,9 @@ keeps every experiment that finished before the failure.
 
 Every experiment returns ``list[dict]`` rows of JSON scalars, so the
 cache round-trips losslessly and byte-identically (object key order is
-preserved by ``json``).
+preserved by ``json``).  The parent checks every result's rows against
+its experiment's claims, executed and cached alike, so a cache entry
+never vouches for a claim.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ DEFAULT_CACHE_DIR = Path(".repro-cache")
 
 @dataclass
 class RunResult:
-    """One experiment's outcome: rows plus provenance."""
+    """One experiment's outcome: rows, provenance and the messages of
+    the claims its rows fail (empty when every claim holds)."""
 
     name: str
     title: str
@@ -47,6 +50,7 @@ class RunResult:
     digest: str
     seconds: float
     cached: bool
+    failed_claims: list[str]
 
 
 @dataclass
@@ -55,7 +59,6 @@ class RunnerStats:
 
     executed: int = 0
     cache_hits: int = 0
-    cache_misses: int = 0
     seconds: float = 0.0
 
 
@@ -129,7 +132,8 @@ class ExperimentRunner:
         """Run the named experiments (all registered ones when ``None``).
 
         ``overrides`` maps experiment id → parameter overrides.  Results
-        come back in request order regardless of worker scheduling.
+        come back in request order regardless of worker scheduling, each
+        with the failed-claim messages of its rows.
         """
         t_start = time.perf_counter()
         if names is None:
@@ -149,18 +153,18 @@ class ExperimentRunner:
             rows = _cached_rows(self.cache, name, digest)
             if rows is not None:
                 self.stats.cache_hits += 1
+                spec = registry.get_experiment(name)
                 results[idx] = RunResult(
                     name=name,
-                    title=registry.get_experiment(name).title,
+                    title=spec.title,
                     rows=rows,
                     params=params,
                     digest=digest,
                     seconds=0.0,
                     cached=True,
+                    failed_claims=spec.claims(rows, params),
                 )
             else:
-                if self.cache is not None:
-                    self.stats.cache_misses += 1
                 to_run.append((idx, name, params, digest))
 
         def record(index: int, value: tuple[str, list[dict], float]) -> None:
@@ -183,14 +187,16 @@ class ExperimentRunner:
                         "rows": rows,
                     },
                 )
+            spec = registry.get_experiment(name)
             results[idx] = RunResult(
                 name=name,
-                title=registry.get_experiment(name).title,
+                title=spec.title,
                 rows=rows,
                 params=params,
                 digest=digest,
                 seconds=seconds,
                 cached=False,
+                failed_claims=spec.claims(rows, params),
             )
 
         if to_run:

@@ -4,10 +4,12 @@ Subcommands (all backed by the experiment registry and the parallel
 runner — see :mod:`repro.analysis.registry` / :mod:`repro.analysis.runner`):
 
 ``run``
-    Execute experiments and print their tables.  ``--all`` selects every
-    registered experiment, ``--jobs N`` fans out over N worker
-    processes, ``--cache`` memoizes results as JSON under ``--cache-dir``
-    so a repeat invocation executes nothing.
+    Execute experiments and print their tables, each followed by its
+    claim verdict (``[E01] claims hold`` or ``[E01] claims FAILED: ...``,
+    checked on cached rows too); exit 1 when any claim fails.  ``--all``
+    selects every registered experiment, ``--jobs N`` fans out over N
+    worker processes, ``--cache`` memoizes results as JSON under
+    ``--cache-dir`` so a repeat invocation executes nothing.
 
 ``list``
     Show every registered experiment id and title.
@@ -82,7 +84,8 @@ runner — see :mod:`repro.analysis.registry` / :mod:`repro.analysis.runner`):
 Failures exit 2 with a single stderr line carrying the stable
 machine-readable error code from :mod:`repro.errors`, e.g.
 ``schedule failed [invalid-parameter]: ...`` — the same codes the
-service returns in its HTTP error JSON.
+service returns in its HTTP error JSON.  Ctrl-C exits 130 with the one
+line ``<command> interrupted``.
 
 A bare ``python -m repro`` is ``repro run``: every experiment.
 """
@@ -758,16 +761,20 @@ def _cmd_run(
         # REPRO_CHAOS spec, cache IO): one line, never a traceback
         return _fail("run", exc)
     for res in results:
+        tag = f"[{res.name.upper()}]"
         origin = "cache" if res.cached else f"{res.seconds:.2f}s"
-        title = f"[{res.name.upper()}] {res.title}  ({origin})"
-        print(format_table(res.rows, title=title))
+        print(format_table(res.rows, title=f"{tag} {res.title}  ({origin})"))
+        if res.failed_claims:
+            print(f"{tag} claims FAILED: {'; '.join(res.failed_claims)}")
+        else:
+            print(f"{tag} claims hold")
         print()
     stats = runner.stats
     print(
         f"ran {stats.executed} experiment(s), {stats.cache_hits} cache hit(s), "
         f"{stats.seconds:.2f}s total (jobs={jobs})"
     )
-    return 0
+    return 1 if any(res.failed_claims for res in results) else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -887,6 +894,16 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(argv or ["run"])
+    try:
+        return _dispatch(args)
+    except KeyboardInterrupt:
+        # Ctrl-C: the pools' context exits have already stopped their
+        # workers, so one line replaces the traceback
+        print(f"{args.command} interrupted", file=sys.stderr)
+        return 130
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "export-csv":

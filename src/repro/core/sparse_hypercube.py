@@ -35,6 +35,7 @@ from functools import cached_property
 
 from repro.domination.labeling import ConditionALabeling
 from repro.graphs.base import Graph
+from repro.graphs.hypercube import MAX_DIMENSION
 from repro.types import InvalidParameterError
 
 __all__ = ["Level", "SparseHypercube"]
@@ -165,6 +166,10 @@ class SparseHypercube:
     levels: list[Level] = field(repr=False)
 
     def __post_init__(self) -> None:
+        if self.n > MAX_DIMENSION:
+            raise InvalidParameterError(
+                f"sparse hypercube dimension {self.n} exceeds {MAX_DIMENSION}"
+            )
         if self.k < 2:
             raise InvalidParameterError(f"need k >= 2, got {self.k}")
         if len(self.thresholds) != self.k - 1:

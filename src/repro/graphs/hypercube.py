@@ -19,11 +19,16 @@ from repro.types import InvalidParameterError
 from repro.util.bits import all_vertices
 
 __all__ = [
+    "MAX_DIMENSION",
     "hypercube",
     "hypercube_edge_array",
     "dimension_of_edge",
     "subcube_vertices",
 ]
+
+# The largest cube dimension built (Q_24: 2^24 vertices, 24·2^23 edges);
+# Q_n's edge array and every sparse hypercube are checked against it.
+MAX_DIMENSION = 24
 
 
 def hypercube_edge_array(n: int) -> np.ndarray:
@@ -32,8 +37,10 @@ def hypercube_edge_array(n: int) -> np.ndarray:
     Row order: dimension 1 edges first (sorted by lower endpoint), then
     dimension 2, etc.  Each row is ``(u, u ^ 2^{i-1})`` with ``u < v``.
     """
-    if n < 0 or n > 24:
-        raise InvalidParameterError(f"hypercube dimension out of range [0, 24]: {n}")
+    if n < 0 or n > MAX_DIMENSION:
+        raise InvalidParameterError(
+            f"hypercube dimension out of range [0, {MAX_DIMENSION}]: {n}"
+        )
     verts = all_vertices(n)
     rows = []
     for i in range(1, n + 1):
@@ -47,9 +54,8 @@ def hypercube_edge_array(n: int) -> np.ndarray:
 
 def hypercube(n: int) -> Graph:
     """The complete binary n-cube ``Q_n`` on ``2^n`` vertices."""
-    if n < 0 or n > 24:
-        raise InvalidParameterError(f"hypercube dimension out of range [0, 24]: {n}")
-    return Graph(1 << n, [(int(u), int(v)) for u, v in hypercube_edge_array(n)])
+    edges = hypercube_edge_array(n)  # checks the dimension first
+    return Graph(1 << n, [(int(u), int(v)) for u, v in edges])
 
 
 def dimension_of_edge(u: int, v: int) -> int:

@@ -13,7 +13,7 @@ surface, so the fault discipline is written down once:
 * **Deterministic exponential backoff with seeded jitter.**
   ``backoff(attempt, key)`` doubles from ``base_delay`` up to
   ``max_delay`` and jitters each step by a factor derived from
-  ``sha256(seed, key, attempt)`` — the same run always sleeps the same
+  ``sha256(0, key, attempt)`` — the same run always sleeps the same
   amount (no module-global RNG, RL001), while distinct tasks decorrelate.
 * **Per-task deadlines.**  ``task_timeout`` seconds per task, counted
   from the task's dispatch (see ``WorkerPool``), so a hung task surfaces
@@ -62,7 +62,6 @@ class RetryPolicy:
     base_delay: float = 0.05
     max_delay: float = 2.0
     task_timeout: float | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -90,13 +89,12 @@ class RetryPolicy:
         *,
         retries: int | None = None,
         task_timeout: float | None = None,
-        seed: int = 0,
     ) -> RetryPolicy:
         """Build a policy from the CLI's ``--retries``/``--task-timeout``."""
         if retries is not None and retries < 0:
             raise InvalidParameterError(f"retries must be >= 0, got {retries}")
         attempts = DEFAULT_MAX_ATTEMPTS if retries is None else retries + 1
-        return cls(max_attempts=attempts, task_timeout=task_timeout, seed=seed)
+        return cls(max_attempts=attempts, task_timeout=task_timeout)
 
     def backoff(self, attempt: int, key: str = "") -> float:
         """Seconds to wait before re-dispatching attempt ``attempt``.
@@ -108,4 +106,4 @@ class RetryPolicy:
         if attempt < 1 or self.base_delay == 0:
             return 0.0
         nominal = min(self.max_delay, self.base_delay * 2 ** (attempt - 1))
-        return nominal * (0.5 + seeded_jitter(self.seed, key, attempt) / 2)
+        return nominal * (0.5 + seeded_jitter(0, key, attempt) / 2)

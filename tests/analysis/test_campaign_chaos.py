@@ -424,19 +424,18 @@ def _running(pid):
 
 
 class TestCtrlC:
-    """SIGINT to a parallel campaign while one task is held: the CLI
-    exits at once, takes its workers with it, and the re-run executes
-    only the held scenario."""
+    """SIGINT to a parallel run while one task is held: the CLI exits at
+    once with one stderr line and rc 130, takes its workers with it, and
+    a campaign's re-run executes only the held scenario."""
 
-    def _cli(self, out_dir, *, chaos_spec=None):
+    def _cli(self, *args, chaos_spec=None):
         env = dict(os.environ)
         env["PYTHONPATH"] = _SRC
         env.pop("REPRO_CHAOS", None)
         if chaos_spec is not None:
             env["REPRO_CHAOS"] = chaos_spec
         return subprocess.Popen(
-            [sys.executable, "-m", "repro", "campaign", "run", "paper-grid"]
-            + ["--jobs", "2", "--no-cache", "--out-dir", str(out_dir)],
+            [sys.executable, "-m", "repro", *args],
             env=env,
             start_new_session=True,  # the signal must reach the CLI alone
             stdout=subprocess.PIPE,
@@ -444,33 +443,45 @@ class TestCtrlC:
             text=True,
         )
 
+    def _campaign(self, out_dir, *, chaos_spec=None):
+        argv = ["campaign", "run", "paper-grid", "--jobs", "2", "--no-cache"]
+        return self._cli(*argv, "--out-dir", str(out_dir), chaos_spec=chaos_spec)
+
+    def _interrupt(self, proc, command, ready):
+        """Once ``ready()``, SIGINT ``proc``; pin its exit and stderr."""
+        try:
+            deadline = time.monotonic() + 60
+            while not ready():
+                assert proc.poll() is None, "the run exited before the signal"
+                assert time.monotonic() < deadline, "the run never got ready"
+                time.sleep(0.02)
+            kids = _children(proc.pid)
+            assert len(kids) == 2
+            proc.send_signal(signal.SIGINT)
+            t0 = time.monotonic()
+            _, stderr = proc.communicate(timeout=30)
+            assert time.monotonic() - t0 < 5.0
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate(timeout=30)
+        assert proc.returncode == 130
+        assert stderr.splitlines() == [f"{command} interrupted"]
+        assert not [kid for kid in kids if _running(kid)]
+
     def test_interrupted_run_leaves_no_worker_and_resumes(self, tmp_path):
         spec = campaigns.load_campaign("paper-grid")
         out = tmp_path / "interrupted"
         ckpt = _checkpoint(out, spec)
         # the fourth dispatched scenario sleeps 4 s: the other fifteen
         # land first, then the run waits on it
-        proc = self._cli(out, chaos_spec="delay:task=3:ms=4000")
-        try:
-            deadline = time.monotonic() + 60
-            while len(list(ckpt.glob("*.json"))) < spec.n_scenarios - 1:
-                assert proc.poll() is None, "campaign exited before the signal"
-                assert time.monotonic() < deadline, "checkpoint never filled"
-                time.sleep(0.02)
-            kids = _children(proc.pid)
-            assert len(kids) == 2
-            proc.send_signal(signal.SIGINT)
-            t0 = time.monotonic()
-            proc.communicate(timeout=30)
-            assert time.monotonic() - t0 < 5.0
-        finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.communicate(timeout=30)
-        assert proc.returncode != 0
-        assert not [kid for kid in kids if _running(kid)]
+        self._interrupt(
+            self._campaign(out, chaos_spec="delay:task=3:ms=4000"),
+            "campaign",
+            lambda: len(list(ckpt.glob("*.json"))) >= spec.n_scenarios - 1,
+        )
 
-        resumed = self._cli(out)
+        resumed = self._campaign(out)
         stdout, stderr = resumed.communicate(timeout=120)
         assert resumed.returncode == 0, stderr
         assert f"(1 executed, {spec.n_scenarios - 1} cached" in stdout
@@ -481,3 +492,8 @@ class TestCtrlC:
             == artifact_path(clean, spec).read_bytes()
         )
         assert not ckpt.exists()
+
+    def test_interrupted_experiment_run_exits_130(self):
+        held = "delay:task=0:ms=4000"  # the first experiment sleeps 4 s
+        proc = self._cli("run", "e02", "e04", "e06", "--jobs", "2", chaos_spec=held)
+        self._interrupt(proc, "run", lambda: len(_children(proc.pid)) == 2)

@@ -16,7 +16,7 @@ class TestRegistryContents:
     def test_specs_have_titles_and_callables(self):
         for spec in registry.all_experiments():
             assert spec.title
-            assert callable(spec.fn)
+            assert callable(spec.fn) and callable(spec.claims)
             assert spec.module.startswith("repro.analysis.exp_")
 
     def test_lookup_is_case_insensitive(self):
@@ -33,7 +33,7 @@ class TestRegistryContents:
 
     def test_double_registration_rejected(self):
         with pytest.raises(InvalidParameterError):
-            registry.experiment("e06", "duplicate")(lambda: [])
+            registry.experiment("e06", "duplicate", claims=lambda r, p: [])(lambda: [])
 
 
 class TestParams:

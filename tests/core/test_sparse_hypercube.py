@@ -136,6 +136,12 @@ class TestSparseHypercubeStructure:
         with pytest.raises(InvalidParameterError):
             construct(3, 7, (2, 7))
 
+    def test_dimension_bound_is_the_cube_bound(self):
+        with pytest.raises(InvalidParameterError, match="dimension 25 exceeds 24"):
+            construct_base(25, 4)
+        with pytest.raises(InvalidParameterError, match="dimension 40 exceeds 24"):
+            construct(3, 40, (2, 5))
+
     def test_describe_mentions_parameters(self):
         sh = construct_base(5, 2)
         text = sh.describe()

@@ -109,6 +109,11 @@ class TestValidateErrors:
     def test_out_of_range_n(self):
         assert_clean_failure(run_cli("validate", "--n", "0"))
 
+    def test_n_over_the_cube_dimension_bound(self):
+        assert_clean_failure(
+            run_cli("validate", "--n", "40"), needle="dimension 40 exceeds 24"
+        )
+
 
 class TestCampaignErrors:
     def test_unknown_campaign(self):

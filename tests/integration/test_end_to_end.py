@@ -6,6 +6,8 @@ between independent implementations (scheme vs exact search, flat rule vs
 recursive reference, formula vs built graph, our BFS vs networkx).
 """
 
+import json
+
 import pytest
 
 from repro.core.bounds import upper_bound_theorem5, upper_bound_theorem7
@@ -116,6 +118,7 @@ class TestCLISubcommands:
         assert main(["run", "e06"]) == 0
         out = capsys.readouterr().out
         assert "[E06]" in out
+        assert "[E06] claims hold" in out
         assert "ran 1 experiment(s)" in out
 
     def test_list_subcommand(self, capsys):
@@ -143,6 +146,7 @@ class TestCLISubcommands:
         second = capsys.readouterr().out
         assert "ran 0 experiment(s), 2 cache hit(s)" in second
         assert "(cache)" in second
+        assert "[E02] claims hold" in second and "[E04] claims hold" in second
         # tables themselves identical across the cached re-run
         def strip(s):
             return [
@@ -151,6 +155,22 @@ class TestCLISubcommands:
             ]
 
         assert strip(first) == strip(second)
+
+    def test_false_claim_in_cached_rows_exits_1(self, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = ["run", "e04", "e06", "--cache", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        (entry,) = tmp_path.glob("e04-*.json")
+        payload = json.loads(entry.read_text())
+        payload["rows"][1]["labels"] = 5  # Example 1's Q₃ labeling
+        entry.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "ran 0 experiment(s), 2 cache hit(s)" in out
+        assert "[E04] claims FAILED: Example 1 Q₃ (complement pairs): 5 labels" in out
+        assert "[E06] claims hold" in out
 
     def test_clean_cache_subcommand(self, tmp_path, capsys):
         from repro.cli import main

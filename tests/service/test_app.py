@@ -108,8 +108,9 @@ class TestSchedule:
         assert status == 404
         assert json.loads(payload)["error"]["code"] == "unknown-name"
 
-    def test_bad_graph_spec_is_400(self, service):
-        body = json.dumps({"graph": "bogus:4"}).encode()
+    @pytest.mark.parametrize("spec", ["bogus:4", "sparse:40:3"])
+    def test_bad_graph_spec_is_400(self, service, spec):
+        body = json.dumps({"graph": spec}).encode()
         status, payload = dispatch(service, "POST", "/v1/schedule", body)
         assert status == 400
         assert json.loads(payload)["error"]["code"] == "invalid-parameter"
@@ -197,6 +198,14 @@ class TestValidate:
         served = protocol.encode_canonical(data["reports"][0])
         assert served == protocol.encode_canonical(expected_report_wire(frame))
 
+    def test_graph_over_the_cube_dimension_bound_is_400(self, service):
+        body = validate_body(broadcast_frames(1), graph="sparse:40:3")
+        status, payload = dispatch(service, "POST", "/v1/validate", body)
+        assert status == 400
+        error = json.loads(payload)["error"]
+        assert error["code"] == "invalid-parameter"
+        assert "dimension 40 exceeds 24" in error["message"]
+
     def test_unknown_engine_is_400(self, service):
         frame = broadcast_frames(1)[0]
         status, payload = dispatch(
@@ -280,8 +289,9 @@ class TestCertificate:
         dump_certificate(cert, str(path))
         assert payload == path.read_bytes()
 
-    def test_bad_construction_is_400(self, service):
-        body = json.dumps({"construction": "hypercube:4"}).encode()
+    @pytest.mark.parametrize("spec", ["hypercube:4", "sparse:40"])
+    def test_bad_construction_is_400(self, service, spec):
+        body = json.dumps({"construction": spec}).encode()
         status, payload = dispatch(service, "POST", "/v1/certificate", body)
         assert status == 400
         assert json.loads(payload)["error"]["code"] == "invalid-parameter"

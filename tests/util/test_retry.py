@@ -42,15 +42,12 @@ class TestConstruction:
 
 class TestBackoff:
     def test_deterministic_across_calls(self):
-        policy = RetryPolicy(seed=7)
+        policy = RetryPolicy()
         first = [policy.backoff(a, key="t1") for a in range(1, 5)]
         second = [policy.backoff(a, key="t1") for a in range(1, 5)]
         assert first == second
 
-    def test_seed_and_key_decorrelate(self):
-        assert RetryPolicy(seed=1).backoff(1, "x") != RetryPolicy(seed=2).backoff(
-            1, "x"
-        )
+    def test_keys_decorrelate(self):
         policy = RetryPolicy()
         assert policy.backoff(1, "a") != policy.backoff(1, "b")
 
