@@ -48,7 +48,7 @@ from repro.analysis.scenarios import (
     warm_scenario_caches,
 )
 from repro.analysis import store
-from repro.errors import ScenarioError, capture
+from repro.errors import ScenarioError, captured_call, format_cause
 from repro.graphs.specs import spec_vertices
 from repro.types import InvalidParameterError, ReproError
 from repro.util.pool import TaskFault, WorkerPool
@@ -595,13 +595,17 @@ class CampaignStats:
 def _execute_scenario(sc: Scenario) -> tuple[str, object, float]:
     """Worker entry point (top-level, picklable): run one scenario.
 
-    Failures come back as values (:func:`repro.errors.capture`) instead
-    of propagating, so the parent stores every *completed* scenario
-    before reporting — a crash in scenario 99 of 100 must not discard
-    98 finished entries (the resumable-run contract).
+    Failures come back as values (:func:`repro.errors.captured_call`)
+    instead of propagating, so the parent stores every *completed*
+    scenario before reporting — a crash in scenario 99 of 100 must not
+    discard 98 finished entries (the resumable-run contract).  A failure
+    travels as its one-line cause, the string a :class:`ScenarioError`
+    is built from in the parent.
     """
     t0 = time.perf_counter()
-    status, payload = capture(run_scenario, sc)
+    status, payload = captured_call(run_scenario, sc)
+    if status == "raise":
+        payload = format_cause(payload)
     return status, payload, time.perf_counter() - t0
 
 
@@ -714,9 +718,9 @@ class CampaignRunner:
                 )
             else:
                 to_run.append(sc)
-        # Warm each worker once (pool initializer; in-process for
-        # jobs == 1): the graph/construction instances and the per-graph
-        # engine validators the shard will touch.  Sorted tuple: small,
+        # Warm each worker once (the pool initializer): the
+        # graph/construction instances and the per-graph engine
+        # validators the shard will touch.  Sorted tuple: small,
         # picklable, deterministic (RL008).
         warm_pairs = tuple(
             sorted({(sc.graph, sc.scheduler == SCHEME_SCHEDULER) for sc in to_run})
@@ -751,7 +755,7 @@ class CampaignRunner:
             if result is None:
                 continue  # quarantined: reported via task_faults below
             status, payload, seconds = result
-            if status == "error":
+            if status == "raise":
                 failures.append(ScenarioError(sc.scenario_id, str(payload)))
                 continue
             self.stats.executed += 1

@@ -89,13 +89,14 @@ def _cached_rows(
 
 
 class ExperimentRunner:
-    """Run experiments sequentially or across ``jobs`` worker processes.
+    """Run experiments on ``jobs`` worker processes.
 
     Parameters
     ----------
     jobs:
-        Worker process count; ``1`` (default) runs in-process, which is
-        also the fallback when only one experiment is requested.
+        Worker process count (default 1), capped at the number of
+        experiments to execute.  Every experiment runs in a worker, so
+        deadlines, retries and ``REPRO_CHAOS`` apply at every count.
     cache_dir:
         When set, each result is stored as
         ``<cache_dir>/<name>-<digest>.json`` as soon as it finishes, and
@@ -103,8 +104,8 @@ class ExperimentRunner:
         from disk without executing the experiment.
     retry:
         The :class:`~repro.util.retry.RetryPolicy` governing worker
-        crash/timeout recovery for the parallel path (default: the
-        policy defaults — bounded retries, no task deadline).
+        crash/timeout recovery (default: the policy defaults — bounded
+        retries, no task deadline).
     """
 
     def __init__(

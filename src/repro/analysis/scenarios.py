@@ -280,8 +280,7 @@ def warm_scenario_caches(pairs: tuple[tuple[str, bool], ...]) -> None:
     construction) is built into the spec-keyed cache and the per-graph
     validators are built into the engine cache, so the worker's first
     scenario starts hot instead of paying the whole build cost inside
-    its task.  Runs in-process for ``jobs == 1``, keeping serial and
-    parallel campaign executions on the same warm path.
+    its task.
     """
     from repro.engine.cache import fast_validator_for
 

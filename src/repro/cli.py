@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--all", action="store_true", help="run every experiment")
     p_run.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (default 1 = sequential)",
+        help="worker processes (default 1)",
     )
     p_run.add_argument(
         "--cache", action="store_true",
@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_camp_run.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (default 1 = sequential)",
+        help="worker processes (default 1)",
     )
     p_camp_run.add_argument(
         "--retries", type=int, default=None, metavar="N",
@@ -328,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--workers", type=int, default=2, metavar="N",
         help="compute worker processes for validate, certificate and "
-        "scheduler requests (default 2; 1 computes on the event-loop thread)",
+        "scheduler requests (default 2)",
     )
     p_serve.add_argument(
         "--corpus", default=None, metavar="FILE",

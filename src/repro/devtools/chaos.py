@@ -32,12 +32,10 @@ Each kind accepts only its own keys and must name its target (``task``,
 ``ms`` for delays, ``nth``): a misspelled or missing key is a parse
 error, never an event that silently injects nothing.
 
-A global ``seed=S`` event seeds :func:`repro.util.retry.seeded_jitter`
--style probabilistic gates (``p=`` on kill/delay events), for soak runs
-that still replay deterministically.  Hooks are no-ops (one cached
-``None`` check) when ``REPRO_CHAOS`` is unset, so production paths pay
-nothing.  Together with :mod:`repro.util.retry` this is a sanctioned
-``time.sleep`` boundary (lint rule RL010).
+Hooks are no-ops (one cached ``None`` check) when ``REPRO_CHAOS`` is
+unset, so production paths pay nothing.  Together with
+:mod:`repro.util.retry` this is a sanctioned ``time.sleep`` boundary
+(lint rule RL010).
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.types import InvalidParameterError
-from repro.util.retry import seeded_jitter
 
 __all__ = [
     "ChaosEvent",
@@ -61,8 +58,8 @@ __all__ = [
 
 # kind -> (required keys, optional keys)
 _KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "kill": (("task",), ("attempt", "p")),
-    "delay": (("task", "ms"), ("attempt", "p")),
+    "kill": (("task",), ("attempt",)),
+    "delay": (("task", "ms"), ("attempt",)),
     "corrupt-cache": (("nth",), ()),
 }
 
@@ -103,48 +100,27 @@ def _validate_event(event: ChaosEvent) -> None:
                 f"REPRO_CHAOS: {event.kind} needs a {key}= parameter"
             )
     for key in event.params:
-        if key != "p":  # every other key is an integer
-            event.int_param(key)  # raises InvalidParameterError if bad
-    p = event.params.get("p")
-    if p is not None:
-        try:
-            float(p)
-        except ValueError:
-            raise InvalidParameterError(
-                f"REPRO_CHAOS: p must be a float, got {p!r}"
-            ) from None
+        event.int_param(key)  # every key is an integer
 
 
 class ChaosPolicy:
     """All parsed events of one ``REPRO_CHAOS`` spec."""
 
-    def __init__(self, events: tuple[ChaosEvent, ...], *, seed: int = 0) -> None:
+    def __init__(self, events: tuple[ChaosEvent, ...]) -> None:
         self.events = events
-        self.seed = seed
 
     @classmethod
     def parse(cls, spec: str) -> ChaosPolicy:
         events: list[ChaosEvent] = []
-        seed = 0
         for raw in spec.split(";"):
             raw = raw.strip()
             if not raw:
                 continue
             head, *rest = raw.split(":")
-            if head.startswith("seed="):
-                # the global seed event: spelled seed=S, no colon params
-                value = head.partition("=")[2]
-                try:
-                    seed = int(value)
-                except ValueError:
-                    raise InvalidParameterError(
-                        f"REPRO_CHAOS: seed must be an integer, got {value!r}"
-                    ) from None
-                continue
             if head not in _KEYS:
                 raise InvalidParameterError(
                     f"REPRO_CHAOS: unknown event kind {head!r}; "
-                    f"known: {', '.join(_KEYS)}, seed"
+                    f"known: {', '.join(_KEYS)}"
                 )
             params: dict[str, str] = {}
             for part in rest:
@@ -158,20 +134,7 @@ class ChaosPolicy:
             event = ChaosEvent(head, params)
             _validate_event(event)
             events.append(event)
-        return cls(tuple(events), seed=seed)
-
-    def _gate(self, event: ChaosEvent, site: str) -> bool:
-        """The optional probabilistic gate ``p=`` (seeded, replayable)."""
-        raw = event.params.get("p")
-        if raw is None:
-            return True
-        try:
-            p = float(raw)
-        except ValueError:
-            raise InvalidParameterError(
-                f"REPRO_CHAOS: p must be a float, got {raw!r}"
-            ) from None
-        return seeded_jitter(self.seed, site, 0) < p
+        return cls(tuple(events))
 
     # -- decisions ---------------------------------------------------------
 
@@ -182,11 +145,7 @@ class ChaosPolicy:
         for event in self.events:
             if event.kind == "kill":
                 want_attempt = event.int_param("attempt", 0)
-                if (
-                    event.int_param("task") == index
-                    and attempt == want_attempt
-                    and self._gate(event, f"kill:{index}:{attempt}")
-                ):
+                if event.int_param("task") == index and attempt == want_attempt:
                     kill = True
             elif event.kind == "delay":
                 want_attempt = event.int_param("attempt")
@@ -194,8 +153,7 @@ class ChaosPolicy:
                     want_attempt is None or attempt == want_attempt
                 ):
                     ms = event.int_param("ms", 0) or 0
-                    if self._gate(event, f"delay:{index}:{attempt}"):
-                        delay += ms / 1000.0
+                    delay += ms / 1000.0
         return kill, delay
 
     def corrupts_cache(self, nth: int) -> bool:

@@ -562,7 +562,7 @@ def rl008_no_unordered_set_iteration(ctx: FileContext) -> Iterable[Finding]:
 
 # The modules allowed to sleep and to catch broadly: the retry policy
 # (every backoff is policy-driven and deterministic), the error
-# taxonomy (capture/captured_call are the accounted catch-alls), and
+# taxonomy (captured_call is the accounted catch-all), and
 # the chaos harness (injected delays are the point).
 _RL010_BOUNDARIES = (
     "repro/util/retry.py",
@@ -601,11 +601,10 @@ def rl010_fault_handling_boundaries(ctx: FileContext) -> Iterable[Finding]:
     crashes alongside real bugs (the pre-PR-8
     ``analysis/campaigns.py`` failure path).  Now every backoff is a
     :class:`repro.util.retry.RetryPolicy` decision and every broad
-    catch goes through :func:`repro.errors.capture` /
-    :func:`repro.errors.captured_call`, so swallowed exceptions are
-    accounted for.  Genuinely unavoidable boundary catches elsewhere
-    (e.g. optional-dependency probes) carry an inline suppression with
-    a justification.
+    catch goes through :func:`repro.errors.captured_call`, so swallowed
+    exceptions are accounted for.  Genuinely unavoidable boundary
+    catches elsewhere (e.g. optional-dependency probes) carry an inline
+    suppression with a justification.
     """
     if ctx.is_test_file or ctx.in_module(*_RL010_BOUNDARIES):
         return
@@ -623,9 +622,9 @@ def rl010_fault_handling_boundaries(ctx: FileContext) -> Iterable[Finding]:
             yield (
                 node.lineno,
                 node.col_offset,
-                "broad exception catch; route through repro.errors.capture/"
-                "captured_call (or catch the specific exceptions) so "
-                "swallowed failures are accounted for",
+                "broad exception catch; route through "
+                "repro.errors.captured_call (or catch the specific "
+                "exceptions) so swallowed failures are accounted for",
             )
 
 

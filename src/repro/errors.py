@@ -18,8 +18,8 @@ retry machinery needs to tell the two kinds apart:
 This module (together with :mod:`repro.util.retry`) is also the one
 sanctioned *broad-exception boundary* in the library: lint rule RL010
 bans ``except Exception`` elsewhere, so catch-alls funnel through
-:func:`capture` / :func:`captured_call` and every swallowed exception
-is accounted for instead of silently discarded.
+:func:`captured_call` and every swallowed exception is accounted for
+instead of silently discarded.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "CorpusKeyError",
     "error_code",
     "format_cause",
-    "capture",
     "captured_call",
 ]
 
@@ -172,31 +171,17 @@ def format_cause(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def capture(
-    fn: Callable[..., _R], *args: object, **kwargs: object
-) -> tuple[Literal["ok"], _R] | tuple[Literal["error"], str]:
-    """Run ``fn`` and return ``("ok", result)`` or ``("error", cause)``.
-
-    The sanctioned broad-exception boundary (RL010): failures come back
-    as *values* so a parent process can account for every completed
-    sibling task before deciding what to do — the resumable-run
-    contract of the campaign runner.  ``KeyboardInterrupt``/``SystemExit``
-    still propagate.
-    """
-    try:
-        return "ok", fn(*args, **kwargs)
-    except Exception as exc:  # the one sanctioned catch-all (RL010)
-        return "error", format_cause(exc)
-
-
 def captured_call(
     fn: Callable[..., _R], *args: object, **kwargs: object
 ) -> tuple[Literal["ok"], _R] | tuple[Literal["raise"], BaseException]:
-    """Like :func:`capture` but keeps the exception *object*.
+    """Run ``fn`` and return ``("ok", result)`` or ``("raise", exc)``.
 
-    Used by the worker pool's child loop: the original exception is
-    shipped back over the result pipe so the parent re-raises the real
-    type (pinned by the pool tests), not a stringified shadow.
+    The sanctioned broad-exception boundary (RL010): failures come back
+    as *values*, so a caller accounts for each one instead of losing
+    finished work to it.  The worker pool's child loop ships the
+    exception *object* back over its result pipe, so the parent re-raises
+    the real type (pinned by the pool tests), not a stringified shadow.
+    ``KeyboardInterrupt``/``SystemExit`` still propagate.
     """
     try:
         return "ok", fn(*args, **kwargs)

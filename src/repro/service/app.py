@@ -15,8 +15,8 @@ requests in flight compute on two CPUs instead of taking turns on one
 GIL.  Each worker runs :func:`repro.service.compute.run` on its own
 spec-keyed graph and construction caches, which the process-wide engine
 caches (:mod:`repro.engine.cache`) key on.  A worker that dies
-mid-request is replaced and the request retried.  With ``--workers 1``
-compute runs in the daemon's process, on the event-loop thread.
+mid-request is replaced and the request retried.  The event loop never
+computes, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -364,12 +364,13 @@ _ROUTES: dict[str, tuple[str, str]] = {
 async def _amain(service: ReproService, host: str, port: int) -> None:
     try:
         server = await asyncio.start_server(service.handle_connection, host, port)
-        bound = server.sockets[0].getsockname()
-        print(f"repro serve listening on http://{bound[0]}:{bound[1]}", flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(sig, stop.set)
+        # announced once a signal drains the daemon instead of killing it
+        bound = server.sockets[0].getsockname()
+        print(f"repro serve listening on http://{bound[0]}:{bound[1]}", flush=True)
         await stop.wait()
         print("repro serve: draining", flush=True)
         server.close()

@@ -8,8 +8,7 @@ spec-keyed graph and construction caches: every request for a spec
 sees one :class:`~repro.graphs.base.Graph` identity, so the
 process-wide engine caches (:mod:`repro.engine.cache`) hit on it.
 Every failure becomes an error response, so no exception has to cross
-the pipe.  With ``--workers 1`` the same function runs in the daemon's
-own process.
+the pipe.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ Every parallel surface in the repo (``ExperimentRunner`` and
 compute through :meth:`WorkerPool.submit`) routes through
 :class:`WorkerPool` so the pool policy is written down once:
 
-* **In-process when parallelism cannot pay.**  ``jobs == 1`` or at most
-  one task never spins up a pool; the optional ``initializer`` still runs
-  (in-process) so serial and parallel executions warm the same caches.
+* **Every task in a worker process.**  ``jobs == 1`` forks one worker,
+  so a serial run keeps the deadlines, retries, crash isolation and
+  chaos hooks of a parallel one: ``--task-timeout``, ``--retries`` and
+  ``REPRO_CHAOS`` mean the same at every job count.
 * **One dispatch engine, on an event loop.**  Mapped and submitted
   tasks wait in one FIFO backlog for an idle worker; the loop watches
   each busy worker's result pipe and process sentinel
@@ -27,7 +28,9 @@ compute through :meth:`WorkerPool.submit`) routes through
   children, each with its own duplex pipe; the loop watches result
   pipes *and* process sentinels, so a SIGKILL'd worker is detected
   immediately (the ``BrokenProcessPool`` analogue) instead of hanging
-  the run.  The failed task — and only that task — is re-run under the
+  the run.  Only a pipe that ends without a whole message means a
+  crash: a message that will not unpickle is the task's failure.  The
+  failed task — and only that task — is re-run under the
   :class:`~repro.util.retry.RetryPolicy`, after its backoff, ahead of
   fresh tasks.  A task that keeps killing its worker (or blowing its
   ``task_timeout`` deadline, counted from its dispatch) is
@@ -37,7 +40,10 @@ compute through :meth:`WorkerPool.submit`) routes through
   raises the corresponding :class:`~repro.errors.WorkerCrash` /
   :class:`~repro.errors.TaskTimeout`.  Exceptions raised by the task's
   *own code* are never retried — they re-raise in the parent with their
-  original type.
+  original type, and the worker's formatted traceback chained as their
+  ``__cause__`` (the idiom of ``concurrent.futures``), so a report still
+  shows the frame that raised.  One that an unpickler could not rebuild
+  re-raises as a ``RuntimeError`` naming its type and message.
 * **Graceful vs. hard shutdown.**  ``close()`` asks each worker to stop
   and joins it (clean ``exitcode == 0``, atexit/flush hooks run);
   ``terminate()`` is the error-path hard kill, also applied by a failing
@@ -46,12 +52,13 @@ compute through :meth:`WorkerPool.submit`) routes through
 * **Start method.**  The platform default (``fork`` on Linux, ``spawn``
   elsewhere).  Everything submitted — worker functions, initializers,
   their arguments — must be a *top-level picklable* object (RL005), so
-  the code is spawn-safe by construction.  A worker starts from a fresh
-  interpreter's signal state (default SIGTERM/SIGINT handling, no
-  wakeup fd), so one forked from a process whose event loop handles
-  signals does not hand the signals sent to it to that loop, and it
-  keeps no inherited socket but its own pipe, so one forked from a
-  server does not hold the server's connections open.
+  the code is spawn-safe by construction.  A worker starts with default
+  SIGTERM handling and no wakeup fd, so one forked from a process whose
+  event loop handles signals does not hand the signals sent to it to
+  that loop.  It ignores SIGINT: a terminal's Ctrl-C reaches the whole
+  process group, and the parent, which owns its workers' lifetime,
+  stops them.  It keeps no inherited socket but its own pipe, so one
+  forked from a server does not hold the server's connections open.
 
 Fault injection for tests/CI lives in :mod:`repro.devtools.chaos`
 (``REPRO_CHAOS``): the worker loop consults the chaos policy before
@@ -63,8 +70,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import stat
+import traceback
 from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -115,19 +124,27 @@ class TaskFault:
 # -- worker side -------------------------------------------------------------
 
 
-def _send_safe(conn: Connection, msg: tuple[str, Any]) -> None:
-    """Send ``msg``; degrade unpicklable payloads to picklable summaries.
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, chained as the ``__cause__`` of the
+    exception its task raised (the idiom of ``concurrent.futures``)."""
 
-    An unpicklable result/exception must not kill the worker (the parent
-    would misread that as a crash and retry a deterministic failure).
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _failure(kind: str, exc: BaseException) -> tuple[str, BaseException, str]:
+    """The message that reports ``exc`` to the parent, with its traceback.
+
+    An exception that an unpickler could not rebuild (its class's
+    ``__init__`` does not take its ``args``) would fail the parent's
+    read of the whole message, so it goes as a ``RuntimeError`` naming
+    its type and message.
     """
-    status, payload = captured_call(conn.send, msg)
-    if status == "ok":
-        return
-    if msg[0] == "ok":  # a result that would not pickle
-        conn.send(("error", RuntimeError(f"result not picklable: {payload!r}")))
-    else:  # "error" / "init_error" whose exception would not pickle
-        conn.send((msg[0], RuntimeError(format_cause(msg[1]))))
+    remote = "".join(traceback.format_exception(exc))
+    rebuilt, _ = captured_call(lambda: pickle.loads(pickle.dumps(exc)))
+    if rebuilt == "raise":
+        exc = RuntimeError(format_cause(exc))
+    return kind, exc, remote
 
 
 def _drop_inherited_sockets(keep: int) -> None:
@@ -166,25 +183,26 @@ def _worker_main(
     """Worker child loop: init once, then serve tasks until stopped.
 
     Protocol (parent → worker): ``("task", index, attempt, fn, item)`` or
-    ``("stop",)``.  Worker → parent: ``("ok", value)``, ``("error",
-    exc)``, or ``("init_error", exc)``.  A worker exits only on a stop
-    request, a closed pipe, or after reporting an initializer failure, so
-    a sentinel that fires while a task is in flight, with no message in
-    the pipe, always means a crash.
+    ``("stop",)``.  Worker → parent: ``("ok", value)``, ``("error", exc,
+    traceback)``, or ``("init_error", exc, traceback)``.  A worker exits
+    only on a stop request, a closed pipe, or after reporting an
+    initializer failure, so a sentinel that fires while a task is in
+    flight, with no message in the pipe, always means a crash.
     """
     # A fork inherits the parent's signal handlers and wakeup fd; under
     # an event loop that handles SIGTERM, a SIGTERM sent to this worker
     # would otherwise be written to the parent's loop (and start its
-    # shutdown) while the worker ignores it.
+    # shutdown) while the worker ignores it.  A terminal's Ctrl-C reaches
+    # the whole process group: the parent stops its workers itself.
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _WORKER_SIGNALS)
     _drop_inherited_sockets(conn.fileno())
     if initializer is not None:
         status, payload = captured_call(initializer, *initargs)
         if status == "raise":
-            _send_safe(conn, ("init_error", payload))
+            conn.send(_failure("init_error", payload))
             conn.close()
             return
     while True:
@@ -197,7 +215,13 @@ def _worker_main(
         _, index, attempt, fn, item = msg
         chaos.on_task(index, attempt)  # may delay or SIGKILL (tests)
         status, payload = captured_call(fn, item)
-        _send_safe(conn, ("error" if status == "raise" else "ok", payload))
+        if status == "ok":
+            status, payload = captured_call(conn.send, ("ok", payload))
+            if status == "ok":
+                continue
+            # reported, not left to kill the worker: a crash is retried
+            payload = RuntimeError(f"result not picklable: {payload!r}")
+        conn.send(_failure("error", payload))
     conn.close()
 
 
@@ -241,11 +265,10 @@ class WorkerPool:
     ...     a = pool.map(fn, tasks_1)
     ...     b = pool.map(fn, tasks_2)   # same warm workers
 
-    ``jobs == 1`` is fully supported and never forks: ``map`` and
-    ``submit`` run in-process (running ``initializer`` once, lazily) so
-    callers can use one code path for serial and parallel execution.
-    Otherwise both run on one dispatch engine: ``submit`` from a running
-    event loop, ``map`` on a loop of its own, so call ``map`` outside one.
+    Every task runs in a worker process, ``jobs == 1`` and one-task maps
+    included.  ``map`` and ``submit`` run on one dispatch engine:
+    ``submit`` from a running event loop, ``map`` on a loop of its own,
+    so call ``map`` outside one.
     """
 
     def __init__(
@@ -258,18 +281,16 @@ class WorkerPool:
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        # Parse REPRO_CHAOS eagerly: a malformed spec must fail loudly
-        # at pool construction, not silently no-op on serial runs (the
-        # worker-side hooks are the only other parse site, and the
-        # in-process path never reaches them).
+        # Parse REPRO_CHAOS eagerly: a malformed spec must fail as one
+        # error at pool construction.  The worker-side hook, the only
+        # other parse site, would die on it before its first task, which
+        # reads as a crash and is retried.
         chaos.active_policy()
         self.jobs = jobs
         self.retry = retry if retry is not None else RetryPolicy()
         self._initializer = initializer
         self._initargs = initargs
         self._workers: dict[int, _Worker] = {}
-        self._warmed_inprocess = False
-        self._init_error: BaseException | None = None
         self._closed = False
         self._backlog: deque[_Task] = deque()  # tasks awaiting a worker
         self._submitted = 0
@@ -331,16 +352,14 @@ class WorkerPool:
     # -- worker management -------------------------------------------------
 
     def start(self) -> None:
-        """Fork every worker now instead of at first use (no-op for
-        ``jobs == 1``): for callers that must fork at a known moment,
-        such as before they open sockets, install signal handlers or
-        import ``asyncio``."""
+        """Fork every worker now instead of at first use: for callers
+        that must fork at a known moment, such as before they open
+        sockets, install signal handlers or import ``asyncio``."""
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
-        if self.jobs > 1:
-            for slot in range(self.jobs):
-                if slot not in self._workers:
-                    self._spawn(slot)
+        for slot in range(self.jobs):
+            if slot not in self._workers:
+                self._spawn(slot)
 
     def _spawn(self, slot: int) -> _Worker:
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
@@ -417,27 +436,6 @@ class WorkerPool:
         """
         return self._run(fn, tasks, quarantine=True, on_result=on_result)
 
-    def _warm_inprocess(self) -> None:
-        """Serial-path initializer: run once, fail loudly forever after.
-
-        A failed initializer must not be silently re-run against
-        half-initialized state on the next call (the pre-PR-8 bug):
-        the first failure propagates, and every later call surfaces a
-        clear error naming the original cause instead.
-        """
-        if self._init_error is not None:
-            raise RuntimeError(
-                "WorkerPool initializer failed previously: "
-                f"{format_cause(self._init_error)}"
-            ) from self._init_error
-        if self._initializer is None or self._warmed_inprocess:
-            return
-        status, payload = captured_call(self._initializer, *self._initargs)
-        if status == "raise":
-            self._init_error = payload
-            raise payload
-        self._warmed_inprocess = True
-
     def _run(
         self,
         fn: Callable[[_T], _R],
@@ -447,19 +445,6 @@ class WorkerPool:
         on_result: Callable[[int, _R], None] | None = None,
     ) -> tuple[list[_R | None], list[TaskFault]]:
         items = list(tasks)
-        if self._closed:
-            raise RuntimeError("WorkerPool is closed")
-        if self.jobs == 1 or len(items) <= 1:
-            # In-process: no crash isolation exists here, so faults
-            # cannot be quarantined — task exceptions propagate as-is.
-            self._warm_inprocess()
-            out: list[_R | None] = []
-            for idx, item in enumerate(items):
-                value = fn(item)
-                out.append(value)
-                if on_result is not None:
-                    on_result(idx, value)
-            return out, []
         self.start()  # fork before asyncio is loaded: workers never carry it
         import asyncio
 
@@ -521,14 +506,10 @@ class WorkerPool:
         :class:`~repro.errors.WorkerCrash` /
         :class:`~repro.errors.TaskTimeout` is raised.  Submissions are
         numbered from 0 for ``REPRO_CHAOS`` (``kill:task=0`` kills the
-        first).  ``jobs == 1`` runs ``fn`` in process, on the loop's
-        thread.
+        first).
         """
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
-        if self.jobs == 1:
-            self._warm_inprocess()
-            return fn(item)
         import asyncio
 
         future: asyncio.Future[_R] = asyncio.get_running_loop().create_future()
@@ -604,9 +585,12 @@ class WorkerPool:
         task = worker.task
         assert task is not None
         status, msg = captured_call(worker.conn.recv)
-        if status == "raise":  # EOF without a message: the worker died
-            self._refeed(worker, "crash")
-            return
+        if status == "raise":
+            if isinstance(msg, (EOFError, OSError)):  # no message: it died
+                self._refeed(worker, "crash")
+                return
+            # a whole message that would not unpickle: the task's failure
+            msg = ("error", msg, None)
         if worker.timer is not None:
             worker.timer.cancel()
             worker.timer = None
@@ -617,7 +601,10 @@ class WorkerPool:
             if msg[0] == "ok":
                 task.future.set_result(msg[1])
             else:  # the task's own exception, or its initializer's
-                task.future.set_exception(msg[1])
+                error, remote = msg[1], msg[2]
+                if remote is not None:
+                    error.__cause__ = _RemoteTraceback(remote)
+                task.future.set_exception(error)
         self._feed()  # a worker handed its next task keeps its readers
         if worker.task is None:
             self._unwatch(worker)

@@ -13,7 +13,7 @@ surface, so the fault discipline is written down once:
 * **Deterministic exponential backoff with seeded jitter.**
   ``backoff(attempt, key)`` doubles from ``base_delay`` up to
   ``max_delay`` and jitters each step by a factor derived from
-  ``sha256(0, key, attempt)`` — the same run always sleeps the same
+  ``sha256(key, attempt)`` — the same run always sleeps the same
   amount (no module-global RNG, RL001), while distinct tasks decorrelate.
 * **Per-task deadlines.**  ``task_timeout`` seconds per task, counted
   from the task's dispatch (see ``WorkerPool``), so a hung task surfaces
@@ -44,13 +44,13 @@ __all__ = [
 DEFAULT_MAX_ATTEMPTS = 3
 
 
-def seeded_jitter(seed: int, key: str, attempt: int) -> float:
-    """A deterministic jitter factor in ``[0, 1)``.
+def seeded_jitter(key: str, attempt: int) -> float:
+    """A deterministic jitter factor in ``[0, 1)``, seeded by ``key``.
 
     Stable across processes and machines (sha256, not ``hash()``), so a
     chaos-injected run backs off identically on every replay.
     """
-    blob = f"{seed}:{key}:{attempt}".encode()
+    blob = f"{key}:{attempt}".encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") / 2**64
 
 
@@ -106,4 +106,4 @@ class RetryPolicy:
         if attempt < 1 or self.base_delay == 0:
             return 0.0
         nominal = min(self.max_delay, self.base_delay * 2 ** (attempt - 1))
-        return nominal * (0.5 + seeded_jitter(0, key, attempt) / 2)
+        return nominal * (0.5 + seeded_jitter(key, attempt) / 2)

@@ -424,9 +424,11 @@ def _running(pid):
 
 
 class TestCtrlC:
-    """SIGINT to a parallel run while one task is held: the CLI exits at
-    once with one stderr line and rc 130, takes its workers with it, and
-    a campaign's re-run executes only the held scenario."""
+    """SIGINT to a run while one task is held: the CLI exits at once with
+    one stderr line and rc 130, takes its workers with it, and a
+    campaign's re-run executes only the held scenario.  A terminal's
+    Ctrl-C signals the whole process group: the workers ignore it and
+    print nothing, and the daemon drains and exits 0."""
 
     def _cli(self, *args, chaos_spec=None):
         env = dict(os.environ)
@@ -447,8 +449,10 @@ class TestCtrlC:
         argv = ["campaign", "run", "paper-grid", "--jobs", "2", "--no-cache"]
         return self._cli(*argv, "--out-dir", str(out_dir), chaos_spec=chaos_spec)
 
-    def _interrupt(self, proc, command, ready):
-        """Once ``ready()``, SIGINT ``proc``; pin its exit and stderr."""
+    def _interrupt(self, proc, ready, *, workers=2, group=False):
+        """Once ``ready()``, SIGINT ``proc`` (its process group when
+        ``group``); returns its exit code and stderr lines, once it and
+        its ``workers`` are gone."""
         try:
             deadline = time.monotonic() + 60
             while not ready():
@@ -456,8 +460,11 @@ class TestCtrlC:
                 assert time.monotonic() < deadline, "the run never got ready"
                 time.sleep(0.02)
             kids = _children(proc.pid)
-            assert len(kids) == 2
-            proc.send_signal(signal.SIGINT)
+            assert len(kids) == workers
+            if group:
+                os.killpg(proc.pid, signal.SIGINT)
+            else:
+                proc.send_signal(signal.SIGINT)
             t0 = time.monotonic()
             _, stderr = proc.communicate(timeout=30)
             assert time.monotonic() - t0 < 5.0
@@ -465,9 +472,8 @@ class TestCtrlC:
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.communicate(timeout=30)
-        assert proc.returncode == 130
-        assert stderr.splitlines() == [f"{command} interrupted"]
         assert not [kid for kid in kids if _running(kid)]
+        return proc.returncode, stderr.splitlines()
 
     def test_interrupted_run_leaves_no_worker_and_resumes(self, tmp_path):
         spec = campaigns.load_campaign("paper-grid")
@@ -475,11 +481,11 @@ class TestCtrlC:
         ckpt = _checkpoint(out, spec)
         # the fourth dispatched scenario sleeps 4 s: the other fifteen
         # land first, then the run waits on it
-        self._interrupt(
+        status = self._interrupt(
             self._campaign(out, chaos_spec="delay:task=3:ms=4000"),
-            "campaign",
             lambda: len(list(ckpt.glob("*.json"))) >= spec.n_scenarios - 1,
         )
+        assert status == (130, ["campaign interrupted"])
 
         resumed = self._campaign(out)
         stdout, stderr = resumed.communicate(timeout=120)
@@ -493,7 +499,24 @@ class TestCtrlC:
         )
         assert not ckpt.exists()
 
-    def test_interrupted_experiment_run_exits_130(self):
+    @pytest.mark.parametrize(
+        "jobs, group",
+        [(2, False), (2, True), (1, True)],
+        ids=["cli", "group", "serial"],
+    )
+    def test_interrupted_experiment_run_exits_130(self, jobs, group):
         held = "delay:task=0:ms=4000"  # the first experiment sleeps 4 s
-        proc = self._cli("run", "e02", "e04", "e06", "--jobs", "2", chaos_spec=held)
-        self._interrupt(proc, "run", lambda: len(_children(proc.pid)) == 2)
+        argv = ["run", "e02", "e04", "e06", "--jobs", str(jobs)]
+        proc = self._cli(*argv, chaos_spec=held)
+        status = self._interrupt(
+            proc, lambda: len(_children(proc.pid)) == jobs, workers=jobs, group=group
+        )
+        assert status == (130, ["run interrupted"])
+
+    def test_interrupted_daemon_drains_and_exits_0(self):
+        proc = self._cli("serve", "--workers", "2", "--port", "0")
+
+        def listening():
+            return "listening on" in proc.stdout.readline()
+
+        assert self._interrupt(proc, listening, group=True) == (0, [])

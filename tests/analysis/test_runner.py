@@ -1,6 +1,7 @@
 """The parallel runner and its params-keyed JSON result cache."""
 
 import json
+import os
 
 import pytest
 
@@ -35,6 +36,17 @@ SHRUNK = {
 
 def _snapshot(cache_dir):
     return {p.name: p.read_bytes() for p in sorted(cache_dir.glob("*.json"))}
+
+
+_EXECUTE = runner_module._execute
+
+
+def _execute_failing_e06(task):
+    """``_execute``, except that e06 raises.  Patched in before the pool
+    forks, so its workers run it."""
+    if task[0] == "e06":
+        raise RuntimeError(f"injected e06 failure in process {os.getpid()}")
+    return _EXECUTE(task)
 
 
 class TestCache:
@@ -150,17 +162,10 @@ class TestCache:
     def test_failed_run_keeps_finished_entries(self, tmp_path, monkeypatch):
         """Each result is stored as it lands, so an experiment that raises
         does not discard the ones that finished before it."""
-        execute = runner_module._execute
-
-        def broken(task):
-            if task[0] == "e06":
-                raise RuntimeError("injected e06 failure")
-            return execute(task)
-
-        monkeypatch.setattr(runner_module, "_execute", broken)
+        monkeypatch.setattr(runner_module, "_execute", _execute_failing_e06)
         with pytest.raises(RuntimeError, match="injected e06 failure"):
             ExperimentRunner(cache_dir=tmp_path).run(["e04", "e06", "e02"])
-        monkeypatch.setattr(runner_module, "_execute", execute)
+        monkeypatch.setattr(runner_module, "_execute", _EXECUTE)
         fixed = ExperimentRunner(cache_dir=tmp_path)
         fixed.run(["e04", "e06", "e02"])
         assert (fixed.stats.executed, fixed.stats.cache_hits) == (2, 1)
@@ -253,6 +258,16 @@ class TestParallel:
         assert [r.name for r in par] == names  # request order preserved
         for r_seq, r_par in zip(seq, par):
             assert r_seq.rows == r_par.rows
+
+    def test_serial_run_executes_in_a_worker(self, monkeypatch):
+        """jobs=1 runs each experiment in a worker process: the failure
+        comes from another process, and the worker's traceback, chained
+        as its cause, shows the function that raised."""
+        monkeypatch.setattr(runner_module, "_execute", _execute_failing_e06)
+        with pytest.raises(RuntimeError, match="injected e06 failure") as info:
+            ExperimentRunner(jobs=1).run(["e06"])
+        assert f"in process {os.getpid()}" not in str(info.value)
+        assert "in _execute_failing_e06" in str(info.value.__cause__)
 
     def test_parallel_populates_cache(self, tmp_path):
         runner = ExperimentRunner(jobs=2, cache_dir=tmp_path)

@@ -45,13 +45,10 @@ class TestParse:
         assert not policy.corrupts_cache(0)
         assert policy.corrupts_cache(1)
 
-    def test_seed_event(self):
-        assert ChaosPolicy.parse("seed=9").seed == 9
-        assert ChaosPolicy.parse("kill:task=0;seed=4").seed == 4
-
     def test_unknown_kind_rejected(self):
-        # the last two are retired kinds: rejected, never silently ignored
-        for spec in ("explode:task=1", "attach-fail:all", "export-fail:nth=1"):
+        # the rest are retired kinds: rejected, never silently ignored
+        retired = ("attach-fail:all", "export-fail:nth=1", "seed=1")
+        for spec in ("explode:task=1", *retired):
             with pytest.raises(InvalidParameterError, match="unknown event kind"):
                 ChaosPolicy.parse(spec)
 
@@ -61,6 +58,7 @@ class TestParse:
             "kill:task": "malformed",
             "kill:chnuk=0": "unknown parameter 'chnuk'",
             "corrupt-cache:nth=0:p=1": "unknown parameter 'p'",
+            "kill:task=0:p=0.5": "unknown parameter 'p'",  # the retired gate
             "kill": "kill needs a task= parameter",
             "delay:ms=100": "delay needs a task= parameter",
             "delay:task=0": "delay needs a ms= parameter",
@@ -103,11 +101,3 @@ class TestProcessHooks:
 
     def test_on_task_noop_without_policy(self):
         chaos.on_task(0, 0)  # must not raise or sleep
-
-    def test_probabilistic_gate_is_deterministic(self):
-        policy = ChaosPolicy.parse("kill:task=0:p=0.5;seed=3")
-        first = policy.task_actions(0, 0)
-        assert first == policy.task_actions(0, 0)
-        # p=0 never fires, p=1 always does
-        assert not ChaosPolicy.parse("kill:task=0:p=0.0").task_actions(0, 0)[0]
-        assert ChaosPolicy.parse("kill:task=0:p=1.0").task_actions(0, 0)[0]

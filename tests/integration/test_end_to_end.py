@@ -7,6 +7,7 @@ recursive reference, formula vs built graph, our BFS vs networkx).
 """
 
 import json
+import re
 
 import pytest
 
@@ -134,6 +135,30 @@ class TestCLISubcommands:
         assert main(["run", "e02", "e04", "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert "[E02]" in out and "[E04]" in out
+
+    def test_run_deadline_holds_at_one_job(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CHAOS", "delay:task=0:ms=3000")
+        argv = ["run", "e02", "--task-timeout", "1", "--retries", "0"]
+        assert main(argv) == 2
+        assert "run failed [task-timeout]" in capsys.readouterr().err
+
+    def test_run_survives_a_killed_worker_at_one_job(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        assert main(["run", "e02"]) == 0
+        clean = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_CHAOS", "kill:task=0")
+        assert main(["run", "e02", "--retries", "0"]) == 2  # the kill lands
+        assert "run failed [worker-crash]" in capsys.readouterr().err
+        assert main(["run", "e02"]) == 0  # and is retried on a fresh worker
+        killed = capsys.readouterr().out
+
+        def tables(out):  # the timing in each title aside
+            return [re.sub(r"\([0-9.]+s\)", "", line) for line in out.splitlines()]
+
+        assert tables(killed)[:-1] == tables(clean)[:-1]
 
     def test_run_with_cache_second_invocation_executes_nothing(self, tmp_path, capsys):
         from repro.cli import main

@@ -48,9 +48,12 @@ def with_chaos(monkeypatch, spec):
 
 
 class TestWorkerFaults:
-    def test_killed_worker_is_replaced_and_the_request_answered(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_killed_worker_is_replaced_and_the_request_answered(
+        self, monkeypatch, workers
+    ):
         with_chaos(monkeypatch, "kill:task=0")
-        service = ReproService(workers=2)
+        service = ReproService(workers=workers)
         try:
             first = {w.proc.pid for w in service._pool._workers.values()}
             status, payload = asyncio.run(
@@ -59,7 +62,7 @@ class TestWorkerFaults:
             assert status == 200
             assert json.loads(payload)["reports"][0]["ok"] is True
             now = {w.proc.pid for w in service._pool._workers.values()}
-            assert len(now) == 2 and now != first  # one replaced, none lost
+            assert len(now) == workers and now != first  # one replaced, none lost
             assert service._closing is False  # no drain started
             status, _ = asyncio.run(service.dispatch("GET", "/v1/healthz", b""))
             assert status == 200
@@ -100,7 +103,7 @@ def _boom(*_args, **_kwargs):
 class TestUnexpectedComputeErrors:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_is_a_500_response(self, monkeypatch, workers):
-        """In process or in a worker (which forks with the patch)."""
+        """One worker or two: each forks with the patch."""
         monkeypatch.setattr(api, "validate", _boom)
         service = ReproService(workers=workers)
         try:

@@ -1,4 +1,4 @@
-"""The structured error taxonomy and its capture helpers."""
+"""The structured error taxonomy and its capture helper."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.errors import (
     ScenarioError,
     TaskTimeout,
     WorkerCrash,
-    capture,
     captured_call,
     format_cause,
 )
@@ -44,25 +43,25 @@ class TestTaxonomy:
 
 class TestCapture:
     def test_ok_path_returns_value(self):
-        assert capture(lambda: 41 + 1) == ("ok", 42)
+        assert captured_call(lambda: 41 + 1) == ("ok", 42)
 
     def test_error_path_returns_formatted_cause(self):
         def boom():
             raise ValueError("bad input")
 
-        status, cause = capture(boom)
-        assert status == "error"
-        assert cause == "ValueError: bad input"
+        status, exc = captured_call(boom)
+        assert status == "raise"
+        assert format_cause(exc) == "ValueError: bad input"
 
     def test_arguments_pass_through(self):
-        assert capture(divmod, 7, 3) == ("ok", (2, 1))
+        assert captured_call(divmod, 7, 3) == ("ok", (2, 1))
 
     def test_keyboard_interrupt_propagates(self):
         def interrupted():
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            capture(interrupted)
+            captured_call(interrupted)
 
     def test_captured_call_keeps_exception_object(self):
         original = ValueError("keep me")

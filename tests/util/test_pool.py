@@ -70,26 +70,22 @@ class TestOneShotMap:
     def test_serial_matches_map(self):
         assert _one_shot(_square, [1, 2, 3], 1) == [1, 4, 9]
 
-    def test_single_task_stays_in_process(self):
-        pid = os.getpid()
-        [(_, worker_pid)] = _one_shot(_tag_pid, [0], 4)
-        assert worker_pid == pid
-
-    def test_parallel_uses_worker_processes(self):
-        pids = {pid for _, pid in _one_shot(_tag_pid, list(range(8)), 2)}
+    @pytest.mark.parametrize(
+        "jobs, n_tasks", [(1, 8), (4, 1), (2, 8)], ids=["one-job", "one-task", "many"]
+    )
+    def test_parallel_uses_worker_processes(self, jobs, n_tasks):
+        pids = {pid for _, pid in _one_shot(_tag_pid, list(range(n_tasks)), jobs)}
         assert os.getpid() not in pids
 
-    def test_initializer_runs_in_process_when_serial(self):
-        # a serial pool runs every task in the caller's process, so
-        # warming that process beforehand suffices
-        _STATE["warm"] = 0
-        _warm("t")
-        assert _one_shot(_read_warm, [0, 1], 1) == [(1, "t"), (1, "t")]
-        assert {pid for _, pid in _one_shot(_tag_pid, [0, 1], 1)} == {os.getpid()}
-
-    def test_worker_exception_propagates(self):
-        with pytest.raises(ValueError, match="task 3 exploded"):
-            _one_shot(_boom, list(range(6)), 2)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_exception_propagates(self, jobs):
+        """With its type, and the worker's traceback as its cause: the
+        report shows the frame that raised."""
+        with pytest.raises(ValueError, match="task 3 exploded") as info:
+            _one_shot(_boom, list(range(6)), jobs)
+        remote = str(info.value.__cause__)
+        assert "in _boom" in remote
+        assert "ValueError: task 3 exploded" in remote
 
 
 class TestWorkerPool:

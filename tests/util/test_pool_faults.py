@@ -70,6 +70,23 @@ def _log_execution(arg):
     return value
 
 
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: the unpickler calls
+    ``TwoArgError(message)``, which lacks ``b``."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}: {b}")
+
+
+def _log_two_arg_error(arg):
+    log, value = arg
+    with open(log, "a") as fh:
+        fh.write(f"{value}\n")
+    if value == 1:
+        raise TwoArgError("task", value)
+    return value
+
+
 def _log_crash_on_seven(arg):
     log, value = arg
     with open(log, "a") as fh:
@@ -173,26 +190,25 @@ class TestTaskExceptions:
         # deterministic task-code failure: exactly one execution, no retry
         assert executed.count("5") == 1
 
+    def test_exception_that_will_not_unpickle_is_not_a_crash(self, tmp_path):
+        """It fails its task once, naming its type and message; its worker
+        is not read as dead, so nothing is retried."""
+        log = tmp_path / "executions.log"
+        tasks = [(str(log), value) for value in range(3)]
+        with WorkerPool(2, retry=FAST) as pool:
+            with pytest.raises(RuntimeError, match="^TwoArgError: task: 1$") as info:
+                pool.map(_log_two_arg_error, tasks)
+        assert "in _log_two_arg_error" in str(info.value.__cause__)
+        assert log.read_text().splitlines().count("1") == 1
+
 
 class TestInitializerFailures:
-    def test_serial_initializer_failure_is_not_rerun(self):
-        calls = []
-
-        def init():
-            calls.append(1)
-            raise ValueError("warm failed")
-
-        pool = WorkerPool(1, initializer=init)
-        with pytest.raises(ValueError, match="warm failed"):
-            pool.map(_double, [1, 2])
-        with pytest.raises(RuntimeError, match="failed previously"):
-            pool.map(_double, [1, 2])
-        assert calls == [1]  # never re-run against half-initialized state
-
-    def test_parallel_initializer_failure_raises_original(self):
-        with WorkerPool(2, initializer=_bad_init, retry=FAST) as pool:
-            with pytest.raises(ValueError, match="warm failed"):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_parallel_initializer_failure_raises_original(self, jobs):
+        with WorkerPool(jobs, initializer=_bad_init, retry=FAST) as pool:
+            with pytest.raises(ValueError, match="warm failed") as info:
                 pool.map(_double, [1, 2, 3, 4])
+        assert "in _bad_init" in str(info.value.__cause__)
 
 
 class TestGracefulShutdown:
@@ -222,16 +238,18 @@ class TestChaosIntegration:
         with pytest.raises(InvalidParameterError, match="unknown event kind"):
             WorkerPool(1)  # even serial pools must reject a bad spec
 
-    def test_chaos_kill_is_survived_by_retry(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_chaos_kill_is_survived_by_retry(self, monkeypatch, jobs):
         monkeypatch.setenv("REPRO_CHAOS", "kill:task=0")
-        with WorkerPool(2, retry=FAST) as pool:
+        with WorkerPool(jobs, retry=FAST) as pool:
             out = pool.map(_double, [1, 2, 3, 4])
         assert out == [2, 4, 6, 8]
 
-    def test_chaos_delay_trips_the_deadline(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_chaos_delay_trips_the_deadline(self, monkeypatch, jobs):
         monkeypatch.setenv("REPRO_CHAOS", "delay:task=0:ms=5000")
         retry = RetryPolicy(base_delay=0.0, max_attempts=1, task_timeout=0.4)
-        with WorkerPool(2, retry=retry) as pool:
+        with WorkerPool(jobs, retry=retry) as pool:
             results, faults = pool.map_quarantine(_double, [1, 2, 3])
         assert results == [None, 4, 6]
         (fault,) = faults

@@ -49,6 +49,18 @@ def _raise_value_error(x):
     raise ValueError(f"bad item {x}")
 
 
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: the unpickler calls
+    ``TwoArgError(message)``, which lacks ``b``."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}: {b}")
+
+
+def _raise_two_arg_error(x):
+    raise TwoArgError("task", x)
+
+
 def _suicide(_):
     os.kill(os.getpid(), signal.SIGKILL)
 
@@ -63,7 +75,7 @@ def _signal_state(_):
     wakeup = signal.set_wakeup_fd(-1)
     return (
         signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
-        signal.getsignal(signal.SIGINT) is signal.default_int_handler,
+        signal.getsignal(signal.SIGINT) == signal.SIG_IGN,
         wakeup,
         os.getpid(),
     )
@@ -95,9 +107,9 @@ class TestSubmit:
         assert max(starts[:2]) < min(starts[2:])
         assert abs(starts[0] - starts[1]) < 0.25  # in parallel, not in turn
 
-    def test_jobs_one_runs_in_process(self):
+    def test_jobs_one_runs_in_a_worker(self):
         with WorkerPool(1) as pool:
-            assert run(pool.submit(_pid, None)) == os.getpid()
+            assert run(pool.submit(_pid, None)) != os.getpid()
 
     def test_start_forks_every_worker_up_front(self):
         with WorkerPool(2) as pool:
@@ -113,6 +125,17 @@ class TestSubmit:
                 run(pool.submit(_raise_value_error, 3))
             assert run(pool.submit(_double, 4)) == 8
             assert {w.proc.pid for w in pool._workers.values()} == before
+
+    def test_exception_that_will_not_unpickle_keeps_the_worker(self):
+        """Not a crash: one failure naming the exception, no retry, and
+        the worker that raised it stays."""
+        with WorkerPool(2, retry=FAST) as pool:
+            pool.start()
+            before = {w.proc.pid for w in pool._workers.values()}
+            with pytest.raises(RuntimeError, match="^TwoArgError: task: 3$"):
+                run(pool.submit(_raise_two_arg_error, 3))
+            assert {w.proc.pid for w in pool._workers.values()} == before
+            assert run(pool.submit(_double, 4)) == 8
 
     def test_unpicklable_task_raises_instead_of_refeeding(self):
         with WorkerPool(2, retry=FAST) as pool:
@@ -197,8 +220,8 @@ class TestWorkerSignals:
             finally:
                 loop.remove_signal_handler(signal.SIGTERM)
 
-        term_default, int_default, wakeup, _pid = run(go())
-        assert term_default and int_default
+        term_default, int_ignored, wakeup, _pid = run(go())
+        assert term_default and int_ignored
         assert wakeup == -1
 
     def test_worker_keeps_no_inherited_socket(self):

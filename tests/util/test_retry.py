@@ -63,7 +63,7 @@ class TestBackoff:
         assert RetryPolicy(base_delay=0.0).backoff(3) == 0.0
 
     def test_jitter_range_and_determinism(self):
-        values = {seeded_jitter(0, f"k{i}", 1) for i in range(64)}
+        values = {seeded_jitter(f"k{i}", 1) for i in range(64)}
         assert all(0.0 <= v < 1.0 for v in values)
         assert len(values) == 64  # sha256: no accidental collisions here
-        assert seeded_jitter(3, "k", 2) == seeded_jitter(3, "k", 2)
+        assert seeded_jitter("k", 2) == seeded_jitter("k", 2)
