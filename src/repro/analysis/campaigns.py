@@ -91,7 +91,9 @@ class CampaignExecutionError(ReproError):
     code raised (:class:`~repro.errors.ScenarioError` — deterministic,
     never retried); ``quarantined`` carries the poison-task reports
     (:class:`~repro.util.pool.TaskFault`) for scenarios that exhausted
-    the retry budget on infrastructure faults.
+    the retry budget on infrastructure faults.  Its ``code`` is that of
+    the first cause its message lists: ``scenario-error``, else the first
+    quarantined fault's (``task-timeout`` or ``worker-crash``).
     """
 
     def __init__(
@@ -104,6 +106,10 @@ class CampaignExecutionError(ReproError):
         super().__init__(message)
         self.failures = failures
         self.quarantined = quarantined
+        if failures:
+            self.code = failures[0].code
+        elif quarantined:
+            self.code = quarantined[0].as_error().code
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.engine.cache import (
+    clear_cache,
+    construction_for,
+    fast_validator_for,
+    graph_for,
+)
 from repro.graphs.specs import parse_spec, validate_spec
 from repro.types import InvalidParameterError, ReproError
 
@@ -45,9 +51,6 @@ __all__ = [
     "scenario_id",
     "validate_scenario",
     "run_scenario",
-    "cached_graph",
-    "cached_construct",
-    "scenario_cache_info",
     "clear_scenario_caches",
     "warm_scenario_caches",
 ]
@@ -202,90 +205,27 @@ def validate_scenario(sc: Scenario) -> None:
         raise InvalidParameterError(f"k must be an integer >= 1 or None, got {sc.k!r}")
 
 
-# -- per-process instance caches ---------------------------------------------
-#
-# A campaign grid reuses a handful of graph specs across many scenarios,
-# but scenarios execute independently (possibly in pool workers), so
-# without memoization every scenario rebuilds its graph/construction from
-# scratch — and, because the engine cache (repro.engine.cache) is
-# identity-keyed on the graph object, it misses every time too.  These
-# spec-keyed caches make repeated scenarios on one graph share a single
-# frozen instance per process; warm_scenario_caches is the pool
-# initializer that pays the build cost once per worker, before the first
-# task lands.
-
-_GRAPH_CACHE: dict[str, object] = {}
-_CONSTRUCT_CACHE: dict[str, object] = {}
-_CACHE_HITS = {"graph": 0, "construct": 0}
-_CACHE_MISSES = {"graph": 0, "construct": 0}
-
-
-def cached_graph(spec: str):
-    """The graph for ``spec``, built at most once per process."""
-    from repro.graphs.specs import graph_from_spec
-
-    graph = _GRAPH_CACHE.get(spec)
-    if graph is None:
-        _CACHE_MISSES["graph"] += 1
-        graph = graph_from_spec(spec)
-        _GRAPH_CACHE[spec] = graph
-    else:
-        _CACHE_HITS["graph"] += 1
-    return graph
-
-
-def cached_construct(spec: str):
-    """The ``construct_base`` instance for ``spec`` (scheme scenarios),
-    built at most once per process."""
-    from repro.core.construct import construct_base
-
-    sh = _CONSTRUCT_CACHE.get(spec)
-    if sh is None:
-        _CACHE_MISSES["construct"] += 1
-        _family, args = parse_spec(spec)
-        sh = construct_base(*args)
-        _ = sh.graph  # materialize (and freeze) eagerly
-        _CONSTRUCT_CACHE[spec] = sh
-    else:
-        _CACHE_HITS["construct"] += 1
-    return sh
-
-
-def scenario_cache_info() -> dict:
-    """Hit/miss counters of this process's scenario instance caches."""
-    return {
-        "graph_entries": len(_GRAPH_CACHE),
-        "construct_entries": len(_CONSTRUCT_CACHE),
-        "graph_hits": _CACHE_HITS["graph"],
-        "graph_misses": _CACHE_MISSES["graph"],
-        "construct_hits": _CACHE_HITS["construct"],
-        "construct_misses": _CACHE_MISSES["construct"],
-    }
+# -- per-process instances ----------------------------------------------------
 
 
 def clear_scenario_caches() -> None:
-    """Drop the caches and zero the counters (tests)."""
-    _GRAPH_CACHE.clear()
-    _CONSTRUCT_CACHE.clear()
-    for key in _CACHE_HITS:
-        _CACHE_HITS[key] = 0
-        _CACHE_MISSES[key] = 0
+    """Empty this process's spec memo and engine cache (``clear_cache``)."""
+    clear_cache()
 
 
 def warm_scenario_caches(pairs: tuple[tuple[str, bool], ...]) -> None:
     """Pool initializer: pre-build instances + kernels once per worker.
 
     ``pairs`` is a sorted tuple of ``(graph_spec, is_scheme)`` — small
-    and picklable, per the pool policy.  For each pair the graph (or
-    construction) is built into the spec-keyed cache and the per-graph
-    validators are built into the engine cache, so the worker's first
-    scenario starts hot instead of paying the whole build cost inside
-    its task.
+    and picklable, per the pool policy.  For each pair the construction
+    (``scheme``) or the graph is built into the process's spec memo
+    (:mod:`repro.engine.cache`) and its validator into the engine cache,
+    so the worker's first scenario starts hot instead of paying the
+    whole build cost inside its task.  A ``sparse:N:M`` spec's two roles
+    share one graph, so both pairs of one spec build it once.
     """
-    from repro.engine.cache import fast_validator_for
-
     for spec, is_scheme in pairs:
-        graph = cached_construct(spec).graph if is_scheme else cached_graph(spec)
+        graph = construction_for(spec).graph if is_scheme else graph_for(spec)
         fast_validator_for(graph)
 
 
@@ -295,7 +235,7 @@ def warm_scenario_caches(pairs: tuple[tuple[str, bool], ...]) -> None:
 def _scheme_rows(sc: Scenario, cond_kind: str, cond_arg: int) -> dict:
     """Execute a ``scheme`` scenario: the paper's Broadcast_k scheme on a
     sparse hypercube, through the batch engine where possible."""
-    sh = cached_construct(sc.graph)
+    sh = construction_for(sc.graph)
     graph = sh.graph
     k_eff = sc.k if sc.k is not None else sh.k
     srcs = sources_for(sc.sources, graph.n_vertices)
@@ -328,7 +268,6 @@ def _scheme_rows(sc: Scenario, cond_kind: str, cond_arg: int) -> dict:
 
     if cond_kind == "congestion":
         from repro.core.broadcast import broadcast_schedule
-        from repro.engine.cache import fast_validator_for
 
         validator = fast_validator_for(graph)
         congestion = _CongestionAggregate(graph, bandwidth=cond_arg, k=k_eff)
@@ -363,7 +302,7 @@ def _registry_rows(sc: Scenario, cond_kind: str, cond_arg: int) -> dict:
     """Execute a registry-scheduler scenario through ``run_scheduler``."""
     from repro.schedulers.registry import ScheduleRequest, run_scheduler
 
-    graph = cached_graph(sc.graph)
+    graph = graph_for(sc.graph)
     run_graph = graph
     failed: tuple = ()
     if cond_kind == "edge-faults":

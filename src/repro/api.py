@@ -32,19 +32,17 @@ Engine selection (``api.validate(..., engine=...)``)
     the pure-Python oracle (:mod:`repro.model.validator`): walks every
     call with sets and per-edge lookups.  Legible, slow, and the
     repository's source of truth.
-``"fast"``
-    the NumPy validator (:mod:`repro.model.validator_fast`), the one
-    validation engine.  Verdicts, error strings, and statistics are
-    identical to the reference (failing schedules are reported from
-    arrays in the reference's words; pinned by the property tests), at
-    vectorized speed.
-``"batch"``
-    an alias of ``"fast"``, kept so CLI flags and v1 wire requests that
-    name it keep working.
-``"auto"`` (default)
-    ``fast``, with the per-graph edge-key arrays shared through the
-    process-wide engine cache.  Because the engines agree exactly, the
-    choice never changes a verdict — only its speed.
+``"auto"`` (default), ``"fast"``, ``"batch"``
+    three names of one engine: the graph's NumPy validator
+    (:mod:`repro.model.validator_fast`), shared through the process-wide
+    engine cache (``fast_validator_for``).  Verdicts, error strings, and
+    statistics are identical to the reference (failing schedules are
+    reported from arrays in the reference's words; pinned by the
+    property tests), at vectorized speed.  All three names stay, so CLI
+    flags and v1 wire requests that name any of them keep working.
+
+Because the engines agree exactly, the choice never changes a verdict —
+only its speed.
 
 All functions raise :class:`repro.types.ReproError` subtypes on invalid
 input, matching the rest of the library.
@@ -112,17 +110,17 @@ def construction(spec: "str | SparseHypercube") -> "SparseHypercube":
 
     if isinstance(spec, SparseHypercube):
         return spec
-    parts = spec.split(":")
-    if parts[0] != "sparse":
-        raise InvalidParameterError(
-            f"unknown construction spec {spec!r}; expected sparse:N[:M...]"
-        )
+    from repro.graphs.specs import parse_spec
+
     try:
-        args = [int(p) for p in parts[1:]]
-    except ValueError:
+        family, args = parse_spec(spec)  # the graph specs' one reader
+    except InvalidParameterError:
+        family, args = "", []  # an unknown family, or non-integer arguments
+    if family != "sparse":
         raise InvalidParameterError(
-            f"construction spec {spec!r}: arguments must be integers"
-        ) from None
+            f"unknown construction spec {spec!r}; expected sparse:N[:M...] "
+            "with integer arguments"
+        )
     if not args:
         raise InvalidParameterError(
             f"construction spec {spec!r} needs at least the dimension N"

@@ -37,8 +37,8 @@ runner — see :mod:`repro.analysis.registry` / :mod:`repro.analysis.runner`):
     the default samples 16 sources.  Alternatively
     ``repro validate --schedule FILE`` re-checks a schedule file written
     by ``repro schedule --out`` via :func:`repro.api.validate`
-    (``--engine auto|reference|fast|batch``; ``batch`` is an alias of
-    ``fast``).
+    (``--engine auto|reference|fast|batch``; ``auto``, ``fast`` and
+    ``batch`` name one engine).
 
 ``campaign``
     Declarative scenario sweeps (:mod:`repro.analysis.campaigns`):
@@ -240,9 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine",
         default=None,
         metavar="NAME",
-        help="--schedule mode: auto (default) | reference | fast | batch (an "
-        "alias of fast), the repro.api.validate engines (identical verdicts); "
-        "sweeps always run the batch engine",
+        help="--schedule mode: auto (default) | reference | fast | batch, the "
+        "repro.api.validate engines (identical verdicts; auto, fast and batch "
+        "are one engine); sweeps always run the batch engine",
     )
 
     p_camp = sub.add_parser(
@@ -795,15 +795,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _fail("serve", exc)
 
 
-def _corpus_graph(graph_spec: str, scheduler: str) -> "Graph":
-    """The graph a corpus group's frames live on (spec-kind aware)."""
-    from repro import api
-
-    if scheduler == "scheme":
-        return api.construction(graph_spec).graph
-    return api.build_graph(graph_spec)
-
-
 def _cmd_corpus(args: argparse.Namespace) -> int:
     import json
 
@@ -845,9 +836,10 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
                     seed=args.seed,
                 )
                 if args.out is not None:
+                    from repro.corpus.verify import corpus_graph
                     from repro.io import save_schedule
 
-                    graph = _corpus_graph(args.graph, args.scheduler)
+                    graph = corpus_graph(args.graph, args.scheduler)
                     save_schedule(args.out, graph, frame, k=args.k)
             row = {
                 "corpus": args.file,

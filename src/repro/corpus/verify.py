@@ -28,9 +28,10 @@ from typing import Any
 from repro.corpus.format import GroupInfo
 from repro.corpus.reader import CorpusReader
 from repro.errors import format_cause
+from repro.graphs.base import Graph
 from repro.types import ReproError
 
-__all__ = ["VerifyReport", "verify_corpus"]
+__all__ = ["VerifyReport", "corpus_graph", "verify_corpus"]
 
 
 @dataclass
@@ -70,12 +71,15 @@ def _group_for(groups: list[GroupInfo], fid: int) -> GroupInfo | None:
     return None
 
 
-def _graph_for(group: GroupInfo) -> Any:
-    from repro import api
+def corpus_graph(graph_spec: str, scheduler: str) -> Graph:
+    """The graph a corpus group's frames live on: a ``scheme`` group's
+    construction's, else the spec's (the process's one, from its spec
+    memo)."""
+    from repro.engine.cache import construction_for, graph_for
 
-    if group.scheduler == "scheme":
-        return api.construction(group.graph).graph
-    return api.build_graph(group.graph)
+    if scheduler == "scheme":
+        return construction_for(graph_spec).graph
+    return graph_for(graph_spec)
 
 
 def verify_corpus(
@@ -125,17 +129,13 @@ def verify_corpus(
         n = min(sample, reader.n_frames)
         fids = sorted(rng.sample(range(reader.n_frames), n))
         report.sampled = len(fids)
-        graphs: dict[str, Any] = {}
         for fid in fids:
             group = _group_for(groups, fid)
             if group is None:
                 report.errors.append(f"frame {fid} belongs to no group")
                 continue
             try:
-                graph = graphs.get(group.graph)
-                if graph is None:
-                    graph = _graph_for(group)
-                    graphs[group.graph] = graph
+                graph = corpus_graph(group.graph, group.scheduler)
                 frame = reader.frame_at(fid)
                 k = (
                     group.k

@@ -20,28 +20,50 @@ registry tracks live entries for :func:`cache_info` / :func:`clear_cache`.
 
 All cached objects are safe to share: their methods are stateless with
 callers threading bitmask state through (see :mod:`repro.engine.kernels`).
-Each process has its own cache; ``multiprocessing`` fan-out in the
-experiment runner warms one per worker.
+
+Identity keying needs callers that name a graph by spec to get one
+object per spec, so this module also holds the process's one spec memo:
+
+    graph = graph_for("sparse:6:3")    # built once per spec
+    sh = construction_for("sparse:6:3")
+    assert graph is sh.graph           # one spec, one object
+
+Both are LRU caches of at most :data:`SPEC_MEMO_SIZE` specs each; an
+evicted graph's engine entry goes with it once the graph is collected.
+Campaign scenarios, ``repro serve``'s compute workers and the corpus
+verifier read through them.  Each process has its own caches; the
+campaign runner warms one per worker.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
-from typing import Callable, TypeVar, cast
+from typing import TYPE_CHECKING, Callable, TypeVar, cast
 
 from repro.engine.kernels import GraphKernels
 from repro.graphs.base import Graph
 from repro.model.validator_fast import FastValidator
 
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.core.sparse_hypercube import SparseHypercube
+
 _T = TypeVar("_T")
 
 __all__ = [
+    "SPEC_MEMO_SIZE",
     "kernels_for",
     "fast_validator_for",
+    "graph_for",
+    "construction_for",
     "cache_info",
     "clear_cache",
 ]
+
+# Specs each memo keeps: a bound on entries, not bytes, so a client
+# that names ever more specs cannot grow a process without limit.
+SPEC_MEMO_SIZE = 32
 
 _SLOT_ATTR = "_repro_engine_cache"
 
@@ -107,23 +129,57 @@ def fast_validator_for(graph: Graph) -> FastValidator:
     return _get(graph, "fast", lambda: FastValidator(graph))
 
 
+@functools.lru_cache(maxsize=SPEC_MEMO_SIZE)
+def construction_for(spec: str) -> SparseHypercube:
+    """The process's one :func:`repro.api.construction` for ``spec``."""
+    from repro import api
+
+    return api.construction(spec)
+
+
+@functools.lru_cache(maxsize=SPEC_MEMO_SIZE)
+def graph_for(spec: str) -> Graph:
+    """The process's one graph for ``spec``: for ``sparse:N:M``, the
+    graph of :func:`construction_for`, so the spec's two roles share one
+    graph and one set of engine entries."""
+    from repro.graphs import specs
+
+    family, args = specs.parse_spec(spec)
+    if family == "sparse" and len(args) == 2:
+        return construction_for(spec).graph
+    return specs.graph_from_spec(spec)
+
+
 def cache_info() -> dict[str, int]:
-    """Counters plus the live entry count (for tests and diagnostics)."""
+    """Counters plus the live entry count and the spec memos' sizes (for
+    tests and diagnostics)."""
     return {
         "entries": len(_LIVE),
         "hits": _STATS.hits,
         "misses": _STATS.misses,
         "evictions": _STATS.evictions,
+        "graphs": graph_for.cache_info().currsize,
+        "constructions": construction_for.cache_info().currsize,
     }
 
 
-def clear_cache() -> int:
-    """Detach every live entry (kept objects stay alive for existing
-    holders); returns the number of entries removed.  Counters reset."""
+def _detach_all() -> int:
     graphs = list(_LIVE.values())
     for graph in graphs:
         if hasattr(graph, _SLOT_ATTR):
             delattr(graph, _SLOT_ATTR)
         _LIVE.pop(id(graph), None)
-    _STATS.hits = _STATS.misses = _STATS.evictions = 0
     return len(graphs)
+
+
+def clear_cache() -> int:
+    """Empty the spec memos and detach every live entry (kept objects
+    stay alive for existing holders); returns the number of entries
+    removed.  Counters reset."""
+    graph_for.cache_clear()
+    construction_for.cache_clear()
+    # a graph only the memos held dies as _detach_all returns: its
+    # eviction is counted before the reset, not after
+    removed = _detach_all()
+    _STATS.hits = _STATS.misses = _STATS.evictions = 0
+    return removed

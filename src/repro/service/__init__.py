@@ -12,16 +12,16 @@ Layering, bottom up:
     enough protocol for JSON-over-POST with keep-alive.
 :mod:`repro.service.compute`
     one compute request, bytes in and bytes out, on a worker process's
-    per-spec graph/construction caches.  Every ``POST /v1/validate``
-    is one ``api.validate`` call there — the fast engine on the cached
-    graph.
+    bounded spec memo (:mod:`repro.engine.cache`).  Every ``POST
+    /v1/validate`` is one ``api.validate`` call there — the fast engine
+    on the memoized graph.
 :mod:`repro.service.app`
     routing, corpus hits, per-endpoint latency/hit counters, the
     ``WorkerPool`` the compute requests go to, and the graceful-shutdown
     choreography (drain in-flight, stop the workers, close the corpus).
 
 The point of the daemon is cache amortization: in each worker, every
-request with the same graph spec reuses one
+request with the same graph or construction spec reuses one
 :class:`~repro.graphs.base.Graph` object, so the process-wide per-graph
 kernel/validator caches (:mod:`repro.engine.cache`) hit on identity —
 see ``benchmarks/bench_serve.py`` for the measured cold/warm gap.

@@ -13,8 +13,8 @@ of a :class:`~repro.util.pool.WorkerPool` as ``(endpoint, body)``
 bytes, through :meth:`~repro.util.pool.WorkerPool.submit`, so two
 requests in flight compute on two CPUs instead of taking turns on one
 GIL.  Each worker runs :func:`repro.service.compute.run` on its own
-spec-keyed graph and construction caches, which the process-wide engine
-caches (:mod:`repro.engine.cache`) key on.  A worker that dies
+bounded spec memo and engine caches (:mod:`repro.engine.cache`), which
+give every request for a spec one graph.  A worker that dies
 mid-request is replaced and the request retried.  The event loop never
 computes, whatever the worker count.
 """
@@ -89,7 +89,7 @@ class ReproService:
                 f"--max-keepalive must be >= 1, got {max_keepalive}"
             )
         # what the compute requests changed in their processes: engine
-        # cache counters, cached graphs/constructions, validates
+        # cache counters, memoized graphs/constructions, validates
         self._work: Counter[str] = Counter()
         self._stats = {name: _EndpointStats() for name in ENDPOINTS}
         self._inflight = 0
@@ -113,7 +113,7 @@ class ReproService:
         self._pool.start()
 
     def _graph_for(self, spec: str) -> Any:
-        """This process's graph for ``spec`` (the compute caches')."""
+        """This process's graph for ``spec`` (its spec memo's)."""
         return compute.graph_for(spec)
 
     # -- endpoint implementations ------------------------------------------

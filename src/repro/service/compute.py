@@ -3,12 +3,13 @@
 ``repro serve`` hands each compute request (``/v1/validate``,
 ``/v1/certificate``, and ``/v1/schedule`` after a corpus miss) to a
 :class:`~repro.util.pool.WorkerPool` process as ``(endpoint, body)``.
-:func:`run` decodes, computes and encodes there, on that process's own
-spec-keyed graph and construction caches: every request for a spec
-sees one :class:`~repro.graphs.base.Graph` identity, so the
-process-wide engine caches (:mod:`repro.engine.cache`) hit on it.
-Every failure becomes an error response, so no exception has to cross
-the pipe.
+:func:`run` decodes, computes and encodes there, on that process's
+bounded spec memo (:func:`repro.engine.cache.graph_for` and
+:func:`~repro.engine.cache.construction_for`): every request for a
+spec sees one :class:`~repro.graphs.base.Graph` identity, so the
+process-wide engine caches hit on it, and a ``sparse:N:M`` spec's
+validates and certificates share one graph.  Every failure becomes an
+error response, so no exception has to cross the pipe.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 from typing import Any, Callable
 
 from repro import api
-from repro.engine.cache import cache_info
+from repro.engine.cache import cache_info, clear_cache, construction_for, graph_for
 from repro.errors import captured_call
 from repro.io import frame_from_dict, frame_to_dict
 from repro.service import protocol
@@ -25,10 +26,8 @@ from repro.types import InvalidParameterError
 
 __all__ = ["construction_for", "graph_for", "parse_json", "reset", "run"]
 
-# This process's caches and tallies; :func:`run` reports what each
-# request changed in them.
-_GRAPHS: dict[str, Any] = {}
-_CONSTRUCTIONS: dict[str, Any] = {}
+# This process's tallies; :func:`run` reports what each request
+# changed in them and in the caches.
 _VALIDATED = {"validates": 0, "schedules": 0}
 
 
@@ -36,27 +35,8 @@ def reset() -> None:
     """Empty this process's caches and tallies: the compute pool's
     initializer, so a worker never starts with what its parent cached
     (a fork copies it) and a service's stats count only its own work."""
-    _GRAPHS.clear()
-    _CONSTRUCTIONS.clear()
+    clear_cache()
     _VALIDATED.update(validates=0, schedules=0)
-
-
-def graph_for(spec: str) -> Any:
-    """The process's one graph for ``spec``."""
-    graph = _GRAPHS.get(spec)
-    if graph is None:
-        graph = api.build_graph(spec)
-        _GRAPHS[spec] = graph
-    return graph
-
-
-def construction_for(spec: str) -> Any:
-    """The process's one construction for ``spec``."""
-    sh = _CONSTRUCTIONS.get(spec)
-    if sh is None:
-        sh = api.construction(spec)
-        _CONSTRUCTIONS[spec] = sh
-    return sh
 
 
 def parse_json(body: bytes) -> Any:
@@ -141,18 +121,13 @@ _HANDLERS: dict[str, Callable[[bytes], tuple[int, bytes]]] = {
 
 
 def _tallies() -> dict[str, int]:
-    return {
-        **cache_info(),
-        "graphs": len(_GRAPHS),
-        "constructions": len(_CONSTRUCTIONS),
-        **_VALIDATED,
-    }
+    return {**cache_info(), **_VALIDATED}
 
 
 def run(task: tuple[str, bytes]) -> tuple[int, bytes, dict[str, int]]:
     """One compute request: ``(status, response bytes, tally deltas)``.
 
-    The deltas (engine-cache counters and entries, cached graphs and
+    The deltas (engine-cache counters and entries, memoized graphs and
     constructions, validate requests and schedules) are what this
     request changed in this process, so the daemon's ``/v1/stats`` can
     sum them over every worker it ever had.

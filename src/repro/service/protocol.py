@@ -140,8 +140,9 @@ class ValidateRequestV1:
     """``POST /v1/validate``: check schedules against Definition 1.
 
     ``schedules`` holds io v2 columnar payloads.  ``engine`` is one of
-    :data:`repro.api.ENGINES` (``batch`` is an alias of ``fast``); every
-    engine produces byte-identical verdicts by construction.
+    :data:`repro.api.ENGINES` (``auto``, ``fast`` and ``batch`` name one
+    engine); every engine produces byte-identical verdicts by
+    construction.
     """
 
     graph: str

@@ -47,8 +47,10 @@ compute through :meth:`WorkerPool.submit`) routes through
 * **Graceful vs. hard shutdown.**  ``close()`` asks each worker to stop
   and joins it (clean ``exitcode == 0``, atexit/flush hooks run);
   ``terminate()`` is the error-path hard kill, also applied by a failing
-  ``map`` (Ctrl-C included).  A ``with`` block closes gracefully on
-  clean exit and terminates when an exception is flying.
+  ``map`` (Ctrl-C included; one that arrives while ``map`` forks waits,
+  blocked, until its loop runs, and then takes the same path).  A
+  ``with`` block closes gracefully on clean exit and terminates when an
+  exception is flying.
 * **Start method.**  The platform default (``fork`` on Linux, ``spawn``
   elsewhere).  Everything submitted — worker functions, initializers,
   their arguments — must be a *top-level picklable* object (RL005), so
@@ -445,10 +447,19 @@ class WorkerPool:
         on_result: Callable[[int, _R], None] | None = None,
     ) -> tuple[list[_R | None], list[TaskFault]]:
         items = list(tasks)
-        self.start()  # fork before asyncio is loaded: workers never carry it
-        import asyncio
+        # A Ctrl-C from the fork until asyncio.run's SIGINT handler is in
+        # would land in a half-built loop: it waits, blocked, until
+        # _gather runs, then cancels the map like any later one.
+        caller_mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            self.start()  # fork before asyncio is loaded: workers never carry it
+            import asyncio
 
-        return asyncio.run(self._gather(fn, items, quarantine, on_result))
+            return asyncio.run(
+                self._gather(fn, items, quarantine, on_result, caller_mask)
+            )
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, caller_mask)
 
     async def _gather(
         self,
@@ -456,9 +467,12 @@ class WorkerPool:
         items: list[Any],
         quarantine: bool,
         on_result: Callable[[int, Any], None] | None,
+        caller_mask: Iterable[int],
     ) -> tuple[list[Any], list[TaskFault]]:
         """``map``'s body on its loop: queue every task, then take each
-        as it lands (completion order) until all have."""
+        as it lands (completion order) until all have.  It restores
+        ``caller_mask`` first, on the loop, where a pending SIGINT meets
+        ``asyncio.run``'s handler."""
         import asyncio
 
         loop = asyncio.get_running_loop()
@@ -473,6 +487,7 @@ class WorkerPool:
         faults: list[TaskFault] = []
         self._backlog.extend(tasks)
         try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, caller_mask)
             self._feed()
             for _ in tasks:
                 task = await landed.get()

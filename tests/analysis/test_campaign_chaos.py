@@ -253,6 +253,49 @@ class TestQuarantineReport:
         assert len(excinfo.value.quarantined) == 2
 
 
+def _fail_last_kill_first(sc):
+    """``_fail_last``, except that the grid's first scenario also kills
+    its worker."""
+    if sc.index == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _fail_last(sc)
+
+
+class TestFailureCode:
+    """A failed campaign carries the code of the first cause its message
+    lists, so ``repro campaign run`` names a fault as ``repro run`` does."""
+
+    @pytest.mark.parametrize(
+        "chaos_spec, jobs, flags, code",
+        [
+            ("delay:task=1:ms=5000", 1, ["--task-timeout", "1"], "task-timeout"),
+            ("kill:task=2", 2, [], "worker-crash"),
+        ],
+        ids=["deadline", "killed"],
+    )
+    def test_cli_names_the_quarantined_fault(
+        self, tmp_path, monkeypatch, capsys, chaos_spec, jobs, flags, code
+    ):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CHAOS", chaos_spec)
+        chaos.reset()
+        argv = ["campaign", "run", "paper-grid", "--jobs", str(jobs), "--no-cache"]
+        argv += [*flags, "--retries", "0", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"campaign failed [{code}]: quarantined after 1")
+
+    def test_a_failed_scenario_comes_first(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(campaigns, "run_scenario", _fail_last_kill_first)
+        runner = CampaignRunner(retry=RetryPolicy(base_delay=0.0, max_attempts=1))
+        with pytest.raises(CampaignExecutionError, match="^failed: ") as excinfo:
+            runner.run(TINY, checkpoint=chunk_path(tmp_path, TINY, (0, 1)))
+        assert excinfo.value.code == "scenario-error"
+        assert len(excinfo.value.failures) == len(excinfo.value.quarantined) == 1
+
+
 class TestCorruptCacheChaos:
     def test_corrupted_entry_is_a_miss_not_a_crash(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
@@ -512,6 +555,35 @@ class TestCtrlC:
             proc, lambda: len(_children(proc.pid)) == jobs, workers=jobs, group=group
         )
         assert status == (130, ["run interrupted"])
+
+    def test_interrupt_before_the_loop_takes_the_same_path(self):
+        """A SIGINT that lands after the map forks but before its event
+        loop handles SIGINT (here: while the loop is being built) waits
+        for the loop, then cancels the map like any later one: one
+        line and rc 130, no half-built loop and no orphaned coroutine."""
+        script = (
+            "import asyncio, os, signal, sys\n"
+            "from repro.cli import main\n"
+            "build = asyncio.events.new_event_loop\n"
+            "def interrupted():\n"
+            "    os.kill(os.getpid(), signal.SIGINT)\n"
+            "    return build()\n"
+            "asyncio.events.new_event_loop = interrupted\n"
+            "sys.exit(main(['run', 'e02']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        env.pop("REPRO_CHAOS", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr.splitlines()) == (
+            130,
+            ["run interrupted"],
+        )
 
     def test_interrupted_daemon_drains_and_exits_0(self):
         proc = self._cli("serve", "--workers", "2", "--port", "0")

@@ -1,9 +1,12 @@
-"""The warm campaign path: pre-built scenario caches in every worker.
+"""The warm campaign path: pre-built scenario instances in every worker.
 
-Two contracts: the pool initializer actually pre-warms the per-process
-scenario caches (hit counters prove the execution path found them), and
-the worker count cannot change a campaign's bytes.
+Two contracts: the pool initializer actually pre-warms the process's
+spec memo and engine cache (:func:`repro.engine.cache.cache_info`
+proves the execution path found them), and the worker count cannot
+change a campaign's bytes.
 """
+
+import importlib
 
 import pytest
 
@@ -15,16 +18,19 @@ from repro.analysis.campaigns import (
     run_campaign_shard,
 )
 from repro.analysis.scenarios import (
-    cached_construct,
-    cached_graph,
     clear_scenario_caches,
     run_scenario,
-    scenario_cache_info,
     warm_scenario_caches,
+)
+from repro.engine.cache import (
+    cache_info,
+    construction_for,
+    fast_validator_for,
+    graph_for,
 )
 
 # Mixed scheme + registry schedulers over one sparse-hypercube spec so a
-# single run exercises both instance caches.
+# single run exercises both of the spec's roles.
 WARM = CampaignSpec(
     name="warm-test",
     title="warm cache grid",
@@ -37,9 +43,10 @@ WARM = CampaignSpec(
 
 
 def _run_and_count(sc):
-    """``run_scenario``, with the scenario-cache counters of the worker
-    that ran it added to its row."""
-    return {**run_scenario(sc), "cache": scenario_cache_info()}
+    """``run_scenario``, with the cache counters of the worker that ran
+    it, as the scenario found them, added to its row."""
+    found = cache_info()
+    return {**run_scenario(sc), "cache": found}
 
 
 @pytest.fixture(autouse=True)
@@ -50,48 +57,61 @@ def _fresh_caches():
 
 
 class TestWarmScenarioCaches:
-    def test_prewarms_both_instance_caches(self):
+    def test_prewarms_memo_and_validators(self):
         warm_scenario_caches((("hypercube:3", False), ("sparse:4:2", True)))
-        info = scenario_cache_info()
-        assert info["graph_entries"] == 1
-        assert info["construct_entries"] == 1
-        assert info["graph_misses"] == 1 and info["construct_misses"] == 1
-        assert info["graph_hits"] == 0 and info["construct_hits"] == 0
+        info = cache_info()
+        assert info["graphs"] == 1 and info["constructions"] == 1
+        assert info["entries"] == 2  # one validator per graph
+        assert info["misses"] == 2 and info["hits"] == 0
 
     def test_lookups_after_warming_hit(self):
         warm_scenario_caches((("hypercube:3", False), ("sparse:4:2", True)))
-        g1 = cached_graph("hypercube:3")
-        g2 = cached_graph("hypercube:3")
-        sh1 = cached_construct("sparse:4:2")
-        sh2 = cached_construct("sparse:4:2")
+        g1 = graph_for("hypercube:3")
+        g2 = graph_for("hypercube:3")
+        sh1 = construction_for("sparse:4:2")
+        sh2 = construction_for("sparse:4:2")
         assert g1 is g2 and sh1 is sh2
-        info = scenario_cache_info()
-        assert info["graph_hits"] == 2
-        assert info["construct_hits"] == 2
+        fast_validator_for(g1)
+        fast_validator_for(sh1.graph)
+        info = cache_info()
+        assert info["graphs"] == 1 and info["constructions"] == 1
+        assert info["misses"] == 2 and info["hits"] == 2
 
     def test_idempotent(self):
         pairs = (("sparse:4:2", True),)
         warm_scenario_caches(pairs)
         warm_scenario_caches(pairs)
-        info = scenario_cache_info()
-        assert info["construct_entries"] == 1
-        assert info["construct_misses"] == 1
+        info = cache_info()
+        assert info["constructions"] == 1 and info["graphs"] == 0
+        assert info["entries"] == 1
+        assert info["misses"] == 1 and info["hits"] == 1
+
+    def test_both_roles_of_a_spec_build_it_once(self, monkeypatch):
+        construct = importlib.import_module("repro.core.construct")
+        built = []
+        build = construct.construct_base
+
+        def counted(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(construct, "construct_base", counted)
+        warm_scenario_caches((("sparse:4:2", False), ("sparse:4:2", True)))
+        assert built == [(4, 2)]
+        assert graph_for("sparse:4:2") is construction_for("sparse:4:2").graph
+        assert cache_info()["entries"] == 1
 
 
 class TestCampaignRunsWarm:
     def test_serial_campaign_executes_on_warm_instances(self, monkeypatch):
         # patched before the pool forks, so its one worker runs it
         monkeypatch.setattr(campaigns, "run_scenario", _run_and_count)
-        counts = [o.row["cache"] for o in CampaignRunner(jobs=1).run(WARM)]
-        # the initializer pays the misses; every scenario then hits
-        for info in counts:
-            assert info["construct_entries"] == 1
-            assert info["construct_misses"] == 1
-            assert info["graph_misses"] == 1
-        # counters only grow: the last scenario run has the most hits
-        last = max(counts, key=lambda info: info["graph_hits"] + info["construct_hits"])
-        assert last["construct_hits"] > 0
-        assert last["graph_hits"] > 0
+        found = [o.row["cache"] for o in CampaignRunner(jobs=1).run(WARM)]
+        # the initializer built the spec's one graph, its construction
+        # and its validator before the first scenario started
+        for info in found:
+            assert info["graphs"] == 1 and info["constructions"] == 1
+            assert info["entries"] >= 1 and info["misses"] >= 1
 
 
 class TestWorkerConfigDeterminism:

@@ -141,6 +141,21 @@ class TestExecution:
         assert row["rounds_min"] == row["rounds_max"] == 4
         assert row["n_cosets"] >= 1
 
+    def test_scheme_reads_its_spec_as_graph_specs_do(self):
+        """``Sparse:4:2`` spells ``sparse:4:2``: the ``scheme`` row differs
+        only in the fields that quote the spelling."""
+
+        def row(graph):
+            sc = make(graph=graph, scheduler="scheme", k=None, sources="all")
+            measured = run_scenario(sc)
+            assert (measured.pop("graph"), measured.pop("scenario")) == (
+                graph,
+                sc.scenario_id,
+            )
+            return measured
+
+        assert row("Sparse:4:2") == row("sparse:4:2")
+
     def test_scheme_fault_repair(self):
         row = run_scenario(
             make(

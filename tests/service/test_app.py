@@ -10,7 +10,7 @@ from repro.core.broadcast import broadcast_schedule
 from repro.core.construct import construct_base
 from repro.frame import as_frame
 from repro.io import certificate_for, dump_certificate, frame_from_dict, frame_to_dict
-from repro.service import protocol
+from repro.service import compute, protocol
 from repro.service.app import ReproService
 from repro.service.http import HttpRequest, read_request, render_response
 from repro.types import InvalidParameterError
@@ -289,6 +289,17 @@ class TestCertificate:
         dump_certificate(cert, str(path))
         assert payload == path.read_bytes()
 
+    def test_construction_spec_reads_like_a_graph_spec(self, service):
+        """``Sparse:6:3`` names the graph ``sparse:6:3`` names, in both
+        roles: its certificate is that spec's, to the byte."""
+
+        def certificate(spec):
+            body = json.dumps({"construction": spec, "sources": [0, 9]}).encode()
+            return dispatch(service, "POST", "/v1/certificate", body)
+
+        assert certificate("Sparse:6:3") == certificate("sparse:6:3")
+        assert certificate("Sparse:6:3")[0] == 200
+
     @pytest.mark.parametrize("spec", ["hypercube:4", "sparse:40"])
     def test_bad_construction_is_400(self, service, spec):
         body = json.dumps({"construction": spec}).encode()
@@ -345,6 +356,16 @@ class TestStats:
         assert data["graphs_cached"] == 1
         assert data["engine_cache"]["hits"] >= 1
         assert service._graph_for(GRAPH_SPEC) is service._graph_for(GRAPH_SPEC)
+
+    def test_a_sparse_spec_names_one_graph(self, service):
+        """Validates and certificates on one ``sparse:N:M`` spec share one
+        graph, so one set of engine entries; stats count both roles."""
+        graph = compute.graph_for(GRAPH_SPEC)
+        assert graph is compute.construction_for(GRAPH_SPEC).graph
+        dispatch(service, "POST", "/v1/validate", validate_body(broadcast_frames(1)))
+        data = json.loads(dispatch(service, "GET", "/v1/stats")[1])
+        assert data["graphs_cached"] == data["constructions_cached"] == 1
+        assert data["engine_cache"]["entries"] == 1
 
 
 class TestLifecycle:
