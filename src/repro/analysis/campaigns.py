@@ -48,10 +48,10 @@ from repro.analysis.scenarios import (
     warm_scenario_caches,
 )
 from repro.analysis import store
-from repro.errors import ScenarioError, captured_call, format_cause
+from repro.errors import ExecutionError, ScenarioError, format_cause
 from repro.graphs.specs import spec_vertices
 from repro.types import InvalidParameterError, ReproError
-from repro.util.pool import TaskFault, WorkerPool
+from repro.util.pool import WorkerPool
 from repro.util.retry import RetryPolicy
 
 __all__ = [
@@ -89,11 +89,12 @@ class CampaignExecutionError(ReproError):
     stored, so fixing the cause and re-running resumes instead of
     restarting.  ``failures`` carries the scenarios whose own
     code raised (:class:`~repro.errors.ScenarioError` — deterministic,
-    never retried); ``quarantined`` carries the poison-task reports
-    (:class:`~repro.util.pool.TaskFault`) for scenarios that exhausted
-    the retry budget on infrastructure faults.  Its ``code`` is that of
-    the first cause its message lists: ``scenario-error``, else the first
-    quarantined fault's (``task-timeout`` or ``worker-crash``).
+    never retried); ``quarantined`` carries the
+    :class:`~repro.errors.WorkerCrash` / :class:`~repro.errors.TaskTimeout`
+    that ended each scenario whose infrastructure faults exhausted the
+    retry budget.  Its ``code`` is that of the first cause its message
+    lists: ``scenario-error``, else the first quarantined fault's
+    (``task-timeout`` or ``worker-crash``).
     """
 
     def __init__(
@@ -101,15 +102,14 @@ class CampaignExecutionError(ReproError):
         message: str,
         *,
         failures: tuple[ScenarioError, ...] = (),
-        quarantined: tuple[TaskFault, ...] = (),
+        quarantined: tuple[ExecutionError, ...] = (),
     ) -> None:
         super().__init__(message)
         self.failures = failures
         self.quarantined = quarantined
-        if failures:
-            self.code = failures[0].code
-        elif quarantined:
-            self.code = quarantined[0].as_error().code
+        causes = (*failures, *quarantined)
+        if causes:
+            self.code = causes[0].code
 
 
 @dataclass(frozen=True)
@@ -598,21 +598,16 @@ class CampaignStats:
     seconds: float = 0.0
 
 
-def _execute_scenario(sc: Scenario) -> tuple[str, object, float]:
-    """Worker entry point (top-level, picklable): run one scenario.
-
-    Failures come back as values (:func:`repro.errors.captured_call`)
-    instead of propagating, so the parent stores every *completed*
-    scenario before reporting — a crash in scenario 99 of 100 must not
-    discard 98 finished entries (the resumable-run contract).  A failure
-    travels as its one-line cause, the string a :class:`ScenarioError`
-    is built from in the parent.
-    """
+def _execute_scenario(sc: Scenario) -> tuple[dict, float]:
+    """Worker entry point (top-level, picklable): one scenario's row and
+    its run time.  A scenario that raises fails its task; the pool's
+    ``map_quarantine`` hands the exception back to the parent, which
+    stores every *completed* scenario before reporting it — a failure in
+    scenario 99 of 100 must not discard 98 finished entries (the
+    resumable-run contract)."""
     t0 = time.perf_counter()
-    status, payload = captured_call(run_scenario, sc)
-    if status == "raise":
-        payload = format_cause(payload)
-    return status, payload, time.perf_counter() - t0
+    row = run_scenario(sc)
+    return row, time.perf_counter() - t0
 
 
 def _entry_key(spec: CampaignSpec, sc: Scenario) -> str:
@@ -693,9 +688,12 @@ class CampaignRunner:
         checkpoint is copied into the cache when there is one.  On
         success the chunk is written at ``checkpoint`` first, and only
         then is the checkpoint directory removed, so one of the two is
-        on disk at every instant.  Scenario-code failures and quarantined
-        poison tasks are both collected and raised *after* everything
-        else completed and was stored.
+        on disk at every instant.  ``map_quarantine`` returns each failed
+        scenario's exception: its own, reported as a
+        :class:`ScenarioError`, or the :class:`~repro.errors.WorkerCrash`
+        / :class:`~repro.errors.TaskTimeout` that ended its attempts.
+        All are raised together *after* everything else completed and
+        was stored.
         """
         t_start = time.perf_counter()
         owned = shard_scenarios(expand_campaign(spec), shard)
@@ -734,15 +732,14 @@ class CampaignRunner:
 
         dispatched = sorted(to_run, key=_dispatch_rank)
 
-        def record(index: int, value: tuple[str, object, float]) -> None:
+        def record(index: int, value: tuple[dict, float]) -> None:
             # runs in the parent as each task lands, before the map returns
-            status, payload, _seconds = value
-            if sink is not None and status == "ok":
-                sc = dispatched[index]
-                sink.store(_entry_key(spec, sc), digests[sc.index], _entry(sc, payload))
+            if sink is not None:
+                sc, (row, _seconds) = dispatched[index], value
+                sink.store(_entry_key(spec, sc), digests[sc.index], _entry(sc, row))
 
-        results: list[tuple[str, object, float] | None] = []
-        task_faults: list[TaskFault] = []
+        results: list[tuple[dict, float] | None] = []
+        errors: dict[int, BaseException] = {}
         if dispatched:
             with WorkerPool(
                 min(self.jobs, len(dispatched)),
@@ -750,46 +747,46 @@ class CampaignRunner:
                 initargs=(warm_pairs,),
                 retry=self.retry,
             ) as pool:
-                results, task_faults = pool.map_quarantine(
+                results, errors = pool.map_quarantine(
                     _execute_scenario, dispatched, on_result=record
                 )
-        finished = {sc.index: result for sc, result in zip(dispatched, results)}
-        task_faults.sort(key=lambda fault: dispatched[fault.index].index)
-        failures: list[ScenarioError] = []
-        for sc in to_run:
-            result = finished.get(sc.index)
+        for sc, result in zip(dispatched, results):
             if result is None:
-                continue  # quarantined: reported via task_faults below
-            status, payload, seconds = result
-            if status == "raise":
-                failures.append(ScenarioError(sc.scenario_id, str(payload)))
-                continue
+                continue  # failed: reported from ``errors`` below
+            row, seconds = result
             self.stats.executed += 1
             outcomes[sc.index] = ScenarioOutcome(
                 scenario=sc,
-                row=payload,
+                row=row,
                 digest=digests[sc.index],
                 seconds=seconds,
                 cached=False,
             )
         self.stats.seconds += time.perf_counter() - t_start
-        if failures or task_faults:
+        if errors:
             # every completed scenario is stored above, so the re-run
             # after a fix only executes the failed ones
+            failures: list[ScenarioError] = []
+            quarantined: list[tuple[Scenario, ExecutionError]] = []
+            for position in sorted(errors, key=lambda i: dispatched[i].index):
+                sc, error = dispatched[position], errors[position]
+                if isinstance(error, ExecutionError):
+                    quarantined.append((sc, error))
+                else:
+                    failures.append(ScenarioError(sc.scenario_id, format_cause(error)))
             parts = []
             if failures:
                 more = f" (+{len(failures) - 1} more)" if len(failures) > 1 else ""
                 parts.append(f"failed: {failures[0]}{more}")
-            for fault in task_faults:
-                sc = dispatched[fault.index]
+            for sc, fault in quarantined:
                 parts.append(
                     f"quarantined after {fault.attempts} attempts: scenario "
-                    f"{sc.index} ({sc.scenario_id}) — {fault.message}"
+                    f"{sc.index} ({sc.scenario_id}) — {fault}"
                 )
             raise CampaignExecutionError(
                 "; ".join(parts),
                 failures=tuple(failures),
-                quarantined=tuple(task_faults),
+                quarantined=tuple(fault for _, fault in quarantined),
             )
         ordered = [outcomes[sc.index] for sc in owned]
         if checkpoint is not None and ckpt is not None:

@@ -80,7 +80,6 @@ class CorpusReader:
             )
         self._check_bounds()
         self._index = {g.key: g for g in self._groups}
-        self._frames: dict[int, ScheduleFrame] = {}
 
     def _check_bounds(self) -> None:
         n = self._n_frames
@@ -181,16 +180,15 @@ class CorpusReader:
         return group.lo + pos
 
     def frame_at(self, fid: int) -> ScheduleFrame:
-        """Frame ``fid`` as zero-copy read-only slices of the mapping."""
-        frame = self._frames.get(fid)
-        if frame is not None:
-            return frame
+        """Frame ``fid`` as zero-copy read-only slices of the mapping,
+        built on each call: slicing is cheap next to any use of a frame,
+        and the reader holds no frame once its caller drops it."""
         if not 0 <= fid < self._n_frames:
             raise CorpusKeyError(
                 f"frame id {fid} out of range for a {self._n_frames}-frame corpus"
             )
         s = self._sections
-        frame = ScheduleFrame(
+        return ScheduleFrame(
             source=int(s["source"][fid]),
             path_verts=s["path_verts"][s["pv_bounds"][fid] : s["pv_bounds"][fid + 1]],
             call_offsets=s["call_offsets"][
@@ -200,8 +198,6 @@ class CorpusReader:
                 s["ro_bounds"][fid] : s["ro_bounds"][fid + 1]
             ],
         )
-        self._frames[fid] = frame
-        return frame
 
     def get(
         self,
@@ -226,7 +222,6 @@ class CorpusReader:
     def close(self) -> None:
         """Drop the views and unmap.  The reader is unusable afterwards."""
         self._sections = {}
-        self._frames = {}
         try:
             self._mmap.close()
         except BufferError:

@@ -33,9 +33,8 @@ Each kind accepts only its own keys and must name its target (``task``,
 error, never an event that silently injects nothing.
 
 Hooks are no-ops (one cached ``None`` check) when ``REPRO_CHAOS`` is
-unset, so production paths pay nothing.  Together with
-:mod:`repro.util.retry` this is a sanctioned ``time.sleep`` boundary
-(lint rule RL010).
+unset, so production paths pay nothing.  This is the sanctioned
+``time.sleep`` boundary (lint rule RL010).
 """
 
 from __future__ import annotations

@@ -560,12 +560,10 @@ def rl008_no_unordered_set_iteration(ctx: FileContext) -> Iterable[Finding]:
 
 # -- RL010: fault handling through the sanctioned boundaries -----------------
 
-# The modules allowed to sleep and to catch broadly: the retry policy
-# (every backoff is policy-driven and deterministic), the error
-# taxonomy (captured_call is the accounted catch-all), and
-# the chaos harness (injected delays are the point).
+# The modules allowed to sleep and to catch broadly: the error taxonomy
+# (captured_call is the accounted catch-all) and the chaos harness
+# (injected delays are the point).
 _RL010_BOUNDARIES = (
-    "repro/util/retry.py",
     "repro/errors.py",
     "repro/devtools/chaos.py",
 )
@@ -590,7 +588,7 @@ def _catches_broadly(handler: ast.ExceptHandler) -> bool:
     "RL010",
     "fault-handling-boundaries",
     "no ad-hoc time.sleep or broad `except Exception` outside the "
-    "retry/errors/chaos boundary modules",
+    "errors/chaos boundary modules",
 )
 def rl010_fault_handling_boundaries(ctx: FileContext) -> Iterable[Finding]:
     """Fault handling funnels through the PR-8 execution layer.
@@ -599,10 +597,12 @@ def rl010_fault_handling_boundaries(ctx: FileContext) -> Iterable[Finding]:
     hand-rolled ``time.sleep`` retry loops (nondeterministic, unbounded)
     and bare ``except Exception`` blocks that silently swallowed worker
     crashes alongside real bugs (the pre-PR-8
-    ``analysis/campaigns.py`` failure path).  Now every backoff is a
-    :class:`repro.util.retry.RetryPolicy` decision and every broad
-    catch goes through :func:`repro.errors.captured_call`, so swallowed
-    exceptions are accounted for.  Genuinely unavoidable boundary
+    ``analysis/campaigns.py`` failure path).  Now every retry is a
+    :class:`repro.util.pool.WorkerPool` decision under its
+    :class:`repro.util.retry.RetryPolicy`, every wait an event-loop
+    timer, and every broad catch goes through
+    :func:`repro.errors.captured_call`, so swallowed exceptions are
+    accounted for.  Genuinely unavoidable boundary
     catches elsewhere (e.g. optional-dependency probes) carry an inline
     suppression with a justification.
     """
@@ -613,9 +613,9 @@ def rl010_fault_handling_boundaries(ctx: FileContext) -> Iterable[Finding]:
             yield (
                 call.lineno,
                 call.col_offset,
-                "ad-hoc time.sleep; wait out a repro.util.retry "
-                "RetryPolicy backoff as an event-loop timer so waits are "
-                "policy-driven and deterministic",
+                "ad-hoc time.sleep; retry through repro.util.pool.WorkerPool "
+                "under its RetryPolicy, and wait on an event-loop timer, so "
+                "no wait is hand-rolled",
             )
     for node in ctx.walk():
         if isinstance(node, ast.ExceptHandler) and _catches_broadly(node):

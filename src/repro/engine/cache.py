@@ -27,9 +27,12 @@ object per spec, so this module also holds the process's one spec memo:
     graph = graph_for("sparse:6:3")    # built once per spec
     sh = construction_for("sparse:6:3")
     assert graph is sh.graph           # one spec, one object
+    assert graph is graph_for("Sparse:6:3")  # one spec, however spelled
 
-Both are LRU caches of at most :data:`SPEC_MEMO_SIZE` specs each; an
-evicted graph's engine entry goes with it once the graph is collected.
+Both read the spec through :func:`repro.graphs.specs.parse_spec` and key
+an LRU cache of at most :data:`SPEC_MEMO_SIZE` specs on its one spelling,
+``family:arg:…``; an evicted graph's engine entry goes with it once the
+graph is collected.
 Campaign scenarios, ``repro serve``'s compute workers and the corpus
 verifier read through them.  Each process has its own caches; the
 campaign runner warms one per worker.
@@ -44,7 +47,9 @@ from typing import TYPE_CHECKING, Callable, TypeVar, cast
 
 from repro.engine.kernels import GraphKernels
 from repro.graphs.base import Graph
+from repro.graphs.specs import graph_from_spec, parse_spec
 from repro.model.validator_fast import FastValidator
+from repro.types import InvalidParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.sparse_hypercube import SparseHypercube
@@ -129,25 +134,44 @@ def fast_validator_for(graph: Graph) -> FastValidator:
     return _get(graph, "fast", lambda: FastValidator(graph))
 
 
-@functools.lru_cache(maxsize=SPEC_MEMO_SIZE)
+def _spelling(spec: str) -> str:
+    """``spec`` as ``family:arg:…``, the one spelling the memos key on.
+
+    A spec that :func:`parse_spec` rejects passes through unchanged, so
+    its builder rejects it in its own words, before anything is cached.
+    """
+    try:
+        family, args = parse_spec(spec)
+    except InvalidParameterError:
+        return spec
+    return ":".join([family, *map(str, args)])
+
+
 def construction_for(spec: str) -> SparseHypercube:
     """The process's one :func:`repro.api.construction` for ``spec``."""
+    return _construction_for(_spelling(spec))
+
+
+def graph_for(spec: str) -> Graph:
+    """The process's one graph for ``spec``: for ``sparse:N:M``, the
+    graph of :func:`construction_for`, so the spec's two roles share one
+    graph and one set of engine entries."""
+    return _graph_for(_spelling(spec))
+
+
+@functools.lru_cache(maxsize=SPEC_MEMO_SIZE)
+def _construction_for(spec: str) -> SparseHypercube:
     from repro import api
 
     return api.construction(spec)
 
 
 @functools.lru_cache(maxsize=SPEC_MEMO_SIZE)
-def graph_for(spec: str) -> Graph:
-    """The process's one graph for ``spec``: for ``sparse:N:M``, the
-    graph of :func:`construction_for`, so the spec's two roles share one
-    graph and one set of engine entries."""
-    from repro.graphs import specs
-
-    family, args = specs.parse_spec(spec)
+def _graph_for(spec: str) -> Graph:
+    family, args = parse_spec(spec)
     if family == "sparse" and len(args) == 2:
-        return construction_for(spec).graph
-    return specs.graph_from_spec(spec)
+        return _construction_for(spec).graph
+    return graph_from_spec(spec)
 
 
 def cache_info() -> dict[str, int]:
@@ -158,8 +182,8 @@ def cache_info() -> dict[str, int]:
         "hits": _STATS.hits,
         "misses": _STATS.misses,
         "evictions": _STATS.evictions,
-        "graphs": graph_for.cache_info().currsize,
-        "constructions": construction_for.cache_info().currsize,
+        "graphs": _graph_for.cache_info().currsize,
+        "constructions": _construction_for.cache_info().currsize,
     }
 
 
@@ -176,8 +200,8 @@ def clear_cache() -> int:
     """Empty the spec memos and detach every live entry (kept objects
     stay alive for existing holders); returns the number of entries
     removed.  Counters reset."""
-    graph_for.cache_clear()
-    construction_for.cache_clear()
+    _graph_for.cache_clear()
+    _construction_for.cache_clear()
     # a graph only the memos held dies as _detach_all returns: its
     # eviction is counted before the reset, not after
     removed = _detach_all()

@@ -15,11 +15,10 @@ retry machinery needs to tell the two kinds apart:
   same inputs would fail the same way — so they are captured once,
   attributed to their scenario id, and reported.
 
-This module (together with :mod:`repro.util.retry`) is also the one
-sanctioned *broad-exception boundary* in the library: lint rule RL010
-bans ``except Exception`` elsewhere, so catch-alls funnel through
-:func:`captured_call` and every swallowed exception is accounted for
-instead of silently discarded.
+This module is also the one sanctioned *broad-exception boundary* in
+the library: lint rule RL010 bans ``except Exception`` elsewhere, so
+catch-alls funnel through :func:`captured_call` and every swallowed
+exception is accounted for instead of silently discarded.
 """
 
 from __future__ import annotations
@@ -52,10 +51,15 @@ class ExecutionError(ReproError):
 
     Subclasses are the *retryable* family: the failure is a property of
     the process/OS environment (a killed worker, a missed deadline), not
-    of the task's inputs, so re-running the task is meaningful.
+    of the task's inputs, so re-running the task is meaningful.  Each
+    carries how many attempts the affected task has consumed.
     """
 
     code = "execution-error"
+
+    def __init__(self, message: str, *, attempts: int = 1) -> None:
+        super().__init__(message)
+        self.attempts = attempts
 
 
 class WorkerCrash(ExecutionError):
@@ -63,8 +67,7 @@ class WorkerCrash(ExecutionError):
 
     Detected by the pool through the process sentinel (the
     ``BrokenProcessPool`` analogue for the repo's own worker pool);
-    carries the observed exit code and how many attempts the affected
-    task has consumed.
+    carries the observed exit code.
     """
 
     code = "worker-crash"
@@ -76,26 +79,14 @@ class WorkerCrash(ExecutionError):
         exitcode: int | None = None,
         attempts: int = 1,
     ) -> None:
-        super().__init__(message)
+        super().__init__(message, attempts=attempts)
         self.exitcode = exitcode
-        self.attempts = attempts
 
 
 class TaskTimeout(ExecutionError):
     """A task exceeded its per-task deadline and its worker was culled."""
 
     code = "task-timeout"
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        seconds: float | None = None,
-        attempts: int = 1,
-    ) -> None:
-        super().__init__(message)
-        self.seconds = seconds
-        self.attempts = attempts
 
 
 class ScenarioError(ReproError):

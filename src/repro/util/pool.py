@@ -12,11 +12,11 @@ compute through :meth:`WorkerPool.submit`) routes through
 * **One dispatch engine, on an event loop.**  Mapped and submitted
   tasks wait in one FIFO backlog for an idle worker; the loop watches
   each busy worker's result pipe and process sentinel
-  (``loop.add_reader``: no thread, no polling), and deadlines and
-  backoffs are loop timers.  :meth:`WorkerPool.submit` runs from the
-  caller's loop; :meth:`WorkerPool.map` forks its workers, then runs on
-  a loop of its own (``asyncio.run``), so call it outside a running
-  loop — its workers fork before ``asyncio`` (and its ``ssl``) loads.
+  (``loop.add_reader``: no thread, no polling), and deadlines are loop
+  timers.  :meth:`WorkerPool.submit` runs from the caller's loop;
+  :meth:`WorkerPool.map` forks its workers, then runs on a loop of its
+  own (``asyncio.run``), so call it outside a running loop — its
+  workers fork before ``asyncio`` (and its ``ssl``) loads.
 * **One task per dispatch.**  Each idle worker is handed exactly one
   task, so a slow task never holds others hostage and each task is its
   own unit of retry and deadline.  Fresh tasks go out in task order, and
@@ -30,20 +30,21 @@ compute through :meth:`WorkerPool.submit`) routes through
   immediately (the ``BrokenProcessPool`` analogue) instead of hanging
   the run.  Only a pipe that ends without a whole message means a
   crash: a message that will not unpickle is the task's failure.  The
-  failed task — and only that task — is re-run under the
-  :class:`~repro.util.retry.RetryPolicy`, after its backoff, ahead of
-  fresh tasks.  A task that keeps killing its worker (or blowing its
-  ``task_timeout`` deadline, counted from its dispatch) is
-  **quarantined** after ``max_attempts``:
-  :meth:`WorkerPool.map_quarantine` reports it as a :class:`TaskFault`
-  value while every other task completes; plain :meth:`WorkerPool.map`
-  raises the corresponding :class:`~repro.errors.WorkerCrash` /
-  :class:`~repro.errors.TaskTimeout`.  Exceptions raised by the task's
-  *own code* are never retried — they re-raise in the parent with their
-  original type, and the worker's formatted traceback chained as their
-  ``__cause__`` (the idiom of ``concurrent.futures``), so a report still
-  shows the frame that raised.  One that an unpickler could not rebuild
-  re-raises as a ``RuntimeError`` naming its type and message.
+  failed task — and only that task — goes back to the front of the
+  backlog at once, for a fresh worker, under the
+  :class:`~repro.util.retry.RetryPolicy`.  A task that keeps killing its
+  worker (or blowing its ``task_timeout`` deadline, counted from its
+  dispatch) fails after ``max_attempts`` with a
+  :class:`~repro.errors.WorkerCrash` / :class:`~repro.errors.TaskTimeout`.
+  Exceptions raised by the task's *own code* are never retried — they
+  come back to the parent with their original type, and the worker's
+  formatted traceback chained as their ``__cause__`` (the idiom of
+  ``concurrent.futures``), so a report still shows the frame that raised.
+  One that an unpickler could not rebuild comes back as a
+  ``RuntimeError`` naming its type and message.  Either way one failed
+  task is one exception: :meth:`WorkerPool.map` raises it, and
+  :meth:`WorkerPool.map_quarantine` returns it under the task's index
+  while every other task completes.
 * **Graceful vs. hard shutdown.**  ``close()`` asks each worker to stop
   and joins it (clean ``exitcode == 0``, atexit/flush hooks run);
   ``terminate()`` is the error-path hard kill, also applied by a failing
@@ -89,10 +90,7 @@ from repro.devtools import chaos
 from repro.errors import TaskTimeout, WorkerCrash, captured_call, format_cause
 from repro.util.retry import RetryPolicy
 
-__all__ = [
-    "TaskFault",
-    "WorkerPool",
-]
+__all__ = ["WorkerPool"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -104,23 +102,6 @@ _GRACEFUL_JOIN_SECONDS = 5.0
 
 # The signals a worker resets; blocked from its fork until it has.
 _WORKER_SIGNALS = {signal.SIGINT, signal.SIGTERM}
-
-
-@dataclass(frozen=True)
-class TaskFault:
-    """One quarantined task: the poison-task report, not an exception."""
-
-    index: int
-    kind: str  # "crash" | "timeout"
-    message: str
-    attempts: int
-    exitcode: int | None = None  # the crashed worker's, once reaped
-
-    def as_error(self) -> WorkerCrash | TaskTimeout:
-        """The exception this fault raises outside quarantine mode."""
-        if self.kind == "timeout":
-            return TaskTimeout(self.message, attempts=self.attempts)
-        return WorkerCrash(self.message, exitcode=self.exitcode, attempts=self.attempts)
 
 
 # -- worker side -------------------------------------------------------------
@@ -239,7 +220,6 @@ class _Task:
     fn: Callable[[Any], Any]
     future: asyncio.Future[Any]
     attempts: int = 0
-    fault: TaskFault | None = None  # set once its attempts are spent
 
 
 @dataclass(slots=True, eq=False)
@@ -253,6 +233,19 @@ class _Worker:
     timer: asyncio.TimerHandle | None = None  # the task's deadline
     # the loop reading this worker's pipe and sentinel, while it is busy
     loop: asyncio.AbstractEventLoop | None = None
+
+
+def _stop(worker: _Worker, grace: float) -> None:
+    """Join ``worker`` for ``grace`` seconds, then terminate, then kill:
+    it is reaped on return, so its exit code is set."""
+    worker.proc.join(grace)
+    if worker.proc.is_alive():
+        worker.proc.terminate()
+        worker.proc.join(1.0)
+    if worker.proc.is_alive():  # pragma: no cover - last resort
+        worker.proc.kill()
+        worker.proc.join(1.0)
+    worker.conn.close()
 
 
 class WorkerPool:
@@ -342,14 +335,7 @@ class WorkerPool:
                     status, _ = captured_call(worker.conn.send, ("stop",))
                     del status  # a dead pipe just means it is already gone
         for worker in workers:
-            worker.proc.join(_GRACEFUL_JOIN_SECONDS if graceful else 0.1)
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-                worker.proc.join(1.0)
-            if worker.proc.is_alive():  # pragma: no cover - last resort
-                worker.proc.kill()
-                worker.proc.join(1.0)
-            worker.conn.close()
+            _stop(worker, _GRACEFUL_JOIN_SECONDS if graceful else 0.1)
 
     # -- worker management -------------------------------------------------
 
@@ -386,13 +372,7 @@ class WorkerPool:
         """Hard-kill one worker and free its slot."""
         self._unwatch(worker)
         self._workers.pop(worker.slot, None)
-        if worker.proc.is_alive():
-            worker.proc.terminate()
-            worker.proc.join(1.0)
-            if worker.proc.is_alive():  # pragma: no cover - last resort
-                worker.proc.kill()
-        worker.proc.join(1.0)
-        worker.conn.close()
+        _stop(worker, 0.0)
 
     # -- entry points ------------------------------------------------------
 
@@ -406,18 +386,18 @@ class WorkerPool:
         """Map ``fn`` over ``tasks``; results come back in task order.
 
         Infrastructure faults (worker crash, deadline) are retried under
-        the pool's :class:`RetryPolicy`; a task that exhausts its budget
-        raises :class:`~repro.errors.WorkerCrash` /
-        :class:`~repro.errors.TaskTimeout`.  ``on_result`` streams each
-        completed task ``(task_index, value)`` to the caller as it lands
-        (completion order) — the hook both runners store results through.
-        Each task's index is its ``REPRO_CHAOS`` task number.  The map
-        runs on an event loop of its own, so it must not be called from
-        a running one (use :meth:`submit` there).
+        the pool's :class:`RetryPolicy`.  The first task to fail stops
+        the map and raises: its own exception, or the
+        :class:`~repro.errors.WorkerCrash` /
+        :class:`~repro.errors.TaskTimeout` that ended its attempts.
+        ``on_result`` streams each completed task ``(task_index, value)``
+        to the caller as it lands (completion order) — the hook both
+        runners store results through.  Each task's index is its
+        ``REPRO_CHAOS`` task number.  The map runs on an event loop of
+        its own, so it must not be called from a running one (use
+        :meth:`submit` there).
         """
-        results, faults = self._run(fn, tasks, on_result=on_result)
-        if faults:
-            raise faults[0].as_error()
+        results, _ = self._run(fn, tasks, on_result=on_result)
         return cast("list[_R]", results)
 
     def map_quarantine(
@@ -426,15 +406,14 @@ class WorkerPool:
         tasks: Iterable[_T],
         *,
         on_result: Callable[[int, _R], None] | None = None,
-    ) -> tuple[list[_R | None], list[TaskFault]]:
-        """Like :meth:`map`, but faulted tasks are quarantined.
+    ) -> tuple[list[_R | None], dict[int, BaseException]]:
+        """Like :meth:`map`, but a failed task is quarantined instead of
+        stopping the map.
 
-        Returns ``(results, faults)``: every task that exhausted its
-        retry budget has ``None`` at its position and a
-        :class:`TaskFault` entry — the poison-task report, sorted by
-        index — while all other tasks complete normally.  Task-code
-        exceptions still raise (they are deterministic; see the module
-        docstring).
+        Returns ``(results, failures)``: every failed task has ``None``
+        at its position and, under its index in ``failures`` (in index
+        order), the exception :meth:`map` would raise for it, while all
+        other tasks complete normally.
         """
         return self._run(fn, tasks, quarantine=True, on_result=on_result)
 
@@ -445,7 +424,7 @@ class WorkerPool:
         *,
         quarantine: bool = False,
         on_result: Callable[[int, _R], None] | None = None,
-    ) -> tuple[list[_R | None], list[TaskFault]]:
+    ) -> tuple[list[_R | None], dict[int, BaseException]]:
         items = list(tasks)
         # A Ctrl-C from the fork until asyncio.run's SIGINT handler is in
         # would land in a half-built loop: it waits, blocked, until
@@ -468,7 +447,7 @@ class WorkerPool:
         quarantine: bool,
         on_result: Callable[[int, Any], None] | None,
         caller_mask: Iterable[int],
-    ) -> tuple[list[Any], list[TaskFault]]:
+    ) -> tuple[list[Any], dict[int, BaseException]]:
         """``map``'s body on its loop: queue every task, then take each
         as it lands (completion order) until all have.  It restores
         ``caller_mask`` first, on the loop, where a pending SIGINT meets
@@ -484,7 +463,7 @@ class WorkerPool:
         for task in tasks:
             task.future.add_done_callback(lambda _, t=task: landed.put_nowait(t))
         results: list[Any] = [None] * len(tasks)
-        faults: list[TaskFault] = []
+        failures: dict[int, BaseException] = {}
         self._backlog.extend(tasks)
         try:
             signal.pthread_sigmask(signal.SIG_SETMASK, caller_mask)
@@ -496,18 +475,17 @@ class WorkerPool:
                     results[task.index] = task.future.result()
                     if on_result is not None:
                         on_result(task.index, results[task.index])
-                elif quarantine and task.fault is not None:
-                    faults.append(task.fault)
+                elif quarantine:
+                    failures[task.index] = error
                 else:
-                    raise error  # the task's own exception, or its fault's
+                    raise error
         except BaseException:  # repro-lint: disable=RL010 (re-raised at once: the catch only hard-kills the workers of the failing map, Ctrl-C included, it swallows nothing)
             for task in tasks:
                 if not task.future.cancel() and not task.future.cancelled():
                     task.future.exception()  # settled: seen, so never logged
             self._teardown(graceful=False)
             raise
-        faults.sort(key=lambda fault: fault.index)
-        return results, faults
+        return results, dict(sorted(failures.items()))
 
     async def submit(self, fn: Callable[[_T], _R], item: _T) -> _R:
         """Run ``fn(item)`` on a worker and await its result from a
@@ -517,7 +495,7 @@ class WorkerPool:
         The fault rules are :meth:`map`'s: an exception raised by ``fn``
         re-raises here with its type; a worker that dies (or overruns
         ``task_timeout``) is reaped and replaced, and the task retried
-        under the pool's :class:`RetryPolicy`, after its backoff, until
+        at once under the pool's :class:`RetryPolicy`, until
         :class:`~repro.errors.WorkerCrash` /
         :class:`~repro.errors.TaskTimeout` is raised.  Submissions are
         numbered from 0 for ``REPRO_CHAOS`` (``kill:task=0`` kills the
@@ -630,44 +608,32 @@ class WorkerPool:
         self._refeed(worker, "timeout")
 
     def _refeed(self, worker: _Worker, kind: str) -> None:
-        """A task's worker faulted: reap it, then retry the task after its
-        backoff, or fail it once its attempts are spent."""
+        """A task's worker faulted: reap it, then retry the task at once,
+        ahead of fresh tasks, or fail it once its attempts are spent."""
         task = worker.task
         assert task is not None
         worker.task = None
         self._remove(worker)  # unwatched and joined: its exit code is set
-        exitcode: int | None = None
-        if kind == "crash":
-            exitcode = worker.proc.exitcode
-            cause = f"worker died with exitcode {exitcode}"
-        else:
-            cause = f"task exceeded {self.retry.task_timeout}s deadline"
         task.attempts += 1
-        if task.attempts >= self.retry.max_attempts:
-            task.fault = TaskFault(
-                index=task.index,
-                kind=kind,
-                message=(
-                    f"task {task.index} {kind} on attempt "
-                    f"{task.attempts}/{self.retry.max_attempts}: {cause}"
-                ),
-                attempts=task.attempts,
-                exitcode=exitcode,
+        if task.attempts < self.retry.max_attempts:
+            self._backlog.appendleft(task)
+        elif not task.future.done():
+            spent = (
+                f"task {task.index} {kind} on attempt "
+                f"{task.attempts}/{self.retry.max_attempts}"
             )
-            if not task.future.done():
-                task.future.set_exception(task.fault.as_error())
-        else:
-            delay = self.retry.backoff(task.attempts, key=f"task{task.index}")
-            if delay > 0:
-                task.future.get_loop().call_later(delay, self._requeue, task)
+            error: WorkerCrash | TaskTimeout
+            if kind == "crash":
+                exitcode = worker.proc.exitcode
+                error = WorkerCrash(
+                    f"{spent}: worker died with exitcode {exitcode}",
+                    exitcode=exitcode,
+                    attempts=task.attempts,
+                )
             else:
-                self._backlog.appendleft(task)  # a retry goes before fresh tasks
-        self._feed()
-
-    def _requeue(self, task: _Task) -> None:
-        """Loop timer: a faulted task's backoff has passed."""
-        if self._closed or task.future.done():
-            task.future.cancel()
-            return
-        self._backlog.appendleft(task)  # a retry goes before fresh tasks
+                error = TaskTimeout(
+                    f"{spent}: task exceeded {self.retry.task_timeout}s deadline",
+                    attempts=task.attempts,
+                )
+            task.future.set_exception(error)
         self._feed()

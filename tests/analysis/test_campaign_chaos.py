@@ -32,6 +32,7 @@ from repro.analysis.campaigns import (
     run_campaign_shard,
 )
 from repro.devtools import chaos
+from repro.errors import WorkerCrash
 from repro.util.retry import RetryPolicy
 
 TINY = CampaignSpec(
@@ -201,15 +202,15 @@ class TestQuarantineReport:
 
         monkeypatch.setattr(campaigns, "run_scenario", killer)
         runner = CampaignRunner(
-            jobs=2, retry=RetryPolicy(base_delay=0.0, max_attempts=2)
+            jobs=2, retry=RetryPolicy(max_attempts=2)
         )
         with pytest.raises(
             CampaignExecutionError, match="quarantined after 2 attempts"
         ) as excinfo:
             runner.run(TINY, checkpoint=chunk)
         (fault,) = excinfo.value.quarantined
-        assert fault.kind == "crash"
-        assert fault.as_error().exitcode == -signal.SIGKILL
+        assert isinstance(fault, WorkerCrash)
+        assert fault.exitcode == -signal.SIGKILL
         assert not excinfo.value.failures
         # every innocent scenario completed and was checkpointed
         stored = [
@@ -244,7 +245,7 @@ class TestQuarantineReport:
 
         monkeypatch.setattr(campaigns, "run_scenario", killer)
         runner = CampaignRunner(
-            jobs=2, retry=RetryPolicy(base_delay=0.0, max_attempts=1)
+            jobs=2, retry=RetryPolicy(max_attempts=1)
         )
         with pytest.raises(CampaignExecutionError) as excinfo:
             runner.run(spec, checkpoint=chunk_path(tmp_path, spec, (0, 1)))
@@ -289,7 +290,7 @@ class TestFailureCode:
 
     def test_a_failed_scenario_comes_first(self, tmp_path, monkeypatch):
         monkeypatch.setattr(campaigns, "run_scenario", _fail_last_kill_first)
-        runner = CampaignRunner(retry=RetryPolicy(base_delay=0.0, max_attempts=1))
+        runner = CampaignRunner(retry=RetryPolicy(max_attempts=1))
         with pytest.raises(CampaignExecutionError, match="^failed: ") as excinfo:
             runner.run(TINY, checkpoint=chunk_path(tmp_path, TINY, (0, 1)))
         assert excinfo.value.code == "scenario-error"

@@ -1,5 +1,8 @@
 """Writer → reader round trips: zero-copy slicing, lookup, engine fit."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -62,8 +65,15 @@ class TestRoundTrip:
             ):
                 assert not plane.flags.writeable
                 assert np.shares_memory(plane, reader.section(section))
-            # the cache hands back the same object, not a new slice
-            assert reader.frame_at(3) is frame
+            # a second call slices the same bytes again
+            assert reader.frame_at(3) == frame
+
+    def test_reader_holds_no_frame(self, greedy_corpus):
+        """A served frame is collected once its caller drops it."""
+        with CorpusReader(greedy_corpus) as reader:
+            ref = weakref.ref(reader.frame_at(3))
+            gc.collect()
+            assert ref() is None
 
     def test_stats_payload(self, greedy_corpus):
         with CorpusReader(greedy_corpus) as reader:

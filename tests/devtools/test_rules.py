@@ -496,15 +496,17 @@ class TestRL010FaultHandlingBoundaries:
             """
         assert run_rule(tmp_path, good, "RL010") == []
 
-    def test_retry_module_boundary_passes(self, tmp_path):
-        good = """\
+    def test_retry_module_is_no_boundary(self, tmp_path):
+        """A retry waits for nothing, so the retry policy may not sleep."""
+        bad = """\
             import time
 
 
             def pause(seconds):
                 time.sleep(seconds)
             """
-        assert run_rule(tmp_path, good, "RL010", "repro/util/retry.py") == []
+        findings = run_rule(tmp_path, bad, "RL010", "repro/util/retry.py")
+        assert_flagged(findings, "RL010", 5)
 
     def test_errors_module_boundary_passes(self, tmp_path):
         good = """\

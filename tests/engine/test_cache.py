@@ -17,6 +17,7 @@ from repro.engine.cache import (
 from repro.engine.kernels import GraphKernels
 from repro.graphs.hypercube import hypercube
 from repro.model.validator_fast import FastValidator
+from repro.types import InvalidParameterError
 
 
 class TestKernelCache:
@@ -74,6 +75,26 @@ class TestSpecMemo:
     def test_a_spec_names_one_graph(self):
         assert graph_for("sparse:5:2") is construction_for("sparse:5:2").graph
         assert graph_for("hypercube:3") is graph_for("hypercube:3")
+
+    def test_one_spec_however_spelled(self):
+        """The memos key on the spec as ``parse_spec`` reads it."""
+        clear_cache()
+        spellings = ["sparse:6:3", "Sparse:6:3", " sparse:6:3"]
+        graphs = {id(graph_for(spec)) for spec in spellings}
+        constructions = {id(construction_for(spec)) for spec in spellings}
+        assert len(graphs) == len(constructions) == 1
+        info = cache_info()
+        assert info["graphs"] == info["constructions"] == 1
+
+    def test_a_bad_spec_is_never_cached(self):
+        clear_cache()
+        for spec in ("sparse:6", "nosuch:3", "sparse:x:3"):
+            with pytest.raises(InvalidParameterError):
+                graph_for(spec)
+        with pytest.raises(InvalidParameterError, match="unknown construction"):
+            construction_for("nosuch:3")
+        info = cache_info()
+        assert info["graphs"] == info["constructions"] == 0
 
     def test_bound_evicts_least_recent_spec(self):
         gc.collect()

@@ -367,6 +367,19 @@ class TestStats:
         assert data["graphs_cached"] == data["constructions_cached"] == 1
         assert data["engine_cache"]["entries"] == 1
 
+    def test_one_construction_however_spelled(self):
+        """On one worker, two spellings of one spec certify from one
+        memoized construction."""
+        svc = ReproService(workers=1)
+        try:
+            for spec in ("Sparse:6:3", "sparse:6:3"):
+                body = json.dumps({"construction": spec}).encode()
+                assert dispatch(svc, "POST", "/v1/certificate", body)[0] == 200
+            data = json.loads(dispatch(svc, "GET", "/v1/stats")[1])
+        finally:
+            svc.close()
+        assert data["constructions_cached"] == 1
+
 
 class TestLifecycle:
     def test_drain_waits_for_idle(self, service):

@@ -29,8 +29,8 @@ class TestTaxonomy:
         assert "worker died" in str(err)
 
     def test_task_timeout_carries_deadline(self):
-        err = TaskTimeout("too slow", seconds=1.5, attempts=2)
-        assert err.seconds == 1.5
+        err = TaskTimeout("task exceeded 1.5s deadline", attempts=2)
+        assert "1.5s deadline" in str(err)
         assert err.attempts == 2
 
     def test_scenario_error_names_the_scenario(self):

@@ -20,9 +20,6 @@ from repro.errors import TaskTimeout, WorkerCrash
 from repro.util.pool import WorkerPool
 from repro.util.retry import RetryPolicy
 
-FAST = RetryPolicy(base_delay=0.0)
-
-
 @pytest.fixture(autouse=True)
 def _clean_chaos(monkeypatch):
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
@@ -90,7 +87,7 @@ class TestSubmit:
         async def go(pool):
             return await asyncio.gather(*(pool.submit(_double, i) for i in range(7)))
 
-        with WorkerPool(2, retry=FAST) as pool:
+        with WorkerPool(2) as pool:
             assert run(go(pool)) == [2 * i for i in range(7)]
 
     def test_queues_fifo_while_every_worker_is_busy(self):
@@ -101,7 +98,7 @@ class TestSubmit:
                 *(pool.submit(_started_after_nap, 0.3) for _ in range(4))
             )
 
-        with WorkerPool(2, retry=FAST) as pool:
+        with WorkerPool(2) as pool:
             pool.start()
             starts = run(go(pool))
         assert max(starts[:2]) < min(starts[2:])
@@ -118,7 +115,7 @@ class TestSubmit:
             assert all(w.proc.is_alive() for w in pool._workers.values())
 
     def test_task_exception_keeps_its_type_and_the_worker(self):
-        with WorkerPool(2, retry=FAST) as pool:
+        with WorkerPool(2) as pool:
             pool.start()
             before = {w.proc.pid for w in pool._workers.values()}
             with pytest.raises(ValueError, match="bad item 3"):
@@ -129,7 +126,7 @@ class TestSubmit:
     def test_exception_that_will_not_unpickle_keeps_the_worker(self):
         """Not a crash: one failure naming the exception, no retry, and
         the worker that raised it stays."""
-        with WorkerPool(2, retry=FAST) as pool:
+        with WorkerPool(2) as pool:
             pool.start()
             before = {w.proc.pid for w in pool._workers.values()}
             with pytest.raises(RuntimeError, match="^TwoArgError: task: 3$"):
@@ -138,7 +135,7 @@ class TestSubmit:
             assert run(pool.submit(_double, 4)) == 8
 
     def test_unpicklable_task_raises_instead_of_refeeding(self):
-        with WorkerPool(2, retry=FAST) as pool:
+        with WorkerPool(2) as pool:
             with pytest.raises(TypeError, match="pickle"):
                 run(pool.submit(_double, threading.Lock()))
             assert run(pool.submit(_double, 5)) == 10
@@ -154,7 +151,7 @@ class TestSubmitFaults:
     def test_killed_worker_is_replaced_and_the_task_retried(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "kill:task=0")
         chaos.reset()
-        with WorkerPool(2, retry=FAST) as pool:
+        with WorkerPool(2) as pool:
             pool.start()
             first = {w.proc.pid for w in pool._workers.values()}
             pid = run(pool.submit(_pid, None))
@@ -162,7 +159,7 @@ class TestSubmitFaults:
             assert run(pool.submit(_double, 2)) == 4
 
     def test_crash_exhausts_its_attempts(self):
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0)
+        policy = RetryPolicy(max_attempts=2)
         with WorkerPool(2, retry=policy) as pool:
             with pytest.raises(WorkerCrash) as info:
                 run(pool.submit(_suicide, None))
@@ -171,7 +168,7 @@ class TestSubmitFaults:
             assert run(pool.submit(_double, 1)) == 2
 
     def test_deadline_kills_and_raises(self):
-        policy = RetryPolicy(max_attempts=1, task_timeout=0.3, base_delay=0.0)
+        policy = RetryPolicy(max_attempts=1, task_timeout=0.3)
         with WorkerPool(2, retry=policy) as pool:
             t0 = time.monotonic()
             with pytest.raises(TaskTimeout):
@@ -187,7 +184,7 @@ class TestSubmitFaults:
             await asyncio.gather(pool.submit(_double, 1), pool.submit(_double, 2))
             return time.monotonic() - t0
 
-        with WorkerPool(2, retry=FAST) as pool:
+        with WorkerPool(2) as pool:
             pool.start()
             assert run(go(pool)) < 0.45
 
@@ -203,7 +200,7 @@ class TestWorkerSignals:
             fired = asyncio.Event()
             loop.add_signal_handler(signal.SIGTERM, fired.set)
             try:
-                with WorkerPool(2, retry=FAST) as pool:
+                with WorkerPool(2) as pool:
                     pool.start()
                     other = pool._workers[1].proc
                     os.kill(other.pid, signal.SIGTERM)  # maybe before its reset
@@ -229,7 +226,7 @@ class TestWorkerSignals:
         workers were forked while it was open (a server's connections)."""
         ours, peer = socket.socketpair()
         try:
-            with WorkerPool(2, retry=FAST) as pool:
+            with WorkerPool(2) as pool:
                 pool.start()
                 ours.close()
                 peer.settimeout(5.0)
